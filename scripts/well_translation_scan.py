@@ -2,10 +2,11 @@
 """Scan the single-bound-state well family across its parameter range.
 
 For each lambda0 the script reports the analytic well center, the bound
-state found by the shooting solver (it must stay at -1), and the rescaled
-lens radius of the half-line picture.  The scan makes the two limiting
-behaviours visible: the well runs off to -infinity as lambda0 -> 0+ and
-the rescaled radius tends to the original one as lambda0 -> infinity.
+state found by the sinc-DVR eigen-oracle (it must stay at -1), and the
+rescaled lens radius of the half-line picture.  The scan makes the two
+limiting behaviours visible: the well runs off to -infinity as
+lambda0 -> 0+ and the rescaled radius tends to the original one as
+lambda0 -> infinity.
 
 Usage:
     python scripts/well_translation_scan.py
@@ -15,7 +16,7 @@ Usage:
 import argparse
 
 from susy_fisheye.fullline import rescale_radius, rm_family_shift, rm_family_single
-from susy_fisheye.numerics import ShootingConfig, shooting_bound_states
+from susy_fisheye.numerics import dvr_bound_states
 
 
 def main():
@@ -31,10 +32,7 @@ def main():
     print(f"{'lambda0':>10} {'well center':>12} {'bound state':>14} {'R_lam/R':>10}")
     for lam0 in args.lambda0:
         center = -rm_family_shift(lam0)
-        cfg = ShootingConfig(energy_bracket=(-2.5, -1e-6))
-        states = shooting_bound_states(
-            lambda x: rm_family_single(x, lam0), cfg, max_states=3
-        )
+        states = dvr_bound_states(lambda x: rm_family_single(x, lam0))
         assert len(states) == 1, "translation must preserve the single state"
         print(
             f"{lam0:>10g} {center:>12.5f} {states[0]:>14.9f} "

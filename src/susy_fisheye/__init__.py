@@ -54,15 +54,13 @@ from .isospectral import (
     v_general,
 )
 from .numerics import (
-    BracketError,
     ConvergenceError,
     QuadratureResult,
-    ShootingConfig,
     StepUnderflowError,
     derivative,
+    dvr_bound_states,
     integrate_adaptive,
     numerov_zero_energy,
-    shooting_bound_states,
 )
 from .specfun import GegenbauerArgs, binomial, gegenbauer
 

@@ -164,16 +164,6 @@ def rescale_radius(R, lambda0) -> float:
     return R * math.sqrt(lambda0 / (lambda0 + 1.0))
 
 
-def rescale_coordinate(rho_infinity, lambda0):
-    """Companion coordinate map rho_lam = sqrt(1 + 1/lambda0) rho_inf."""
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
-    return _like(
-        math.sqrt(1.0 + 1.0 / lambda0) * np.asarray(rho_infinity, dtype=float),
-        rho_infinity,
-    )
-
-
 def halfline_superpartner(rho, l):
     """Half-line superpartner l(l+1)/rho^2 - (2l+1)(2l-1)/(1+rho^2)^2.
 

@@ -1,9 +1,10 @@
 """Independent numerical oracles used to validate every closed form.
 
 The four routines here (adaptive Gauss-Kronrod quadrature, Richardson
-finite differences, a Numerov zero-energy march and a two-sided shooting
-eigensolver) are deliberately self-contained: they never call into the
-analytic evaluators they are meant to check.
+finite differences, a Numerov zero-energy march and a sinc
+discrete-variable-representation eigensolver) are deliberately
+self-contained: they never call into the analytic evaluators they are
+meant to check.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ from .do_core import Profile
 __all__ = [
     "ConvergenceError",
     "StepUnderflowError",
-    "BracketError",
     "QuadratureResult",
-    "ShootingConfig",
     "integrate_adaptive",
     "derivative",
     "numerov_zero_energy",
-    "shooting_bound_states",
+    "dvr_bound_states",
 ]
 
 
@@ -36,41 +35,11 @@ class StepUnderflowError(RuntimeError):
     """Finite-difference step below the resolvable floor."""
 
 
-class BracketError(RuntimeError):
-    """Energy bracket provably contains no bound state although one was requested."""
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
     error_estimate: float
     subdivisions: int
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """Domain, grid and bracket for the two-sided shooting eigensolver.
-
-    The defaults ([-12, 12], 4001 points, bisection to 1e-8) keep the
-    tails of unit-width sech^2 wells below 1e-10 at the boundaries.
-    """
-
-    domain: tuple = (-12.0, 12.0)
-    points: int = 4001
-    energy_bracket: tuple = (-25.0, -1e-6)
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        x_min, x_max = self.domain
-        if not x_min < x_max:
-            raise ValueError("domain must satisfy x_min < x_max")
-        if self.points < 3 or self.points % 2 == 0:
-            raise ValueError("points must be an odd integer >= 3")
-        e_lo, e_hi = self.energy_bracket
-        if not e_lo < e_hi < 0:
-            raise ValueError("energy bracket must satisfy e_lo < e_hi < 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -265,153 +234,44 @@ def numerov_zero_energy(potential, grid, u0, u1) -> Profile:
     return Profile(g, np.array(u))
 
 
+
+
 # --------------------------------------------------------------------------
-# Two-sided shooting with node-count bisection and log-derivative matching.
+# Bound states of -u'' + V u = E u on the full line: Colbert-Miller sinc DVR
+# (J. Chem. Phys. 96, 1982 (1992)), one dense symmetric eigenproblem.
 # --------------------------------------------------------------------------
 
+# 201 points resolve unit-width sech^2 wells on [-12, 12] (dx = 0.12) and the
+# half-width aufbau wells on [-24, 24] to better than 1e-8.
+DVR_POINTS = 201
 
-def _march_left_full(c, g_edge, h, n, m):
-    """Full left-to-right Numerov march counting every sign change.
 
-    By the Sturm oscillation argument the node count of the left-decaying
-    solution over the whole domain equals the number of eigenvalues below
-    the march energy.  The values at indices m-1, m, m+1 are captured for
-    the log-derivative match; the running pair is renormalized whenever it
-    grows past 1e250 (captured values inside the window are rescaled too,
-    so all ratios stay exact).
+def dvr_bound_states(potential, domain=(-12.0, 12.0)):
+    """All eigenvalues below zero of -d^2/dx^2 + V on a uniform grid, ascending.
+
+    The kinetic matrix is the sinc-DVR one, pi^2/3 on the diagonal and
+    2 (-1)^k / k^2 at distance k from it, all over dx^2; V sits on the
+    diagonal.  The grid spans `domain` with DVR_POINTS points, so the well
+    must have decayed at both ends.  The free-particle matrix is positive
+    definite, so a flat potential gives [], and the box states of the
+    continuum stay above zero (the lowest at 5e-3 for the half-width wells
+    on [-24, 24], 2e-2 for the unit-width wells on [-12, 12]), so the
+    E < 0 cut keeps only bound states.
     """
-    ratio = math.exp(min(math.sqrt(max(g_edge, 0.0)) * h, 50.0))
-    u_prev, u_cur = 1e-120, 1e-120 * ratio
-    nodes = 0
-    trio = [0.0, 0.0, 0.0]
-    if m - 1 <= 1:
-        trio[0] = u_cur if m - 1 == 1 else u_prev
-    for i in range(2, n):
-        u_next = ((12.0 - 10.0 * c[i - 1]) * u_cur - c[i - 2] * u_prev) / c[i]
-        if (u_next < 0.0 < u_cur) or (u_cur < 0.0 < u_next):
-            nodes += 1
-        u_prev, u_cur = u_cur, u_next
-        if i == m - 1:
-            trio[0] = u_cur
-        elif i == m:
-            trio[1] = u_cur
-        elif i == m + 1:
-            trio[2] = u_cur
-        if abs(u_cur) > 1e250:
-            u_prev *= 1e-200
-            u_cur *= 1e-200
-            if i < m + 1:
-                trio = [t * 1e-200 for t in trio]
-    return nodes, trio[0], trio[1], trio[2]
-
-
-def _march_right(c, g_edge, h, n, m):
-    """Right-to-left Numerov march down to index m-1; returns that trio."""
-    ratio = math.exp(min(math.sqrt(max(g_edge, 0.0)) * h, 50.0))
-    u_prev, u_cur = 1e-120, 1e-120 * ratio  # values at n-1, n-2
-    trio = [0.0, 0.0, 0.0]  # indices m+1, m, m-1
-    if m + 1 >= n - 2:
-        trio[0] = u_cur if m + 1 == n - 2 else u_prev
-    for i in range(n - 3, m - 2, -1):
-        u_next = ((12.0 - 10.0 * c[i + 1]) * u_cur - c[i + 2] * u_prev) / c[i]
-        u_prev, u_cur = u_cur, u_next
-        if i == m + 1:
-            trio[0] = u_cur
-        elif i == m:
-            trio[1] = u_cur
-        elif i == m - 1:
-            trio[2] = u_cur
-        if abs(u_cur) > 1e250:
-            u_prev *= 1e-200
-            u_cur *= 1e-200
-            if i > m - 1:
-                trio = [t * 1e-200 for t in trio]
-    return trio[0], trio[1], trio[2]
-
-
-def _solve_at_energy(v_arr, h, m, n, energy):
-    """Node count below `energy` and the log-derivative mismatch at index m."""
-    c = (1.0 - (h * h / 12.0) * (v_arr - energy)).tolist()
-    nodes, ul_mm, ul_m, ul_mp = _march_left_full(c, float(v_arr[0]) - energy, h, n, m)
-    ur_mp, ur_m, ur_mm = _march_right(c, float(v_arr[-1]) - energy, h, n, m)
-    if ul_m == 0.0 or ur_m == 0.0:
-        mismatch = math.inf
-    else:
-        d_left = (ul_mp - ul_mm) / (2.0 * h * ul_m)
-        d_right = (ur_mp - ur_mm) / (2.0 * h * ur_m)
-        mismatch = d_left - d_right
-    return nodes, mismatch
-
-
-def shooting_bound_states(potential, config=None, max_states=8):
-    """All bound-state energies inside the configured bracket, ascending.
-
-    Each eigenvalue is located by bisection on the matched-solution node
-    count, then polished by bisecting the log-derivative mismatch of the
-    two one-sided Numerov solutions at the potential minimum.  Raises
-    BracketError when the node counts at the bracket ends coincide (no
-    state in the bracket) but at least one state was requested.
-    """
-    cfg = config if config is not None else ShootingConfig()
-    if max_states < 0:
-        raise ValueError("max_states must be non-negative")
-    x = np.linspace(cfg.domain[0], cfg.domain[1], cfg.points)
-    h = float(x[1] - x[0])
+    x_min, x_max = (float(b) for b in domain)
+    if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
+        raise ValueError(f"domain must be finite with x_min < x_max, got {domain!r}")
+    x = np.linspace(x_min, x_max, DVR_POINTS)
     v = _eval_vectorized(potential, x)
-    n = cfg.points
-    m = int(np.argmin(v))
-    m = min(max(m, 2), n - 3)
-    e_lo, e_hi = cfg.energy_bracket
-
-    def solve(energy):
-        return _solve_at_energy(v, h, m, n, energy)
-
-    nodes_lo = solve(e_lo)[0]
-    nodes_hi = solve(e_hi)[0]
-    available = nodes_hi - nodes_lo
-    if available <= 0:
-        if max_states > 0:
-            raise BracketError(
-                f"node count {nodes_lo} at both bracket ends: no bound state "
-                f"in ({e_lo}, {e_hi})"
-            )
-        return []
-
-    found = []
-    for k in range(min(available, max_states)):
-        target = nodes_lo + k + 1
-        a, b = e_lo, e_hi
-        # node-count bisection down to a narrow window around the jump
-        while (b - a) > 64.0 * cfg.tol:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if solve(mid)[0] >= target:
-                b = mid
-            else:
-                a = mid
-        # polish on the log-derivative mismatch when it brackets a sign change
-        fa, fb = solve(a)[1], solve(b)[1]
-        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
-            while (b - a) > cfg.tol:
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    break
-                fm = solve(mid)[1]
-                if not math.isfinite(fm):
-                    break
-                if fa * fm <= 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-        else:
-            while (b - a) > cfg.tol:
-                mid = 0.5 * (a + b)
-                if mid <= a or mid >= b:
-                    break
-                if solve(mid)[0] >= target:
-                    b = mid
-                else:
-                    a = mid
-        found.append(0.5 * (a + b))
-    return found
+    if not np.all(np.isfinite(v)):
+        raise ValueError("potential must be finite on the domain")
+    dx = x[1] - x[0]
+    k = np.arange(1, DVR_POINTS)
+    row = np.empty(DVR_POINTS)
+    row[0] = math.pi**2 / 3.0
+    row[1:] = 2.0 * (-1.0) ** k / (k * k)
+    row /= dx * dx
+    h = row[np.abs(np.arange(DVR_POINTS)[:, None] - np.arange(DVR_POINTS))]
+    h[np.diag_indices(DVR_POINTS)] += v
+    energies = np.linalg.eigvalsh(h)
+    return energies[energies < 0.0].tolist()

@@ -50,7 +50,7 @@ from susy_fisheye.isospectral import (
     superpotential_general,
     v_general,
 )
-from susy_fisheye.numerics import ShootingConfig, derivative, shooting_bound_states
+from susy_fisheye.numerics import derivative, dvr_bound_states
 from conftest import zero_mode_residual
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -261,40 +261,26 @@ def test_criterion_6_reflectionless_spectra():
     t0 = time.perf_counter()
     worst_ladder = 0.0
     for nb in (1, 2, 3, 4):
-        cfg = ShootingConfig(energy_bracket=(-(nb * (nb + 1)) - 0.5, -1e-6))
-        found = shooting_bound_states(
-            lambda x: rm_potential(x, nb), cfg, max_states=nb + 2
-        )
+        found = dvr_bound_states(lambda x: rm_potential(x, nb))
         assert len(found) == nb, f"nb={nb}: expected {nb} states, found {len(found)}"
         worst_ladder = max(
             worst_ladder,
             max(abs(e + k * k) for e, k in zip(found, range(nb, 0, -1))),
         )
     for nb in (2, 3, 4):
-        cfg = ShootingConfig(energy_bracket=(-(nb * (nb - 1)) - 0.5, -1e-6))
-        partner = shooting_bound_states(
-            lambda x: -nb * (nb - 1) / np.cosh(x) ** 2, cfg, max_states=nb + 2
-        )
+        partner = dvr_bound_states(lambda x: -nb * (nb - 1) / np.cosh(x) ** 2)
         assert len(partner) == nb - 1
     worst_family = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for lam0 in (0.1, 1.0, 10.0):
-            cfg = ShootingConfig(energy_bracket=(-2.5, -1e-6))
-            found = shooting_bound_states(
-                lambda x: rm_family_single(x, lam0), cfg, max_states=3
-            )
+            found = dvr_bound_states(lambda x: rm_family_single(x, lam0))
             assert len(found) == 1
             worst_family = max(worst_family, abs(found[0] + 1.0))
     worst_aufbau = 0.0
     for n_aufbau in (1, 3):
-        cfg = ShootingConfig(
-            domain=(-24.0, 24.0),
-            points=8001,
-            energy_bracket=(-(n_aufbau * (n_aufbau + 1)) / 4.0 - 0.5, -1e-7),
-        )
-        found = shooting_bound_states(
-            lambda x: aufbau_rm_potential(x, n_aufbau), cfg, max_states=n_aufbau
+        found = dvr_bound_states(
+            lambda x: aufbau_rm_potential(x, n_aufbau), domain=(-24.0, 24.0)
         )
         worst_aufbau = max(worst_aufbau, abs(found[0] + n_aufbau**2 / 4.0))
     elapsed = time.perf_counter() - t0

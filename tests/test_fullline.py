@@ -22,7 +22,7 @@ from susy_fisheye.fullline import (
     rm_spectrum,
     rm_superpotential,
 )
-from susy_fisheye.numerics import ShootingConfig, derivative, shooting_bound_states
+from susy_fisheye.numerics import derivative, dvr_bound_states
 
 
 class TestLangerMap:
@@ -96,18 +96,14 @@ class TestRmWell:
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_shooting_oracle_finds_ladder(self, nb):
-        cfg = ShootingConfig(energy_bracket=(-(nb * (nb + 1)) - 0.5, -1e-6))
-        found = shooting_bound_states(lambda x: rm_potential(x, nb), cfg, max_states=8)
+        found = dvr_bound_states(lambda x: rm_potential(x, nb))
         assert len(found) == nb
         for e, expected in zip(found, rm_spectrum(nb)):
             assert e == pytest.approx(expected, abs=1e-6)
 
     @pytest.mark.parametrize("nb", [2, 3, 4])
     def test_partner_has_one_state_less(self, nb):
-        cfg = ShootingConfig(energy_bracket=(-(nb * (nb - 1)) - 0.5, -1e-6))
-        found = shooting_bound_states(
-            lambda x: -nb * (nb - 1) / np.cosh(x) ** 2, cfg, max_states=8
-        )
+        found = dvr_bound_states(lambda x: -nb * (nb - 1) / np.cosh(x) ** 2)
         assert len(found) == nb - 1
 
 
@@ -139,10 +135,7 @@ class TestFamilyWell:
 
     @pytest.mark.parametrize("lam0", [0.1, 1.0, 10.0])
     def test_translation_preserves_single_state(self, lam0):
-        cfg = ShootingConfig(energy_bracket=(-2.5, -1e-6))
-        found = shooting_bound_states(
-            lambda x: rm_family_single(x, lam0), cfg, max_states=3
-        )
+        found = dvr_bound_states(lambda x: rm_family_single(x, lam0))
         assert len(found) == 1
         assert found[0] == pytest.approx(-1.0, abs=1e-6)
 
@@ -235,13 +228,8 @@ class TestAufbau:
 
     @pytest.mark.parametrize("n_aufbau,tol", [(1, 1e-6), (3, 1e-5)])
     def test_shooting_finds_deepest_state(self, n_aufbau, tol):
-        cfg = ShootingConfig(
-            domain=(-24.0, 24.0),
-            points=8001,
-            energy_bracket=(-(n_aufbau * (n_aufbau + 1)) / 4.0 - 0.5, -1e-7),
-        )
-        found = shooting_bound_states(
-            lambda x: aufbau_rm_potential(x, n_aufbau), cfg, max_states=n_aufbau + 1
+        found = dvr_bound_states(
+            lambda x: aufbau_rm_potential(x, n_aufbau), domain=(-24.0, 24.0)
         )
         assert len(found) == n_aufbau
         assert found[0] == pytest.approx(-n_aufbau**2 / 4.0, abs=tol)

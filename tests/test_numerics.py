@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 from conftest import zero_mode_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from susy_fisheye.fullline import rm_potential
 from susy_fisheye.numerics import (
-    BracketError,
     ConvergenceError,
     QuadratureResult,
-    ShootingConfig,
     StepUnderflowError,
     derivative,
+    dvr_bound_states,
     integrate_adaptive,
     numerov_zero_energy,
-    shooting_bound_states,
 )
 
 
@@ -115,44 +116,51 @@ class TestNumerov:
 
 
 class TestShooting:
+    """Bound states from the eigen-oracle, numerics.dvr_bound_states."""
+
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_reflectionless_ladders(self, nb):
-        cfg = ShootingConfig(energy_bracket=(-(nb * (nb + 1)) - 0.5, -1e-6))
-        found = shooting_bound_states(
-            lambda x: -nb * (nb + 1) / np.cosh(x) ** 2, cfg, max_states=8
-        )
+        found = dvr_bound_states(lambda x: -nb * (nb + 1) / np.cosh(x) ** 2)
         assert len(found) == nb
         for e, k in zip(found, range(nb, 0, -1)):
             assert e == pytest.approx(-float(k * k), abs=1e-6)
 
     def test_half_width_well(self):
-        cfg = ShootingConfig(
-            domain=(-24.0, 24.0), points=8001, energy_bracket=(-1.0, -1e-7)
-        )
-        found = shooting_bound_states(
-            lambda x: -0.5 / np.cosh(0.5 * x) ** 2, cfg, max_states=2
+        found = dvr_bound_states(
+            lambda x: -0.5 / np.cosh(0.5 * x) ** 2, domain=(-24.0, 24.0)
         )
         assert found == pytest.approx([-0.25], abs=1e-6)
 
-    def test_ascending_order_and_cap(self):
-        cfg = ShootingConfig(energy_bracket=(-12.5, -1e-6))
-        found = shooting_bound_states(
-            lambda x: -12.0 / np.cosh(x) ** 2, cfg, max_states=2
-        )
-        assert len(found) == 2
-        assert found[0] < found[1] < 0
+    def test_ascending_order(self):
+        found = dvr_bound_states(lambda x: -12.0 / np.cosh(x) ** 2)
+        assert len(found) == 3
+        assert found[0] < found[1] < found[2] < 0
 
-    def test_empty_bracket_raises_when_states_requested(self):
-        cfg = ShootingConfig(energy_bracket=(-2.0, -1e-6))
-        flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        with pytest.raises(BracketError):
-            shooting_bound_states(flat, cfg, max_states=1)
-        assert shooting_bound_states(flat, cfg, max_states=0) == []
+    def test_flat_potential_has_no_states(self):
+        assert dvr_bound_states(lambda x: np.zeros_like(np.asarray(x, dtype=float))) == []
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(points=4000)
-        with pytest.raises(ValueError):
-            ShootingConfig(energy_bracket=(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            ShootingConfig(domain=(3.0, -3.0))
+        well = lambda x: -2.0 / np.cosh(x) ** 2
+        for domain in [(3.0, -3.0), (1.0, 1.0), (-math.inf, 12.0)]:
+            with pytest.raises(ValueError, match="domain"):
+                dvr_bound_states(well, domain=domain)
+        with pytest.raises(ValueError, match="finite"):
+            dvr_bound_states(lambda x: np.where(np.asarray(x) > 0, np.nan, 0.0))
+
+    def test_harmonic_oscillator_levels(self):
+        # x^2 - 20 has the levels 2n + 1 - 20; the ten below zero turn at
+        # |x| < 4.5, far inside [-12, 12]
+        found = dvr_bound_states(lambda x: np.asarray(x) ** 2 - 20.0)
+        assert found == pytest.approx([-19.0 + 2.0 * n for n in range(10)], abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nb=st.integers(min_value=1, max_value=4),
+        shift=st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+    )
+    def test_translated_ladders(self, nb, shift):
+        # a translation moves the well off the grid's symmetry centre but
+        # must keep exactly nb states at -k^2
+        found = dvr_bound_states(lambda x: rm_potential(np.asarray(x) - shift, nb))
+        assert len(found) == nb
+        assert found == pytest.approx([-float(k * k) for k in range(nb, 0, -1)], abs=1e-6)
