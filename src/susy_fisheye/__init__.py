@@ -43,7 +43,6 @@ from .fullline import (
 )
 from .isospectral import (
     IsoFamily,
-    SuperpotentialPair,
     beta_of_rho,
     i0_closed_half,
     i0_closed_one,

@@ -202,9 +202,7 @@ def radial_wavefunction(rho, params: DoParams):
     else:
         xi = (1.0 - t) / (1.0 + t)
         order = expo + 0.5
-        poly = np.array(
-            [gegenbauer(GegenbauerArgs(degree, order, x)) for x in np.atleast_1d(xi)]
-        ).reshape(np.shape(xi))
+        poly = gegenbauer(GegenbauerArgs(degree, order, xi))
     return _like(envelope * poly, rho)
 
 

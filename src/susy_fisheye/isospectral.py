@@ -39,7 +39,6 @@ from .specfun import binomial
 
 __all__ = [
     "IsoFamily",
-    "SuperpotentialPair",
     "beta_of_rho",
     "i0_quadrature",
     "i0_closed_half",
@@ -217,16 +216,3 @@ def radial_factor_bosonic(rho, family: IsoFamily):
         radial_factor_f(r, p.l, p.kappa) / family.denominator(r), rho
     )
 
-
-@dataclass(frozen=True)
-class SuperpotentialPair:
-    """Particular and general superpotentials bound to one family member."""
-
-    family: IsoFamily
-
-    def particular(self, rho):
-        p = self.family.params
-        return superpotential_w(rho, p.l, p.kappa)
-
-    def general(self, rho):
-        return superpotential_general(rho, self.family)

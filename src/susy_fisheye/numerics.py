@@ -147,59 +147,76 @@ def integrate_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000) -> QuadratureR
 # --------------------------------------------------------------------------
 
 
-def derivative(f, x, order=1, h0=None) -> float:
+def derivative(f, x, order=1, h0=None):
     """First or second derivative of f at x, expected accuracy O(h^4) or better.
 
     Central-difference stencils are evaluated on the step ladder h0, h0/2,
     ... and combined in a Richardson (Neville) tableau; the diagonal entry
     with the smallest error estimate is returned.  Steps are never allowed
     to collapse below 1e-10 max(1, |x|).
+
+    x may be a scalar or an array, and h0 a scalar or an array that
+    broadcasts against x.  A scalar x calls f with scalars and returns a
+    float.  An array x calls f with whole arrays of the broadcast shape
+    (x + h and x - h once per row, x once for order 2) and returns an array
+    of that shape.  The tableau runs elementwise: each point keeps its own
+    best row, error estimate, stop counter (two rows in a row without
+    improvement) and step floor, and a point that has stopped keeps its
+    result while the others continue, so each entry selects the same row
+    that a scalar call at that point would.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    scale = max(1.0, abs(x))
+    x = np.asarray(x, dtype=float)
+    scale = np.maximum(1.0, np.abs(x))
     h_min = 1e-10 * scale
     if h0 is None:
         h0 = 0.05 * scale
-    if h0 <= 0:
+    x, h, h_min = np.broadcast_arrays(x, np.asarray(h0, dtype=float), h_min)
+    if np.any(h <= 0):
         raise ValueError("h0 must be positive")
-    if h0 < h_min:
-        raise StepUnderflowError(f"step {h0} below floor {h_min}")
+    if np.any(h < h_min):
+        i = np.unravel_index(np.argmax(h < h_min), h.shape)
+        raise StepUnderflowError(f"step {h[i]} below floor {h_min[i]} at x = {x[i]}")
+    shape = x.shape
+    if not shape:
+        # f may be scalar-only (math.sin): hand it Python floats
+        x, h, h_min = float(x), float(h), float(h_min)
 
-    def stencil(h):
-        if order == 1:
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+    if order == 1:
+        stencil = lambda h: (f(x + h) - f(x - h)) / (2.0 * h)
+    else:
+        fx = f(x)
+        stencil = lambda h: (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
 
-    best = math.nan
-    best_err = math.inf
-    rows = []
-    h = h0
-    worse = 0
+    first = prev = None
+    best = np.full(shape, math.nan)
+    best_err = np.full(shape, math.inf)
+    worse = np.zeros(shape, dtype=int)
+    live = np.ones(shape, dtype=bool)
     for _ in range(12):
-        if h < h_min:
+        live &= h >= h_min
+        if not live.any():
             break
         row = [stencil(h)]
-        if rows:
-            prev = rows[-1]
+        if prev is None:
+            first = row[0]
+        else:
             fac = 1.0
             for j in range(len(prev)):
                 fac *= 4.0
                 row.append((fac * row[j] - prev[j]) / (fac - 1.0))
             err = abs(row[-1] - prev[-1]) + abs(row[-1] - row[-2])
-            if err < best_err:
-                best, best_err = row[-1], err
-                worse = 0
-            else:
-                worse += 1
-                if worse >= 2:
-                    break
-        rows.append(row)
-        h *= 0.5
-    if math.isnan(best):
-        # single row: no extrapolation possible, return the bare stencil
-        best = rows[0][0]
-    return best
+            better = live & (err < best_err)
+            best = np.where(better, row[-1], best)
+            best_err = np.where(better, err, best_err)
+            worse = np.where(better, 0, worse + live)
+            live &= worse < 2
+        prev = row
+        h = h * 0.5
+    # single row: no extrapolation possible, return the bare stencil
+    best = np.where(np.isnan(best), first, best)
+    return best if shape else float(best)
 
 
 # --------------------------------------------------------------------------

@@ -58,11 +58,22 @@ def _result(name, residual, tol, detail=""):
 
 
 def _frobenius_seed(rho, l, kappa):
-    # two-term local solution of the half-line equation near the origin
+    """Two-term local solution u ~ rho^(l+1) (1 - (2l+1)/(2k) rho^(2k)).
+
+    The subleading coefficient follows from the indicial recursion of the
+    half-line equation with the nodeless coupling, so the seed stays
+    independent of the closed-form radial factor it is used to verify.
+    """
     return rho ** (l + 1) * (1.0 - (2 * l + 1) / (2.0 * kappa) * rho ** (2.0 * kappa))
 
 
 def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
+    """Max relative deviation between the Numerov zero mode and the factor.
+
+    Marches -u'' + U u = 0 from Frobenius seeds near the origin and
+    compares against the analytic radial factor (or its damped family
+    counterpart when lam is given) after a least-squares global rescale.
+    """
     grid = np.arange(h, window[1] + h / 2, h)
     u0 = _frobenius_seed(grid[0], l, kappa)
     u1 = _frobenius_seed(grid[1], l, kappa)
@@ -114,32 +125,23 @@ def check_gegenbauer_parity():
 
 def check_log_derivative():
     worst = 0.0
+    r = np.linspace(0.05, 20.0, 50)
     for kappa in (0.5, 1.0):
         for l in (0, 1, 2, 3):
-            for r in np.linspace(0.05, 20.0, 50):
-                r = float(r)
-                fd = numerics.derivative(
-                    lambda s: radial_factor_f(s, l, kappa), r, h0=0.2 * r
-                )
-                worst = max(
-                    worst,
-                    abs(superpotential_w(r, l, kappa) + fd / radial_factor_f(r, l, kappa)),
-                )
+            fd = numerics.derivative(lambda s: radial_factor_f(s, l, kappa), r, h0=0.2 * r)
+            gap = superpotential_w(r, l, kappa) + fd / radial_factor_f(r, l, kappa)
+            worst = max(worst, float(np.max(np.abs(gap))))
     return _result("log-derivative-identity", worst, 1e-8)
 
 
 def check_partner_sum_difference():
     worst = 0.0
+    r = np.linspace(0.1, 10.0, 30)
     for kappa in (0.5, 1.0):
         for l in (0, 1, 2):
-            for r in np.linspace(0.1, 10.0, 30):
-                r = float(r)
-                dw = numerics.derivative(
-                    lambda s: superpotential_w(s, l, kappa), r, h0=0.2 * r
-                )
-                worst = max(
-                    worst, abs(u_plus(r, l, kappa) - u_minus(r, l, kappa) - 2.0 * dw)
-                )
+            dw = numerics.derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.2 * r)
+            gap = u_plus(r, l, kappa) - u_minus(r, l, kappa) - 2.0 * dw
+            worst = max(worst, float(np.max(np.abs(gap))))
     return _result("partner-sum-difference", worst, 1e-6)
 
 
@@ -179,33 +181,32 @@ def check_closed_vs_quadrature():
 def _riccati_scan():
     worst_abs = worst_rel = 0.0
     worst_partner = 0.0
+    r = np.linspace(0.1, 10.0, 25)
     for kappa in (0.5, 1.0):
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
                 fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-                for r in np.linspace(0.1, 10.0, 25):
-                    r = float(r)
-                    dv = numerics.derivative(
-                        lambda s: isospectral.v_general(s, fam), r, h0=0.25 * r
-                    )
-                    res = abs(
-                        -dv
-                        + 2.0 * superpotential_w(r, l, kappa) * isospectral.v_general(r, fam)
-                        + 1.0
-                    )
-                    worst_abs = max(worst_abs, res)
-                    worst_rel = max(worst_rel, res / max(1.0, abs(dv)))
-                    dwg = numerics.derivative(
-                        lambda s: isospectral.superpotential_general(s, fam),
-                        r,
-                        h0=0.25 * r,
-                    )
-                    dw = numerics.derivative(
-                        lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r
-                    )
-                    up_general = dwg + isospectral.superpotential_general(r, fam) ** 2
-                    up_particular = dw + superpotential_w(r, l, kappa) ** 2
-                    worst_partner = max(worst_partner, abs(up_general - up_particular))
+                dv = numerics.derivative(
+                    lambda s: isospectral.v_general(s, fam), r, h0=0.25 * r
+                )
+                res = np.abs(
+                    -dv
+                    + 2.0 * superpotential_w(r, l, kappa) * isospectral.v_general(r, fam)
+                    + 1.0
+                )
+                worst_abs = max(worst_abs, float(np.max(res)))
+                worst_rel = max(worst_rel, float(np.max(res / np.maximum(1.0, np.abs(dv)))))
+                dwg = numerics.derivative(
+                    lambda s: isospectral.superpotential_general(s, fam), r, h0=0.25 * r
+                )
+                dw = numerics.derivative(
+                    lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r
+                )
+                up_general = dwg + isospectral.superpotential_general(r, fam) ** 2
+                up_particular = dw + superpotential_w(r, l, kappa) ** 2
+                worst_partner = max(
+                    worst_partner, float(np.max(np.abs(up_general - up_particular)))
+                )
     return worst_abs, worst_rel, worst_partner
 
 
@@ -309,18 +310,17 @@ def check_inflection():
 
 def check_langer_residual():
     worst = 0.0
+    xs = np.linspace(-4.0, 4.0, 41)
     for n in (1, 2, 3):
         l = n - 1
         nu = n - 0.5
 
         def phi(x):
-            return math.exp(-0.5 * x) * radial_factor_f(math.exp(x), l, 1.0)
+            return np.exp(-0.5 * x) * radial_factor_f(np.exp(x), l, 1.0)
 
-        for x in np.linspace(-4.0, 4.0, 41):
-            x = float(x)
-            d2 = numerics.derivative(phi, x, order=2, h0=0.05)
-            res = -d2 + (nu**2 - nu * (nu + 1.0) / math.cosh(x) ** 2) * phi(x)
-            worst = max(worst, abs(res))
+        d2 = numerics.derivative(phi, xs, order=2, h0=0.05)
+        res = -d2 + (nu**2 - nu * (nu + 1.0) / np.cosh(xs) ** 2) * phi(xs)
+        worst = max(worst, float(np.max(np.abs(res))))
     return _result("langer-residual", worst, 1e-6)
 
 

@@ -1,47 +1,10 @@
-"""Shared oracle helpers for the test suite."""
+"""Shared oracle helpers for the test suite.
 
-from __future__ import annotations
+The zero-mode oracle is defined once, in susy_fisheye.verify; the tests
+import these re-exports of it.
+"""
 
-import numpy as np
+from susy_fisheye.verify import _frobenius_seed as frobenius_seed
+from susy_fisheye.verify import _zero_mode_residual as zero_mode_residual
 
-from susy_fisheye.do_core import DoParams, radial_factor_f, u_minus
-from susy_fisheye.isospectral import (
-    IsoFamily,
-    radial_factor_bosonic,
-    u_bosonic_family,
-)
-from susy_fisheye.numerics import numerov_zero_energy
-
-
-def frobenius_seed(rho, l, kappa):
-    """Two-term local solution u ~ rho^(l+1) (1 - (2l+1)/(2k) rho^(2k)).
-
-    The subleading coefficient follows from the indicial recursion of the
-    half-line equation with the nodeless coupling, so the seed stays
-    independent of the closed-form radial factor it is used to verify.
-    """
-    return rho ** (l + 1) * (1.0 - (2 * l + 1) / (2.0 * kappa) * rho ** (2.0 * kappa))
-
-
-def zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
-    """Max relative deviation between the Numerov zero mode and the factor.
-
-    Marches -u'' + U u = 0 from Frobenius seeds near the origin and
-    compares against the analytic radial factor (or its damped family
-    counterpart when lam is given) after a least-squares global rescale.
-    """
-    grid = np.arange(h, window[1] + h / 2, h)
-    u0 = frobenius_seed(grid[0], l, kappa)
-    u1 = frobenius_seed(grid[1], l, kappa)
-    if lam is None:
-        pot = lambda r: u_minus(r, l, kappa)
-        ref = np.asarray(radial_factor_f(grid, l, kappa))
-    else:
-        fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        pot = lambda r: u_bosonic_family(r, fam)
-        ref = np.asarray(radial_factor_bosonic(grid, fam))
-    prof = numerov_zero_energy(pot, grid, u0, u1)
-    sel = (grid >= window[0]) & (grid <= window[1])
-    u, f = prof.values[sel], ref[sel]
-    scale = np.dot(u, f) / np.dot(u, u)
-    return float(np.max(np.abs(scale * u - f) / np.abs(f)))
+__all__ = ["frobenius_seed", "zero_mode_residual"]

@@ -86,23 +86,22 @@ def test_criterion_1_closed_form_equivalence():
 
 
 RICCATI_REL_TOL = 1e-9
+RICCATI_RADII = np.linspace(0.1, 10.0, 12)
 
 
-def riccati_cases(kappas=(0.5, 1.0)):
-    """The criterion-2 scan: (family, rho) over 12 radii in [0.1, 10]."""
+def riccati_families(kappas=(0.5, 1.0)):
+    """The criterion-2 scan: each family is checked at RICCATI_RADII."""
     for kappa in kappas:
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
-                fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-                for r in np.linspace(0.1, 10.0, 12):
-                    yield fam, float(r)
+                yield IsoFamily(DoParams.nodeless(kappa, l, lam))
 
 
 def riccati_residual(v, params, r):
-    """Residual of -V' + 2 W V = -1 at r: absolute, and over max(1, |V'|)."""
+    """Worst residual of -V' + 2 W V = -1 over r: absolute, and over max(1, |V'|)."""
     dv = derivative(v, r, h0=0.25 * r)
-    res = abs(-dv + 2.0 * superpotential_w(r, params.l, params.kappa) * v(r) + 1.0)
-    return res, res / max(1.0, abs(dv))
+    res = np.abs(-dv + 2.0 * superpotential_w(r, params.l, params.kappa) * v(r) + 1.0)
+    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
 
 
 def test_criterion_2_riccati_pair():
@@ -110,18 +109,19 @@ def test_criterion_2_riccati_pair():
     worst_partner = 0.0
     worst_res = 0.0
     worst_res_rel = 0.0
-    for fam, r in riccati_cases():
+    r = RICCATI_RADII
+    for fam in riccati_families():
         l, kappa = fam.params.l, fam.params.kappa
         res, res_rel = riccati_residual(lambda s: v_general(s, fam), fam.params, r)
         worst_res = max(worst_res, res)
         worst_res_rel = max(worst_res_rel, res_rel)
         dwg = derivative(lambda s: superpotential_general(s, fam), r, h0=0.25 * r)
         dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-        gap = abs(
+        gap = np.abs(
             (dwg + superpotential_general(r, fam) ** 2)
             - (dw + superpotential_w(r, l, kappa) ** 2)
         )
-        worst_partner = max(worst_partner, gap)
+        worst_partner = max(worst_partner, float(np.max(gap)))
     elapsed = time.perf_counter() - t0
     ok = worst_partner < 1e-6 and worst_res_rel < RICCATI_REL_TOL and elapsed < 2.0
     report(
@@ -148,8 +148,8 @@ def v_from_i0(i0, params):
 
 def worst_relative_residual(make_i0, kappas=(0.5, 1.0)):
     return max(
-        riccati_residual(v_from_i0(make_i0(fam), fam.params), fam.params, r)[1]
-        for fam, r in riccati_cases(kappas)
+        riccati_residual(v_from_i0(make_i0(fam), fam.params), fam.params, RICCATI_RADII)[1]
+        for fam in riccati_families(kappas)
     )
 
 

@@ -7,7 +7,6 @@ from conftest import zero_mode_residual
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
     IsoFamily,
-    SuperpotentialPair,
     beta_of_rho,
     i0_closed_half,
     i0_closed_one,
@@ -159,11 +158,10 @@ class TestGeneralRiccatiSolution:
         # absolute residual is dominated by float64 representation noise
         # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        for r in np.linspace(0.1, 10.0, 15):
-            r = float(r)
-            dv = derivative(lambda s: v_general(s, fam), r, h0=0.25 * r)
-            res = -dv + 2.0 * superpotential_w(r, l, kappa) * v_general(r, fam) + 1.0
-            assert abs(res) / max(1.0, abs(dv)) < 1e-9
+        r = np.linspace(0.1, 10.0, 15)
+        dv = derivative(lambda s: v_general(s, fam), r, h0=0.25 * r)
+        res = -dv + 2.0 * superpotential_w(r, l, kappa) * v_general(r, fam) + 1.0
+        assert np.max(np.abs(res) / np.maximum(1.0, np.abs(dv))) < 1e-9
 
 
 class TestGeneralSuperpotential:
@@ -183,10 +181,9 @@ class TestGeneralSuperpotential:
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     def test_algebraic_identity_with_v(self, kappa):
         fam = IsoFamily(DoParams.nodeless(kappa, 2, 0.7))
-        pair = SuperpotentialPair(fam)
         for r in (0.2, 1.1, 5.0):
-            lhs = pair.general(r)
-            rhs = 1.0 / v_general(r, fam) + pair.particular(r)
+            lhs = superpotential_general(r, fam)
+            rhs = 1.0 / v_general(r, fam) + superpotential_w(r, 2, kappa)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -194,13 +191,12 @@ class TestGeneralSuperpotential:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
     def test_shared_fermionic_partner(self, kappa, l, lam):
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        for r in np.linspace(0.1, 10.0, 15):
-            r = float(r)
-            dwg = derivative(lambda s: superpotential_general(s, fam), r, h0=0.25 * r)
-            dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-            up_general = dwg + superpotential_general(r, fam) ** 2
-            up_particular = dw + superpotential_w(r, l, kappa) ** 2
-            assert abs(up_general - up_particular) < 1e-6
+        r = np.linspace(0.1, 10.0, 15)
+        dwg = derivative(lambda s: superpotential_general(s, fam), r, h0=0.25 * r)
+        dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
+        up_general = dwg + superpotential_general(r, fam) ** 2
+        up_particular = dw + superpotential_w(r, l, kappa) ** 2
+        assert np.max(np.abs(up_general - up_particular)) < 1e-6
 
 
 class TestBosonicFamily:

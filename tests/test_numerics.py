@@ -78,6 +78,51 @@ class TestDerivative:
             derivative(math.sin, 0.0, order=3)
 
 
+def _rational(s):
+    # arithmetic only, so array and scalar evaluation round alike
+    return (s * s * s - 2.0 * s + 1.0) / (1.0 + s * s)
+
+
+class TestArrayDerivative:
+    XS = np.linspace(-4.0, 4.0, 57)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("h0", [None, 0.3, "array"])
+    def test_matches_scalar_calls_bit_for_bit(self, order, h0):
+        if h0 == "array":
+            h0 = 0.2 * np.abs(self.XS) + 0.01
+        got = derivative(_rational, self.XS, order=order, h0=h0)
+        steps = np.broadcast_to(h0, self.XS.shape) if h0 is not None else [None] * self.XS.size
+        ref = [
+            derivative(_rational, float(x), order=order, h0=None if h is None else float(h))
+            for x, h in zip(self.XS, steps)
+        ]
+        assert np.array_equal(got, np.array(ref))
+
+    def test_output_shape_follows_input(self):
+        x = np.linspace(0.5, 3.0, 12).reshape(3, 4)
+        got = derivative(np.sin, x, h0=0.1 * x)
+        assert got.shape == (3, 4)
+        assert np.allclose(got, np.cos(x), atol=1e-10)
+
+    def test_step_underflow_at_any_point(self):
+        x = np.array([0.5, 1.0, 2.0])
+        with pytest.raises(StepUnderflowError):
+            derivative(np.sin, x, h0=np.array([0.1, 1e-12, 0.1]))
+
+    def test_scalar_x_calls_f_with_scalars(self):
+        seen = []
+
+        def f(s):
+            seen.append(type(s))
+            return math.sin(s)
+
+        got = derivative(f, 0.7)
+        assert type(got) is float
+        assert got == pytest.approx(math.cos(0.7), abs=1e-10)
+        assert seen and all(t is float for t in seen)
+
+
 class TestNumerov:
     def test_free_particle_is_linear(self):
         grid = np.linspace(0.0, 1.0, 101)

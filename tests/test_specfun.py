@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +58,16 @@ def test_parity_property(p, q, xi):
     assert minus == pytest.approx((-1.0) ** p * plus, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("q", [0.5, 1.5, 2.5])
+def test_array_argument_matches_scalar_loop(q):
+    xi = np.linspace(-1.0, 1.0, 41)
+    for p in range(9):
+        got = gegenbauer(GegenbauerArgs(p, q, xi))
+        ref = np.array([gegenbauer(GegenbauerArgs(p, q, float(x))) for x in xi])
+        assert got.shape == xi.shape
+        assert np.array_equal(got, ref)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         GegenbauerArgs(-1, 1.5, 0.0)
@@ -64,6 +75,8 @@ def test_domain_errors():
         GegenbauerArgs(2, 1.5, 1.5)
     with pytest.raises(ValueError):
         GegenbauerArgs(2, -0.5, 0.0)
+    with pytest.raises(ValueError, match=r"argument must lie in \[-1, 1\]"):
+        GegenbauerArgs(2, 1.5, np.array([0.0, 0.5, -1.2]))
 
 
 @pytest.mark.parametrize(
