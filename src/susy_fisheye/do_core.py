@@ -196,13 +196,8 @@ def radial_wavefunction(rho, params: DoParams):
     t = r ** (2.0 * kappa)
     expo = (2 * l + 1) / (2.0 * kappa)
     envelope = r**l * (1.0 + t) ** (-expo)
-    degree = params.degree
-    if degree == 0:
-        poly = np.ones_like(r)
-    else:
-        xi = (1.0 - t) / (1.0 + t)
-        order = expo + 0.5
-        poly = gegenbauer(GegenbauerArgs(degree, order, xi))
+    xi = (1.0 - t) / (1.0 + t)
+    poly = gegenbauer(GegenbauerArgs(params.degree, expo + 0.5, xi))
     return _like(envelope * poly, rho)
 
 

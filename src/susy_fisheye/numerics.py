@@ -168,7 +168,7 @@ def derivative(f, x, order=1, h0=None):
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     x = np.asarray(x, dtype=float)
-    scale = np.maximum(1.0, np.abs(x))
+    scale = np.fmax(1.0, np.abs(x))
     h_min = 1e-10 * scale
     if h0 is None:
         h0 = 0.05 * scale
@@ -195,7 +195,8 @@ def derivative(f, x, order=1, h0=None):
     worse = np.zeros(shape, dtype=int)
     live = np.ones(shape, dtype=bool)
     for _ in range(12):
-        live &= h >= h_min
+        # a NaN step is not below the floor: its rows run and give NaN
+        live &= ~np.less(h, h_min)
         if not live.any():
             break
         row = [stencil(h)]

@@ -26,9 +26,7 @@ class GegenbauerArgs:
             raise ValueError("degree must be a non-negative integer")
         if self.order <= -0.5:
             raise ValueError("order must be > -1/2")
-        xi = self.argument
-        # the scalar test skips numpy: gegenbauer is called per point in loops
-        if np.any(np.abs(xi) > 1.0) if isinstance(xi, np.ndarray) else abs(xi) > 1.0:
+        if np.any(np.abs(self.argument) > 1.0):
             raise ValueError("argument must lie in [-1, 1]")
 
 

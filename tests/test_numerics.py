@@ -122,6 +122,14 @@ class TestArrayDerivative:
         assert got == pytest.approx(math.cos(0.7), abs=1e-10)
         assert seen and all(t is float for t in seen)
 
+    def test_nan_input_gives_nan(self):
+        assert math.isnan(derivative(math.sin, math.nan))
+        assert math.isnan(derivative(math.sin, 0.7, h0=math.nan))
+        got = derivative(np.sin, np.array([math.nan, 0.7]), order=2)
+        assert got.dtype == float
+        assert math.isnan(got[0])
+        assert got[1] == derivative(math.sin, 0.7, order=2)
+
 
 class TestNumerov:
     def test_free_particle_is_linear(self):
