@@ -30,7 +30,6 @@ from .fisheye import (
     v_family_fisheye,
 )
 from .fullline import (
-    RmProblem,
     aufbau_rm_potential,
     halfline_superpartner,
     langer_wavefunction,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -74,6 +75,8 @@ class RunConfig:
             raise ValueError("l must be non-negative")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
+        if not -1.0 < self.lambda0 < math.inf or self.lambda0 == 0.0:
+            raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {self.lambda0:g}")
 
     def grid(self):
         return np.linspace(self.rho_min, self.rho_max, self.samples)
@@ -107,7 +110,17 @@ def _columns_json(command, params, names, columns) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_finite(names, columns):
+    """Refuse a non-finite value, naming its column and the first bad abscissa."""
+    for name, col in zip(names, columns):
+        bad = ~np.isfinite(col)
+        if bad.any():
+            at = columns[0][bad.argmax()]
+            raise ValueError(f"{name} is not finite at {names[0]} = {at:.3g}")
+
+
 def _grid_output(cfg: RunConfig, params, names, columns):
+    _check_finite(names, columns)
     if cfg.fmt == "csv":
         _emit(_columns_csv(names, columns), cfg.output)
     else:
@@ -123,9 +136,9 @@ def _cmd_potential(cfg: RunConfig) -> int:
     g = cfg.grid()
     cols = [
         g,
-        np.asarray(potential_v(g, cfg.kappa, params.w)),
-        np.asarray(u_minus(g, cfg.l, cfg.kappa)),
-        np.asarray(u_plus(g, cfg.l, cfg.kappa)),
+        potential_v(g, cfg.kappa, params.w),
+        u_minus(g, cfg.l, cfg.kappa),
+        u_plus(g, cfg.l, cfg.kappa),
     ]
     _grid_output(
         cfg,
@@ -138,9 +151,9 @@ def _cmd_potential(cfg: RunConfig) -> int:
 
 def _cmd_index(cfg: RunConfig) -> int:
     g = cfg.grid()
-    n_m = np.asarray(index_maxwell(g, cfg.l))
-    n_i = np.asarray(index_iso(g, cfg.l, cfg.lam, exact=cfg.exact_index))
-    ratio = np.asarray(fisheye.relative_ratio(g, cfg.l, cfg.lam))
+    n_m = index_maxwell(g, cfg.l)
+    n_i = index_iso(g, cfg.l, cfg.lam, exact=cfg.exact_index)
+    ratio = fisheye.relative_ratio(g, cfg.l, cfg.lam)
     _grid_output(
         cfg,
         {"l": cfg.l, "lambda": cfg.lam, "exact": cfg.exact_index},
@@ -155,10 +168,10 @@ def _cmd_family(cfg: RunConfig) -> int:
     g = cfg.grid()
     cols = [
         g,
-        np.asarray(u_minus(g, cfg.l, cfg.kappa)),
-        np.asarray(u_bosonic_family(g, fam)),
-        np.asarray(radial_factor_f(g, cfg.l, cfg.kappa)),
-        np.asarray(radial_factor_bosonic(g, fam)),
+        u_minus(g, cfg.l, cfg.kappa),
+        u_bosonic_family(g, fam),
+        radial_factor_f(g, cfg.l, cfg.kappa),
+        radial_factor_bosonic(g, fam),
     ]
     _grid_output(
         cfg,
@@ -171,15 +184,11 @@ def _cmd_family(cfg: RunConfig) -> int:
 
 def _cmd_langer(cfg: RunConfig) -> int:
     if cfg.aufbau:
-        problem = fullline.RmProblem(
-            n_b=1.5, lambda0=cfg.lambda0, variant="aufbau", N_aufbau=cfg.aufbau
-        )
-        spectrum = problem.spectrum()
+        spectrum = fullline.aufbau_spectrum(cfg.aufbau)
         meta = {"variant": "aufbau", "N": cfg.aufbau}
     else:
         nb = cfg.nb if cfg.nb else 1
-        problem = fullline.RmProblem(n_b=nb + 0.5, lambda0=cfg.lambda0)
-        spectrum = problem.spectrum()
+        spectrum = fullline.rm_spectrum(nb)
         meta = {"variant": "fisheye", "nb": nb}
     if cfg.fmt == "json":
         payload = {
@@ -199,38 +208,34 @@ def _cmd_langer(cfg: RunConfig) -> int:
     # csv: scan of the well, its superpartner and the single-state family
     xs = np.linspace(-6.0, 6.0, cfg.samples)
     if cfg.aufbau:
-        v_min = np.asarray(fullline.aufbau_rm_potential(xs, cfg.aufbau))
         names = ["x", "v_minus"]
-        cols = [xs, v_min]
+        cols = [xs, fullline.aufbau_rm_potential(xs, cfg.aufbau)]
     else:
-        nbi = problem.nb_int
-        v_min = np.asarray(fullline.rm_potential(xs, nbi))
-        v_plus = -nbi * (nbi - 1) / np.cosh(xs) ** 2
-        v_fam = np.asarray(fullline.rm_family_single(xs, cfg.lambda0))
+        v_min = fullline.rm_potential(xs, nb)
+        v_plus = -nb * (nb - 1) / np.cosh(xs) ** 2
+        v_fam = fullline.rm_family_single(xs, cfg.lambda0)
         names = ["x", "v_minus", "v_plus", "v_family"]
         cols = [xs, v_min, v_plus, v_fam]
-    _emit(_columns_csv(names, cols), cfg.output)
+    _grid_output(cfg, meta, names, cols)
     return 0
 
 
 def _cmd_figure(cfg: RunConfig) -> int:
     table = figure_table(cfg.l, cfg.lam, cfg.grid())
+    names = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
+    columns = [
+        table.grid,
+        table.n_maxwell,
+        table.n_iso,
+        table.ratio_minus_one,
+        table.f_bos_squared,
+    ]
+    if cfg.fmt == "json":
+        _grid_output(cfg, {"l": cfg.l, "lambda": cfg.lam}, names, columns)
+        return 0
+    _check_finite(names, columns)
     if cfg.fmt == "csv":
         _emit(figure_table_csv(table), cfg.output)
-        return 0
-    if cfg.fmt == "json":
-        _grid_output(
-            cfg,
-            {"l": cfg.l, "lambda": cfg.lam},
-            ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"],
-            [
-                table.grid,
-                table.n_maxwell,
-                table.n_iso,
-                table.ratio_minus_one,
-                table.f_bos_squared,
-            ],
-        )
         return 0
     caption = f"index family: l={cfg.l}, lambda={cfg.lam:g}"
     svg = svg_panels(

@@ -42,20 +42,18 @@ RHO_MIN = 1e-12
 
 
 def _as_rho(rho):
-    """Validate and return rho as a float array (scalar-shaped allowed)."""
+    """Validate and return rho as a float array, 0-d for a scalar radius.
+
+    numpy operations on a 0-d array give a numpy float64, so every
+    evaluator built on this returns a float for a scalar radius and an
+    array of the input's shape for a list or an array.
+    """
     arr = np.asarray(rho, dtype=float)
     if arr.size == 0:
         raise ValueError("empty radius input")
     if np.any(arr < RHO_MIN):
         raise ValueError(f"rho must be >= {RHO_MIN}")
     return arr
-
-
-def _like(value, template):
-    """Return a bare float when the input radius was a scalar."""
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def potential_v(rho, kappa, w):
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     t = r ** (2.0 * kappa)
-    return _like(-w * r ** (2.0 * kappa - 2.0) / (1.0 + t) ** 2, rho)
+    return -w * r ** (2.0 * kappa - 2.0) / (1.0 + t) ** 2
 
 
 def xi_of_rho(rho, kappa):
@@ -181,7 +179,7 @@ def xi_of_rho(rho, kappa):
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     t = r ** (2.0 * kappa)
-    return _like((1.0 - t) / (1.0 + t), rho)
+    return (1.0 - t) / (1.0 + t)
 
 
 def radial_wavefunction(rho, params: DoParams):
@@ -198,7 +196,7 @@ def radial_wavefunction(rho, params: DoParams):
     envelope = r**l * (1.0 + t) ** (-expo)
     xi = (1.0 - t) / (1.0 + t)
     poly = gegenbauer(GegenbauerArgs(params.degree, expo + 0.5, xi))
-    return _like(envelope * poly, rho)
+    return envelope * poly
 
 
 def radial_factor_f(rho, l, kappa):
@@ -209,7 +207,7 @@ def radial_factor_f(rho, l, kappa):
     """
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
-    return _like(r ** (l + 1) * (1.0 + t) ** (-(2 * l + 1) / (2.0 * kappa)), rho)
+    return r ** (l + 1) * (1.0 + t) ** (-(2 * l + 1) / (2.0 * kappa))
 
 
 def radial_factor_df(rho, l, kappa):
@@ -221,7 +219,7 @@ def radial_factor_df(rho, l, kappa):
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
     env = r**l * (1.0 + t) ** (-(2 * l + 1) / (2.0 * kappa))
-    return _like(env * ((l + 1) - (2 * l + 1) * t / (1.0 + t)), rho)
+    return env * ((l + 1) - (2 * l + 1) * t / (1.0 + t))
 
 
 def superpotential_w(rho, l, kappa):
@@ -231,17 +229,14 @@ def superpotential_w(rho, l, kappa):
     """
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
-    return _like(l / r - (2 * l + 1) / (r * (1.0 + t)), rho)
+    return l / r - (2 * l + 1) / (r * (1.0 + t))
 
 
 def superpotential_dw(rho, l, kappa):
     """Analytic derivative W'(rho) of the particular superpotential."""
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
-    return _like(
-        (l + 1) / r**2 + (2 * l + 1) * t * ((2.0 * kappa - 1.0) - t) / (r * (1.0 + t)) ** 2,
-        rho,
-    )
+    return (l + 1) / r**2 + (2 * l + 1) * t * ((2.0 * kappa - 1.0) - t) / (r * (1.0 + t)) ** 2
 
 
 def u_minus(rho, l, kappa):
@@ -252,13 +247,13 @@ def u_minus(rho, l, kappa):
     """
     r = _as_rho(rho)
     w = nodeless_coupling(l, kappa)
-    return _like(l * (l + 1) / r**2 + potential_v(r, kappa, w), rho)
+    return l * (l + 1) / r**2 + potential_v(r, kappa, w)
 
 
 def u_plus(rho, l, kappa):
     """Fermionic effective superpartner U+ = W^2 + W' = U- + 2 W'."""
     r = _as_rho(rho)
-    return _like(u_minus(r, l, kappa) + 2.0 * superpotential_dw(r, l, kappa), rho)
+    return u_minus(r, l, kappa) + 2.0 * superpotential_dw(r, l, kappa)
 
 
 def degeneracy(N) -> int:

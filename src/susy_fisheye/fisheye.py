@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .do_core import DoParams, _as_rho, _like, radial_factor_df, radial_factor_f
+from .do_core import DoParams, _as_rho, radial_factor_df, radial_factor_f
 from .isospectral import IsoFamily, radial_factor_bosonic, u_bosonic_family
 
 __all__ = [
@@ -75,7 +75,7 @@ def v_family_fisheye(rho, l, lam):
     if lam <= 0:
         raise ValueError("lam must be positive")
     fam = _family(l, lam)
-    return _like(u_bosonic_family(r, fam) - l * (l + 1) / r**2, rho)
+    return u_bosonic_family(r, fam) - l * (l + 1) / r**2
 
 
 def index_maxwell(rho, l):
@@ -89,7 +89,7 @@ def index_maxwell(rho, l):
     if l < 0 or int(l) != l:
         raise ValueError("l must be a non-negative integer")
     amp = math.sqrt((2 * l + 1) * (2 * l + 3)) / (l + 0.5)
-    return _like(amp / (1.0 + r**2), rho)
+    return amp / (1.0 + r**2)
 
 
 def relative_ratio(rho, l, lam):
@@ -108,7 +108,7 @@ def relative_ratio(rho, l, lam):
     denom = fam.denominator(r)
     v_lam = 4.0 * f * df / denom - 2.0 * f**4 / denom**2
     v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
-    return _like(0.5 * v_lam / v_m, rho)
+    return 0.5 * v_lam / v_m
 
 
 def index_iso(rho, l, lam, exact=False):
@@ -120,12 +120,11 @@ def index_iso(rho, l, lam, exact=False):
     """
     r = _as_rho(rho)
     if not exact:
-        out = index_maxwell(r, l) * (1.0 + relative_ratio(r, l, lam))
-        return _like(out, rho)
+        return index_maxwell(r, l) * (1.0 + relative_ratio(r, l, lam))
     v_fam = v_family_fisheye(r, l, lam)
-    if np.any(np.asarray(v_fam) >= 0):
+    if np.any(v_fam >= 0):
         raise ValueError("family potential is non-negative: exact index undefined")
-    return _like(np.sqrt(-np.asarray(v_fam)) / (l + 0.5), rho)
+    return np.sqrt(-v_fam) / (l + 0.5)
 
 
 def _second_difference(values, h):
@@ -157,7 +156,7 @@ def find_inflection(l, lam, grid):
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
-    n = np.asarray(index_iso(g, l, lam))
+    n = index_iso(g, l, lam)
     d2 = _second_difference(n, h)
     sign = np.zeros_like(d2)
     valid = np.isfinite(d2) & (np.abs(d2) > _CURVATURE_EPS)
@@ -175,11 +174,11 @@ def find_inflection(l, lam, grid):
 
 def figure_table(l, lam, grid) -> FigureTable:
     """Assemble the four-column table behind the index-family figures."""
-    g = _as_rho(np.asarray(grid, dtype=float))
+    g = _as_rho(grid)
     fam = _family(l, lam)
-    n_m = np.asarray(index_maxwell(g, l))
-    ratio = np.asarray(relative_ratio(g, l, lam))
-    f_bos = np.asarray(radial_factor_bosonic(g, fam))
+    n_m = index_maxwell(g, l)
+    ratio = relative_ratio(g, l, lam)
+    f_bos = radial_factor_bosonic(g, fam)
     return FigureTable(
         grid=g,
         n_maxwell=n_m,

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .do_core import _as_rho, _like, xi_of_rho
+from .do_core import _as_rho, xi_of_rho
 
 __all__ = [
-    "RmProblem",
     "langer_x",
     "langer_rho",
     "langer_wavefunction",
@@ -40,70 +38,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RmProblem:
-    """A full-line reflectionless well instance.
-
-    The fisheye variant carries n_b = n + 1/2 for integer n >= 1 and uses
-    the integer part in the potential; the aufbau variant carries an odd
-    N = 2l + 1 and the half-width well -N(N+1)/(4 cosh^2(x/2)).  The family
-    parameter lambda0 lives on (-1, 0) u (0, inf); only lambda0 > 0 is the
-    strictly isospectral branch.
-    """
-
-    n_b: float
-    lambda0: float = 1.0
-    variant: str = "fisheye"
-    N_aufbau: int = 0
-
-    def __post_init__(self):
-        if self.variant not in ("fisheye", "aufbau"):
-            raise ValueError("variant must be 'fisheye' or 'aufbau'")
-        if self.lambda0 == 0.0 or self.lambda0 <= -1.0:
-            raise ValueError("lambda0 must lie in (-1, 0) or (0, inf)")
-        if self.variant == "fisheye":
-            n = self.n_b - 0.5
-            if n < 1 or abs(n - round(n)) > 1e-9:
-                raise ValueError("fisheye variant needs n_b = n + 1/2, integer n >= 1")
-        else:
-            if self.N_aufbau < 1 or self.N_aufbau % 2 == 0:
-                raise ValueError("aufbau variant needs a positive odd N = 2l + 1")
-
-    @property
-    def nb_int(self) -> int:
-        """Integer part [n_b] used in the standard-form potential."""
-        return int(math.floor(self.n_b))
-
-    def spectrum(self):
-        """Analytic bound-state ladder of this instance, ascending."""
-        if self.variant == "fisheye":
-            return rm_spectrum(self.nb_int)
-        return aufbau_spectrum(self.N_aufbau)
-
-
 def langer_x(rho):
     """Log-radius coordinate x = ln rho."""
     r = _as_rho(rho)
-    return _like(np.log(r), rho)
+    return np.log(r)
 
 
 def langer_rho(x):
     """Inverse map rho = exp(x)."""
-    return _like(np.exp(np.asarray(x, dtype=float)), x)
+    return np.exp(x)
 
 
 def langer_wavefunction(u_value, rho):
     """Full-line wavefunction phi = rho^(-1/2) u."""
     r = _as_rho(rho)
-    return _like(np.asarray(u_value, dtype=float) / np.sqrt(r), rho)
+    return u_value / np.sqrt(r)
 
 
 def rm_potential(x, n_b_int):
     """Standard reflectionless well -n_b (n_b + 1) / cosh^2 x."""
     if n_b_int < 1 or int(n_b_int) != n_b_int:
         raise ValueError("n_b_int must be a positive integer")
-    xv = np.asarray(x, dtype=float)
-    return _like(-n_b_int * (n_b_int + 1.0) / np.cosh(xv) ** 2, x)
+    return -n_b_int * (n_b_int + 1.0) / np.cosh(x) ** 2
 
 
 def rm_spectrum(n_b_int):
@@ -121,8 +77,7 @@ def rm_superpotential(x, n_b_int):
     """
     if n_b_int < 1 or int(n_b_int) != n_b_int:
         raise ValueError("n_b_int must be a positive integer")
-    xv = np.asarray(x, dtype=float)
-    return _like(n_b_int * np.tanh(xv), x)
+    return n_b_int * np.tanh(x)
 
 
 def rm_family_shift(lambda0) -> float:
@@ -151,8 +106,7 @@ def rm_family_single(x, lambda0):
     member keeps the single eigenvalue -1.
     """
     shift = rm_family_shift(lambda0)
-    xv = np.asarray(x, dtype=float)
-    return _like(-2.0 / np.cosh(xv + shift) ** 2, x)
+    return -2.0 / np.cosh(np.asarray(x, dtype=float) + shift) ** 2
 
 
 def rescale_radius(R, lambda0) -> float:
@@ -174,24 +128,22 @@ def halfline_superpartner(rho, l):
     r = _as_rho(rho)
     if l < 0 or int(l) != l:
         raise ValueError("l must be a non-negative integer")
-    return _like(
-        l * (l + 1) / r**2 - (2 * l + 1) * (2 * l - 1) / (1.0 + r**2) ** 2, rho
-    )
+    return l * (l + 1) / r**2 - (2 * l + 1) * (2 * l - 1) / (1.0 + r**2) ** 2
 
 
 def halfline_superpotential(rho, n):
     """Companion particular superpotential (1/2 - n) xi(rho) at kappa = 1."""
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
-    return _like((0.5 - n) * np.asarray(xi_of_rho(rho, 1.0)), rho)
+    return (0.5 - n) * xi_of_rho(rho, 1.0)
 
 
 def aufbau_rm_potential(x, N_aufbau):
     """Half-width well -N(N+1) / (4 cosh^2(x/2)) for odd N = 2l + 1."""
     if N_aufbau < 1 or int(N_aufbau) != N_aufbau or N_aufbau % 2 == 0:
         raise ValueError("N_aufbau must be a positive odd integer")
-    xv = np.asarray(x, dtype=float)
-    return _like(-N_aufbau * (N_aufbau + 1.0) / (4.0 * np.cosh(0.5 * xv) ** 2), x)
+    half = 0.5 * np.asarray(x, dtype=float)
+    return -N_aufbau * (N_aufbau + 1.0) / (4.0 * np.cosh(half) ** 2)
 
 
 def aufbau_spectrum(N_aufbau):

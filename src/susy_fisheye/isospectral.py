@@ -28,7 +28,6 @@ import numpy as np
 from .do_core import (
     DoParams,
     _as_rho,
-    _like,
     radial_factor_df,
     radial_factor_f,
     superpotential_w,
@@ -55,7 +54,7 @@ def beta_of_rho(rho, kappa):
     r = _as_rho(rho)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    return _like(np.arctan(r**kappa), rho)
+    return np.arctan(r**kappa)
 
 
 def _f_squared(s, l, kappa):
@@ -80,7 +79,7 @@ def _check_beta(beta):
     return b
 
 
-def i0_closed_half(beta, l) -> float:
+def i0_closed_half(beta, l):
     """Closed form of I0 for kappa = 1/2 as the definite integral F(beta) - F(0).
 
     The integrand 2 sin^(4l+5) cos^(4l-3) has the antiderivative
@@ -92,7 +91,7 @@ def i0_closed_half(beta, l) -> float:
     """
     b = _check_beta(beta)
     cos_b = np.cos(b)
-    total = np.zeros_like(b)
+    total = 0.0
     const = 0.0
     for j in range(2 * l + 3):
         coeff = -2.0 * (-1) ** j * binomial(2 * l + 2, j)
@@ -102,22 +101,20 @@ def i0_closed_half(beta, l) -> float:
         else:
             total = total + coeff * cos_b ** expo / expo
             const += coeff / expo
-    return _like(total - const, beta)
+    return total - const
 
 
 def _sin_power_integral(m, x):
     """int_0^x sin^(2m) u du as the standard finite multiple-angle sum."""
-    if m == 0:
-        return x * 1.0
-    out = binomial(2 * m, m) * np.asarray(x, dtype=float)
+    out = binomial(2 * m, m) * x
     for k in range(m):
         out = out + (-1.0) ** (m - k) * binomial(2 * m, k) * np.sin(
-            (2 * m - 2 * k) * np.asarray(x, dtype=float)
+            (2 * m - 2 * k) * x
         ) / (m - k)
     return out / 4.0**m
 
 
-def i0_closed_one(beta, l) -> float:
+def i0_closed_one(beta, l):
     """Closed form of I0 for kappa = 1: the integral of sin^(2l+2) cos^(2l-2).
 
     l = 0 reduces to tan(beta) - beta.  For l >= 1 the integrand is written
@@ -127,11 +124,11 @@ def i0_closed_one(beta, l) -> float:
     """
     b = _check_beta(beta)
     if l == 0:
-        return _like(np.tan(b) - b, beta)
+        return np.tan(b) - b
     s_lm1 = 0.5 * _sin_power_integral(l - 1, 2.0 * b)
     s_l = 0.5 * _sin_power_integral(l, 2.0 * b)
     edge = np.sin(2.0 * b) ** (2 * l - 1) / (2 * l - 1)
-    return _like((2.0 * s_lm1 - s_l - edge) / 4.0**l, beta)
+    return (2.0 * s_lm1 - s_l - edge) / 4.0**l
 
 
 @dataclass(frozen=True)
@@ -159,9 +156,8 @@ class IsoFamily:
 
             def fn(rho):
                 r = _as_rho(rho)
-                if np.ndim(rho) == 0:
-                    return i0_quadrature(float(r), l, kappa, tol)
-                return np.array([i0_quadrature(ri, l, kappa, tol) for ri in r])
+                values = [i0_quadrature(ri, l, kappa, tol) for ri in r.ravel()]
+                return np.reshape(values, r.shape)[()]
 
         object.__setattr__(self, "i0", fn)
 
@@ -179,7 +175,7 @@ def v_general(rho, family: IsoFamily):
     r = _as_rho(rho)
     p = family.params
     f = radial_factor_f(r, p.l, p.kappa)
-    return _like(family.denominator(r) / f**2, rho)
+    return family.denominator(r) / f**2
 
 
 def superpotential_general(rho, family: IsoFamily):
@@ -190,9 +186,7 @@ def superpotential_general(rho, family: IsoFamily):
     r = _as_rho(rho)
     p = family.params
     f = radial_factor_f(r, p.l, p.kappa)
-    return _like(
-        superpotential_w(r, p.l, p.kappa) + f**2 / family.denominator(r), rho
-    )
+    return superpotential_w(r, p.l, p.kappa) + f**2 / family.denominator(r)
 
 
 def u_bosonic_family(rho, family: IsoFamily):
@@ -202,17 +196,12 @@ def u_bosonic_family(rho, family: IsoFamily):
     f = radial_factor_f(r, p.l, p.kappa)
     df = radial_factor_df(r, p.l, p.kappa)
     denom = family.denominator(r)
-    return _like(
-        u_minus(r, p.l, p.kappa) - 4.0 * f * df / denom + 2.0 * f**4 / denom**2,
-        rho,
-    )
+    return u_minus(r, p.l, p.kappa) - 4.0 * f * df / denom + 2.0 * f**4 / denom**2
 
 
 def radial_factor_bosonic(rho, family: IsoFamily):
     """Damped radial factor f / (I0 + lam): strictly positive and nodeless."""
     r = _as_rho(rho)
     p = family.params
-    return _like(
-        radial_factor_f(r, p.l, p.kappa) / family.denominator(r), rho
-    )
+    return radial_factor_f(r, p.l, p.kappa) / family.denominator(r)
 

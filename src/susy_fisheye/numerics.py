@@ -156,14 +156,15 @@ def derivative(f, x, order=1, h0=None):
     to collapse below 1e-10 max(1, |x|).
 
     x may be a scalar or an array, and h0 a scalar or an array that
-    broadcasts against x.  A scalar x calls f with scalars and returns a
-    float.  An array x calls f with whole arrays of the broadcast shape
-    (x + h and x - h once per row, x once for order 2) and returns an array
-    of that shape.  The tableau runs elementwise: each point keeps its own
-    best row, error estimate, stop counter (two rows in a row without
-    improvement) and step floor, and a point that has stopped keeps its
-    result while the others continue, so each entry selects the same row
-    that a scalar call at that point would.
+    broadcasts against x.  f is called with whole arrays of the broadcast
+    shape (x + h and x - h once per row, x once for order 2) and the result
+    has that shape.  For a scalar x those arguments and the result are numpy
+    floats, which are floats, so a scalar-only f such as math.sin works.
+    The tableau runs elementwise: each point keeps its own best row, error
+    estimate, stop counter (two rows in a row without improvement) and step
+    floor, and a point that has stopped keeps its result while the others
+    continue, so each entry selects the same row that a scalar call at that
+    point would.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -179,9 +180,7 @@ def derivative(f, x, order=1, h0=None):
         i = np.unravel_index(np.argmax(h < h_min), h.shape)
         raise StepUnderflowError(f"step {h[i]} below floor {h_min[i]} at x = {x[i]}")
     shape = x.shape
-    if not shape:
-        # f may be scalar-only (math.sin): hand it Python floats
-        x, h, h_min = float(x), float(h), float(h_min)
+    x = x[()]  # a 0-d x becomes a numpy float, like x + h
 
     if order == 1:
         stencil = lambda h: (f(x + h) - f(x - h)) / (2.0 * h)
@@ -217,7 +216,7 @@ def derivative(f, x, order=1, h0=None):
         h = h * 0.5
     # single row: no extrapolation possible, return the bare stencil
     best = np.where(np.isnan(best), first, best)
-    return best if shape else float(best)
+    return best[()]
 
 
 # --------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def gegenbauer(args: GegenbauerArgs):
     """
     p, q, xi = args.degree, args.order, args.argument
     if p == 0:
-        return np.ones(xi.shape) if isinstance(xi, np.ndarray) else 1.0
+        return np.ones(np.shape(xi))[()]
     prev, cur = 1.0, 2.0 * q * xi
     for k in range(1, p):
         prev, cur = cur, (2.0 * (k + q) * xi * cur - (k + 2.0 * q - 1.0) * prev) / (k + 1.0)

@@ -79,11 +79,11 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
     u1 = _frobenius_seed(grid[1], l, kappa)
     if lam is None:
         pot = lambda r: u_minus(r, l, kappa)
-        ref = np.asarray(radial_factor_f(grid, l, kappa))
+        ref = radial_factor_f(grid, l, kappa)
     else:
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
         pot = lambda r: isospectral.u_bosonic_family(r, fam)
-        ref = np.asarray(isospectral.radial_factor_bosonic(grid, fam))
+        ref = isospectral.radial_factor_bosonic(grid, fam)
     prof = numerics.numerov_zero_energy(pot, grid, u0, u1)
     sel = (grid >= window[0]) & (grid <= window[1])
     u, f = prof.values[sel], ref[sel]
@@ -168,7 +168,6 @@ def check_closed_vs_quadrature():
     worst = 0.0
     for l in range(6):
         for r in rhos:
-            r = float(r)
             q1 = isospectral.i0_quadrature(r, l, 1.0, tol=1e-12)
             c1 = isospectral.i0_closed_one(isospectral.beta_of_rho(r, 1.0), l)
             worst = max(worst, abs(q1 - c1))
@@ -237,16 +236,8 @@ def check_lambda_recovery():
     gaps = []
     for lam in (1.0, 10.0, 100.0, 1000.0):
         fam = IsoFamily(DoParams.nodeless(1.0, 1, lam))
-        gaps.append(
-            float(
-                np.max(
-                    np.abs(
-                        np.asarray(isospectral.u_bosonic_family(grid, fam))
-                        - np.asarray(u_minus(grid, 1, 1.0))
-                    )
-                )
-            )
-        )
+        gap = isospectral.u_bosonic_family(grid, fam) - u_minus(grid, 1, 1.0)
+        gaps.append(float(np.max(np.abs(gap))))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return _result("lambda-recovery-monotone", 0.0 if monotone else 1.0, 0.0, str(gaps))
 
@@ -260,8 +251,8 @@ def check_centrifugal_subtraction():
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
             fam = IsoFamily(DoParams.nodeless(1.0, l, lam))
-            lhs = np.asarray(fisheye.v_family_fisheye(grid, l, lam)) + l * (l + 1) / grid**2
-            rhs = np.asarray(isospectral.u_bosonic_family(grid, fam))
+            lhs = fisheye.v_family_fisheye(grid, l, lam) + l * (l + 1) / grid**2
+            rhs = isospectral.u_bosonic_family(grid, fam)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _result("centrifugal-subtraction", worst, 1e-10)
 
@@ -272,7 +263,7 @@ def check_percent_bound():
     details = []
     for l in (1, 2):
         for lam in (1.0, 10.0):
-            peak = float(np.max(np.abs(np.asarray(fisheye.relative_ratio(grid, l, lam)))))
+            peak = float(np.max(np.abs(fisheye.relative_ratio(grid, l, lam))))
             details.append(f"l={l},lam={lam}: {peak:.4f}")
             worst = max(worst, peak)
     return _result(
@@ -287,8 +278,8 @@ def check_ratio_damping():
     grid = np.linspace(0.01, 3.0, 300)
     ok = True
     for lam in (1.0, 10.0):
-        p1 = float(np.max(np.abs(np.asarray(fisheye.relative_ratio(grid, 1, lam)))))
-        p2 = float(np.max(np.abs(np.asarray(fisheye.relative_ratio(grid, 2, lam)))))
+        p1 = float(np.max(np.abs(fisheye.relative_ratio(grid, 1, lam))))
+        p2 = float(np.max(np.abs(fisheye.relative_ratio(grid, 2, lam))))
         ok = ok and (p2 < p1)
     return _result("ratio-damping-in-l", 0.0 if ok else 1.0, 0.0)
 
@@ -364,7 +355,7 @@ def check_translation_law():
     xs = np.linspace(-8.0, 8.0, 20001)
     worst = 0.0
     for lam0 in (0.1, 1.0, 10.0):
-        v = np.asarray(fullline.rm_family_single(xs, lam0))
+        v = fullline.rm_family_single(xs, lam0)
         argmin = float(xs[int(np.argmin(v))])
         worst = max(worst, abs(argmin - (-fullline.rm_family_shift(lam0))))
     return _result("family-translation-law", worst, 1e-3)

@@ -26,7 +26,6 @@ full verify run exits with status 1.
 
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +34,23 @@ import pytest
 from susy_fisheye.cli import main as cli_main
 from susy_fisheye.do_core import DoParams, radial_factor_f, superpotential_w
 from susy_fisheye.fisheye import find_inflection, relative_ratio
-from susy_fisheye.fullline import (
-    aufbau_rm_potential,
-    rescale_radius,
-    rm_family_single,
-    rm_potential,
-)
+from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import (
     IsoFamily,
     beta_of_rho,
     i0_closed_half,
-    i0_closed_one,
-    i0_quadrature,
     superpotential_general,
     v_general,
 )
-from susy_fisheye.numerics import derivative, dvr_bound_states
+from susy_fisheye.numerics import derivative
+from susy_fisheye.verify import (
+    check_aufbau,
+    check_closed_vs_quadrature,
+    check_family_spectrum,
+    check_langer_residual,
+    check_rm_ladder,
+    check_rm_partner_deficit,
+)
 from conftest import zero_mode_residual
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -62,22 +62,7 @@ def report(num, ok, detail):
 
 def test_criterion_1_closed_form_equivalence():
     t0 = time.perf_counter()
-    rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
-    worst = 0.0
-    for l in range(6):
-        for r in rhos:
-            r = float(r)
-            worst = max(
-                worst,
-                abs(
-                    i0_closed_one(beta_of_rho(r, 1.0), l)
-                    - i0_quadrature(r, l, 1.0, tol=1e-12)
-                ),
-                abs(
-                    i0_closed_half(beta_of_rho(r, 0.5), l)
-                    - i0_quadrature(r, l, 0.5, tol=1e-12)
-                ),
-            )
+    worst = check_closed_vs_quadrature().residual
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
     report(1, ok, f"max |closed - quadrature| = {worst:.3e} (tol 1e-9), {elapsed:.2f}s")
@@ -259,40 +244,22 @@ def test_criterion_5_inflection_point():
 
 def test_criterion_6_reflectionless_spectra():
     t0 = time.perf_counter()
-    worst_ladder = 0.0
-    for nb in (1, 2, 3, 4):
-        found = dvr_bound_states(lambda x: rm_potential(x, nb))
-        assert len(found) == nb, f"nb={nb}: expected {nb} states, found {len(found)}"
-        worst_ladder = max(
-            worst_ladder,
-            max(abs(e + k * k) for e, k in zip(found, range(nb, 0, -1))),
-        )
-    for nb in (2, 3, 4):
-        partner = dvr_bound_states(lambda x: -nb * (nb - 1) / np.cosh(x) ** 2)
-        assert len(partner) == nb - 1
-    worst_family = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lam0 in (0.1, 1.0, 10.0):
-            found = dvr_bound_states(lambda x: rm_family_single(x, lam0))
-            assert len(found) == 1
-            worst_family = max(worst_family, abs(found[0] + 1.0))
-    worst_aufbau = 0.0
-    for n_aufbau in (1, 3):
-        found = dvr_bound_states(
-            lambda x: aufbau_rm_potential(x, n_aufbau), domain=(-24.0, 24.0)
-        )
-        worst_aufbau = max(worst_aufbau, abs(found[0] + n_aufbau**2 / 4.0))
+    worst_ladder = check_rm_ladder().residual
+    partner_deficit = check_rm_partner_deficit().residual
+    worst_family = check_family_spectrum().residual
+    worst_aufbau = check_aufbau().residual
     elapsed = time.perf_counter() - t0
     ok = worst_ladder < 1e-6 and worst_family < 1e-6 and worst_aufbau < 1e-5
-    ok = ok and elapsed < 10.0
+    ok = ok and partner_deficit == 0.0 and elapsed < 10.0
     report(
         6,
         ok,
-        f"ladder {worst_ladder:.2e} (tol 1e-6), family {worst_family:.2e} "
-        f"(tol 1e-6), aufbau {worst_aufbau:.2e} (tol 1e-5), {elapsed:.2f}s",
+        f"ladder {worst_ladder:.2e} (tol 1e-6), partner one state short "
+        f"{partner_deficit == 0.0}, family {worst_family:.2e} (tol 1e-6), "
+        f"aufbau {worst_aufbau:.2e} (tol 1e-5), {elapsed:.2f}s",
     )
     assert worst_ladder < 1e-6
+    assert partner_deficit == 0.0
     assert worst_family < 1e-6
     assert worst_aufbau < 1e-5
     assert elapsed < 10.0
@@ -300,21 +267,7 @@ def test_criterion_6_reflectionless_spectra():
 
 def test_criterion_7_langer_round_trip():
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        l = n - 1
-        nu = n - 0.5
-
-        def phi(x):
-            return math.exp(-0.5 * x) * radial_factor_f(math.exp(x), l, 1.0)
-
-        for x in np.linspace(-4.0, 4.0, 41):
-            x = float(x)
-            d2 = derivative(phi, x, order=2, h0=0.05)
-            worst = max(
-                worst,
-                abs(-d2 + (nu**2 - nu * (nu + 1.0) / math.cosh(x) ** 2) * phi(x)),
-            )
+    worst = check_langer_residual().residual
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-6 and elapsed < 1.0
     report(7, ok, f"transplanted-state residual {worst:.3e} (tol 1e-6), {elapsed:.2f}s")

@@ -111,6 +111,74 @@ class TestLangerCommand:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lambda0", "0"],
+            ["--lambda0", "-2"],
+            ["--aufbau", "2"],
+            ["--nb", "-1"],
+            ["--aufbau", "3", "--lambda0", "0"],
+            ["--lambda0", "nan"],
+        ],
+        ids=["lambda0-zero", "lambda0-below-minus-one", "aufbau-even", "nb-negative",
+             "aufbau-lambda0-zero", "lambda0-nan"],
+    )
+    def test_langer_rejects_bad_parameters(self, capsys, argv):
+        code, out, err = run_cli(capsys, "langer", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_lambda0_message_names_the_value(self, capsys):
+        _, _, err = run_cli(capsys, "langer", "--aufbau", "3", "--lambda0", "-2")
+        assert err == "error: lambda0 must lie in (-1, 0) or (0, inf), got -2\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # u_plus turns into inf/inf at rho >~ 1e154
+            (["potential", "--rho-max", "1e200"], "u_plus is not finite at rho = 3.33e+199"),
+            (["figure", "--lambda", "nan"], "n_iso is not finite at rho = 0.01"),
+            (["figure", "--lambda", "nan", "--format", "svg"], "n_iso is not finite at rho = 0.01"),
+        ],
+        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan"],
+    )
+    def test_non_finite_output_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--samples", "4")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["potential", "--samples", "3"],
+                "rho,v,u_minus,u_plus\n"
+                "0.01,-14.997000449940009,19985.002999550059,59991.001199850019\n"
+                "1.5050000000000001,-1.4070782083495479,-0.52408574689768772,"
+                "0.52990353179907757\n"
+                "3,-0.14999999999999999,0.072222222222222215,0.036666666666666653\n",
+            ),
+            (
+                ["langer", "--format", "csv", "--nb", "2", "--samples", "3"],
+                "x,v_minus,v_plus,v_family\n"
+                "-6,-0.0001474592844319962,-4.9153094810665397e-05,"
+                "-9.8304981611677155e-05\n"
+                "0,-6,-2,-1.7777777777777775\n"
+                "6,-0.0001474592844319962,-4.9153094810665397e-05,"
+                "-2.4576698408626924e-05\n",
+            ),
+            (
+                ["langer", "--format", "csv", "--aufbau", "3", "--samples", "3"],
+                "x,v_minus\n-6,-0.029598111496320578\n0,-3\n6,-0.029598111496320578\n",
+            ),
+        ],
+    )
+    def test_in_domain_output_is_unchanged(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
     def test_config_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "figure", "--samples", "1")
         assert code == 2

@@ -166,12 +166,12 @@ class TestRadialFactor:
                 )
 
     def test_analytic_derivative(self):
+        rho = np.array([0.2, 1.0, 3.0])
         for kappa, l in ((1.0, 0), (1.0, 2), (0.5, 1)):
-            for rho in (0.2, 1.0, 3.0):
-                fd = derivative(lambda s: radial_factor_f(s, l, kappa), rho, h0=0.1 * rho)
-                assert radial_factor_df(rho, l, kappa) == pytest.approx(
-                    fd, rel=1e-9, abs=1e-12
-                )
+            fd = derivative(lambda s: radial_factor_f(s, l, kappa), rho, h0=0.1 * rho)
+            assert radial_factor_df(rho, l, kappa) == pytest.approx(
+                fd, rel=1e-9, abs=1e-12
+            )
 
 
 class TestSuperpotential:
@@ -184,17 +184,12 @@ class TestSuperpotential:
 
     def test_log_derivative_identity(self):
         # W = -f'/f with f' from the Richardson finite-difference oracle
+        rho = np.linspace(0.05, 20.0, 50)
         for kappa in (0.5, 1.0):
             for l in (0, 1, 2, 3):
-                for rho in np.linspace(0.05, 20.0, 50):
-                    rho = float(rho)
-                    fd = derivative(
-                        lambda s: radial_factor_f(s, l, kappa), rho, h0=0.2 * rho
-                    )
-                    res = superpotential_w(rho, l, kappa) + fd / radial_factor_f(
-                        rho, l, kappa
-                    )
-                    assert abs(res) < 1e-8
+                fd = derivative(lambda s: radial_factor_f(s, l, kappa), rho, h0=0.2 * rho)
+                res = superpotential_w(rho, l, kappa) + fd / radial_factor_f(rho, l, kappa)
+                assert np.max(np.abs(res)) < 1e-8
 
 
 class TestPartnerPotentials:
@@ -211,42 +206,31 @@ class TestPartnerPotentials:
 
     def test_u_minus_equals_riccati_route(self):
         # oracle route: W^2 - W' with W' by finite differences
+        rho = np.array([0.2, 0.9, 2.5, 7.0])
         for kappa in (0.5, 1.0):
             for l in (0, 1, 2):
-                for rho in (0.2, 0.9, 2.5, 7.0):
-                    dw = derivative(
-                        lambda s: superpotential_w(s, l, kappa), rho, h0=0.1 * rho
-                    )
-                    expected = superpotential_w(rho, l, kappa) ** 2 - dw
-                    assert u_minus(rho, l, kappa) == pytest.approx(
-                        expected, rel=1e-8, abs=1e-8
-                    )
+                dw = derivative(lambda s: superpotential_w(s, l, kappa), rho, h0=0.1 * rho)
+                expected = superpotential_w(rho, l, kappa) ** 2 - dw
+                assert u_minus(rho, l, kappa) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     def test_u_plus_riccati_route(self):
+        rho = np.array([0.5, 1.0, 3.0])
         for kappa in (0.5, 1.0):
             for l in (0, 1, 2):
-                for rho in (0.5, 1.0, 3.0):
-                    dw = derivative(
-                        lambda s: superpotential_w(s, l, kappa), rho, h0=0.1 * rho
-                    )
-                    expected = dw + superpotential_w(rho, l, kappa) ** 2
-                    assert u_plus(rho, l, kappa) == pytest.approx(
-                        expected, rel=1e-8, abs=1e-8
-                    )
+                dw = derivative(lambda s: superpotential_w(s, l, kappa), rho, h0=0.1 * rho)
+                expected = dw + superpotential_w(rho, l, kappa) ** 2
+                assert u_plus(rho, l, kappa) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     def test_u_plus_decay(self):
         assert abs(u_plus(1e6, 0, 1.0)) < 1e-11
 
     def test_partner_sum_difference(self):
+        rho = np.linspace(0.1, 10.0, 25)
         for kappa in (0.5, 1.0):
             for l in (0, 1, 2):
-                for rho in np.linspace(0.1, 10.0, 25):
-                    rho = float(rho)
-                    dw = derivative(
-                        lambda s: superpotential_w(s, l, kappa), rho, h0=0.2 * rho
-                    )
-                    gap = u_plus(rho, l, kappa) - u_minus(rho, l, kappa) - 2.0 * dw
-                    assert abs(gap) < 1e-6
+                dw = derivative(lambda s: superpotential_w(s, l, kappa), rho, h0=0.2 * rho)
+                gap = u_plus(rho, l, kappa) - u_minus(rho, l, kappa) - 2.0 * dw
+                assert np.max(np.abs(gap)) < 1e-6
 
     def test_two_superpartner_routes_differ(self):
         # the direct half-line partner shifts the centrifugal index, the

@@ -111,16 +111,20 @@ class TestArrayDerivative:
             derivative(np.sin, x, h0=np.array([0.1, 1e-12, 0.1]))
 
     def test_scalar_x_calls_f_with_scalars(self):
-        seen = []
+        # a scalar x runs the array code on 0-d values: f is called with
+        # numpy floats, so a scalar-only f such as math.sin still works, and
+        # the result is a numpy float
+        for order, expected, tol in ((1, math.cos(0.7), 1e-10), (2, -math.sin(0.7), 1e-8)):
+            seen = []
 
-        def f(s):
-            seen.append(type(s))
-            return math.sin(s)
+            def f(s):
+                seen.append(s)
+                return math.sin(s)
 
-        got = derivative(f, 0.7)
-        assert type(got) is float
-        assert got == pytest.approx(math.cos(0.7), abs=1e-10)
-        assert seen and all(t is float for t in seen)
+            got = derivative(f, 0.7, order=order)
+            assert isinstance(got, float) and np.ndim(got) == 0
+            assert got == pytest.approx(expected, abs=tol)
+            assert seen and all(isinstance(s, float) for s in seen)
 
     def test_nan_input_gives_nan(self):
         assert math.isnan(derivative(math.sin, math.nan))
