@@ -278,8 +278,13 @@ _COMMANDS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code."""
-    return _COMMANDS[cfg.command](cfg)
+    """Execute one validated configuration; returns the process exit code.
+
+    numpy's floating-point warnings are silenced: a non-finite value is
+    refused by _check_finite with one `error:` line instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _COMMANDS[cfg.command](cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:

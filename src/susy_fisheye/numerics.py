@@ -4,7 +4,10 @@ The four routines here (adaptive Gauss-Kronrod quadrature, Richardson
 finite differences, a Numerov zero-energy march and a sinc
 discrete-variable-representation eigensolver) are deliberately
 self-contained: they never call into the analytic evaluators they are
-meant to check.
+meant to check.  The quadrature and the derivative work on whole arrays:
+integrate_adaptive refines a batch of intervals together, each to its own
+absolute or relative (QUADPACK epsrel) tolerance, and derivative picks the
+Richardson row point by point.
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ class StepUnderflowError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """Values and error estimates of the shape of the limits; total panels."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     subdivisions: int
 
 
 # --------------------------------------------------------------------------
-# Adaptive quadrature: 7-point Gauss / 15-point Kronrod pair with bisection
-# of the worst panel until the summed error estimate meets the tolerance.
+# Adaptive quadrature: 7-point Gauss / 15-point Kronrod pair, batched over
+# intervals, bisecting every panel above its share of the tolerance.
 # --------------------------------------------------------------------------
 
 _XGK_HALF = (
@@ -92,54 +97,92 @@ def _eval_vectorized(f, x):
     return np.array([float(f(xi)) for xi in x])
 
 
-def _gk15(f, a, b):
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = _eval_vectorized(f, center + half * _NODES)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"non-finite integrand value on [{a}, {b}]")
-    k15 = half * float(_WEIGHTS_K @ y)
-    g7 = half * float(_WEIGHTS_G @ y)
+def _gk15(f, lo, hi):
+    """Kronrod values and error estimates of f on the panels [lo[i], hi[i]]."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (center[:, None] + half[:, None] * _NODES).ravel()
+    y = _eval_vectorized(f, x).reshape(lo.size, _NODES.size)
+    finite = np.isfinite(y).all(axis=1)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError(f"non-finite integrand value on [{lo[i]}, {hi[i]}]")
+    # row sums, not y @ w: BLAS may round a row differently depending on
+    # the rows beside it, and a panel's sums must not depend on its batch
+    k15 = half * (y * _WEIGHTS_K).sum(axis=1)
+    g7 = half * (y * _WEIGHTS_G).sum(axis=1)
     # scaled error estimate in the classic Kronrod style: sharp for smooth
     # integrands, with a round-off floor tied to the absolute integral
-    resabs = half * float(_WEIGHTS_K @ np.abs(y))
-    resasc = half * float(_WEIGHTS_K @ np.abs(y - k15 / (b - a)))
-    err = abs(k15 - g7)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
-    return k15, err
+    resabs = half * (np.abs(y) * _WEIGHTS_K).sum(axis=1)
+    mean = k15 / (hi - lo)
+    resasc = half * (np.abs(y - mean[:, None]) * _WEIGHTS_K).sum(axis=1)
+    err = np.abs(k15 - g7)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    ratio = 200.0 * err / np.where(scaled, resasc, 1.0)
+    err = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, err)
+    return k15, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
-def integrate_adaptive(f, a, b, tol=1e-10, max_subdivisions=2000) -> QuadratureResult:
-    """Integrate f over [a, b] to the requested absolute tolerance.
+def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> QuadratureResult:
+    """Integrate f over [a, b] for every broadcast pair of limits a <= b.
 
-    The worst panel (largest |K15 - G7| discrepancy) is bisected until the
-    summed error estimate drops below tol; a ConvergenceError reports the
-    running estimate if the subdivision budget runs out first.
+    Each interval is refined on its own until its summed error estimate is
+    at most max(tol, rtol |value|), QUADPACK's epsabs/epsrel test.  Every
+    round evaluates all new panels of all unfinished intervals with one
+    call of f on a flat array of nodes (15 per panel); then, in each
+    unfinished interval, every panel whose error exceeds its length share
+    of that target is bisected.  Each interval's panels are refined, kept
+    in order and summed without reference to the other intervals, so a
+    batched call equals the per-interval scalar calls bit for bit.  An
+    interval with a = b gives 0 with no panels.
+
+    value and error_estimate have the broadcast shape of a and b (numpy
+    floats for scalar limits); subdivisions is the total panel count.  An
+    interval still above its target with max_subdivisions panels, or with
+    no panel above its share, raises ConvergenceError with its running
+    estimate; a non-finite integrand value raises ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if b < a:
+    if tol < 0 or rtol < 0 or tol == rtol == 0:
+        raise ValueError("tol and rtol must be non-negative, and one of them positive")
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(b < a):
         raise ValueError("integration requires a <= b")
-    if a == b:
-        return QuadratureResult(0.0, 0.0, 0)
-    panels = [(_gk15(f, a, b) + (a, b))]
-    while True:
-        total_err = math.fsum(p[1] for p in panels)
-        if total_err <= tol:
-            value = math.fsum(p[0] for p in panels)
-            return QuadratureResult(value, total_err, len(panels))
-        if len(panels) >= max_subdivisions:
+    shape, n = a.shape, a.size
+    a, b = a.ravel(), b.ravel()
+    value, error = np.zeros(n), np.zeros(n)
+    subdivisions = 0
+    # the live panels of the unfinished intervals; those without a value
+    # yet (val is shorter than lo) are the new ones, at the end
+    width = b - a
+    owner = np.flatnonzero(width)
+    lo, hi = a[owner], b[owner]
+    val = err = np.empty(0)
+    while lo.size > val.size:
+        new_val, new_err = _gk15(f, lo[val.size:], hi[val.size:])
+        val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
+        count = np.bincount(owner, minlength=n)
+        total = np.bincount(owner, val, n)
+        total_err = np.bincount(owner, err, n)
+        target = np.maximum(tol, rtol * np.abs(total))
+        done = (count > 0) & (total_err <= target)
+        value[done], error[done] = total[done], total_err[done]
+        subdivisions += int(count[done].sum())
+        split = ~done[owner] & (err > target[owner] * (hi - lo) / width[owner])
+        stuck = (count > 0) & ~done
+        stuck &= (count >= max_subdivisions) | (np.bincount(owner, split, n) == 0)
+        if stuck.any():
+            i = np.argmax(stuck)
             raise ConvergenceError(
-                f"quadrature error {total_err:.3e} above tol {tol:.3e} "
-                f"after {len(panels)} panels"
+                f"quadrature error {total_err[i]:.3e} above target {target[i]:.3e} "
+                f"after {count[i]} panels on [{a[i]}, {b[i]}]"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][1])
-        _, _, pa, pb = panels.pop(worst)
-        mid = 0.5 * (pa + pb)
-        panels.append(_gk15(f, pa, mid) + (pa, mid))
-        panels.append(_gk15(f, mid, pb) + (mid, pb))
+        keep = ~done[owner] & ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        owner = np.concatenate([owner[keep], owner[split], owner[split]])
+        lo = np.concatenate([lo[keep], lo[split], mid])
+        hi = np.concatenate([hi[keep], mid, hi[split]])
+        val, err = val[keep], err[keep]
+    return QuadratureResult(value.reshape(shape)[()], error.reshape(shape)[()], subdivisions)
 
 
 # --------------------------------------------------------------------------

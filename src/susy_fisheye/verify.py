@@ -167,13 +167,11 @@ def check_closed_vs_quadrature():
     rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
     worst = 0.0
     for l in range(6):
-        for r in rhos:
-            q1 = isospectral.i0_quadrature(r, l, 1.0, tol=1e-12)
-            c1 = isospectral.i0_closed_one(isospectral.beta_of_rho(r, 1.0), l)
-            worst = max(worst, abs(q1 - c1))
-            qh = isospectral.i0_quadrature(r, l, 0.5, tol=1e-12)
-            ch = isospectral.i0_closed_half(isospectral.beta_of_rho(r, 0.5), l)
-            worst = max(worst, abs(qh - ch))
+        q1 = isospectral.i0_quadrature(rhos, l, 1.0)
+        c1 = isospectral.i0_closed_one(isospectral.beta_of_rho(rhos, 1.0), l)
+        qh = isospectral.i0_quadrature(rhos, l, 0.5)
+        ch = isospectral.i0_closed_half(isospectral.beta_of_rho(rhos, 0.5), l)
+        worst = max(worst, float(np.max(np.abs(q1 - c1))), float(np.max(np.abs(qh - ch))))
     return _result("closed-form-vs-quadrature", worst, 1e-9)
 
 

@@ -23,7 +23,7 @@ RHO = (0.3, 1.0, 2.5)
 BETA = (0.2, 0.7, 1.2)
 X = (-2.0, 0.0, 0.5, 3.0)
 
-# kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the quadrature loop
+# kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the quadrature oracle
 FAMILIES = {kappa: IsoFamily(DoParams.nodeless(kappa, 2, 0.5)) for kappa in (0.5, 1.0, 2.0)}
 
 CASES = [
@@ -43,6 +43,7 @@ CASES = [
     ("isospectral.beta_of_rho", lambda r: isospectral.beta_of_rho(r, 0.5), RHO),
     ("isospectral.i0_closed_half", lambda b: isospectral.i0_closed_half(b, 2), BETA),
     ("isospectral.i0_closed_one", lambda b: isospectral.i0_closed_one(b, 2), BETA),
+    ("isospectral.i0_quadrature", lambda r: isospectral.i0_quadrature(r, 2, 0.7), RHO),
     ("fisheye.v_family_fisheye", lambda r: fisheye.v_family_fisheye(r, 1, 1.0), RHO),
     ("fisheye.index_maxwell", lambda r: fisheye.index_maxwell(r, 1), RHO),
     ("fisheye.relative_ratio", lambda r: fisheye.relative_ratio(r, 1, 1.0), RHO),
@@ -68,9 +69,6 @@ for _name in ("v_general", "superpotential_general", "u_bosonic_family", "radial
             )
         )
 
-# the quadrature oracle integrates to one radius per call
-ONE_RADIUS = {"isospectral.i0_quadrature"}
-
 
 def test_every_evaluator_is_covered():
     evaluators = set()
@@ -82,7 +80,7 @@ def test_every_evaluator_is_covered():
             ):
                 evaluators.add(f"{module.__name__.rsplit('.', 1)[1]}.{name}")
     covered = {case[0].split("[")[0] for case in CASES}
-    assert evaluators - ONE_RADIUS == covered
+    assert evaluators == covered
 
 
 @pytest.mark.parametrize("fn,points", [case[1:] for case in CASES], ids=[c[0] for c in CASES])

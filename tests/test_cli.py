@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import susy_fisheye
 from susy_fisheye.cli import main
 from susy_fisheye.fisheye import CSV_HEADER
 
@@ -79,6 +85,16 @@ class TestGridCommands:
         assert out.startswith("rho,u_minus,u_bos,f,f_bos\n")
         assert len(out.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize("kappa,rho_max", [("1.8", "1000"), ("0.7", "1e6")])
+    def test_family_general_kappa_large_radius(self, capsys, kappa, rho_max):
+        # an absolute quadrature tolerance could not follow I0 ~ rho here
+        code, out, err = run_cli(
+            capsys, "family", "--kappa", kappa, "--l", "0", "--rho-max", rho_max
+        )
+        assert code == 0 and err == ""
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        assert rows.shape == (300, 5) and np.all(np.isfinite(rows))
+
 
 class TestLangerCommand:
     def test_spectrum_json(self, capsys):
@@ -133,8 +149,6 @@ class TestErrors:
         _, _, err = run_cli(capsys, "langer", "--aufbau", "3", "--lambda0", "-2")
         assert err == "error: lambda0 must lie in (-1, 0) or (0, inf), got -2\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -149,6 +163,19 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv, "--samples", "4")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_refusal_is_the_only_stderr_line(self):
+        # pytest captures numpy's warnings in process; a child process shows
+        # the stderr a user sees
+        src = str(Path(susy_fisheye.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "susy_fisheye", "potential", "--rho-max", "1e200",
+             "--samples", "4"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: u_plus is not finite at rho = 3.33e+199\n"
 
     @pytest.mark.parametrize(
         "argv,expected",

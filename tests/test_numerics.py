@@ -56,6 +56,47 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: x, 1.0, 0.0)
 
+    def test_rejects_zero_tolerances(self):
+        with pytest.raises(ValueError, match="tol and rtol"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, tol=0.0)
+
+    def test_non_finite_integrand_names_the_panel(self):
+        with pytest.raises(ValueError, match=r"non-finite integrand value on \[0.0, 1.0\]"):
+            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+    def test_relative_tolerance_follows_the_value(self):
+        # |value| ~ 4.9e17: the round-off floor alone (50 eps |value| ~ 5e3)
+        # is far above any absolute tolerance, but not above rtol |value|
+        f = lambda x: 1e9 * np.exp(x)
+        exact = 1e9 * math.expm1(20.0)
+        with pytest.raises(ConvergenceError):
+            integrate_adaptive(f, 0.0, 20.0, tol=1e-10)
+        r = integrate_adaptive(f, 0.0, 20.0, tol=0.0, rtol=1e-12)
+        assert r.value == pytest.approx(exact, rel=1e-12)
+        assert r.error_estimate <= 1e-12 * r.value
+
+    def test_batched_call_equals_scalar_calls(self):
+        f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2 + 1.0 / (1.0 + x * x)
+        a = np.array([0.0, 1.0, 2.5, 0.0, 4.0, 0.5])
+        b = np.array([1.0, 7.0, 2.5, 30.0, 4.5, 0.5 + 1e-9])
+        for tol, rtol in ((1e-10, 0.0), (0.0, 1e-12), (1e-14, 1e-9)):
+            batch = integrate_adaptive(f, a, b, tol=tol, rtol=rtol)
+            single = [integrate_adaptive(f, ai, bi, tol=tol, rtol=rtol) for ai, bi in zip(a, b)]
+            assert np.array_equal(batch.value, [r.value for r in single])
+            assert np.array_equal(batch.error_estimate, [r.error_estimate for r in single])
+            assert batch.subdivisions == sum(r.subdivisions for r in single)
+            assert single[2] == QuadratureResult(0.0, 0.0, 0)
+
+    def test_limits_broadcast(self):
+        r = integrate_adaptive(lambda x: x, [[0.0], [1.0]], [1.0, 2.0, 3.0])
+        assert r.value.shape == (2, 3)
+        expected = 0.5 * (np.array([1.0, 2.0, 3.0]) ** 2 - np.array([[0.0], [1.0]]) ** 2)
+        assert np.allclose(r.value, expected, rtol=0.0, atol=1e-12)
+        # one panel per interval, none for the empty [1, 1]
+        assert isinstance(r.subdivisions, int) and r.subdivisions == 5
+        scalar = integrate_adaptive(lambda x: x, 0.0, 1.0)
+        assert isinstance(scalar.value, float) and np.ndim(scalar.value) == 0
+
 
 class TestDerivative:
     def test_first_derivative(self):
