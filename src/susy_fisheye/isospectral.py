@@ -78,9 +78,10 @@ def i0_quadrature(rho, l, kappa):
     f^2 at every rho, and since the ladder does not depend on the query, a
     scalar call equals the matching element of an array call bit for bit.
     The ladder and the per-point tails are one integrate_adaptive call at
-    relative tolerance 1e-12.  f^2 must be representable on [0, rho]: it
-    under- or overflows for large rho (near 1e30 at l >= 3, kappa >= 3/4),
-    where the oracle raises.
+    relative tolerance 1e-12.  f^2 must be a normal float64 on [0, rho]:
+    rho^2 overflows past 1.3e154 at l = 0, and (1 + rho^2k)^(-(2l+1)/k)
+    underflows past about 10^(308/(4l+2)) at l >= 1 (1e22 at l = 3), where
+    the oracle raises.
     """
     r = _as_rho(rho)
     if kappa <= 0:
