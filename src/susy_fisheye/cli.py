@@ -70,7 +70,7 @@ class RunConfig:
         if self.fmt == "svg" and self.command != "figure":
             raise ValueError("svg output is only available for the figure command")
         if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+            raise ValueError(f"kappa must be positive, got kappa = {self.kappa:g}")
         if self.l < 0:
             raise ValueError("l must be non-negative")
         if self.lam <= 0:

@@ -51,9 +51,15 @@ def _as_rho(rho):
     arr = np.asarray(rho, dtype=float)
     if arr.size == 0:
         raise ValueError("empty radius input")
-    if np.any(arr < RHO_MIN):
-        raise ValueError(f"rho must be >= {RHO_MIN}")
+    bad = arr < RHO_MIN
+    if bad.any():
+        raise ValueError(f"rho must be >= {RHO_MIN}, got rho = {float(arr[bad][0])}")
     return arr
+
+
+def _check_kappa(kappa):
+    if kappa <= 0:
+        raise ValueError(f"kappa must be positive, got kappa = {kappa:g}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,7 @@ class DoParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        _check_kappa(self.kappa)
         if self.l < 0 or int(self.l) != self.l:
             raise ValueError("l must be a non-negative integer")
         if self.N < 1 or int(self.N) != self.N:
@@ -146,8 +151,7 @@ def coupling_w(N, kappa) -> float:
     """Quantized coupling (2 kappa)^2 [N + 1/(2 kappa)] [N + 1/(2 kappa) - 1]."""
     if N < 1 or int(N) != N:
         raise ValueError("N must be a positive integer")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     s = 1.0 / (2.0 * kappa)
     return (2.0 * kappa) ** 2 * (N + s) * (N + s - 1.0)
 
@@ -167,8 +171,7 @@ def potential_v(rho, kappa, w):
     overflow-safe at both ends of the half line.
     """
     r = _as_rho(rho)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     t = r ** (2.0 * kappa)
     return -w * r ** (2.0 * kappa - 2.0) / (1.0 + t) ** 2
 
@@ -176,8 +179,7 @@ def potential_v(rho, kappa, w):
 def xi_of_rho(rho, kappa):
     """Map rho to xi = (1 - rho^(2 kappa)) / (1 + rho^(2 kappa)) in (-1, 1)."""
     r = _as_rho(rho)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     t = r ** (2.0 * kappa)
     return (1.0 - t) / (1.0 + t)
 

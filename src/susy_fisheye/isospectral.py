@@ -30,6 +30,7 @@ import numpy as np
 from .do_core import (
     DoParams,
     _as_rho,
+    _check_kappa,
     radial_factor_df,
     radial_factor_f,
     superpotential_w,
@@ -54,8 +55,7 @@ __all__ = [
 def beta_of_rho(rho, kappa):
     """Trigonometric angle beta = arctan(rho^kappa) in (0, pi/2)."""
     r = _as_rho(rho)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     return np.arctan(r**kappa)
 
 
@@ -84,8 +84,7 @@ def i0_quadrature(rho, l, kappa):
     the oracle raises.
     """
     r = _as_rho(rho)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_kappa(kappa)
     k = np.frexp(r)[1] - 1
     knots = np.ldexp(1.0, np.arange(_LADDER_BOTTOM, k.max() + 1))
     result = integrate_adaptive(
@@ -159,6 +158,19 @@ def i0_closed_one(beta, l):
     return (2.0 * s_lm1 - s_l - edge) / 4.0**l
 
 
+def _closed_form_beta(rho, kappa):
+    """beta_of_rho, refusing the radii where arctan(rho^kappa) rounds to pi/2."""
+    beta = beta_of_rho(rho, kappa)
+    top = beta >= 0.5 * math.pi
+    if top.any():
+        at = float(np.asarray(rho, dtype=float)[top][0])
+        raise ValueError(
+            f"beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
+            f"rho = {at}: beyond the range of the closed form of I0"
+        )
+    return beta
+
+
 @dataclass(frozen=True)
 class IsoFamily:
     """A strictly isospectral family member bound to one parameter bundle.
@@ -175,9 +187,9 @@ class IsoFamily:
     def __post_init__(self):
         kappa, l = self.params.kappa, self.params.l
         if kappa == 1.0:
-            fn = lambda rho: i0_closed_one(beta_of_rho(rho, 1.0), l)
+            fn = lambda rho: i0_closed_one(_closed_form_beta(rho, 1.0), l)
         elif kappa == 0.5:
-            fn = lambda rho: i0_closed_half(beta_of_rho(rho, 0.5), l)
+            fn = lambda rho: i0_closed_half(_closed_form_beta(rho, 0.5), l)
         else:
             fn = lambda rho: i0_quadrature(rho, l, kappa)
         object.__setattr__(self, "i0", fn)

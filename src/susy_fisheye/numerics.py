@@ -6,8 +6,11 @@ discrete-variable-representation eigensolver) are deliberately
 self-contained: they never call into the analytic evaluators they are
 meant to check.  The quadrature and the derivative work on whole arrays:
 integrate_adaptive refines a batch of intervals together, each to its own
-absolute or relative (QUADPACK epsrel) tolerance, and derivative picks the
-Richardson row point by point.
+absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
+once on a flat array of 24 n points (25 n for order 2) for n points x,
+builds the Richardson tableau a column at a time and picks its row point
+by point.  Both fall back to calling f point by point when f refuses an
+array.
 """
 
 from __future__ import annotations
@@ -189,25 +192,28 @@ def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> Q
 # Derivatives: central differences refined by Richardson extrapolation.
 # --------------------------------------------------------------------------
 
+# rows of the step ladder h0, h0/2, ..., h0 / 2^11
+_RICHARDSON_ROWS = 12
+
 
 def derivative(f, x, order=1, h0=None):
     """First or second derivative of f at x, expected accuracy O(h^4) or better.
 
     Central-difference stencils are evaluated on the step ladder h0, h0/2,
-    ... and combined in a Richardson (Neville) tableau; the diagonal entry
-    with the smallest error estimate is returned.  Steps are never allowed
-    to collapse below 1e-10 max(1, |x|).
+    ..., h0/2^11 and combined in a Richardson (Neville) tableau; the
+    diagonal entry with the smallest error estimate is returned.  Steps are
+    never allowed to collapse below 1e-10 max(1, |x|).
 
     x may be a scalar or an array, and h0 a scalar or an array that
-    broadcasts against x.  f is called with whole arrays of the broadcast
-    shape (x + h and x - h once per row, x once for order 2) and the result
-    has that shape.  For a scalar x those arguments and the result are numpy
-    floats, which are floats, so a scalar-only f such as math.sin works.
-    The tableau runs elementwise: each point keeps its own best row, error
-    estimate, stop counter (two rows in a row without improvement) and step
-    floor, and a point that has stopped keeps its result while the others
-    continue, so each entry selects the same row that a scalar call at that
-    point would.
+    broadcasts against x; the result has the broadcast shape, a numpy float
+    for a scalar x.  f is called once, on a flat array of the 24 n points
+    x +- h0 2^-k (25 n for order 2, which adds x itself) for n broadcast
+    points, with the scalar fallback of integrate_adaptive: a scalar-only f
+    such as math.sin is called point by point.  The tableau is then built a
+    column at a time over every row and point.  Only the selection runs row
+    by row, elementwise: each point keeps its own best row, error estimate,
+    stop counter (two rows in a row without improvement) and step floor, so
+    each entry selects the same row that a scalar call at that point would.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -223,43 +229,46 @@ def derivative(f, x, order=1, h0=None):
         i = np.unravel_index(np.argmax(h < h_min), h.shape)
         raise StepUnderflowError(f"step {h[i]} below floor {h_min[i]} at x = {x[i]}")
     shape = x.shape
-    x = x[()]  # a 0-d x becomes a numpy float, like x + h
-
+    x, h_min = x.ravel(), h_min.ravel()
+    # one row per step; halving is exact, so row k holds h0 2^-k bit for bit
+    steps = h.ravel() * 0.5 ** np.arange(_RICHARDSON_ROWS)[:, None]
+    grid = np.concatenate([x + steps, x - steps] + ([x[None]] if order == 2 else []))
+    y = _eval_vectorized(f, grid.ravel()).reshape(grid.shape)
+    plus, minus = y[:_RICHARDSON_ROWS], y[_RICHARDSON_ROWS : 2 * _RICHARDSON_ROWS]
     if order == 1:
-        stencil = lambda h: (f(x + h) - f(x - h)) / (2.0 * h)
+        col = (plus - minus) / (2.0 * steps)
     else:
-        fx = f(x)
-        stencil = lambda h: (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
+        col = (plus - 2.0 * y[-1] + minus) / (steps * steps)
 
-    first = prev = None
-    best = np.full(shape, math.nan)
-    best_err = np.full(shape, math.inf)
-    worse = np.zeros(shape, dtype=int)
-    live = np.ones(shape, dtype=bool)
-    for _ in range(12):
+    # Neville tableau T[i][j] = (4^j T[i][j-1] - T[i-1][j-1]) / (4^j - 1),
+    # column j over rows j..11; keep the diagonal and the sub-diagonal
+    diag, sub = np.empty_like(col), np.empty_like(col)
+    diag[0] = col[0]
+    fac = 1.0
+    for j in range(1, _RICHARDSON_ROWS):
+        fac *= 4.0
+        sub[j] = col[1]
+        col = (fac * col[1:] - col[:-1]) / (fac - 1.0)
+        diag[j] = col[0]
+    err = abs(diag[1:] - diag[:-1]) + abs(diag[1:] - sub[1:])
+
+    best = np.full(x.size, math.nan)
+    best_err = np.full(x.size, math.inf)
+    worse = np.zeros(x.size, dtype=int)
+    live = np.ones(x.size, dtype=bool)
+    for i in range(1, _RICHARDSON_ROWS):
         # a NaN step is not below the floor: its rows run and give NaN
-        live &= ~np.less(h, h_min)
+        live &= ~np.less(steps[i], h_min)
         if not live.any():
             break
-        row = [stencil(h)]
-        if prev is None:
-            first = row[0]
-        else:
-            fac = 1.0
-            for j in range(len(prev)):
-                fac *= 4.0
-                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
-            err = abs(row[-1] - prev[-1]) + abs(row[-1] - row[-2])
-            better = live & (err < best_err)
-            best = np.where(better, row[-1], best)
-            best_err = np.where(better, err, best_err)
-            worse = np.where(better, 0, worse + live)
-            live &= worse < 2
-        prev = row
-        h = h * 0.5
+        better = live & (err[i - 1] < best_err)
+        best = np.where(better, diag[i], best)
+        best_err = np.where(better, err[i - 1], best_err)
+        worse = np.where(better, 0, worse + live)
+        live &= worse < 2
     # single row: no extrapolation possible, return the bare stencil
-    best = np.where(np.isnan(best), first, best)
-    return best[()]
+    best = np.where(np.isnan(best), diag[0], best)
+    return best.reshape(shape)[()]
 
 
 # --------------------------------------------------------------------------

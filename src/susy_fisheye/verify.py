@@ -175,35 +175,37 @@ def check_closed_vs_quadrature():
     return _result("closed-form-vs-quadrature", worst, 1e-9)
 
 
-def _riccati_scan():
-    worst_abs = worst_rel = 0.0
-    worst_partner = 0.0
-    r = np.linspace(0.1, 10.0, 25)
+def riccati_residual(v, params, r):
+    """Worst residual of -V' + 2 W V = -1 over r: absolute, and over max(1, |V'|)."""
+    dv = numerics.derivative(v, r, h0=0.25 * r)
+    res = np.abs(-dv + 2.0 * superpotential_w(r, params.l, params.kappa) * v(r) + 1.0)
+    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
+
+
+def partner_gap(family, r):
+    """Worst |W_gen' + W_gen^2 - (W' + W^2)| over r: the two fermionic partners."""
+    l, kappa = family.params.l, family.params.kappa
+    dwg = numerics.derivative(
+        lambda s: isospectral.superpotential_general(s, family), r, h0=0.25 * r
+    )
+    dw = numerics.derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
+    up_general = dwg + isospectral.superpotential_general(r, family) ** 2
+    up_particular = dw + superpotential_w(r, l, kappa) ** 2
+    return float(np.max(np.abs(up_general - up_particular)))
+
+
+def _riccati_scan(radii=np.linspace(0.1, 10.0, 25)):
+    """Worst absolute and relative Riccati residual and partner gap over the families."""
+    worst_abs = worst_rel = worst_partner = 0.0
     for kappa in (0.5, 1.0):
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
                 fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-                dv = numerics.derivative(
-                    lambda s: isospectral.v_general(s, fam), r, h0=0.25 * r
+                res, res_rel = riccati_residual(
+                    lambda s: isospectral.v_general(s, fam), fam.params, radii
                 )
-                res = np.abs(
-                    -dv
-                    + 2.0 * superpotential_w(r, l, kappa) * isospectral.v_general(r, fam)
-                    + 1.0
-                )
-                worst_abs = max(worst_abs, float(np.max(res)))
-                worst_rel = max(worst_rel, float(np.max(res / np.maximum(1.0, np.abs(dv)))))
-                dwg = numerics.derivative(
-                    lambda s: isospectral.superpotential_general(s, fam), r, h0=0.25 * r
-                )
-                dw = numerics.derivative(
-                    lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r
-                )
-                up_general = dwg + isospectral.superpotential_general(r, fam) ** 2
-                up_particular = dw + superpotential_w(r, l, kappa) ** 2
-                worst_partner = max(
-                    worst_partner, float(np.max(np.abs(up_general - up_particular)))
-                )
+                worst_abs, worst_rel = max(worst_abs, res), max(worst_rel, res_rel)
+                worst_partner = max(worst_partner, partner_gap(fam, radii))
     return worst_abs, worst_rel, worst_partner
 
 

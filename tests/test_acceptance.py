@@ -9,7 +9,8 @@ Two criteria are asserted in the form the construction guarantees:
   as `|res| / max(1, |V'|) < 1e-9`.  V' comes from a Richardson
   difference, whose float64 rounding floor is about eps |V'|; at the l = 2
   corners V' reaches ~1e9, so an absolute bound would measure that floor
-  rather than the solution.  Where |V'| <= 1 the bound is absolute.  Two
+  rather than the solution.  Where |V'| <= 1 the bound is absolute.  The
+  scan is verify's `_riccati_scan` on 12 radii instead of its 25.  Two
   negative controls (a V built from a rescaled I0, and a kappa = 1 family
   fed the kappa = 1/2 I0) show the bound rejects a wrong solution.
 * criterion 4, percent bound: the 0.10 bound on the first-order index
@@ -19,7 +20,7 @@ Two criteria are asserted in the form the construction guarantees:
   lam = 1; those full-range peaks are printed, not asserted.
 
 `susy-fisheye verify` still reports the literal statements, the absolute
-residual over the same kind of scan and the 0.10 bound over all of (0, 3],
+residual of the same scan and the 0.10 bound over all of (0, 3],
 as `riccati-absolute` and `index-ratio-percent-bound`, both FAIL, so a
 full verify run exits with status 1.
 """
@@ -32,24 +33,23 @@ import numpy as np
 import pytest
 
 from susy_fisheye.cli import main as cli_main
-from susy_fisheye.do_core import DoParams, radial_factor_f, superpotential_w
+from susy_fisheye.do_core import DoParams, radial_factor_f
 from susy_fisheye.fisheye import find_inflection, relative_ratio
 from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import (
     IsoFamily,
     beta_of_rho,
     i0_closed_half,
-    superpotential_general,
-    v_general,
 )
-from susy_fisheye.numerics import derivative
 from susy_fisheye.verify import (
+    _riccati_scan,
     check_aufbau,
     check_closed_vs_quadrature,
     check_family_spectrum,
     check_langer_residual,
     check_rm_ladder,
     check_rm_partner_deficit,
+    riccati_residual,
 )
 from conftest import zero_mode_residual
 
@@ -75,38 +75,16 @@ RICCATI_RADII = np.linspace(0.1, 10.0, 12)
 
 
 def riccati_families(kappas=(0.5, 1.0)):
-    """The criterion-2 scan: each family is checked at RICCATI_RADII."""
+    """The families of the negative controls, each checked at RICCATI_RADII."""
     for kappa in kappas:
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
                 yield IsoFamily(DoParams.nodeless(kappa, l, lam))
 
 
-def riccati_residual(v, params, r):
-    """Worst residual of -V' + 2 W V = -1 over r: absolute, and over max(1, |V'|)."""
-    dv = derivative(v, r, h0=0.25 * r)
-    res = np.abs(-dv + 2.0 * superpotential_w(r, params.l, params.kappa) * v(r) + 1.0)
-    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
-
-
 def test_criterion_2_riccati_pair():
     t0 = time.perf_counter()
-    worst_partner = 0.0
-    worst_res = 0.0
-    worst_res_rel = 0.0
-    r = RICCATI_RADII
-    for fam in riccati_families():
-        l, kappa = fam.params.l, fam.params.kappa
-        res, res_rel = riccati_residual(lambda s: v_general(s, fam), fam.params, r)
-        worst_res = max(worst_res, res)
-        worst_res_rel = max(worst_res_rel, res_rel)
-        dwg = derivative(lambda s: superpotential_general(s, fam), r, h0=0.25 * r)
-        dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-        gap = np.abs(
-            (dwg + superpotential_general(r, fam) ** 2)
-            - (dw + superpotential_w(r, l, kappa) ** 2)
-        )
-        worst_partner = max(worst_partner, float(np.max(gap)))
+    worst_res, worst_res_rel, worst_partner = _riccati_scan(radii=RICCATI_RADII)
     elapsed = time.perf_counter() - t0
     ok = worst_partner < 1e-6 and worst_res_rel < RICCATI_REL_TOL and elapsed < 2.0
     report(

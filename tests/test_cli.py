@@ -164,6 +164,24 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["potential", "--rho-min", "1e-13"], "rho must be >= 1e-12, got rho = 1e-13"),
+            (["family", "--kappa", "-1"], "kappa must be positive, got kappa = -1"),
+            (
+                ["figure", "--rho-max", "1e200"],
+                "beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
+                "rho = 1e+200: beyond the range of the closed form of I0",
+            ),
+        ],
+        ids=["rho-below-floor", "kappa-negative", "beta-rounds-to-pi-half"],
+    )
+    def test_message_names_the_parameter_and_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--samples", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_refusal_is_the_only_stderr_line(self):
         # pytest captures numpy's warnings in process; a child process shows
         # the stderr a user sees

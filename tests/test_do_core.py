@@ -37,7 +37,7 @@ class TestDoParams:
             DoParams.nodeless(0.75, 1)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -1$"):
             DoParams(kappa=-1.0, l=0, N=1)
         with pytest.raises(ValueError):
             DoParams(kappa=1.0, l=-1, N=1)
@@ -99,8 +99,12 @@ class TestPotential:
         assert abs(potential_v(1e6, 1.0, 3.0)) < 1e-11
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = 0.0$"):
             potential_v(0.0, 1.0, 3.0)
+        with pytest.raises(ValueError, match=r"got rho = 1e-13$"):
+            potential_v([1.0, 1e-13, -2.0], 1.0, 3.0)
+        with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = 0$"):
+            potential_v(1.0, 0.0, 3.0)
 
 
 class TestXi:

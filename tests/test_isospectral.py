@@ -21,6 +21,7 @@ from susy_fisheye.isospectral import (
     v_general,
 )
 from susy_fisheye.numerics import derivative
+from susy_fisheye.verify import partner_gap, riccati_residual
 
 # frozen reference values at rho = 1, l = 0, kappa = 1 (I0 = 1 - pi/4)
 I0_ONE = 1.0 - math.pi / 4.0
@@ -152,6 +153,12 @@ class TestClosedForms:
             i0_closed_one(-0.1, 0)
         with pytest.raises(ValueError):
             i0_closed_half(math.pi / 2, 0)
+        with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -0.5$"):
+            i0_quadrature(1.0, 0, -0.5)
+        # arctan(1e17) rounds to pi/2: the closed forms name the radius
+        fam = IsoFamily(DoParams.nodeless(0.5, 1))
+        with pytest.raises(ValueError, match=r"rounds to pi/2 at rho = 1e\+34"):
+            v_general([1.0, 1e34], fam)
 
 
 class TestIsoFamily:
@@ -208,9 +215,7 @@ class TestGeneralRiccatiSolution:
         # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
         r = np.linspace(0.1, 10.0, 15)
-        dv = derivative(lambda s: v_general(s, fam), r, h0=0.25 * r)
-        res = -dv + 2.0 * superpotential_w(r, l, kappa) * v_general(r, fam) + 1.0
-        assert np.max(np.abs(res) / np.maximum(1.0, np.abs(dv))) < 1e-9
+        assert riccati_residual(lambda s: v_general(s, fam), fam.params, r)[1] < 1e-9
 
 
 class TestGeneralSuperpotential:
@@ -240,12 +245,7 @@ class TestGeneralSuperpotential:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
     def test_shared_fermionic_partner(self, kappa, l, lam):
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        r = np.linspace(0.1, 10.0, 15)
-        dwg = derivative(lambda s: superpotential_general(s, fam), r, h0=0.25 * r)
-        dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-        up_general = dwg + superpotential_general(r, fam) ** 2
-        up_particular = dw + superpotential_w(r, l, kappa) ** 2
-        assert np.max(np.abs(up_general - up_particular)) < 1e-6
+        assert partner_gap(fam, np.linspace(0.1, 10.0, 15)) < 1e-6
 
 
 class TestBosonicFamily:

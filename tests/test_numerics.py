@@ -123,6 +123,54 @@ def _rational(s):
     return (s * s * s - 2.0 * s + 1.0) / (1.0 + s * s)
 
 
+def _row_by_row_derivative(f, x, order=1, h0=None):
+    """The Richardson derivative as it was before the one-call tableau.
+
+    One call of f per side of each row, and the tableau grown a row at a
+    time; the reference for test_equals_row_by_row_tableau only.
+    """
+    x = np.asarray(x, dtype=float)
+    scale = np.fmax(1.0, np.abs(x))
+    h_min = 1e-10 * scale
+    if h0 is None:
+        h0 = 0.05 * scale
+    x, h, h_min = np.broadcast_arrays(x, np.asarray(h0, dtype=float), h_min)
+    shape = x.shape
+    x = x[()]
+    if order == 1:
+        stencil = lambda h: (f(x + h) - f(x - h)) / (2.0 * h)
+    else:
+        fx = f(x)
+        stencil = lambda h: (f(x + h) - 2.0 * fx + f(x - h)) / (h * h)
+    first = prev = None
+    best = np.full(shape, math.nan)
+    best_err = np.full(shape, math.inf)
+    worse = np.zeros(shape, dtype=int)
+    live = np.ones(shape, dtype=bool)
+    for _ in range(12):
+        live &= ~np.less(h, h_min)
+        if not live.any():
+            break
+        row = [stencil(h)]
+        if prev is None:
+            first = row[0]
+        else:
+            fac = 1.0
+            for j in range(len(prev)):
+                fac *= 4.0
+                row.append((fac * row[j] - prev[j]) / (fac - 1.0))
+            err = abs(row[-1] - prev[-1]) + abs(row[-1] - row[-2])
+            better = live & (err < best_err)
+            best = np.where(better, row[-1], best)
+            best_err = np.where(better, err, best_err)
+            worse = np.where(better, 0, worse + live)
+            live &= worse < 2
+        prev = row
+        h = h * 0.5
+    best = np.where(np.isnan(best), first, best)
+    return best[()]
+
+
 class TestArrayDerivative:
     XS = np.linspace(-4.0, 4.0, 57)
 
@@ -150,21 +198,55 @@ class TestArrayDerivative:
         with pytest.raises(StepUnderflowError):
             derivative(np.sin, x, h0=np.array([0.1, 1e-12, 0.1]))
 
-    def test_scalar_x_calls_f_with_scalars(self):
-        # a scalar x runs the array code on 0-d values: f is called with
-        # numpy floats, so a scalar-only f such as math.sin still works, and
-        # the result is a numpy float
-        for order, expected, tol in ((1, math.cos(0.7), 1e-10), (2, -math.sin(0.7), 1e-8)):
-            seen = []
+    def test_scalar_only_f_still_works(self):
+        # math.sin and math.sqrt refuse an array, so f runs point by point
+        # through the fallback; the values are the row-by-row ones
+        sqrt_ratio = lambda s: s / math.sqrt(1 + s * s)
+        for f, x, order, expected in (
+            (math.sin, 0.7, 1, 0.7648421872845045),
+            (math.sin, 0.7, 2, -0.6442176872364035),
+            (sqrt_ratio, 1.0, 1, 0.3535533905932781),
+            (sqrt_ratio, 1.0, 2, -0.5303300858542417),
+        ):
+            got = derivative(f, x, order=order)
+            assert isinstance(got, np.float64)
+            assert got == expected
+
+    def test_array_f_is_called_once(self):
+        for x, order in ((0.7, 1), (self.XS, 1), (self.XS, 2)):
+            sizes = []
 
             def f(s):
-                seen.append(s)
-                return math.sin(s)
+                sizes.append(s.size)
+                return np.sin(s)
 
-            got = derivative(f, 0.7, order=order)
-            assert isinstance(got, float) and np.ndim(got) == 0
-            assert got == pytest.approx(expected, abs=tol)
-            assert seen and all(isinstance(s, float) for s in seen)
+            derivative(f, x, order=order)
+            assert sizes == [(24 + (order == 2)) * np.size(x)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        f=st.sampled_from([_rational, np.sin, np.exp]),
+        order=st.sampled_from([1, 2]),
+        xs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=20),
+        scalar=st.booleans(),
+        h0_kind=st.sampled_from(["none", "scalar", "array"]),
+        log2_above_floor=st.lists(st.floats(2.0**-8, 40.0), min_size=20, max_size=20),
+    )
+    def test_equals_row_by_row_tableau(self, f, order, xs, scalar, h0_kind, log2_above_floor):
+        x = np.array(xs[:1] if scalar else xs)
+        # h0 = floor 2^e with e down to 2^-8: small e cuts rows at the floor;
+        # a scalar h0 is the largest, which clears every point's floor
+        h0 = 1e-10 * np.fmax(1.0, np.abs(x)) * np.exp2(log2_above_floor[: x.size])
+        if h0_kind == "none":
+            h0 = None
+        elif h0_kind == "scalar" or scalar:
+            h0 = float(h0.max())
+        if scalar:
+            x = float(x[0])
+        got = derivative(f, x, order=order, h0=h0)
+        ref = _row_by_row_derivative(f, x, order=order, h0=h0)
+        assert type(got) is type(ref)
+        assert np.array_equal(got, ref)
 
     def test_nan_input_gives_nan(self):
         assert math.isnan(derivative(math.sin, math.nan))
