@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fisheye, fullline, verify
-from .do_core import DoParams, potential_v, u_minus, u_plus
+from .do_core import DoParams, _check_kappa, potential_v, u_minus, u_plus
 from .fisheye import figure_table, figure_table_csv, index_iso, index_maxwell
 from .isospectral import (
     IsoFamily,
@@ -69,8 +69,7 @@ class RunConfig:
             raise ValueError(f"format must be one of {_FORMATS}")
         if self.fmt == "svg" and self.command != "figure":
             raise ValueError("svg output is only available for the figure command")
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got kappa = {self.kappa:g}")
+        _check_kappa(self.kappa)
         if self.l < 0:
             raise ValueError("l must be non-negative")
         if self.lam <= 0:
