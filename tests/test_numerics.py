@@ -124,10 +124,10 @@ def _rational(s):
 
 
 def _row_by_row_derivative(f, x, order=1, h0=None):
-    """The Richardson derivative as it was before the one-call tableau.
+    """Richardson derivative with one call of f per side of each row.
 
-    One call of f per side of each row, and the tableau grown a row at a
-    time; the reference for test_equals_row_by_row_tableau only.
+    The tableau grows a row at a time.  This is the independent reference
+    of test_equals_row_by_row_tableau.
     """
     x = np.asarray(x, dtype=float)
     scale = np.fmax(1.0, np.abs(x))
