@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the four index-family figures (l, lam) in {1,2} x {1,10}.
 
-Writes one CSV and one SVG per combination plus a short console summary
-(peak ratio on the full grid and inside the lens, inflection point).
+Writes one CSV and one SVG per combination through the `figure` command
+plus a short console summary (peak ratio on the full grid and inside the
+lens, inflection point).
 
 Usage:
     python scripts/make_figures.py --outdir figures/
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from susy_fisheye.fisheye import figure_table, figure_table_csv, find_inflection
-from susy_fisheye.svgplot import svg_panels
+from susy_fisheye import cli
+from susy_fisheye.fisheye import figure_table, find_inflection
 
 
 def main():
@@ -31,20 +32,15 @@ def main():
 
     for l in (1, 2):
         for lam in (1.0, 10.0):
-            table = figure_table(l, lam, grid)
             stem = f"figure_l{l}_lambda{lam:g}"
-            (outdir / f"{stem}.csv").write_text(figure_table_csv(table))
-            svg = svg_panels(
-                [
-                    (table.grid, table.n_maxwell, "baseline index n_M"),
-                    (table.grid, table.n_iso, "family index n_iso"),
-                    (table.grid, table.ratio_minus_one, "n_iso/n_M - 1"),
-                    (table.grid, table.f_bos_squared, "damped radial factor squared"),
-                ],
-                caption=f"index family: l={l}, lambda={lam:g}",
-            )
-            (outdir / f"{stem}.svg").write_text(svg)
+            for fmt in ("csv", "svg"):
+                argv = ["figure", "--l", str(l), "--lambda", repr(lam),
+                        "--rho-max", repr(args.rho_max), "--samples", str(args.samples),
+                        "--format", fmt, "--output", str(outdir / f"{stem}.{fmt}")]
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"figure failed for l={l}, lambda={lam:g}")
 
+            table = figure_table(l, lam, grid)
             peak = float(np.max(np.abs(table.ratio_minus_one)))
             lens_peak = float(
                 np.max(np.abs(table.ratio_minus_one[: lens.size]))

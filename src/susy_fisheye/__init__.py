@@ -9,16 +9,13 @@ numerical oracles (numerics) and a residual-reporting verification suite
 
 from .do_core import (
     DoParams,
-    Profile,
     coupling_w,
-    degeneracy,
     potential_v,
     radial_factor_f,
     radial_wavefunction,
     superpotential_w,
     u_minus,
     u_plus,
-    xi_of_rho,
 )
 from .fisheye import (
     FigureTable,
@@ -31,14 +28,10 @@ from .fisheye import (
 )
 from .fullline import (
     aufbau_rm_potential,
-    halfline_superpartner,
-    langer_wavefunction,
-    langer_x,
     rescale_radius,
     rm_family_single,
     rm_potential,
     rm_spectrum,
-    rm_superpotential,
 )
 from .isospectral import (
     IsoFamily,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fisheye, fullline, verify
 from .do_core import DoParams, _check_kappa, potential_v, u_minus, u_plus
-from .fisheye import figure_table, figure_table_csv, index_iso, index_maxwell
+from .fisheye import figure_table, index_iso, index_maxwell
 from .isospectral import (
     IsoFamily,
     radial_factor_bosonic,
@@ -62,18 +62,21 @@ class RunConfig:
 
     def __post_init__(self):
         if self.samples < 2:
-            raise ValueError("samples must be >= 2")
+            raise ValueError(f"samples must be >= 2, got samples = {self.samples}")
         if not 0.0 < self.rho_min < self.rho_max:
-            raise ValueError("need 0 < rho-min < rho-max")
+            raise ValueError(
+                f"need 0 < rho-min < rho-max, got rho-min = {self.rho_min:g}, "
+                f"rho-max = {self.rho_max:g}"
+            )
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if self.fmt == "svg" and self.command != "figure":
             raise ValueError("svg output is only available for the figure command")
         _check_kappa(self.kappa)
         if self.l < 0:
-            raise ValueError("l must be non-negative")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+            raise ValueError(f"l must be non-negative, got l = {self.l}")
+        if not self.lam > 0:
+            raise ValueError(f"lambda must be positive, got lambda = {self.lam:g}")
         if not -1.0 < self.lambda0 < math.inf or self.lambda0 == 0.0:
             raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {self.lambda0:g}")
 
@@ -127,11 +130,10 @@ def _grid_output(cfg: RunConfig, params, names, columns):
 
 
 def _cmd_potential(cfg: RunConfig) -> int:
-    n_param = cfg.N if cfg.N else None
-    if n_param is None:
-        params = DoParams.nodeless(cfg.kappa, cfg.l, cfg.lam)
+    if cfg.N:
+        params = DoParams(cfg.kappa, cfg.l, cfg.N)
     else:
-        params = DoParams(cfg.kappa, cfg.l, n_param, cfg.lam)
+        params = DoParams.nodeless(cfg.kappa, cfg.l)
     g = cfg.grid()
     cols = [
         g,
@@ -229,13 +231,10 @@ def _cmd_figure(cfg: RunConfig) -> int:
         table.ratio_minus_one,
         table.f_bos_squared,
     ]
-    if cfg.fmt == "json":
+    if cfg.fmt != "svg":
         _grid_output(cfg, {"l": cfg.l, "lambda": cfg.lam}, names, columns)
         return 0
     _check_finite(names, columns)
-    if cfg.fmt == "csv":
-        _emit(figure_table_csv(table), cfg.output)
-        return 0
     caption = f"index family: l={cfg.l}, lambda={cfg.lam:g}"
     svg = svg_panels(
         [
@@ -311,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=1.0, help="shape parameter (default 1)")
     p.add_argument("--l", type=int, default=1, help="orbital quantum number (default 1)")
     p.add_argument("--N", type=int, default=0, help="total quantum number (default: nodeless value)")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="family parameter (default 1)")
     add_grid_options(p)
     add_output_options(p)
 

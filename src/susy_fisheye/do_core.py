@@ -21,11 +21,9 @@ from .specfun import GegenbauerArgs, gegenbauer
 __all__ = [
     "RHO_MIN",
     "DoParams",
-    "Profile",
     "coupling_w",
     "nodeless_coupling",
     "potential_v",
-    "xi_of_rho",
     "radial_wavefunction",
     "radial_factor_f",
     "radial_factor_df",
@@ -33,7 +31,6 @@ __all__ = [
     "superpotential_dw",
     "u_minus",
     "u_plus",
-    "degeneracy",
 ]
 
 # Half-line evaluators refuse radii below this instead of trying to
@@ -58,36 +55,35 @@ def _as_rho(rho):
 
 
 def _check_kappa(kappa):
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be positive, got kappa = {kappa:g}")
 
 
 @dataclass(frozen=True)
 class DoParams:
-    """Parameter bundle (kappa, l, N, lam, R) for one half-line problem.
+    """Parameter bundle (kappa, l, N, lam) for one half-line problem.
 
     The polynomial degree N - 1 - l/kappa must be a non-negative integer;
     the nodeless sector corresponds to degree zero.  lam > 0 selects a
     member of the strictly isospectral family (the lam -> 0+ and
-    lam -> -1+ endpoints are outside the validity domain).
+    lam -> -1+ endpoints are outside the validity domain).  Radii are in
+    units of the lens radius R (rho = r / R), so R is not a parameter
+    here; fullline.rescale_radius takes its own R.
     """
 
     kappa: float
     l: int
     N: int
     lam: float = 1.0
-    R: float = 1.0
 
     def __post_init__(self):
         _check_kappa(self.kappa)
         if self.l < 0 or int(self.l) != self.l:
-            raise ValueError("l must be a non-negative integer")
+            raise ValueError(f"l must be a non-negative integer, got l = {self.l:g}")
         if self.N < 1 or int(self.N) != self.N:
-            raise ValueError("N must be a positive integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+            raise ValueError(f"N must be a positive integer, got N = {self.N:g}")
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got lam = {self.lam:g}")
         deg = self.N - 1 - self.l / self.kappa
         if deg < -1e-9 or abs(deg - round(deg)) > 1e-9:
             raise ValueError(
@@ -95,14 +91,15 @@ class DoParams:
             )
 
     @classmethod
-    def nodeless(cls, kappa, l, lam=1.0, R=1.0):
+    def nodeless(cls, kappa, l, lam=1.0):
         """Construct the radially nodeless member: N = 1 + l/kappa."""
+        _check_kappa(kappa)
         n_total = 1 + l / kappa
         if abs(n_total - round(n_total)) > 1e-9:
             raise ValueError(
                 f"nodeless sector needs integral 1 + l/kappa, got {n_total}"
             )
-        return cls(kappa=kappa, l=l, N=int(round(n_total)), lam=lam, R=R)
+        return cls(kappa=kappa, l=l, N=int(round(n_total)), lam=lam)
 
     @property
     def degree(self) -> int:
@@ -110,47 +107,15 @@ class DoParams:
         return int(round(self.N - 1 - self.l / self.kappa))
 
     @property
-    def n(self) -> int:
-        """Principal quantum number n = n_r + l + 1."""
-        return self.degree + self.l + 1
-
-    @property
-    def is_nodeless(self) -> bool:
-        return self.degree == 0
-
-    @property
     def w(self) -> float:
         """Quantized coupling for this (N, kappa)."""
         return coupling_w(self.N, self.kappa)
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A sampled radial function: strictly increasing grid plus values."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 2:
-            raise ValueError("grid must be one-dimensional with length >= 2")
-        if v.shape != g.shape:
-            raise ValueError("grid and values must have the same length")
-        if np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.grid.size
-
-
 def coupling_w(N, kappa) -> float:
     """Quantized coupling (2 kappa)^2 [N + 1/(2 kappa)] [N + 1/(2 kappa) - 1]."""
     if N < 1 or int(N) != N:
-        raise ValueError("N must be a positive integer")
+        raise ValueError(f"N must be a positive integer, got N = {N:g}")
     _check_kappa(kappa)
     s = 1.0 / (2.0 * kappa)
     return (2.0 * kappa) ** 2 * (N + s) * (N + s - 1.0)
@@ -174,14 +139,6 @@ def potential_v(rho, kappa, w):
     _check_kappa(kappa)
     t = r ** (2.0 * kappa)
     return -w * r ** (2.0 * kappa - 2.0) / (1.0 + t) ** 2
-
-
-def xi_of_rho(rho, kappa):
-    """Map rho to xi = (1 - rho^(2 kappa)) / (1 + rho^(2 kappa)) in (-1, 1)."""
-    r = _as_rho(rho)
-    _check_kappa(kappa)
-    t = r ** (2.0 * kappa)
-    return (1.0 - t) / (1.0 + t)
 
 
 def radial_wavefunction(rho, params: DoParams):
@@ -256,10 +213,3 @@ def u_plus(rho, l, kappa):
     """Fermionic effective superpartner U+ = W^2 + W' = U- + 2 W'."""
     r = _as_rho(rho)
     return u_minus(r, l, kappa) + 2.0 * superpotential_dw(r, l, kappa)
-
-
-def degeneracy(N) -> int:
-    """Degeneracy of the zero-energy bound state, N^2."""
-    if N < 1 or int(N) != N:
-        raise ValueError("N must be a positive integer")
-    return int(N) * int(N)

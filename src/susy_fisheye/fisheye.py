@@ -34,11 +34,7 @@ __all__ = [
     "index_iso",
     "find_inflection",
     "figure_table",
-    "figure_table_csv",
-    "CSV_HEADER",
 ]
-
-CSV_HEADER = "rho,n_maxwell,n_iso,ratio_minus_1,f_bos_sq"
 
 # Hysteresis band for second-difference sign detection: curvature values
 # smaller than this are treated as zero to suppress round-off flips.
@@ -54,7 +50,6 @@ class FigureTable:
     n_iso: np.ndarray
     ratio_minus_one: np.ndarray
     f_bos_squared: np.ndarray
-    meta: tuple
 
     def __post_init__(self):
         n = np.asarray(self.grid).size
@@ -72,8 +67,6 @@ def _family(l, lam):
 def v_family_fisheye(rho, l, lam):
     """Family potential at kappa = 1 with the centrifugal term removed."""
     r = _as_rho(rho)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     fam = _family(l, lam)
     return u_bosonic_family(r, fam) - l * (l + 1) / r**2
 
@@ -87,7 +80,7 @@ def index_maxwell(rho, l):
     if np.any(r < 0):
         raise ValueError("rho must be non-negative")
     if l < 0 or int(l) != l:
-        raise ValueError("l must be a non-negative integer")
+        raise ValueError(f"l must be a non-negative integer, got l = {l:g}")
     amp = math.sqrt((2 * l + 1) * (2 * l + 3)) / (l + 0.5)
     return amp / (1.0 + r**2)
 
@@ -100,8 +93,6 @@ def relative_ratio(rho, l, lam):
     baseline term; the ratio changes sign where f peaks.
     """
     r = _as_rho(rho)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     fam = _family(l, lam)
     f = radial_factor_f(r, l, 1.0)
     df = radial_factor_df(r, l, 1.0)
@@ -185,19 +176,4 @@ def figure_table(l, lam, grid) -> FigureTable:
         n_iso=n_m * (1.0 + ratio),
         ratio_minus_one=ratio,
         f_bos_squared=f_bos**2,
-        meta=(l, lam),
     )
-
-
-def figure_table_csv(table: FigureTable) -> str:
-    """Render a FigureTable as CSV with 17 significant digits per value."""
-    lines = [CSV_HEADER]
-    for row in zip(
-        table.grid,
-        table.n_maxwell,
-        table.n_iso,
-        table.ratio_minus_one,
-        table.f_bos_squared,
-    ):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"

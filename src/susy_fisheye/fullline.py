@@ -1,4 +1,4 @@
-"""Full-line picture: log-radius transform, sech^2 wells, and the return map.
+"""Full-line picture: sech^2 wells, their spectra and the radius rescaling.
 
 The substitution x = ln rho together with phi = exp(-x/2) u maps the
 half-line zero-energy problem onto a reflectionless Rosen-Morse well
@@ -8,8 +8,7 @@ half-line zero-energy problem onto a reflectionless Rosen-Morse well
 After the shift n_b = n + 1/2 (integer part used) the well takes the
 standard form -n_b(n_b+1)/cosh^2 x with the bound-state ladder -k^2,
 k = 1..n_b.  The single-bound-state family is a pure translation of the
-well, and mapping back to the half line turns the family parameter into a
-rescaling of the lens radius.
+well; on the half line it rescales the lens radius (rescale_radius).
 """
 
 from __future__ import annotations
@@ -19,65 +18,39 @@ import warnings
 
 import numpy as np
 
-from .do_core import _as_rho, xi_of_rho
-
 __all__ = [
-    "langer_x",
-    "langer_rho",
-    "langer_wavefunction",
     "rm_potential",
     "rm_spectrum",
-    "rm_superpotential",
     "rm_family_single",
     "rm_family_shift",
     "rescale_radius",
-    "halfline_superpartner",
-    "halfline_superpotential",
     "aufbau_rm_potential",
     "aufbau_spectrum",
 ]
 
 
-def langer_x(rho):
-    """Log-radius coordinate x = ln rho."""
-    r = _as_rho(rho)
-    return np.log(r)
+def _check_n_b(n_b_int):
+    if n_b_int < 1 or int(n_b_int) != n_b_int:
+        raise ValueError(f"n_b_int must be a positive integer, got n_b_int = {n_b_int:g}")
 
 
-def langer_rho(x):
-    """Inverse map rho = exp(x)."""
-    return np.exp(x)
-
-
-def langer_wavefunction(u_value, rho):
-    """Full-line wavefunction phi = rho^(-1/2) u."""
-    r = _as_rho(rho)
-    return u_value / np.sqrt(r)
+def _check_aufbau(N_aufbau):
+    if N_aufbau < 1 or int(N_aufbau) != N_aufbau or N_aufbau % 2 == 0:
+        raise ValueError(
+            f"N_aufbau must be a positive odd integer, got N_aufbau = {N_aufbau:g}"
+        )
 
 
 def rm_potential(x, n_b_int):
     """Standard reflectionless well -n_b (n_b + 1) / cosh^2 x."""
-    if n_b_int < 1 or int(n_b_int) != n_b_int:
-        raise ValueError("n_b_int must be a positive integer")
+    _check_n_b(n_b_int)
     return -n_b_int * (n_b_int + 1.0) / np.cosh(x) ** 2
 
 
 def rm_spectrum(n_b_int):
     """Analytic bound states {-k^2 : k = 1..n_b}, ascending (deepest first)."""
-    if n_b_int < 1 or int(n_b_int) != n_b_int:
-        raise ValueError("n_b_int must be a positive integer")
+    _check_n_b(n_b_int)
     return [-float(k * k) for k in range(n_b_int, 0, -1)]
-
-
-def rm_superpotential(x, n_b_int):
-    """Full-line superpotential n_b tanh x.
-
-    Its Riccati combination W' + W^2 equals the superpartner
-    -n_b (n_b - 1)/cosh^2 x + n_b^2.
-    """
-    if n_b_int < 1 or int(n_b_int) != n_b_int:
-        raise ValueError("n_b_int must be a positive integer")
-    return n_b_int * np.tanh(x)
 
 
 def rm_family_shift(lambda0) -> float:
@@ -118,36 +91,14 @@ def rescale_radius(R, lambda0) -> float:
     return R * math.sqrt(lambda0 / (lambda0 + 1.0))
 
 
-def halfline_superpartner(rho, l):
-    """Half-line superpartner l(l+1)/rho^2 - (2l+1)(2l-1)/(1+rho^2)^2.
-
-    This is the kappa = 1 partner obtained by doing the supersymmetric step
-    on the full line and mapping back; it keeps the original centrifugal
-    term, unlike the direct half-line partner u_plus.
-    """
-    r = _as_rho(rho)
-    if l < 0 or int(l) != l:
-        raise ValueError("l must be a non-negative integer")
-    return l * (l + 1) / r**2 - (2 * l + 1) * (2 * l - 1) / (1.0 + r**2) ** 2
-
-
-def halfline_superpotential(rho, n):
-    """Companion particular superpotential (1/2 - n) xi(rho) at kappa = 1."""
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
-    return (0.5 - n) * xi_of_rho(rho, 1.0)
-
-
 def aufbau_rm_potential(x, N_aufbau):
     """Half-width well -N(N+1) / (4 cosh^2(x/2)) for odd N = 2l + 1."""
-    if N_aufbau < 1 or int(N_aufbau) != N_aufbau or N_aufbau % 2 == 0:
-        raise ValueError("N_aufbau must be a positive odd integer")
+    _check_aufbau(N_aufbau)
     half = 0.5 * np.asarray(x, dtype=float)
     return -N_aufbau * (N_aufbau + 1.0) / (4.0 * np.cosh(half) ** 2)
 
 
 def aufbau_spectrum(N_aufbau):
     """Analytic ladder {-k^2/4 : k = 1..N}, ascending (deepest -N^2/4 first)."""
-    if N_aufbau < 1 or int(N_aufbau) != N_aufbau or N_aufbau % 2 == 0:
-        raise ValueError("N_aufbau must be a positive odd integer")
+    _check_aufbau(N_aufbau)
     return [-0.25 * k * k for k in range(N_aufbau, 0, -1)]

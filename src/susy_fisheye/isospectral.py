@@ -194,10 +194,6 @@ class IsoFamily:
             fn = lambda rho: i0_quadrature(rho, l, kappa)
         object.__setattr__(self, "i0", fn)
 
-    @property
-    def lam(self) -> float:
-        return self.params.lam
-
     def denominator(self, rho):
         """I0(rho) + lam, the damping denominator of the family."""
         return self.i0(rho) + self.params.lam

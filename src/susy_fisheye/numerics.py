@@ -10,7 +10,8 @@ absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
 once on a flat array of 24 n points (25 n for order 2) for n points x,
 builds the Richardson tableau a column at a time and picks its row point
 by point.  Both fall back to calling f point by point when f refuses an
-array.
+array.  The module imports nothing else from the package, and
+numerov_zero_energy returns the plain array of u on its grid.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .do_core import Profile
 
 __all__ = [
     "ConvergenceError",
@@ -276,12 +275,12 @@ def derivative(f, x, order=1, h0=None):
 # --------------------------------------------------------------------------
 
 
-def numerov_zero_energy(potential, grid, u0, u1) -> Profile:
+def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     """March -u'' + U(rho) u = 0 across a uniform grid from two seed values.
 
-    Uses the standard Numerov update (O(h^6) local accuracy); raises
-    OverflowError once |u| exceeds 1e300, which signals that the
-    non-normalizable branch has taken over.
+    Returns the array of u on the grid.  Uses the standard Numerov update
+    (O(h^6) local accuracy); raises OverflowError once |u| exceeds 1e300,
+    which signals that the non-normalizable branch has taken over.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 3:
@@ -300,7 +299,7 @@ def numerov_zero_energy(potential, grid, u0, u1) -> Profile:
             raise OverflowError(
                 f"Numerov solution exceeded 1e300 at rho = {g[i + 1]}"
             )
-    return Profile(g, np.array(u))
+    return np.array(u)
 
 
 

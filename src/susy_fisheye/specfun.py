@@ -23,11 +23,15 @@ class GegenbauerArgs:
 
     def __post_init__(self):
         if self.degree < 0 or int(self.degree) != self.degree:
-            raise ValueError("degree must be a non-negative integer")
+            raise ValueError(
+                f"degree must be a non-negative integer, got degree = {self.degree:g}"
+            )
         if self.order <= -0.5:
-            raise ValueError("order must be > -1/2")
-        if np.any(np.abs(self.argument) > 1.0):
-            raise ValueError("argument must lie in [-1, 1]")
+            raise ValueError(f"order must be > -1/2, got order = {self.order:g}")
+        outside = np.abs(self.argument) > 1.0
+        if np.any(outside):
+            bad = float(np.asarray(self.argument)[outside].flat[0])
+            raise ValueError(f"argument must lie in [-1, 1], got argument = {bad:g}")
 
 
 def gegenbauer(args: GegenbauerArgs):

@@ -84,9 +84,9 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
         fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
         pot = lambda r: isospectral.u_bosonic_family(r, fam)
         ref = isospectral.radial_factor_bosonic(grid, fam)
-    prof = numerics.numerov_zero_energy(pot, grid, u0, u1)
+    u = numerics.numerov_zero_energy(pot, grid, u0, u1)
     sel = (grid >= window[0]) & (grid <= window[1])
-    u, f = prof.values[sel], ref[sel]
+    u, f = u[sel], ref[sel]
     scale = np.dot(u, f) / np.dot(u, u)
     return float(np.max(np.abs(scale * u - f) / np.abs(f)))
 

@@ -34,7 +34,7 @@ import pytest
 
 from susy_fisheye.cli import main as cli_main
 from susy_fisheye.do_core import DoParams, radial_factor_f
-from susy_fisheye.fisheye import find_inflection, relative_ratio
+from susy_fisheye.fisheye import relative_ratio
 from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import (
     IsoFamily,
@@ -46,12 +46,14 @@ from susy_fisheye.verify import (
     check_aufbau,
     check_closed_vs_quadrature,
     check_family_spectrum,
+    check_inflection,
     check_langer_residual,
     check_rm_ladder,
     check_rm_partner_deficit,
+    check_zero_mode_family,
+    check_zero_mode_particular,
     riccati_residual,
 )
-from conftest import zero_mode_residual
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -135,14 +137,8 @@ def test_criterion_2_bound_rejects_wrong_kappa_i0():
 
 def test_criterion_3_zero_mode_suite():
     t0 = time.perf_counter()
-    worst_particular = 0.0
-    for kappa in (0.5, 1.0):
-        for l in (0, 1, 2):
-            worst_particular = max(worst_particular, zero_mode_residual(l, kappa))
-    worst_family = 0.0
-    for l in (0, 1, 2):
-        for lam in (1.0, 10.0):
-            worst_family = max(worst_family, zero_mode_residual(l, 1.0, lam))
+    worst_particular = check_zero_mode_particular().residual
+    worst_family = check_zero_mode_family().residual
     elapsed = time.perf_counter() - t0
     worst = max(worst_particular, worst_family)
     ok = worst < 1e-5 and elapsed < 2.0
@@ -152,7 +148,8 @@ def test_criterion_3_zero_mode_suite():
         f"rel err: particular {worst_particular:.3e}, family {worst_family:.3e} "
         f"(tol 1e-5), {elapsed:.2f}s",
     )
-    assert worst < 1e-5
+    assert worst_particular < 1e-5
+    assert worst_family < 1e-5
     assert elapsed < 2.0
 
 
@@ -197,26 +194,19 @@ def test_criterion_4_percent_claim():
 
 
 def test_criterion_5_inflection_point():
+    # the baseline inflection lies within 2h of 1/sqrt(3) and every family
+    # inflection (l = 0, 1, 2; lam = 1, 10) inside the lens (0, 1]
     t0 = time.perf_counter()
-    grid = np.linspace(0.01, 3.0, 300)
-    h = grid[1] - grid[0]
-    baseline = find_inflection(0, 1e9, grid)
-    baseline_ok = baseline is not None and abs(baseline - 3**-0.5) <= 2 * h
-    stars = {}
-    for l in (0, 1, 2):
-        for lam in (1.0, 10.0):
-            stars[(l, lam)] = find_inflection(l, lam, grid)
-    inside = all(s is not None and 0.0 < s <= 1.0 for s in stars.values())
+    result = check_inflection()
     elapsed = time.perf_counter() - t0
-    ok = baseline_ok and inside and elapsed < 1.0
+    ok = result.residual == 0.0 and elapsed < 1.0
     report(
         5,
         ok,
-        f"baseline {baseline:.5f} (1/sqrt3 within 2h), "
-        f"family inflections all in (0,1]: {inside}, {elapsed:.2f}s",
+        f"{result.detail} (1/sqrt3 within 2h), family inflections in (0,1]: "
+        f"{result.residual == 0.0}, {elapsed:.2f}s",
     )
-    assert baseline_ok
-    assert inside
+    assert result.residual == 0.0
     assert elapsed < 1.0
 
 

@@ -28,7 +28,6 @@ FAMILIES = {kappa: IsoFamily(DoParams.nodeless(kappa, 2, 0.5)) for kappa in (0.5
 
 CASES = [
     ("do_core.potential_v", lambda r: do_core.potential_v(r, 1.0, 15.0), RHO),
-    ("do_core.xi_of_rho", lambda r: do_core.xi_of_rho(r, 0.5), RHO),
     (
         "do_core.radial_wavefunction",
         lambda r: do_core.radial_wavefunction(r, DoParams(1.0, 1, 4)),
@@ -49,14 +48,8 @@ CASES = [
     ("fisheye.relative_ratio", lambda r: fisheye.relative_ratio(r, 1, 1.0), RHO),
     ("fisheye.index_iso", lambda r: fisheye.index_iso(r, 1, 1.0), RHO),
     ("fisheye.index_iso[exact]", lambda r: fisheye.index_iso(r, 1, 1.0, exact=True), RHO),
-    ("fullline.langer_x", fullline.langer_x, RHO),
-    ("fullline.langer_rho", fullline.langer_rho, X),
-    ("fullline.langer_wavefunction", lambda r: fullline.langer_wavefunction(2.5, r), RHO),
     ("fullline.rm_potential", lambda x: fullline.rm_potential(x, 3), X),
-    ("fullline.rm_superpotential", lambda x: fullline.rm_superpotential(x, 3), X),
     ("fullline.rm_family_single", lambda x: fullline.rm_family_single(x, 0.1), X),
-    ("fullline.halfline_superpartner", lambda r: fullline.halfline_superpartner(r, 1), RHO),
-    ("fullline.halfline_superpotential", lambda r: fullline.halfline_superpotential(r, 2), RHO),
     ("fullline.aufbau_rm_potential", lambda x: fullline.aufbau_rm_potential(x, 3), X),
 ]
 for _name in ("v_general", "superpotential_general", "u_bosonic_family", "radial_factor_bosonic"):

@@ -9,7 +9,6 @@ import pytest
 
 import susy_fisheye
 from susy_fisheye.cli import main
-from susy_fisheye.fisheye import CSV_HEADER
 
 
 def run_cli(capsys, *argv):
@@ -25,8 +24,9 @@ class TestFigureCommand:
         )
         assert code == 0 and err == ""
         lines = out.strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "rho,n_maxwell,n_iso,ratio_minus_1,f_bos_sq"
         assert len(lines) == 11
+        assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -154,10 +154,21 @@ class TestErrors:
         [
             # u_plus turns into inf/inf at rho >~ 1e154
             (["potential", "--rho-max", "1e200"], "u_plus is not finite at rho = 3.33e+199"),
-            (["figure", "--lambda", "nan"], "n_iso is not finite at rho = 0.01"),
-            (["figure", "--lambda", "nan", "--format", "svg"], "n_iso is not finite at rho = 0.01"),
+            # NaN fails the configuration check before any output is computed
+            (["figure", "--lambda", "nan"], "lambda must be positive, got lambda = nan"),
+            (
+                ["figure", "--lambda", "nan", "--format", "svg"],
+                "lambda must be positive, got lambda = nan",
+            ),
+            # rho^(l+1) overflows in the radial factor
+            (["figure", "--l", "40", "--rho-max", "1e9"], "n_iso is not finite at rho = 3.33e+08"),
+            (
+                ["figure", "--l", "40", "--rho-max", "1e9", "--format", "svg"],
+                "n_iso is not finite at rho = 3.33e+08",
+            ),
         ],
-        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan"],
+        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan", "figure-csv-overflow",
+             "figure-svg-overflow"],
     )
     def test_non_finite_output_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "4")
@@ -169,13 +180,23 @@ class TestErrors:
         [
             (["potential", "--rho-min", "1e-13"], "rho must be >= 1e-12, got rho = 1e-13"),
             (["family", "--kappa", "-1"], "kappa must be positive, got kappa = -1"),
+            (["potential", "--kappa", "nan"], "kappa must be positive, got kappa = nan"),
+            (["family", "--lambda", "nan"], "lambda must be positive, got lambda = nan"),
+            (["index", "--l", "-2"], "l must be non-negative, got l = -2"),
+            (["potential", "--N", "-1"], "N must be a positive integer, got N = -1"),
+            (["langer", "--nb", "-1"], "n_b_int must be a positive integer, got n_b_int = -1"),
+            (
+                ["langer", "--aufbau", "2"],
+                "N_aufbau must be a positive odd integer, got N_aufbau = 2",
+            ),
             (
                 ["figure", "--rho-max", "1e200"],
                 "beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
                 "rho = 1e+200: beyond the range of the closed form of I0",
             ),
         ],
-        ids=["rho-below-floor", "kappa-negative", "beta-rounds-to-pi-half"],
+        ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan", "l-negative",
+             "N-negative", "nb-negative", "aufbau-even", "beta-rounds-to-pi-half"],
     )
     def test_message_names_the_parameter_and_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "2")
@@ -224,10 +245,16 @@ class TestErrors:
     def test_in_domain_output_is_unchanged(self, capsys, argv, expected):
         assert run_cli(capsys, *argv) == (0, expected, "")
 
+    def test_potential_has_no_lambda_option(self, capsys):
+        # lambda selects a family member; potential samples no family
+        code, out, err = run_cli(capsys, "potential", "--lambda", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --lambda 2" in err
+
     def test_config_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "figure", "--samples", "1")
         assert code == 2
-        assert err.startswith("error:")
+        assert err == "error: samples must be >= 2, got samples = 1\n"
 
     def test_svg_only_for_figure(self, capsys):
         code, _, err = run_cli(capsys, "potential", "--format", "svg")
@@ -239,7 +266,7 @@ class TestErrors:
             capsys, "index", "--rho-min", "2.0", "--rho-max", "1.0"
         )
         assert code == 2
-        assert err.startswith("error:")
+        assert err == "error: need 0 < rho-min < rho-max, got rho-min = 2, rho-max = 1\n"
 
 
 class TestVerifyCommand:

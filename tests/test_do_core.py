@@ -6,9 +6,7 @@ from conftest import zero_mode_residual
 
 from susy_fisheye.do_core import (
     DoParams,
-    Profile,
     coupling_w,
-    degeneracy,
     nodeless_coupling,
     potential_v,
     radial_factor_df,
@@ -17,16 +15,15 @@ from susy_fisheye.do_core import (
     superpotential_w,
     u_minus,
     u_plus,
-    xi_of_rho,
 )
-from susy_fisheye.fullline import halfline_superpartner
+from susy_fisheye.isospectral import IsoFamily
 from susy_fisheye.numerics import derivative
 
 
 class TestDoParams:
     def test_nodeless_construction(self):
         p = DoParams.nodeless(1.0, 2)
-        assert (p.N, p.n, p.degree, p.is_nodeless) == (3, 3, 0, True)
+        assert (p.N, p.degree) == (3, 0)
         p = DoParams.nodeless(0.5, 2)
         assert p.N == 5 and p.degree == 0
 
@@ -39,30 +36,27 @@ class TestDoParams:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -1$"):
             DoParams(kappa=-1.0, l=0, N=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"l must be a non-negative integer, got l = -1$"):
             DoParams(kappa=1.0, l=-1, N=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"N must be a positive integer, got N = 0$"):
             DoParams(kappa=1.0, l=0, N=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"lam must be positive, got lam = 0$"):
             DoParams(kappa=1.0, l=0, N=1, lam=0.0)
+
+    @pytest.mark.parametrize("field", ["kappa", "lam"])
+    def test_rejects_nan(self, field):
+        # a NaN fails every comparison, so the checks are written as not x > 0
+        kwargs = {"kappa": 1.0, "l": 1, "lam": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=rf"{field} must be positive, got {field} = nan$"):
+            DoParams.nodeless(**kwargs)
+
+    def test_nan_lambda_family_is_refused(self):
+        with pytest.raises(ValueError, match=r"got lam = nan$"):
+            IsoFamily(DoParams.nodeless(1.0, 1, math.nan))
 
     def test_excited_sector_allowed(self):
         p = DoParams(kappa=1.0, l=0, N=3)
-        assert p.degree == 2 and not p.is_nodeless
-
-
-class TestProfile:
-    def test_valid(self):
-        p = Profile(np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
-        assert len(p) == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Profile(np.array([0.1]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            Profile(np.array([0.1, 0.1]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            Profile(np.array([0.1, 0.2]), np.array([1.0, 2.0, 3.0]))
+        assert p.degree == 2
 
 
 class TestCoupling:
@@ -84,10 +78,12 @@ class TestCoupling:
                 assert nodeless_coupling(l, kappa) == pytest.approx(p.w, rel=1e-14)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"N must be a positive integer, got N = 0$"):
             coupling_w(0, 1.0)
         with pytest.raises(ValueError):
             coupling_w(1, -0.5)
+        with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = nan$"):
+            coupling_w(1, math.nan)
 
 
 class TestPotential:
@@ -108,19 +104,33 @@ class TestPotential:
 
 
 class TestXi:
+    """The map xi = (1 - rho^(2 kappa)) / (1 + rho^(2 kappa)) inside radial_wavefunction.
+
+    The degree-1 state at l = 0 is (1 + t)^(-e) C_1^q(xi) with e = 1/(2 kappa),
+    t = rho^(2 kappa) and C_1^q(xi) = 2 q xi, q = e + 1/2, so R (1 + t)^e / (2 q)
+    is xi.
+    """
+
+    @staticmethod
+    def xi(rho, kappa):
+        t = np.asarray(rho, dtype=float) ** (2.0 * kappa)
+        e = 1.0 / (2.0 * kappa)
+        return radial_wavefunction(rho, DoParams(kappa, 0, 2)) * (1.0 + t) ** e / (2.0 * e + 1.0)
+
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
     def test_symmetry_point(self, kappa):
-        assert xi_of_rho(1.0, kappa) == pytest.approx(0.0, abs=1e-15)
+        # the one radial node sits on the lens radius rho = 1 for every kappa
+        assert self.xi(1.0, kappa) == pytest.approx(0.0, abs=1e-15)
 
     def test_origin_limit(self):
-        assert xi_of_rho(1e-8, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert self.xi(1e-8, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_value(self):
-        assert xi_of_rho(2.0, 1.0) == pytest.approx(-0.6, abs=1e-14)
+        assert self.xi(2.0, 1.0) == pytest.approx(-0.6, abs=1e-14)
 
     def test_monotone_decreasing(self):
         g = np.linspace(0.05, 5.0, 60)
-        vals = np.asarray(xi_of_rho(g, 1.0))
+        vals = np.asarray(self.xi(g, 1.0))
         assert np.all(np.diff(vals) < 0)
         assert np.all(np.abs(vals) < 1.0)
 
@@ -239,13 +249,12 @@ class TestPartnerPotentials:
     def test_two_superpartner_routes_differ(self):
         # the direct half-line partner shifts the centrifugal index, the
         # full-line route keeps it: they are distinct functions and the
-        # measured gap at rho = 1, l = 0 is exactly 1
+        # measured gap at rho = 1, l = 0 is exactly 1.  The full-line route,
+        # l(l+1)/rho^2 - (2l+1)(2l-1)/(1+rho^2)^2 at kappa = 1, is 1/4 there.
         direct = u_plus(1.0, 0, 1.0)
-        via_full_line = halfline_superpartner(1.0, 0)
         assert direct == pytest.approx(1.25, abs=1e-14)
-        assert via_full_line == pytest.approx(0.25, abs=1e-14)
         gap = 2 * (0 + 1) / 1.0**2 - 2 * (2 * 0 + 1) / (1.0 + 1.0**2)
-        assert direct - via_full_line == pytest.approx(gap, abs=1e-13)
+        assert direct - 0.25 == pytest.approx(gap, abs=1e-13)
 
 
 class TestZeroMode:
@@ -253,11 +262,3 @@ class TestZeroMode:
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_numerov_reproduces_radial_factor(self, kappa, l):
         assert zero_mode_residual(l, kappa) < 1e-6
-
-
-def test_degeneracy():
-    assert degeneracy(1) == 1
-    assert degeneracy(2) == 4
-    assert degeneracy(5) == 25
-    with pytest.raises(ValueError):
-        degeneracy(0)

@@ -5,10 +5,8 @@ import pytest
 
 from susy_fisheye.do_core import DoParams
 from susy_fisheye.fisheye import (
-    CSV_HEADER,
     FigureTable,
     figure_table,
-    figure_table_csv,
     find_inflection,
     index_iso,
     index_maxwell,
@@ -63,6 +61,12 @@ class TestIndexMaxwell:
 
 
 class TestRelativeRatio:
+    @pytest.mark.parametrize("lam,shown", [(0.0, "0"), (-1.0, "-1"), (math.nan, "nan")])
+    def test_rejects_non_positive_lambda(self, lam, shown):
+        for fn in (relative_ratio, v_family_fisheye):
+            with pytest.raises(ValueError, match=rf"lam must be positive, got lam = {shown}$"):
+                fn(GRID, 1, lam)
+
     def test_vanishes_at_large_lambda(self):
         vals = np.abs(np.asarray(relative_ratio(GRID, 1, 1e9)))
         assert np.max(vals) < 1e-8
@@ -137,7 +141,6 @@ class TestFigureTable:
     def test_columns_and_meta(self):
         t = figure_table(1, 1.0, GRID)
         assert isinstance(t, FigureTable)
-        assert t.meta == (1, 1.0)
         for col in (t.n_maxwell, t.n_iso, t.ratio_minus_one, t.f_bos_squared):
             assert col.shape == GRID.shape
         assert np.all(t.n_maxwell > 0) and np.all(t.n_iso > 0)
@@ -195,11 +198,3 @@ class TestFigureTable:
         assert switch.size > 0
         k = switch[0]
         assert np.all(d[:k] > 0) and np.all(d[k:] < 0)
-
-    def test_csv_schema(self):
-        t = figure_table(1, 1.0, np.linspace(0.5, 1.5, 5))
-        text = figure_table_csv(t)
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 6
-        assert all(len(line.split(",")) == 5 for line in lines[1:])

@@ -2,47 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from susy_fisheye.do_core import radial_factor_f
 from susy_fisheye.fullline import (
     aufbau_rm_potential,
     aufbau_spectrum,
-    halfline_superpartner,
-    halfline_superpotential,
-    langer_rho,
-    langer_wavefunction,
-    langer_x,
     rescale_radius,
     rm_family_shift,
     rm_family_single,
     rm_potential,
     rm_spectrum,
-    rm_superpotential,
 )
 from susy_fisheye.numerics import derivative, dvr_bound_states
 
 
 class TestLangerMap:
-    def test_fixed_points(self):
-        assert langer_x(1.0) == 0.0
-        assert langer_x(math.e) == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("rho", [0.1, 1.0, 7.0])
-    def test_round_trip(self, rho):
-        assert langer_rho(langer_x(rho)) == pytest.approx(rho, rel=1e-15)
-
-    @settings(max_examples=50, deadline=None)
-    @given(rho=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
-    def test_round_trip_property(self, rho):
-        assert langer_rho(langer_x(rho)) == pytest.approx(rho, rel=1e-12)
-
-    def test_wavefunction_values(self):
-        assert langer_wavefunction(1.0, 1.0) == 1.0
-        assert langer_wavefunction(0.0, 2.7) == 0.0
-        assert langer_wavefunction(3.0, 4.0) == pytest.approx(1.5, abs=1e-15)
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_transplanted_nodeless_state_residual(self, n):
         # phi(x) = exp(-x/2) f(exp x) must satisfy the full-line equation
@@ -71,6 +45,12 @@ class TestRmWell:
     def test_spectrum_ladder(self, nb):
         assert rm_spectrum(nb) == [-float(k * k) for k in range(nb, 0, -1)]
 
+    def test_rejects_bad_index(self):
+        with pytest.raises(ValueError, match=r"positive integer, got n_b_int = 0$"):
+            rm_spectrum(0)
+        with pytest.raises(ValueError, match=r"got n_b_int = 1.5$"):
+            rm_potential(0.0, 1.5)
+
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_shooting_oracle_finds_ladder(self, nb):
         found = dvr_bound_states(lambda x: rm_potential(x, nb))
@@ -85,18 +65,16 @@ class TestRmWell:
 
 
 class TestRmSuperpotential:
-    def test_values(self):
-        assert rm_superpotential(0.0, 2) == 0.0
-        assert rm_superpotential(30.0, 2) == pytest.approx(2.0, abs=1e-12)
-        assert rm_superpotential(1.0, 2) == pytest.approx(2 * math.tanh(1.0), rel=1e-15)
-
     def test_riccati_gives_partner(self):
+        # W = nb tanh x factorizes the well: W^2 - W' - nb^2 is the well and
+        # W^2 + W' - nb^2 its partner with one bound state less
         nb = 3
         x = np.array([-2.0, 0.3, 1.7])
-        dw = derivative(lambda s: rm_superpotential(s, nb), x, h0=0.05)
-        partner = dw + rm_superpotential(x, nb) ** 2
-        expected = -nb * (nb - 1) / np.cosh(x) ** 2 + nb * nb
-        assert partner == pytest.approx(expected, abs=1e-9)
+        dw = derivative(lambda s: nb * np.tanh(s), x, h0=0.05)
+        w2 = (nb * np.tanh(x)) ** 2
+        assert w2 - dw - nb * nb == pytest.approx(rm_potential(x, nb), abs=1e-9)
+        partner = -nb * (nb - 1) / np.cosh(x) ** 2
+        assert w2 + dw - nb * nb == pytest.approx(partner, abs=1e-9)
 
 
 class TestFamilyWell:
@@ -160,47 +138,15 @@ class TestRescaling:
             rescale_radius(1.0, -0.5)
 
 
-class TestHalfLineReturnMap:
-    def test_superpartner_values(self):
-        assert halfline_superpartner(1.0, 0) == pytest.approx(0.25, abs=1e-15)
-        assert halfline_superpartner(1.0, 1) == pytest.approx(1.25, abs=1e-15)
-
-    def test_superpartner_decay(self):
-        assert abs(halfline_superpartner(1e5, 0)) < 1e-9
-
-    def test_superpotential_is_shifted_xi(self):
-        # (1/2 - n) xi(rho) equals the full-line nu tanh x pulled back
-        for n in (1, 2, 3):
-            nu = n - 0.5
-            for rho in (0.3, 1.0, 4.0):
-                expected = nu * math.tanh(math.log(rho))
-                assert halfline_superpotential(rho, n) == pytest.approx(
-                    expected, rel=1e-13, abs=1e-13
-                )
-
-    def test_superpartner_is_pulled_back_partner_well(self):
-        # U+ = [nu^2 - 1/4 - nu(nu-1)/cosh^2 x] / rho^2 with x = ln rho
-        for l in (0, 1, 2):
-            nu = l + 0.5
-            for rho in (0.4, 1.0, 2.2):
-                x = math.log(rho)
-                expected = (
-                    nu**2 - 0.25 - nu * (nu - 1.0) / math.cosh(x) ** 2
-                ) / rho**2
-                assert halfline_superpartner(rho, l) == pytest.approx(
-                    expected, rel=1e-12, abs=1e-13
-                )
-
-
 class TestAufbau:
     def test_values(self):
         assert aufbau_rm_potential(0.0, 1) == pytest.approx(-0.5, abs=1e-15)
         assert aufbau_rm_potential(0.0, 3) == pytest.approx(-3.0, abs=1e-15)
 
     def test_rejects_even_or_bad_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"odd integer, got N_aufbau = 2$"):
             aufbau_rm_potential(0.0, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"got N_aufbau = 0$"):
             aufbau_rm_potential(0.0, 0)
 
     @pytest.mark.parametrize("n_aufbau,tol", [(1, 1e-6), (3, 1e-5)])

@@ -21,7 +21,7 @@ from susy_fisheye.isospectral import (
     v_general,
 )
 from susy_fisheye.numerics import derivative
-from susy_fisheye.verify import partner_gap, riccati_residual
+from susy_fisheye.verify import check_lambda_recovery, partner_gap, riccati_residual
 
 # frozen reference values at rho = 1, l = 0, kappa = 1 (I0 = 1 - pi/4)
 I0_ONE = 1.0 - math.pi / 4.0
@@ -269,21 +269,9 @@ class TestBosonicFamily:
         assert u_bosonic_family(r, fam) == pytest.approx(6.0 / r**2, rel=1e-5)
 
     def test_lambda_monotone_recovery(self):
-        grid = np.linspace(0.1, 5.0, 200)
-        gaps = []
-        for lam in (1.0, 10.0, 100.0, 1000.0):
-            fam = IsoFamily(DoParams.nodeless(1.0, 1, lam))
-            gaps.append(
-                float(
-                    np.max(
-                        np.abs(
-                            np.asarray(u_bosonic_family(grid, fam))
-                            - np.asarray(u_minus(grid, 1, 1.0))
-                        )
-                    )
-                )
-            )
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        # max |U_bos - U-| on (0.1, 5) falls with lam = 1, 10, 100, 1000
+        result = check_lambda_recovery()
+        assert result.residual == 0.0, result.detail
 
 
 class TestDampedRadialFactor:

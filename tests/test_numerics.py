@@ -261,8 +261,8 @@ class TestNumerov:
     def test_free_particle_is_linear(self):
         grid = np.linspace(0.0, 1.0, 101)
         h = grid[1] - grid[0]
-        prof = numerov_zero_energy(lambda r: np.zeros_like(np.asarray(r)), grid, 0.0, h)
-        assert np.max(np.abs(prof.values - grid)) < 1e-13
+        u = numerov_zero_energy(lambda r: np.zeros_like(np.asarray(r)), grid, 0.0, h)
+        assert np.max(np.abs(u - grid)) < 1e-13
 
     def test_overflow_detection(self):
         # u'' = 4u grows like exp(2x): past 1e300 well before x = 400

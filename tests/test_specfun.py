@@ -69,13 +69,13 @@ def test_array_argument_matches_scalar_loop(q):
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"non-negative integer, got degree = -1$"):
         GegenbauerArgs(-1, 1.5, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got argument = 1.5$"):
         GegenbauerArgs(2, 1.5, 1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order must be > -1/2, got order = -0.5$"):
         GegenbauerArgs(2, -0.5, 0.0)
-    with pytest.raises(ValueError, match=r"argument must lie in \[-1, 1\]"):
+    with pytest.raises(ValueError, match=r"argument must lie in \[-1, 1\], got argument = -1.2$"):
         GegenbauerArgs(2, 1.5, np.array([0.0, 0.5, -1.2]))
 
 
