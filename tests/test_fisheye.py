@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from susy_fisheye.cli import main
 from susy_fisheye.do_core import DoParams
 from susy_fisheye.fisheye import (
     FigureTable,
@@ -198,3 +199,21 @@ class TestFigureTable:
         assert switch.size > 0
         k = switch[0]
         assert np.all(d[:k] > 0) and np.all(d[k:] < 0)
+
+    def test_csv_schema(self, capsys):
+        # the figure command's CSV holds the table's columns, one row per
+        # grid point, with every value round-tripping exactly
+        assert main(
+            ["figure", "--l", "1", "--lambda", "1", "--rho-min", "0.5",
+             "--rho-max", "1.5", "--samples", "5"]
+        ) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "rho,n_maxwell,n_iso,ratio_minus_1,f_bos_sq"
+        assert len(lines) == 6
+        assert all(len(line.split(",")) == 5 for line in lines[1:])
+        t = figure_table(1, 1.0, np.linspace(0.5, 1.5, 5))
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        expected = np.column_stack(
+            [t.grid, t.n_maxwell, t.n_iso, t.ratio_minus_one, t.f_bos_squared]
+        )
+        assert np.array_equal(rows, expected)
