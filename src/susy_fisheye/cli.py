@@ -17,6 +17,7 @@ with status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,10 +85,6 @@ class RunConfig:
         return np.linspace(self.rho_min, self.rho_max, self.samples)
 
 
-def _fmt17(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def _emit(text: str, output: str):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -97,19 +94,26 @@ def _emit(text: str, output: str):
 
 
 def _columns_csv(names, columns) -> str:
-    lines = [",".join(names)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt17(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """One header line, then one row per sample, every value as %.17g."""
+    values = np.column_stack(columns).ravel().tolist()
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return ",".join(names) + "\n" + (row * (len(values) // len(columns))) % tuple(values)
 
 
 def _columns_json(command, params, names, columns) -> str:
-    payload = {
-        "command": command,
-        "params": params,
-        "data": {name: [float(v) for v in col] for name, col in zip(names, columns)},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(indent=2) of {command, params, data}, data spliced in a column at a time.
+
+    Each value is written as float.__repr__, which is what json's indenting
+    encoder writes for a finite float.
+    """
+    head = json.dumps({"command": command, "params": params}, indent=2)
+    data = ",\n".join(
+        f"    {json.dumps(name)}: [\n      "
+        + ",\n      ".join(map(float.__repr__, col.tolist()))
+        + "\n    ]"
+        for name, col in zip(names, columns)
+    )
+    return f'{head[:-2]},\n  "data": {{\n{data}\n  }}\n}}\n'
 
 
 def _check_finite(names, columns):
@@ -285,7 +289,9 @@ def run(cfg: RunConfig) -> int:
         return _COMMANDS[cfg.command](cfg)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susy-fisheye",
         description=(

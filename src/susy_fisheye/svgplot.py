@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = ["svg_panels"]
 
 _PANEL_W = 430
@@ -42,9 +44,13 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def _panel(x, y, title, ox, oy):
-    """Render one panel (axes, ticks, polyline) at canvas offset (ox, oy)."""
-    x_lo, x_hi = min(x), max(x)
-    y_lo, y_hi = min(y), max(y)
+    """Render one panel (axes, ticks, polyline) at canvas offset (ox, oy).
+
+    x and y are float64 arrays; sx and sy map a tick or a whole array with
+    the same operations in the same order, so each point rounds alike.
+    """
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -91,7 +97,8 @@ def _panel(x, y, title, ox, oy):
             f'<text x="{_fmt(x0 - 7)}" y="{_fmt(py + 3)}" font-family="monospace" '
             f'font-size="10" text-anchor="end">{t:g}</text>'
         )
-    pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, y))
+    xy = np.column_stack((sx(x), sy(y))).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
     parts.append(
         f'<polyline points="{pts}" fill="none" stroke="#1f5fa8" stroke-width="1.5"/>'
     )
@@ -112,7 +119,7 @@ def svg_panels(panels, caption="") -> str:
     for i, (x, y, title) in enumerate(panels):
         ox = (i % 2) * _PANEL_W
         oy = (i // 2) * _PANEL_H
-        body.append(_panel(list(map(float, x)), list(map(float, y)), title, ox, oy))
+        body.append(_panel(np.asarray(x, dtype=float), np.asarray(y, dtype=float), title, ox, oy))
     if caption:
         body.append(
             f'<text x="{width / 2:.2f}" y="{height - 8:.2f}" font-family="monospace" '

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,13 +9,56 @@ import numpy as np
 import pytest
 
 import susy_fisheye
-from susy_fisheye.cli import main
+from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_alone(*argv):
+    """(exit code, stdout, stderr) of one command in a fresh interpreter."""
+    src = str(Path(susy_fisheye.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "susy_fisheye", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def reference_csv(names, columns):
+    """The per-value CSV writer the table-at-a-time one replaced."""
+    lines = [",".join(names)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(command, params, names, columns):
+    """The per-value JSON writer the column-at-a-time one replaced."""
+    payload = {
+        "command": command,
+        "params": params,
+        "data": {name: [float(v) for v in col] for name, col in zip(names, columns)},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def adversarial_columns(rows, seed):
+    """Columns of extreme, integral and random finite float64 values."""
+    rng = np.random.default_rng(seed)
+    special = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 1e16, 1e15, 1e17,
+        2.0**53, 2.0**53 + 2.0, 1e22, 1e23, 0.1, 1 / 3, 123456789.0, 1e-5, 1e-4, 1e21,
+    ])
+    decades = rng.choice([-1.0, 1.0], 4 * rows) * 10.0 ** rng.uniform(-300.0, 300.0, 4 * rows)
+    bits = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64).view(np.float64)
+    pool = np.concatenate([special, decades, bits[np.isfinite(bits)]])
+    return [rng.permutation(pool)[:rows] for _ in range(5)]
 
 
 class TestFigureCommand:
@@ -50,6 +94,21 @@ class TestFigureCommand:
         assert text.count("<polyline") == 4
         assert "href" not in text  # self-contained, no external references
 
+    @pytest.mark.parametrize(
+        "samples,digest",
+        [
+            (300, "a3f224d9f0f818ddd3619be4420a802e952ba1c78c529b682dcb485d43a1d4f3"),
+            (3000, "c14ab78a7a6b186ed6b3fc3851b7d85c7af3c7ca19efbb477becffca03b36898"),
+        ],
+    )
+    def test_svg_bytes_are_pinned(self, capsys, samples, digest):
+        code, out, err = run_cli(
+            capsys, "figure", "--l", "2", "--lambda", "10", "--samples", str(samples),
+            "--format", "svg",
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "figure", "--l", "1", "--lambda", "1", "--samples", "4",
@@ -61,6 +120,62 @@ class TestFigureCommand:
             "rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"
         }
         assert len(payload["data"]["rho"]) == 4
+
+
+class TestWriters:
+    """The table writers give the bytes of the per-value writers they replaced."""
+
+    NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
+    PARAMS = {"l": 2, "lambda": 10.0, "exact": False, "N": 0, "w": 0.5}
+
+    @pytest.mark.parametrize("rows,seed", [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)])
+    def test_csv_bytes(self, rows, seed):
+        columns = adversarial_columns(rows, seed)
+        assert _columns_csv(self.NAMES, columns) == reference_csv(self.NAMES, columns)
+
+    @pytest.mark.parametrize("rows,seed", [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)])
+    def test_json_bytes(self, rows, seed):
+        columns = adversarial_columns(rows, seed)
+        expected = reference_json("figure", self.PARAMS, self.NAMES, columns)
+        assert _columns_json("figure", self.PARAMS, self.NAMES, columns) == expected
+
+    def test_special_values_are_written(self):
+        columns = [np.array([-0.0, 5e-324]), np.array([2.2250738585072014e-308, 1e16]),
+                   np.array([1.7976931348623157e308, 1.0])]
+        names = ["a", "b", "c"]
+        assert _columns_csv(names, columns) == (
+            "a,b,c\n-0,2.2250738585072014e-308,1.7976931348623157e+308\n"
+            "4.9406564584124654e-324,10000000000000000,1\n"
+        )
+        assert _columns_json("x", {}, names, columns) == (
+            '{\n  "command": "x",\n  "params": {},\n  "data": {\n'
+            '    "a": [\n      -0.0,\n      5e-324\n    ],\n'
+            '    "b": [\n      2.2250738585072014e-308,\n      1e+16\n    ],\n'
+            '    "c": [\n      1.7976931348623157e+308,\n      1.0\n    ]\n  }\n}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "--format", "json", "--l", "2", "--lambda", "10", "--samples", "50"],
+            ["potential", "--format", "json", "--kappa", "0.5", "--N", "3", "--samples", "9"],
+            ["index", "--format", "json", "--exact-index", "--samples", "9"],
+            ["family", "--format", "json", "--kappa", "0.7", "--l", "0", "--samples", "9"],
+            ["langer", "--format", "csv", "--nb", "3", "--samples", "9"],
+        ],
+    )
+    def test_command_output_parses_back_exactly(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if "json" in argv:
+            payload = json.loads(out)
+            names = list(payload["data"])
+            columns = [np.array(payload["data"][n]) for n in names]
+            assert out == reference_json(argv[0], payload["params"], names, columns)
+        else:
+            header, *rows = out.splitlines()
+            columns = list(np.array([[float(v) for v in r.split(",")] for r in rows]).T)
+            assert out == reference_csv(header.split(","), columns)
 
 
 class TestGridCommands:
@@ -267,6 +382,21 @@ class TestErrors:
         )
         assert code == 2
         assert err == "error: need 0 < rho-min < rho-max, got rho-min = 2, rho-max = 1\n"
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_calls_alone(self, capsys):
+        # the parser is built once per process; no call may leak into the next
+        sequence = [
+            ["family", "--kappa", "0.7", "--l", "0"],
+            ["family"],
+            ["figure", "--bogus"],
+            ["figure", "--l", "2", "--lambda", "10"],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
+        assert in_process == [run_alone(*argv) for argv in sequence]
+        assert in_process[1] != in_process[0]
 
 
 class TestVerifyCommand:
