@@ -95,9 +95,9 @@ def _emit(text: str, output: str):
 
 def _columns_csv(names, columns) -> str:
     """One header line, then one row per sample, every value as %.17g."""
-    values = np.column_stack(columns).ravel().tolist()
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    return ",".join(names) + "\n" + (row * (len(values) // len(columns))) % tuple(values)
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    return ",".join(names) + "\n" + (row * len(columns[0])) % values
 
 
 def _columns_json(command, params, names, columns) -> str:

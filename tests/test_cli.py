@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import susy_fisheye
+from susy_fisheye import svgplot
 from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
@@ -45,6 +47,24 @@ def reference_json(command, params, names, columns):
         "data": {name: [float(v) for v in col] for name, col in zip(names, columns)},
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_polyline(x, y, ox, oy):
+    """The per-point polyline of one svgplot panel, as it was written before."""
+    x, y = list(map(float, x)), list(map(float, y))
+    x_lo, x_hi = min(x), max(x)
+    y_lo, y_hi = min(y), max(y)
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    inner_w = svgplot._PANEL_W - svgplot._MARGIN_L - svgplot._MARGIN_R
+    inner_h = svgplot._PANEL_H - svgplot._MARGIN_T - svgplot._MARGIN_B
+    return " ".join(
+        f"{ox + svgplot._MARGIN_L + inner_w * (a - x_lo) / (x_hi - x_lo):.2f},"
+        f"{oy + svgplot._MARGIN_T + inner_h * (1.0 - (b - y_lo) / (y_hi - y_lo)):.2f}"
+        for a, b in zip(x, y)
+    )
 
 
 def adversarial_columns(rows, seed):
@@ -138,6 +158,24 @@ class TestWriters:
         columns = adversarial_columns(rows, seed)
         expected = reference_json("figure", self.PARAMS, self.NAMES, columns)
         assert _columns_json("figure", self.PARAMS, self.NAMES, columns) == expected
+
+    @pytest.mark.parametrize("rows,seed", [(2, 0), (300, 1), (3000, 2)])
+    def test_svg_polyline_points(self, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.uniform(0.01, 10.0 ** rng.uniform(-3, 3), rows))
+        panels = [
+            (x, rng.standard_normal(rows) * 10.0 ** rng.uniform(-8, 8), "a"),
+            (x, np.full(rows, 0.25), "flat"),
+            (x, np.cumsum(rng.standard_normal(rows)), "walk"),
+            (x, 1.0 + 1e-12 * rng.standard_normal(rows), "narrow"),
+        ]
+        svg = svgplot.svg_panels(panels, caption="c")
+        written = re.findall(r'<polyline points="([^"]*)"', svg)
+        offsets = [(0, 0), (svgplot._PANEL_W, 0), (0, svgplot._PANEL_H),
+                   (svgplot._PANEL_W, svgplot._PANEL_H)]
+        assert written == [
+            reference_polyline(px, py, ox, oy) for (px, py, _), (ox, oy) in zip(panels, offsets)
+        ]
 
     def test_special_values_are_written(self):
         columns = [np.array([-0.0, 5e-324]), np.array([2.2250738585072014e-308, 1e16]),
