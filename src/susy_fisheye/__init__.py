@@ -21,6 +21,7 @@ from .fisheye import (
     FigureTable,
     figure_table,
     find_inflection,
+    index_columns,
     index_iso,
     index_maxwell,
     relative_ratio,
@@ -36,6 +37,7 @@ from .fullline import (
 from .isospectral import (
     IsoFamily,
     beta_of_rho,
+    family_columns,
     i0_closed_half,
     i0_closed_one,
     i0_quadrature,

@@ -25,15 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fisheye, fullline, verify
+from . import fullline, verify
 from .do_core import DoParams, _check_kappa, potential_v, u_minus, u_plus
-from .fisheye import figure_table, index_iso, index_maxwell
-from .isospectral import (
-    IsoFamily,
-    radial_factor_bosonic,
-    u_bosonic_family,
-)
-from .do_core import radial_factor_f
+from .fisheye import figure_table, index_columns
+from .isospectral import IsoFamily, family_columns
 from .svgplot import svg_panels
 
 __all__ = ["RunConfig", "main", "run"]
@@ -156,9 +151,7 @@ def _cmd_potential(cfg: RunConfig) -> int:
 
 def _cmd_index(cfg: RunConfig) -> int:
     g = cfg.grid()
-    n_m = index_maxwell(g, cfg.l)
-    n_i = index_iso(g, cfg.l, cfg.lam, exact=cfg.exact_index)
-    ratio = fisheye.relative_ratio(g, cfg.l, cfg.lam)
+    n_m, n_i, ratio, _ = index_columns(g, cfg.l, cfg.lam, exact=cfg.exact_index)
     _grid_output(
         cfg,
         {"l": cfg.l, "lambda": cfg.lam, "exact": cfg.exact_index},
@@ -171,18 +164,11 @@ def _cmd_index(cfg: RunConfig) -> int:
 def _cmd_family(cfg: RunConfig) -> int:
     fam = IsoFamily(DoParams.nodeless(cfg.kappa, cfg.l, cfg.lam))
     g = cfg.grid()
-    cols = [
-        g,
-        u_minus(g, cfg.l, cfg.kappa),
-        u_bosonic_family(g, fam),
-        radial_factor_f(g, cfg.l, cfg.kappa),
-        radial_factor_bosonic(g, fam),
-    ]
     _grid_output(
         cfg,
         {"kappa": cfg.kappa, "l": cfg.l, "lambda": cfg.lam},
         ["rho", "u_minus", "u_bos", "f", "f_bos"],
-        cols,
+        [g, *family_columns(g, fam)],
     )
     return 0
 

@@ -64,11 +64,11 @@ class DoParams:
     """Parameter bundle (kappa, l, N, lam) for one half-line problem.
 
     The polynomial degree N - 1 - l/kappa must be a non-negative integer;
-    the nodeless sector corresponds to degree zero.  lam > 0 selects a
-    member of the strictly isospectral family (the lam -> 0+ and
-    lam -> -1+ endpoints are outside the validity domain).  Radii are in
-    units of the lens radius R (rho = r / R), so R is not a parameter
-    here; fullline.rescale_radius takes its own R.
+    the nodeless sector corresponds to degree zero.  Any lam > 0 selects a
+    member of the strictly isospectral family; at kappa = 1/2 and small
+    lam, the closed form of I0 limits the relative accuracy at small rho.
+    Radii are in units of the lens radius R (rho = r / R), so R is not a
+    parameter here; fullline.rescale_radius takes its own R.
     """
 
     kappa: float

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .do_core import DoParams, _as_rho, radial_factor_df, radial_factor_f
-from .isospectral import IsoFamily, radial_factor_bosonic, u_bosonic_family
+from .do_core import DoParams, _as_rho, u_minus
+from .isospectral import IsoFamily, _family_terms, _u_bos
 
 __all__ = [
     "FigureTable",
     "v_family_fisheye",
     "index_maxwell",
+    "index_columns",
     "relative_ratio",
     "index_iso",
     "find_inflection",
@@ -64,11 +65,19 @@ def _family(l, lam):
     return IsoFamily(DoParams.nodeless(kappa=1.0, l=l, lam=lam))
 
 
+def _deformation(r, l, lam, exact):
+    """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms."""
+    terms = _family_terms(r, _family(l, lam))
+    v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
+    ratio = 0.5 * (terms[2] - terms[3]) / v_m
+    if not exact:
+        return ratio, terms[1], None
+    return ratio, terms[1], _u_bos(u_minus(r, l, 1.0), terms) - l * (l + 1) / r**2
+
+
 def v_family_fisheye(rho, l, lam):
     """Family potential at kappa = 1 with the centrifugal term removed."""
-    r = _as_rho(rho)
-    fam = _family(l, lam)
-    return u_bosonic_family(r, fam) - l * (l + 1) / r**2
+    return _deformation(_as_rho(rho), l, lam, exact=True)[2]
 
 
 def index_maxwell(rho, l):
@@ -85,37 +94,35 @@ def index_maxwell(rho, l):
     return amp / (1.0 + r**2)
 
 
-def relative_ratio(rho, l, lam):
-    """First-order index ratio (1/2) V_lam / V_M.
+def index_columns(rho, l, lam, exact=False):
+    """The columns (n_M, n_iso, ratio, f_bos) of the index family on one grid.
 
+    ratio = (1/2) V_lam / V_M is the first-order index ratio:
     V_lam = 4 f f'/(I0+lam) - 2 f^4/(I0+lam)^2 is the negative of the
     lam-dependent part of the family potential and V_M the negative of its
-    baseline term; the ratio changes sign where f peaks.
+    baseline term, so the ratio changes sign where f peaks.  n_iso is the
+    first-order n_M (1 + ratio) the figure tables use, or in exact mode
+    sqrt(-V_fam) / (l + 1/2), which raises where V_fam >= 0.  f, f' and I0
+    are evaluated once for all four columns, and U- only in exact mode.
     """
     r = _as_rho(rho)
-    fam = _family(l, lam)
-    f = radial_factor_f(r, l, 1.0)
-    df = radial_factor_df(r, l, 1.0)
-    denom = fam.denominator(r)
-    v_lam = 4.0 * f * df / denom - 2.0 * f**4 / denom**2
-    v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
-    return 0.5 * v_lam / v_m
+    ratio, f_bos, v_fam = _deformation(r, l, lam, exact)
+    n_m = index_maxwell(r, l)
+    if not exact:
+        return n_m, n_m * (1.0 + ratio), ratio, f_bos
+    if np.any(v_fam >= 0):
+        raise ValueError("family potential is non-negative: exact index undefined")
+    return n_m, np.sqrt(-v_fam) / (l + 0.5), ratio, f_bos
+
+
+def relative_ratio(rho, l, lam):
+    """First-order index ratio (1/2) V_lam / V_M (see index_columns)."""
+    return index_columns(rho, l, lam)[2]
 
 
 def index_iso(rho, l, lam, exact=False):
-    """Family refractive index.
-
-    Default mode is the first-order form n_M (1 + ratio), which is what the
-    figure tables use; exact mode evaluates sqrt(-V_fam) / (l + 1/2) and
-    raises where the family potential is non-negative.
-    """
-    r = _as_rho(rho)
-    if not exact:
-        return index_maxwell(r, l) * (1.0 + relative_ratio(r, l, lam))
-    v_fam = v_family_fisheye(r, l, lam)
-    if np.any(v_fam >= 0):
-        raise ValueError("family potential is non-negative: exact index undefined")
-    return np.sqrt(-v_fam) / (l + 0.5)
+    """Family refractive index, first-order by default (see index_columns)."""
+    return index_columns(rho, l, lam, exact)[1]
 
 
 def _second_difference(values, h):
@@ -166,14 +173,5 @@ def find_inflection(l, lam, grid):
 def figure_table(l, lam, grid) -> FigureTable:
     """Assemble the four-column table behind the index-family figures."""
     g = _as_rho(grid)
-    fam = _family(l, lam)
-    n_m = index_maxwell(g, l)
-    ratio = relative_ratio(g, l, lam)
-    f_bos = radial_factor_bosonic(g, fam)
-    return FigureTable(
-        grid=g,
-        n_maxwell=n_m,
-        n_iso=n_m * (1.0 + ratio),
-        ratio_minus_one=ratio,
-        f_bos_squared=f_bos**2,
-    )
+    n_m, n_iso, ratio, f_bos = index_columns(g, l, lam)
+    return FigureTable(g, n_m, n_iso, ratio, f_bos**2)

@@ -47,6 +47,7 @@ __all__ = [
     "i0_closed_one",
     "v_general",
     "superpotential_general",
+    "family_columns",
     "u_bosonic_family",
     "radial_factor_bosonic",
 ]
@@ -218,19 +219,38 @@ def superpotential_general(rho, family: IsoFamily):
     return superpotential_w(r, p.l, p.kappa) + f**2 / family.denominator(r)
 
 
-def u_bosonic_family(rho, family: IsoFamily):
-    """Isospectral bosonic potential U- - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2."""
-    r = _as_rho(rho)
+def _family_terms(r, family: IsoFamily):
+    """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2 on one grid.
+
+    The one place a family evaluates f, f' and I0; every family column is
+    built from these four arrays.
+    """
     p = family.params
     f = radial_factor_f(r, p.l, p.kappa)
     df = radial_factor_df(r, p.l, p.kappa)
     denom = family.denominator(r)
-    return u_minus(r, p.l, p.kappa) - 4.0 * f * df / denom + 2.0 * f**4 / denom**2
+    return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
+
+
+def _u_bos(u_m, terms):
+    """U_bos = U- - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2 from U- and _family_terms."""
+    return u_m - terms[2] + terms[3]
+
+
+def family_columns(rho, family: IsoFamily):
+    """The columns (U-, U_bos, f, f_bos) on one grid, from one f, f', I0 and U-."""
+    r = _as_rho(rho)
+    p = family.params
+    u_m = u_minus(r, p.l, p.kappa)
+    terms = _family_terms(r, family)
+    return u_m, _u_bos(u_m, terms), terms[0], terms[1]
+
+
+def u_bosonic_family(rho, family: IsoFamily):
+    """Isospectral bosonic potential U- - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2."""
+    return family_columns(rho, family)[1]
 
 
 def radial_factor_bosonic(rho, family: IsoFamily):
     """Damped radial factor f / (I0 + lam): strictly positive and nodeless."""
-    r = _as_rho(rho)
-    p = family.params
-    return radial_factor_f(r, p.l, p.kappa) / family.denominator(r)
-
+    return _family_terms(_as_rho(rho), family)[1]

@@ -61,6 +61,25 @@ for _name in ("v_general", "superpotential_general", "u_bosonic_family", "radial
                 RHO,
             )
         )
+# the column functions return a tuple: each column follows the contract
+for _kappa, _family in FAMILIES.items():
+    for _i, _col in enumerate(("u_minus", "u_bos", "f", "f_bos")):
+        CASES.append(
+            (
+                f"isospectral.family_columns[kappa={_kappa:g},{_col}]",
+                lambda r, fam=_family, i=_i: isospectral.family_columns(r, fam)[i],
+                RHO,
+            )
+        )
+for _exact in (False, True):
+    for _i, _col in enumerate(("n_maxwell", "n_iso", "ratio", "f_bos")):
+        CASES.append(
+            (
+                f"fisheye.index_columns[exact={_exact},{_col}]",
+                lambda r, exact=_exact, i=_i: fisheye.index_columns(r, 1, 1.0, exact)[i],
+                RHO,
+            )
+        )
 
 
 def test_every_evaluator_is_covered():

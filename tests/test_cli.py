@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import susy_fisheye
-from susy_fisheye import svgplot
+from susy_fisheye import do_core, isospectral, svgplot
 from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
@@ -247,6 +248,79 @@ class TestGridCommands:
         assert code == 0 and err == ""
         rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         assert rows.shape == (300, 5) and np.all(np.isfinite(rows))
+
+
+I0_PATHS = ("i0_quadrature", "i0_closed_one", "i0_closed_half")
+FAMILY_TERMS = ("radial_factor_f", "radial_factor_df", "u_minus")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of I0 calls (any path) and of the do_core family terms.
+
+    Each function is wrapped in every module of the package that binds
+    it by name, so a call through any import is counted.
+    """
+    counts = collections.Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "susy_fisheye"]
+    for name in I0_PATHS + FAMILY_TERMS:
+        original = getattr(isospectral if name in I0_PATHS else do_core, name)
+        key = "i0" if name in I0_PATHS else name
+
+        def wrapper(*args, _fn=original, _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+class TestFamilyTerms:
+    """Each family request evaluates I0, f and f' once, and U- only for a column."""
+
+    @pytest.mark.parametrize(
+        "argv,u_minus",
+        [
+            (("family", "--kappa", "0.7", "--l", "0"), 1),  # I0 by quadrature
+            (("family", "--kappa", "0.5", "--l", "1"), 1),
+            (("family", "--kappa", "1"), 1),
+            (("figure",), 0),
+            (("index",), 0),
+            (("index", "--l", "2", "--exact-index"), 1),
+        ],
+    )
+    def test_one_evaluation_per_request(self, capsys, calls, argv, u_minus):
+        code, _, err = run_cli(capsys, *argv, "--samples", "50")
+        assert (code, err) == (0, "")
+        expected = {"i0": 1, "radial_factor_f": 1, "radial_factor_df": 1, "u_minus": u_minus}
+        assert {key: calls[key] for key in expected} == expected
+
+    # stdout digests recorded before the family terms were shared
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("family", "--kappa", "0.7", "--l", "0"),
+             "c6d845bbdf02c7245763f0e262df2b2b283675ea475a94acf506d2fa54ed4961"),
+            (("family", "--kappa", "0.7", "--l", "0", "--format", "json"),
+             "9c85d2af328e1c02f2dce4fd1620b8d1ec7a3286ff92128c45987354f736c530"),
+            (("family", "--kappa", "0.5", "--l", "3"),
+             "748bd2c920ef9e0ca63ee6ea53481d5007b5e048716522f752be3f8c6ec99425"),
+            (("family", "--kappa", "0.5", "--l", "3", "--format", "json"),
+             "8c51e640242183524bb2975ca5b319f2d6b5a0dea72bf39eaf1ba644c16cec5b"),
+            (("family",), "1e59c3f7a5c91989aba5720d07c7377e7ba50885c9152b05d2836cfd9c0326c9"),
+            (("family", "--format", "json"),
+             "378c6778dde8eeecb0cc962e7a95776c7731af14a994487cf7eedf0b77a79e75"),
+            (("index",), "88bcc9dfca7deac175a9f904cbf286a534ccfe669c997f386b1dee4cfe38de0f"),
+            (("index", "--exact-index"),
+             "30c300d5f479165765dfbe514290965f32e4d7708b4190b447e4d82d009f8874"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestLangerCommand:
