@@ -151,7 +151,7 @@ def _cmd_potential(cfg: RunConfig) -> int:
 
 def _cmd_index(cfg: RunConfig) -> int:
     g = cfg.grid()
-    n_m, n_i, ratio, _ = index_columns(g, cfg.l, cfg.lam, exact=cfg.exact_index)
+    n_m, n_i, ratio = index_columns(g, cfg.l, cfg.lam, exact=cfg.exact_index)[:3]
     _grid_output(
         cfg,
         {"l": cfg.l, "lambda": cfg.lam, "exact": cfg.exact_index},
