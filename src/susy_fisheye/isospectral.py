@@ -226,8 +226,8 @@ def _family_terms(r, family: IsoFamily):
     built from these four arrays.
     """
     p = family.params
-    f = radial_factor_f(r, p.l, p.kappa)
     df = radial_factor_df(r, p.l, p.kappa)
+    f = radial_factor_f(r, p.l, p.kappa)
     denom = family.denominator(r)
     return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
 
