@@ -35,9 +35,8 @@ from .fullline import (
     rm_spectrum,
 )
 from .isospectral import (
-    IsoFamily,
-    beta_of_rho,
     family_columns,
+    i0,
     i0_closed_half,
     i0_closed_one,
     i0_quadrature,

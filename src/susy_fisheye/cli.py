@@ -28,7 +28,7 @@ import numpy as np
 from . import fullline, verify
 from .do_core import DoParams, _check_kappa, potential_v, u_minus, u_plus
 from .fisheye import figure_table, index_columns
-from .isospectral import IsoFamily, family_columns
+from .isospectral import family_columns
 from .svgplot import svg_panels
 
 __all__ = ["RunConfig", "main", "run"]
@@ -92,7 +92,7 @@ def _columns_csv(names, columns) -> str:
     """One header line, then one row per sample, every value as %.17g."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     values = tuple(np.column_stack(columns).ravel().tolist())
-    return ",".join(names) + "\n" + (row * len(columns[0])) % values
+    return (",".join(names) + "\n" + row * len(columns[0])) % values
 
 
 def _columns_json(command, params, names, columns) -> str:
@@ -162,13 +162,13 @@ def _cmd_index(cfg: RunConfig) -> int:
 
 
 def _cmd_family(cfg: RunConfig) -> int:
-    fam = IsoFamily(DoParams.nodeless(cfg.kappa, cfg.l, cfg.lam))
+    params = DoParams.nodeless(cfg.kappa, cfg.l, cfg.lam)
     g = cfg.grid()
     _grid_output(
         cfg,
         {"kappa": cfg.kappa, "l": cfg.l, "lambda": cfg.lam},
         ["rho", "u_minus", "u_bos", "f", "f_bos"],
-        [g, *family_columns(g, fam)],
+        [g, *family_columns(g, params)],
     )
     return 0
 

@@ -63,12 +63,15 @@ def _check_kappa(kappa):
 class DoParams:
     """Parameter bundle (kappa, l, N, lam) for one half-line problem.
 
-    The polynomial degree N - 1 - l/kappa must be a non-negative integer;
-    the nodeless sector corresponds to degree zero.  Any lam > 0 selects a
-    member of the strictly isospectral family; at kappa = 1/2 and small
-    lam, the closed form of I0 limits the relative accuracy at small rho.
-    Radii are in units of the lens radius R (rho = r / R), so R is not a
-    parameter here; fullline.rescale_radius takes its own R.
+    It is also the family's parameter object: the isospectral evaluators
+    take a nodeless DoParams and read I0 for its (kappa, l) from
+    isospectral.i0.  The polynomial degree N - 1 - l/kappa must be a
+    non-negative integer; the nodeless sector corresponds to degree zero.
+    Any lam > 0 selects a member of the strictly isospectral family; at
+    kappa = 1/2 and small lam, the closed form of I0 limits the relative
+    accuracy at small rho.  Radii are in units of the lens radius R
+    (rho = r / R), so R is not a parameter here; fullline.rescale_radius
+    takes its own R.
     """
 
     kappa: float
@@ -97,7 +100,8 @@ class DoParams:
         n_total = 1 + l / kappa
         if abs(n_total - round(n_total)) > 1e-9:
             raise ValueError(
-                f"nodeless sector needs integral 1 + l/kappa, got {n_total}"
+                f"nodeless sector needs integral 1 + l/kappa, got l = {l:g}, "
+                f"kappa = {kappa:g} (1 + l/kappa = {n_total:.3g})"
             )
         return cls(kappa=kappa, l=l, N=int(round(n_total)), lam=lam)
 

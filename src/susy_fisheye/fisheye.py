@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .do_core import DoParams, _as_rho, u_minus
-from .isospectral import IsoFamily, _family_terms, _u_bos
+from .isospectral import _family_terms, _u_bos
 
 __all__ = [
     "FigureTable",
@@ -61,13 +61,9 @@ class FigureTable:
             raise ValueError("index columns must be strictly positive")
 
 
-def _family(l, lam):
-    return IsoFamily(DoParams.nodeless(kappa=1.0, l=l, lam=lam))
-
-
 def _deformation(r, l, lam, exact):
     """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms."""
-    terms = _family_terms(r, _family(l, lam))
+    terms = _family_terms(r, DoParams.nodeless(kappa=1.0, l=l, lam=lam))
     v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
     ratio = 0.5 * (terms[2] - terms[3]) / v_m
     if not exact:

@@ -8,22 +8,23 @@ and I0(rho) = int_0^rho f^2, the family members are
     U_bos  = U- - 4 f f' / (I0 + lam) + 2 f^4 / (I0 + lam)^2
     f_bos  = f / (I0 + lam)                       (damped radial factor)
 
-I0 is available in closed form for kappa = 1/2 and kappa = 1 through the
-substitution rho = tan(beta)^(1/kappa), which turns f^2 drho into
+I0 is chosen in one place, i0: a closed form for kappa = 1/2 and kappa = 1,
+adaptive quadrature for every other kappa.  The closed forms take rho and
+form the angle beta = arctan(rho^kappa) inside, through the substitution
+rho = tan(beta)^(1/kappa), which turns f^2 drho into
 
     (1/kappa) sin(beta)^((2l+3-kappa)/kappa) cos(beta)^((2l-1-kappa)/kappa) dbeta.
 
 Both closed forms below are antiderivatives of exactly this integrand and
-are cross-checked against adaptive quadrature of f^2; for every other
-kappa the quadrature route is used directly.  That route, i0_quadrature,
-integrates f^2 over a fixed dyadic ladder of radii plus one tail per
-point, all in one batched Gauss-Kronrod call at relative tolerance 1e-12.
+are cross-checked against adaptive quadrature of f^2.  The quadrature
+route, i0_quadrature, integrates f^2 over a fixed dyadic ladder of radii
+plus one tail per point, all in one batched Gauss-Kronrod call at
+relative tolerance 1e-12.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .numerics import integrate_adaptive
 from .specfun import binomial
 
 __all__ = [
-    "IsoFamily",
-    "beta_of_rho",
+    "i0",
     "i0_quadrature",
     "i0_closed_half",
     "i0_closed_one",
@@ -51,13 +51,6 @@ __all__ = [
     "u_bosonic_family",
     "radial_factor_bosonic",
 ]
-
-
-def beta_of_rho(rho, kappa):
-    """Trigonometric angle beta = arctan(rho^kappa) in (0, pi/2)."""
-    r = _as_rho(rho)
-    _check_kappa(kappa)
-    return np.arctan(r**kappa)
 
 
 def _f_squared(s, l, kappa):
@@ -100,15 +93,21 @@ def i0_quadrature(rho, l, kappa):
     return (ladder[k - _LADDER_BOTTOM] + tails)[()]
 
 
-def _check_beta(beta):
-    b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0) or np.any(b >= 0.5 * math.pi):
-        raise ValueError("beta must lie in [0, pi/2)")
-    return b
+def _beta(rho, kappa):
+    """beta = arctan(rho^kappa), refusing the radii where it rounds to pi/2."""
+    r = _as_rho(rho)
+    beta = np.arctan(r**kappa)
+    top = beta >= 0.5 * math.pi
+    if top.any():
+        raise ValueError(
+            f"beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
+            f"rho = {float(r[top][0])}: beyond the range of the closed form of I0"
+        )
+    return beta
 
 
-def i0_closed_half(beta, l):
-    """Closed form of I0 for kappa = 1/2 as the definite integral F(beta) - F(0).
+def i0_closed_half(rho, l):
+    """Closed form of I0 for kappa = 1/2 as F(beta) - F(0), beta = arctan(sqrt(rho)).
 
     The integrand 2 sin^(4l+5) cos^(4l-3) has the antiderivative
 
@@ -117,8 +116,7 @@ def i0_closed_half(beta, l):
     with the j where the exponent vanishes (l = 0, j = 1) contributing a
     log(cos) term instead; F(0) removes the integration constant.
     """
-    b = _check_beta(beta)
-    cos_b = np.cos(b)
+    cos_b = np.cos(_beta(rho, 0.5))
     total = 0.0
     const = 0.0
     for j in range(2 * l + 3):
@@ -142,15 +140,16 @@ def _sin_power_integral(m, x):
     return out / 4.0**m
 
 
-def i0_closed_one(beta, l):
+def i0_closed_one(rho, l):
     """Closed form of I0 for kappa = 1: the integral of sin^(2l+2) cos^(2l-2).
 
-    l = 0 reduces to tan(beta) - beta.  For l >= 1 the integrand is written
-    as (sin 2b / 2)^(2l-2) sin^4 b and expanded into even sine powers of 2b
+    The integral runs over [0, beta], beta = arctan(rho).  l = 0 reduces to
+    tan(beta) - beta.  For l >= 1 the integrand is written as
+    (sin 2b / 2)^(2l-2) sin^4 b and expanded into even sine powers of 2b
     plus one odd cos(2b) term, each with an elementary antiderivative; every
     term vanishes at beta = 0 so no constant is needed.
     """
-    b = _check_beta(beta)
+    b = _beta(rho, 1.0)
     if l == 0:
         return np.tan(b) - b
     s_lm1 = 0.5 * _sin_power_integral(l - 1, 2.0 * b)
@@ -159,78 +158,48 @@ def i0_closed_one(beta, l):
     return (2.0 * s_lm1 - s_l - edge) / 4.0**l
 
 
-def _closed_form_beta(rho, kappa):
-    """beta_of_rho, refusing the radii where arctan(rho^kappa) rounds to pi/2."""
-    beta = beta_of_rho(rho, kappa)
-    top = beta >= 0.5 * math.pi
-    if top.any():
-        at = float(np.asarray(rho, dtype=float)[top][0])
-        raise ValueError(
-            f"beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
-            f"rho = {at}: beyond the range of the closed form of I0"
-        )
-    return beta
+def i0(rho, l, kappa):
+    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1 or 1/2, else quadrature."""
+    if kappa == 1.0:
+        return i0_closed_one(rho, l)
+    if kappa == 0.5:
+        return i0_closed_half(rho, l)
+    return i0_quadrature(rho, l, kappa)
 
 
-@dataclass(frozen=True)
-class IsoFamily:
-    """A strictly isospectral family member bound to one parameter bundle.
-
-    Selects the closed form of I0 for kappa in {1/2, 1} and falls back to
-    adaptive quadrature for any other kappa, so the family is available on
-    the whole kappa > 0 axis.  Immutable after construction; evaluation is
-    pure and safe to run concurrently over grids.
-    """
-
-    params: DoParams
-    i0: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        kappa, l = self.params.kappa, self.params.l
-        if kappa == 1.0:
-            fn = lambda rho: i0_closed_one(_closed_form_beta(rho, 1.0), l)
-        elif kappa == 0.5:
-            fn = lambda rho: i0_closed_half(_closed_form_beta(rho, 0.5), l)
-        else:
-            fn = lambda rho: i0_quadrature(rho, l, kappa)
-        object.__setattr__(self, "i0", fn)
-
-    def denominator(self, rho):
-        """I0(rho) + lam, the damping denominator of the family."""
-        return self.i0(rho) + self.params.lam
+def _denominator(r, params: DoParams):
+    """I0(rho) + lam, the damping denominator of the family."""
+    return i0(r, params.l, params.kappa) + params.lam
 
 
-def v_general(rho, family: IsoFamily):
+def v_general(rho, params: DoParams):
     """General Riccati solution V_gen = f^-2 (lam + I0); strictly positive."""
     r = _as_rho(rho)
-    p = family.params
-    f = radial_factor_f(r, p.l, p.kappa)
-    return family.denominator(r) / f**2
+    f = radial_factor_f(r, params.l, params.kappa)
+    return _denominator(r, params) / f**2
 
 
-def superpotential_general(rho, family: IsoFamily):
+def superpotential_general(rho, params: DoParams):
     """General superpotential W_gen = W + f^2 / (I0 + lam).
 
     The derivative of log(I0 + lam) is taken analytically: dI0/drho = f^2.
     """
     r = _as_rho(rho)
-    p = family.params
-    f = radial_factor_f(r, p.l, p.kappa)
-    return superpotential_w(r, p.l, p.kappa) + f**2 / family.denominator(r)
+    f = radial_factor_f(r, params.l, params.kappa)
+    return superpotential_w(r, params.l, params.kappa) + f**2 / _denominator(r, params)
 
 
-def _family_terms(r, family: IsoFamily):
+def _family_terms(r, params: DoParams):
     """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2 on one grid.
 
     The one place a family evaluates f, f' and I0; every family column is
     built from these four arrays.
     """
-    p = family.params
     # f' first: it dies on return, and with the kept f allocated after it a
     # large table leaves less of the heap fragmented (lower peak RSS).
-    df = radial_factor_df(r, p.l, p.kappa)
-    f = radial_factor_f(r, p.l, p.kappa)
-    denom = family.denominator(r)
+    df = radial_factor_df(r, params.l, params.kappa)
+    f = radial_factor_f(r, params.l, params.kappa)
+    denom = _denominator(r, params)
     return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
 
 
@@ -239,20 +208,19 @@ def _u_bos(u_m, terms):
     return u_m - terms[2] + terms[3]
 
 
-def family_columns(rho, family: IsoFamily):
+def family_columns(rho, params: DoParams):
     """The columns (U-, U_bos, f, f_bos) on one grid, from one f, f', I0 and U-."""
     r = _as_rho(rho)
-    p = family.params
-    u_m = u_minus(r, p.l, p.kappa)
-    terms = _family_terms(r, family)
+    u_m = u_minus(r, params.l, params.kappa)
+    terms = _family_terms(r, params)
     return u_m, _u_bos(u_m, terms), terms[0], terms[1]
 
 
-def u_bosonic_family(rho, family: IsoFamily):
+def u_bosonic_family(rho, params: DoParams):
     """Isospectral bosonic potential U- - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2."""
-    return family_columns(rho, family)[1]
+    return family_columns(rho, params)[1]
 
 
-def radial_factor_bosonic(rho, family: IsoFamily):
+def radial_factor_bosonic(rho, params: DoParams):
     """Damped radial factor f / (I0 + lam): strictly positive and nodeless."""
-    return _family_terms(_as_rho(rho), family)[1]
+    return _family_terms(_as_rho(rho), params)[1]

@@ -1,8 +1,7 @@
 """Residual-reporting verification suite shared by the CLI and the tests.
 
 Each check recomputes one documented invariant with an independent oracle
-and reports the measured residual next to its tolerance.  Tolerances can
-be scaled globally through the SUSY_FISHEYE_TOL environment variable.
+and reports the measured residual next to its tolerance.
 
 Note: the checks named 'riccati-absolute' and 'index-ratio-percent-bound'
 are known to fail at documented parameter corners; see README.
@@ -11,7 +10,6 @@ are known to fail at documented parameter corners; see README.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -26,9 +24,8 @@ from .do_core import (
     u_minus,
     u_plus,
 )
-from .isospectral import IsoFamily
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "tolerance_scale"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
 @dataclass(frozen=True)
@@ -40,21 +37,8 @@ class CheckResult:
     detail: str = ""
 
 
-def tolerance_scale() -> float:
-    """Global tolerance multiplier from SUSY_FISHEYE_TOL (default 1.0)."""
-    raw = os.environ.get("SUSY_FISHEYE_TOL", "1.0")
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"SUSY_FISHEYE_TOL must be a number, got {raw!r}") from exc
-    if scale <= 0:
-        raise ValueError("SUSY_FISHEYE_TOL must be positive")
-    return scale
-
-
 def _result(name, residual, tol, detail=""):
-    scale = tolerance_scale()
-    return CheckResult(name, float(residual), tol * scale, float(residual) <= tol * scale, detail)
+    return CheckResult(name, float(residual), tol, float(residual) <= tol, detail)
 
 
 def _frobenius_seed(rho, l, kappa):
@@ -81,9 +65,9 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
         pot = lambda r: u_minus(r, l, kappa)
         ref = radial_factor_f(grid, l, kappa)
     else:
-        fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        pot = lambda r: isospectral.u_bosonic_family(r, fam)
-        ref = isospectral.radial_factor_bosonic(grid, fam)
+        params = DoParams.nodeless(kappa, l, lam)
+        pot = lambda r: isospectral.u_bosonic_family(r, params)
+        ref = isospectral.radial_factor_bosonic(grid, params)
     u = numerics.numerov_zero_energy(pot, grid, u0, u1)
     sel = (grid >= window[0]) & (grid <= window[1])
     u, f = u[sel], ref[sel]
@@ -166,12 +150,10 @@ def check_zero_mode_particular():
 def check_closed_vs_quadrature():
     rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
     worst = 0.0
-    for l in range(6):
-        q1 = isospectral.i0_quadrature(rhos, l, 1.0)
-        c1 = isospectral.i0_closed_one(isospectral.beta_of_rho(rhos, 1.0), l)
-        qh = isospectral.i0_quadrature(rhos, l, 0.5)
-        ch = isospectral.i0_closed_half(isospectral.beta_of_rho(rhos, 0.5), l)
-        worst = max(worst, float(np.max(np.abs(q1 - c1))), float(np.max(np.abs(qh - ch))))
+    for kappa in (1.0, 0.5):
+        for l in range(6):
+            gap = isospectral.i0(rhos, l, kappa) - isospectral.i0_quadrature(rhos, l, kappa)
+            worst = max(worst, float(np.max(np.abs(gap))))
     return _result("closed-form-vs-quadrature", worst, 1e-9)
 
 
@@ -182,14 +164,14 @@ def riccati_residual(v, params, r):
     return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
 
 
-def partner_gap(family, r):
+def partner_gap(params, r):
     """Worst |W_gen' + W_gen^2 - (W' + W^2)| over r: the two fermionic partners."""
-    l, kappa = family.params.l, family.params.kappa
+    l, kappa = params.l, params.kappa
     dwg = numerics.derivative(
-        lambda s: isospectral.superpotential_general(s, family), r, h0=0.25 * r
+        lambda s: isospectral.superpotential_general(s, params), r, h0=0.25 * r
     )
     dw = numerics.derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-    up_general = dwg + isospectral.superpotential_general(r, family) ** 2
+    up_general = dwg + isospectral.superpotential_general(r, params) ** 2
     up_particular = dw + superpotential_w(r, l, kappa) ** 2
     return float(np.max(np.abs(up_general - up_particular)))
 
@@ -200,12 +182,12 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25)):
     for kappa in (0.5, 1.0):
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
-                fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
+                params = DoParams.nodeless(kappa, l, lam)
                 res, res_rel = riccati_residual(
-                    lambda s: isospectral.v_general(s, fam), fam.params, radii
+                    lambda s: isospectral.v_general(s, params), params, radii
                 )
                 worst_abs, worst_rel = max(worst_abs, res), max(worst_rel, res_rel)
-                worst_partner = max(worst_partner, partner_gap(fam, radii))
+                worst_partner = max(worst_partner, partner_gap(params, radii))
     return worst_abs, worst_rel, worst_partner
 
 
@@ -235,8 +217,8 @@ def check_lambda_recovery():
     grid = np.linspace(0.1, 5.0, 200)
     gaps = []
     for lam in (1.0, 10.0, 100.0, 1000.0):
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, lam))
-        gap = isospectral.u_bosonic_family(grid, fam) - u_minus(grid, 1, 1.0)
+        params = DoParams.nodeless(1.0, 1, lam)
+        gap = isospectral.u_bosonic_family(grid, params) - u_minus(grid, 1, 1.0)
         gaps.append(float(np.max(np.abs(gap))))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return _result("lambda-recovery-monotone", 0.0 if monotone else 1.0, 0.0, str(gaps))
@@ -250,9 +232,8 @@ def check_centrifugal_subtraction():
     worst = 0.0
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
-            fam = IsoFamily(DoParams.nodeless(1.0, l, lam))
             lhs = fisheye.v_family_fisheye(grid, l, lam) + l * (l + 1) / grid**2
-            rhs = isospectral.u_bosonic_family(grid, fam)
+            rhs = isospectral.u_bosonic_family(grid, DoParams.nodeless(1.0, l, lam))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _result("centrifugal-subtraction", worst, 1e-10)
 

@@ -36,11 +36,7 @@ from susy_fisheye.cli import main as cli_main
 from susy_fisheye.do_core import DoParams, radial_factor_f
 from susy_fisheye.fisheye import relative_ratio
 from susy_fisheye.fullline import rescale_radius
-from susy_fisheye.isospectral import (
-    IsoFamily,
-    beta_of_rho,
-    i0_closed_half,
-)
+from susy_fisheye.isospectral import i0, i0_closed_half
 from susy_fisheye.verify import (
     _riccati_scan,
     check_aufbau,
@@ -81,7 +77,7 @@ def riccati_families(kappas=(0.5, 1.0)):
     for kappa in kappas:
         for l in (0, 1, 2):
             for lam in (0.5, 1.0, 10.0):
-                yield IsoFamily(DoParams.nodeless(kappa, l, lam))
+                yield DoParams.nodeless(kappa, l, lam)
 
 
 def test_criterion_2_riccati_pair():
@@ -113,15 +109,17 @@ def v_from_i0(i0, params):
 
 def worst_relative_residual(make_i0, kappas=(0.5, 1.0)):
     return max(
-        riccati_residual(v_from_i0(make_i0(fam), fam.params), fam.params, RICCATI_RADII)[1]
-        for fam in riccati_families(kappas)
+        riccati_residual(v_from_i0(make_i0(params), params), params, RICCATI_RADII)[1]
+        for params in riccati_families(kappas)
     )
 
 
 def test_criterion_2_bound_rejects_rescaled_i0():
     # (1 + d) I0 in place of I0 turns the right-hand side -1 into -(1 + d):
     # a relative residual of d wherever |V'| <= 1
-    worst = worst_relative_residual(lambda fam: lambda s: (1.0 + 1e-4) * fam.i0(s))
+    worst = worst_relative_residual(
+        lambda params: lambda s: (1.0 + 1e-4) * i0(s, params.l, params.kappa)
+    )
     assert worst > RICCATI_REL_TOL
     assert worst == pytest.approx(1e-4, rel=1e-6)
 
@@ -129,7 +127,7 @@ def test_criterion_2_bound_rejects_rescaled_i0():
 def test_criterion_2_bound_rejects_wrong_kappa_i0():
     # a kappa = 1 family built on the kappa = 1/2 damping integral
     worst = worst_relative_residual(
-        lambda fam: lambda s: i0_closed_half(beta_of_rho(s, 0.5), fam.params.l),
+        lambda params: lambda s: i0_closed_half(s, params.l),
         kappas=(1.0,),
     )
     assert worst > RICCATI_REL_TOL

@@ -1,7 +1,7 @@
-"""One array contract for every evaluator of a radius, angle or coordinate.
+"""One array contract for every evaluator of a radius or coordinate.
 
 The public functions of do_core, isospectral, fisheye and fullline that
-take rho, beta or x follow numpy: a Python float gives a float (a numpy
+take rho or x follow numpy: a Python float gives a float (a numpy
 float64, 0-d), a list or an array gives an ndarray of the input's shape,
 and a scalar result equals the matching element of the array call to
 within 2 ulp.  The array call may round a power or a transcendental
@@ -17,14 +17,12 @@ import pytest
 
 from susy_fisheye import do_core, fisheye, fullline, isospectral
 from susy_fisheye.do_core import DoParams
-from susy_fisheye.isospectral import IsoFamily
 
 RHO = (0.3, 1.0, 2.5)
-BETA = (0.2, 0.7, 1.2)
 X = (-2.0, 0.0, 0.5, 3.0)
 
 # kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the quadrature oracle
-FAMILIES = {kappa: IsoFamily(DoParams.nodeless(kappa, 2, 0.5)) for kappa in (0.5, 1.0, 2.0)}
+FAMILIES = {kappa: DoParams.nodeless(kappa, 2, 0.5) for kappa in (0.5, 1.0, 2.0)}
 
 CASES = [
     ("do_core.potential_v", lambda r: do_core.potential_v(r, 1.0, 15.0), RHO),
@@ -39,9 +37,8 @@ CASES = [
     ("do_core.superpotential_dw", lambda r: do_core.superpotential_dw(r, 1, 0.5), RHO),
     ("do_core.u_minus", lambda r: do_core.u_minus(r, 1, 1.0), RHO),
     ("do_core.u_plus", lambda r: do_core.u_plus(r, 1, 1.0), RHO),
-    ("isospectral.beta_of_rho", lambda r: isospectral.beta_of_rho(r, 0.5), RHO),
-    ("isospectral.i0_closed_half", lambda b: isospectral.i0_closed_half(b, 2), BETA),
-    ("isospectral.i0_closed_one", lambda b: isospectral.i0_closed_one(b, 2), BETA),
+    ("isospectral.i0_closed_half", lambda r: isospectral.i0_closed_half(r, 2), RHO),
+    ("isospectral.i0_closed_one", lambda r: isospectral.i0_closed_one(r, 2), RHO),
     ("isospectral.i0_quadrature", lambda r: isospectral.i0_quadrature(r, 2, 0.7), RHO),
     ("fisheye.v_family_fisheye", lambda r: fisheye.v_family_fisheye(r, 1, 1.0), RHO),
     ("fisheye.index_maxwell", lambda r: fisheye.index_maxwell(r, 1), RHO),
@@ -53,21 +50,28 @@ CASES = [
     ("fullline.aufbau_rm_potential", lambda x: fullline.aufbau_rm_potential(x, 3), X),
 ]
 for _name in ("v_general", "superpotential_general", "u_bosonic_family", "radial_factor_bosonic"):
-    for _kappa, _family in FAMILIES.items():
+    for _kappa, _params in FAMILIES.items():
         CASES.append(
             (
                 f"isospectral.{_name}[kappa={_kappa:g}]",
-                lambda r, fn=getattr(isospectral, _name), fam=_family: fn(r, fam),
+                lambda r, fn=getattr(isospectral, _name), p=_params: fn(r, p),
                 RHO,
             )
         )
 # the column functions return a tuple: each column follows the contract
-for _kappa, _family in FAMILIES.items():
+for _kappa, _params in FAMILIES.items():
+    CASES.append(
+        (
+            f"isospectral.i0[kappa={_kappa:g}]",
+            lambda r, kappa=_kappa: isospectral.i0(r, 2, kappa),
+            RHO,
+        )
+    )
     for _i, _col in enumerate(("u_minus", "u_bos", "f", "f_bos")):
         CASES.append(
             (
                 f"isospectral.family_columns[kappa={_kappa:g},{_col}]",
-                lambda r, fam=_family, i=_i: isospectral.family_columns(r, fam)[i],
+                lambda r, p=_params, i=_i: isospectral.family_columns(r, p)[i],
                 RHO,
             )
         )
@@ -82,17 +86,32 @@ for _exact in (False, True):
         )
 
 
-def test_every_evaluator_is_covered():
-    evaluators = set()
-    for module in (do_core, isospectral, fisheye, fullline):
+def _public_functions(modules):
+    for module in modules:
         for name in module.__all__:
             obj = getattr(module, name)
-            if inspect.isfunction(obj) and {"rho", "beta", "x"} & set(
-                inspect.signature(obj).parameters
-            ):
-                evaluators.add(f"{module.__name__.rsplit('.', 1)[1]}.{name}")
+            if inspect.isfunction(obj):
+                yield f"{module.__name__.rsplit('.', 1)[1]}.{name}", obj
+
+
+def test_every_evaluator_is_covered():
+    evaluators = {
+        name
+        for name, fn in _public_functions((do_core, isospectral, fisheye, fullline))
+        if {"rho", "x"} & set(inspect.signature(fn).parameters)
+    }
     covered = {case[0].split("[")[0] for case in CASES}
     assert evaluators == covered
+
+
+def test_one_radius_coordinate():
+    # the radius is rho everywhere; the closed forms form their angle inside
+    with_beta = [
+        name
+        for name, fn in _public_functions((do_core, isospectral, fisheye))
+        if "beta" in inspect.signature(fn).parameters
+    ]
+    assert with_beta == []
 
 
 @pytest.mark.parametrize("fn,points", [case[1:] for case in CASES], ids=[c[0] for c in CASES])

@@ -421,9 +421,15 @@ class TestErrors:
                 "beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
                 "rho = 1e+200: beyond the range of the closed form of I0",
             ),
+            (
+                ["family", "--kappa", "0.7", "--l", "1"],
+                "nodeless sector needs integral 1 + l/kappa, got l = 1, kappa = 0.7 "
+                "(1 + l/kappa = 2.43)",
+            ),
         ],
         ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan", "l-negative",
-             "N-negative", "nb-negative", "aufbau-even", "beta-rounds-to-pi-half"],
+             "N-negative", "nb-negative", "aufbau-even", "beta-rounds-to-pi-half",
+             "nodeless-non-integral"],
     )
     def test_message_names_the_parameter_and_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "2")
@@ -518,11 +524,13 @@ class TestVerifyCommand:
         assert "PASS gegenbauer-recurrence" in out
         assert out.strip().endswith("passed, 0 failed")
 
-    def test_tolerance_env_scaling(self, capsys, monkeypatch):
+    def test_tolerance_env_is_ignored(self, capsys, monkeypatch):
+        # no environment variable may widen a tolerance and turn a FAIL green
+        monkeypatch.delenv("SUSY_FISHEYE_TOL", raising=False)
+        plain = run_cli(capsys, "verify", "--suite", "specfun")
         monkeypatch.setenv("SUSY_FISHEYE_TOL", "1e6")
-        code, out, _ = run_cli(capsys, "verify", "--suite", "specfun")
-        assert code == 0
-        assert "tol=1.000e-06" in out  # 1e-12 scaled by 1e6
+        assert run_cli(capsys, "verify", "--suite", "specfun") == plain
+        assert "tol=1.000e-12" in plain[1]
 
     def test_known_failures_reported_honestly(self, capsys):
         # the full suite carries two documented out-of-tolerance checks

@@ -16,7 +16,6 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
-from susy_fisheye.isospectral import IsoFamily
 from susy_fisheye.numerics import derivative
 
 
@@ -30,7 +29,11 @@ class TestDoParams:
     def test_rejects_non_integral_degree(self):
         with pytest.raises(ValueError):
             DoParams(kappa=0.75, l=1, N=2)  # degree = 1 - 4/3
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"^nodeless sector needs integral 1 \+ l/kappa, "
+            r"got l = 1, kappa = 0.75 \(1 \+ l/kappa = 2.33\)$",
+        ):
             DoParams.nodeless(0.75, 1)
 
     def test_rejects_bad_parameters(self):
@@ -52,7 +55,7 @@ class TestDoParams:
 
     def test_nan_lambda_family_is_refused(self):
         with pytest.raises(ValueError, match=r"got lam = nan$"):
-            IsoFamily(DoParams.nodeless(1.0, 1, math.nan))
+            DoParams.nodeless(1.0, 1, math.nan)
 
     def test_excited_sector_allowed(self):
         p = DoParams(kappa=1.0, l=0, N=3)

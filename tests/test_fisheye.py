@@ -14,7 +14,7 @@ from susy_fisheye.fisheye import (
     relative_ratio,
     v_family_fisheye,
 )
-from susy_fisheye.isospectral import IsoFamily, radial_factor_bosonic, u_bosonic_family
+from susy_fisheye.isospectral import radial_factor_bosonic, u_bosonic_family
 
 GRID = np.linspace(0.01, 3.0, 300)
 LENS = GRID[GRID <= 1.0]
@@ -27,9 +27,8 @@ class TestFamilyPotential:
     def test_centrifugal_subtraction_identity(self):
         for l in (0, 1, 2):
             for lam in (1.0, 10.0):
-                fam = IsoFamily(DoParams.nodeless(1.0, l, lam))
                 lhs = np.asarray(v_family_fisheye(GRID, l, lam)) + l * (l + 1) / GRID**2
-                rhs = np.asarray(u_bosonic_family(GRID, fam))
+                rhs = np.asarray(u_bosonic_family(GRID, DoParams.nodeless(1.0, l, lam)))
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_decay(self):
@@ -185,15 +184,13 @@ class TestFigureTable:
         ],
     )
     def test_surface_peaking(self, l, lam):
-        fam = IsoFamily(DoParams.nodeless(1.0, l, lam))
-        f_bos_sq = np.asarray(radial_factor_bosonic(GRID, fam)) ** 2
+        f_bos_sq = np.asarray(radial_factor_bosonic(GRID, DoParams.nodeless(1.0, l, lam))) ** 2
         peak_rho = float(GRID[int(np.argmax(f_bos_sq))])
         assert 0.5 <= peak_rho <= 1.5
 
     @pytest.mark.parametrize("l,lam", [(0, 1.0), (0, 10.0), (1, 1.0), (2, 10.0)])
     def test_f_bos_squared_single_peaked(self, l, lam):
-        fam = IsoFamily(DoParams.nodeless(1.0, l, lam))
-        col = np.asarray(radial_factor_bosonic(GRID, fam)) ** 2
+        col = np.asarray(radial_factor_bosonic(GRID, DoParams.nodeless(1.0, l, lam))) ** 2
         d = np.diff(col)
         switch = np.nonzero(d < 0)[0]
         assert switch.size > 0

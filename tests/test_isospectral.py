@@ -10,8 +10,7 @@ from scipy.integrate import quad
 
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
-    IsoFamily,
-    beta_of_rho,
+    i0,
     i0_closed_half,
     i0_closed_one,
     i0_quadrature,
@@ -55,22 +54,6 @@ def _i0_quad_reference(rho, kappa):
     return np.array(out)
 
 
-class TestBeta:
-    def test_symmetry_point(self):
-        assert beta_of_rho(1.0, 1.0) == pytest.approx(math.pi / 4, abs=1e-15)
-        assert beta_of_rho(1.0, 0.5) == pytest.approx(math.pi / 4, abs=1e-15)
-
-    def test_value(self):
-        assert beta_of_rho(math.sqrt(3.0), 1.0) == pytest.approx(math.pi / 3, abs=1e-14)
-
-    def test_range_and_domain(self):
-        g = np.logspace(-6, 6, 50)
-        b = np.asarray(beta_of_rho(g, 1.0))
-        assert np.all((b > 0) & (b < math.pi / 2 + 1e-15))
-        with pytest.raises(ValueError):
-            beta_of_rho(0.0, 1.0)
-
-
 class TestQuadrature:
     def test_empty_integral(self):
         assert i0_quadrature(1e-10, 0, 1.0) == pytest.approx(0.0, abs=1e-20)
@@ -111,99 +94,117 @@ class TestQuadrature:
 
 class TestClosedForms:
     def test_zero_at_beta_zero(self):
+        # rho = 1e-12, the radius floor, is beta = 1e-12
         for l in range(4):
-            assert i0_closed_half(0.0, l) == pytest.approx(0.0, abs=1e-13)
-            assert i0_closed_one(0.0, l) == pytest.approx(0.0, abs=1e-15)
+            assert i0_closed_half(1e-12, l) == pytest.approx(0.0, abs=1e-13)
+            assert i0_closed_one(1e-12, l) == pytest.approx(0.0, abs=1e-15)
 
     def test_l0_kappa_one_is_tan_minus_beta(self):
-        b = 0.9
-        assert i0_closed_one(b, 0) == pytest.approx(math.tan(b) - b, abs=1e-14)
+        # tan(beta) - beta with beta = arctan(rho)
+        rho = math.tan(0.9)
+        assert i0_closed_one(rho, 0) == pytest.approx(rho - math.atan(rho), abs=1e-14)
 
     def test_half_at_pi_quarter_matches_quadrature(self):
-        got = i0_closed_half(math.pi / 4, 0)
+        # rho = 1 is beta = pi/4
+        got = i0_closed_half(1.0, 0)
         assert got == pytest.approx(I0_HALF, abs=1e-12)
         assert got == pytest.approx(i0_quadrature(1.0, 0, 0.5), abs=1e-10)
 
     def test_half_l1_matches_quadrature(self):
-        beta = 1.2
-        rho = math.tan(beta) ** 2
-        assert i0_closed_half(beta, 1) == pytest.approx(
+        rho = math.tan(1.2) ** 2
+        assert i0_closed_half(rho, 1) == pytest.approx(
             i0_quadrature(rho, 1, 0.5), abs=1e-9
         )
 
     def test_one_l2_matches_quadrature(self):
-        beta = 1.0
-        rho = math.tan(beta)
-        assert i0_closed_one(beta, 2) == pytest.approx(
+        rho = math.tan(1.0)
+        assert i0_closed_one(rho, 2) == pytest.approx(
             i0_quadrature(rho, 2, 1.0), abs=1e-10
         )
 
     @pytest.mark.parametrize("l", range(6))
     def test_oracle_equivalence_grid(self, l):
         rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
-        assert i0_closed_one(beta_of_rho(rhos, 1.0), l) == pytest.approx(
+        assert i0_closed_one(rhos, l) == pytest.approx(
             i0_quadrature(rhos, l, 1.0), abs=1e-9
         )
-        assert i0_closed_half(beta_of_rho(rhos, 0.5), l) == pytest.approx(
+        assert i0_closed_half(rhos, l) == pytest.approx(
             i0_quadrature(rhos, l, 0.5), abs=1e-9
         )
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = -0.1$"):
             i0_closed_one(-0.1, 0)
-        with pytest.raises(ValueError):
-            i0_closed_half(math.pi / 2, 0)
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = 0.0$"):
+            i0_closed_half([1.0, 0.0], 0)
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -0.5$"):
             i0_quadrature(1.0, 0, -0.5)
         # arctan(1e17) rounds to pi/2: the closed forms name the radius
-        fam = IsoFamily(DoParams.nodeless(0.5, 1))
         with pytest.raises(ValueError, match=r"rounds to pi/2 at rho = 1e\+34"):
-            v_general([1.0, 1e34], fam)
+            v_general([1.0, 1e34], DoParams.nodeless(0.5, 1))
+        with pytest.raises(ValueError, match=r"rounds to pi/2 at rho = 1e\+17"):
+            i0_closed_one(1e17, 2)
 
 
-class TestIsoFamily:
+class TestRoute:
+    """i0 is the one place the route to I0 is chosen."""
+
+    @pytest.mark.parametrize(
+        "kappa,route",
+        [
+            (1.0, lambda rho, l: i0_closed_one(rho, l)),
+            (0.5, lambda rho, l: i0_closed_half(rho, l)),
+            (0.7, lambda rho, l: i0_quadrature(rho, l, 0.7)),
+        ],
+        ids=["closed-one", "closed-half", "quadrature"],
+    )
+    @pytest.mark.parametrize("rho", [1.7, np.logspace(-2.0, 2.0, 9)], ids=["scalar", "array"])
+    def test_route_is_bit_for_bit(self, kappa, route, rho):
+        for l in (0, 1, 3):
+            got, want = i0(rho, l, kappa), route(rho, l)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got, want)
+
     def test_closed_form_selected_for_physical_kappas(self):
         for kappa in (0.5, 1.0):
-            fam = IsoFamily(DoParams.nodeless(kappa, 1, 1.0))
-            r = 1.7
-            assert fam.i0(r) == pytest.approx(
-                i0_quadrature(r, 1, kappa), abs=1e-10
-            )
+            assert i0(1.7, 1, kappa) == pytest.approx(i0_quadrature(1.7, 1, kappa), abs=1e-10)
 
     def test_quadrature_fallback_for_other_kappa(self):
-        fam = IsoFamily(DoParams.nodeless(2.0, 2, 1.0))
-        r = 1.3
-        assert fam.i0(r) == pytest.approx(i0_quadrature(r, 2, 2.0), abs=1e-9)
+        assert i0(1.3, 2, 2.0) == pytest.approx(i0_quadrature(1.3, 2, 2.0), abs=1e-9)
 
     def test_i0_vanishes_at_origin_and_grows(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, 1.0))
         g = np.linspace(0.05, 6.0, 40)
-        vals = np.asarray(fam.i0(g))
-        assert vals[0] < 1e-4
-        assert np.all(np.diff(vals) > 0)
+        for kappa in (0.5, 1.0, 2.0):
+            vals = i0(g, 1, kappa)
+            assert vals[0] < 1e-4
+            assert np.all(np.diff(vals) > 0)
+
+    def test_nan_kappa_is_refused(self):
+        with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = nan$"):
+            i0(1.0, 0, math.nan)
 
 
 class TestGeneralRiccatiSolution:
     def test_value_at_unit_radius(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 0, 1.0))
-        assert v_general(1.0, fam) == pytest.approx(2.0 * (1.0 + I0_ONE), rel=1e-12)
+        params = DoParams.nodeless(1.0, 0, 1.0)
+        assert v_general(1.0, params) == pytest.approx(2.0 * (1.0 + I0_ONE), rel=1e-12)
 
     def test_large_lambda_dominance(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, 1e9))
+        params = DoParams.nodeless(1.0, 1, 1e9)
         r = 0.8
         f2 = (r**2 / (1 + r**2) ** 1.5) ** 2
-        assert v_general(r, fam) == pytest.approx(1e9 / f2, rel=1e-8)
+        assert v_general(r, params) == pytest.approx(1e9 / f2, rel=1e-8)
 
     def test_positive_everywhere(self):
-        fam = IsoFamily(DoParams.nodeless(0.5, 1, 0.5))
+        params = DoParams.nodeless(0.5, 1, 0.5)
         g = np.linspace(0.05, 10.0, 50)
-        assert np.all(np.asarray(v_general(g, fam)) > 0)
+        assert np.all(np.asarray(v_general(g, params)) > 0)
 
     def test_ode_residual_pointwise(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, 10.0))
+        params = DoParams.nodeless(1.0, 1, 10.0)
         r = 0.5
-        dv = derivative(lambda s: v_general(s, fam), r, h0=0.25 * r)
-        res = -dv + 2.0 * superpotential_w(r, 1, 1.0) * v_general(r, fam) + 1.0
+        dv = derivative(lambda s: v_general(s, params), r, h0=0.25 * r)
+        res = -dv + 2.0 * superpotential_w(r, 1, 1.0) * v_general(r, params) + 1.0
         assert abs(res) < 1e-6
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -213,60 +214,60 @@ class TestGeneralRiccatiSolution:
         # scale-aware form of the defining equation -V' + 2 W V = -1: the
         # absolute residual is dominated by float64 representation noise
         # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
-        fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
+        params = DoParams.nodeless(kappa, l, lam)
         r = np.linspace(0.1, 10.0, 15)
-        assert riccati_residual(lambda s: v_general(s, fam), fam.params, r)[1] < 1e-9
+        assert riccati_residual(lambda s: v_general(s, params), params, r)[1] < 1e-9
 
 
 class TestGeneralSuperpotential:
     def test_large_lambda_collapse(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, 1e9))
+        params = DoParams.nodeless(1.0, 1, 1e9)
         for r in (0.3, 1.0, 4.0):
             assert abs(
-                superpotential_general(r, fam) - superpotential_w(r, 1, 1.0)
+                superpotential_general(r, params) - superpotential_w(r, 1, 1.0)
             ) < 1e-8
 
     def test_frozen_value(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 0, 1.0))
+        params = DoParams.nodeless(1.0, 0, 1.0)
         expected = -0.5 + 0.5 / (1.0 + I0_ONE)  # W + f^2/(I0 + lam)
         assert expected == pytest.approx(-0.088342463404645, abs=1e-14)
-        assert superpotential_general(1.0, fam) == pytest.approx(expected, rel=1e-12)
+        assert superpotential_general(1.0, params) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     def test_algebraic_identity_with_v(self, kappa):
-        fam = IsoFamily(DoParams.nodeless(kappa, 2, 0.7))
+        params = DoParams.nodeless(kappa, 2, 0.7)
         for r in (0.2, 1.1, 5.0):
-            lhs = superpotential_general(r, fam)
-            rhs = 1.0 / v_general(r, fam) + superpotential_w(r, 2, kappa)
+            lhs = superpotential_general(r, params)
+            rhs = 1.0 / v_general(r, params) + superpotential_w(r, 2, kappa)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
     def test_shared_fermionic_partner(self, kappa, l, lam):
-        fam = IsoFamily(DoParams.nodeless(kappa, l, lam))
-        assert partner_gap(fam, np.linspace(0.1, 10.0, 15)) < 1e-6
+        params = DoParams.nodeless(kappa, l, lam)
+        assert partner_gap(params, np.linspace(0.1, 10.0, 15)) < 1e-6
 
 
 class TestBosonicFamily:
     def test_large_lambda_recovers_original(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 0, 1e9))
+        params = DoParams.nodeless(1.0, 0, 1e9)
         for r in (0.2, 1.0, 3.0):
-            assert abs(u_bosonic_family(r, fam) - u_minus(r, 0, 1.0)) < 1e-8
+            assert abs(u_bosonic_family(r, params) - u_minus(r, 0, 1.0)) < 1e-8
 
     def test_frozen_regression_value(self):
         # assembled from independently verified components:
         # -3/4 - 4 f f'/(2 - pi/4) + 2 f^4/(2 - pi/4)^2 at rho = 1
-        fam = IsoFamily(DoParams.nodeless(1.0, 0, 1.0))
+        params = DoParams.nodeless(1.0, 0, 1.0)
         f, df = 2**-0.5, 2**-1.5
         expected = -0.75 - 4 * f * df / (1 + I0_ONE) + 2 * f**4 / (1 + I0_ONE) ** 2
         assert expected == pytest.approx(-1.234391218319198, abs=1e-14)
-        assert u_bosonic_family(1.0, fam) == pytest.approx(expected, rel=1e-13)
+        assert u_bosonic_family(1.0, params) == pytest.approx(expected, rel=1e-13)
 
     def test_centrifugal_dominates_at_origin(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 2, 1.0))
+        params = DoParams.nodeless(1.0, 2, 1.0)
         r = 1e-3
-        assert u_bosonic_family(r, fam) == pytest.approx(6.0 / r**2, rel=1e-5)
+        assert u_bosonic_family(r, params) == pytest.approx(6.0 / r**2, rel=1e-5)
 
     def test_lambda_monotone_recovery(self):
         # max |U_bos - U-| on (0.1, 5) falls with lam = 1, 10, 100, 1000
@@ -277,21 +278,21 @@ class TestBosonicFamily:
 class TestDampedRadialFactor:
     def test_pure_damping_limit(self):
         lam = 1e9
-        fam = IsoFamily(DoParams.nodeless(1.0, 1, lam))
+        params = DoParams.nodeless(1.0, 1, lam)
         for r in (0.4, 1.0, 2.5):
             f = r**2 / (1 + r**2) ** 1.5
-            assert radial_factor_bosonic(r, fam) == pytest.approx(f / lam, rel=1e-8)
+            assert radial_factor_bosonic(r, params) == pytest.approx(f / lam, rel=1e-8)
 
     def test_frozen_value(self):
-        fam = IsoFamily(DoParams.nodeless(1.0, 0, 1.0))
+        params = DoParams.nodeless(1.0, 0, 1.0)
         expected = (2**-0.5) / (1.0 + I0_ONE)
         assert expected == pytest.approx(0.582171671306249, abs=1e-14)
-        assert radial_factor_bosonic(1.0, fam) == pytest.approx(expected, rel=1e-13)
+        assert radial_factor_bosonic(1.0, params) == pytest.approx(expected, rel=1e-13)
 
     def test_positive_and_nodeless(self):
-        fam = IsoFamily(DoParams.nodeless(0.5, 1, 0.3))
+        params = DoParams.nodeless(0.5, 1, 0.3)
         g = np.linspace(0.05, 20.0, 80)
-        assert np.all(np.asarray(radial_factor_bosonic(g, fam)) > 0)
+        assert np.all(np.asarray(radial_factor_bosonic(g, params)) > 0)
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("lam", [1.0, 10.0])
