@@ -79,11 +79,13 @@ def v_family_fisheye(rho, l, lam):
 def index_maxwell(rho, l):
     """Baseline index sqrt((2l+1)(2l+3)) / ((l + 1/2)(1 + rho^2)).
 
-    Defined on rho >= 0; the value at the origin tends to 2 as l grows.
+    Defined on rho >= 0, the lens centre included; the value at the origin
+    tends to 2 as l grows.
     """
     r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rho must be non-negative")
+    bad = ~(r >= 0)
+    if bad.any():
+        raise ValueError(f"rho must be non-negative, got rho = {float(r[bad][0])}")
     if l < 0 or int(l) != l:
         raise ValueError(f"l must be a non-negative integer, got l = {l:g}")
     amp = math.sqrt((2 * l + 1) * (2 * l + 3)) / (l + 0.5)

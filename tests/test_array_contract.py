@@ -21,7 +21,7 @@ from susy_fisheye.do_core import DoParams
 RHO = (0.3, 1.0, 2.5)
 X = (-2.0, 0.0, 0.5, 3.0)
 
-# kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the quadrature oracle
+# kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the beta series
 FAMILIES = {kappa: DoParams.nodeless(kappa, 2, 0.5) for kappa in (0.5, 1.0, 2.0)}
 
 CASES = [

@@ -239,32 +239,38 @@ class TestGridCommands:
         assert out.startswith("rho,u_minus,u_bos,f,f_bos\n")
         assert len(out.strip().split("\n")) == 5
 
-    @pytest.mark.parametrize("kappa,rho_max", [("1.8", "1000"), ("0.7", "1e6")])
-    def test_family_general_kappa_large_radius(self, capsys, kappa, rho_max):
-        # an absolute quadrature tolerance could not follow I0 ~ rho here
+    @pytest.mark.parametrize(
+        "kappa,l,rho_max",
+        [("1.8", "0", "1000"), ("0.7", "0", "1e6"), ("0.7", "0", "1e200"), ("0.3", "0", "1e300"),
+         ("2", "2", "1e60"), ("0.005", "0", "1e10")],
+    )
+    def test_family_general_kappa_large_radius(self, capsys, kappa, l, rho_max):
+        # an absolute quadrature tolerance could not follow I0 ~ rho at
+        # 1000 and 1e6; the quadrature's f^2 left the float range at the
+        # larger radii (exit 2), where the beta series stays finite
         code, out, err = run_cli(
-            capsys, "family", "--kappa", kappa, "--l", "0", "--rho-max", rho_max
+            capsys, "family", "--kappa", kappa, "--l", l, "--rho-max", rho_max
         )
         assert code == 0 and err == ""
         rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         assert rows.shape == (300, 5) and np.all(np.isfinite(rows))
 
 
-I0_PATHS = ("i0_quadrature", "i0_closed_one", "i0_closed_half")
+I0_PATHS = ("_i0_beta", "i0_closed_one", "i0_closed_half")
 FAMILY_TERMS = ("radial_factor_f", "radial_factor_df", "u_minus")
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of I0 calls (any path) and of the do_core family terms.
+    """Counts of I0 calls (any route), of the quadrature oracle and of the do_core family terms.
 
     Each function is wrapped in every module of the package that binds
     it by name, so a call through any import is counted.
     """
     counts = collections.Counter()
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "susy_fisheye"]
-    for name in I0_PATHS + FAMILY_TERMS:
-        original = getattr(isospectral if name in I0_PATHS else do_core, name)
+    for name in I0_PATHS + ("i0_quadrature",) + FAMILY_TERMS:
+        original = getattr(do_core if name in FAMILY_TERMS else isospectral, name)
         key = "i0" if name in I0_PATHS else name
 
         def wrapper(*args, _fn=original, _key=key, **kwargs):
@@ -283,7 +289,7 @@ class TestFamilyTerms:
     @pytest.mark.parametrize(
         "argv,u_minus",
         [
-            (("family", "--kappa", "0.7", "--l", "0"), 1),  # I0 by quadrature
+            (("family", "--kappa", "0.7", "--l", "0"), 1),  # I0 by the beta series
             (("family", "--kappa", "0.5", "--l", "1"), 1),
             (("family", "--kappa", "1"), 1),
             (("figure",), 0),
@@ -294,17 +300,21 @@ class TestFamilyTerms:
     def test_one_evaluation_per_request(self, capsys, calls, argv, u_minus):
         code, _, err = run_cli(capsys, *argv, "--samples", "50")
         assert (code, err) == (0, "")
-        expected = {"i0": 1, "radial_factor_f": 1, "radial_factor_df": 1, "u_minus": u_minus}
+        # the quadrature is the oracle of verify and the tests, never a request's route
+        expected = {"i0": 1, "i0_quadrature": 0, "radial_factor_f": 1, "radial_factor_df": 1,
+                    "u_minus": u_minus}
         assert {key: calls[key] for key in expected} == expected
 
-    # stdout digests recorded before the family terms were shared
+    # stdout digests recorded before the family terms were shared; the two
+    # kappa = 0.7 ones again when I0 moved from the quadrature to the beta
+    # series (464 of 1500 values moved, by at most 6.2e-13 relative)
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (("family", "--kappa", "0.7", "--l", "0"),
-             "c6d845bbdf02c7245763f0e262df2b2b283675ea475a94acf506d2fa54ed4961"),
+             "a9394c945b0d9ea94c30b34d75e7a16aaee08f9e4f499df366f5b044cc60e74a"),
             (("family", "--kappa", "0.7", "--l", "0", "--format", "json"),
-             "9c85d2af328e1c02f2dce4fd1620b8d1ec7a3286ff92128c45987354f736c530"),
+             "e92f1c5dd7e68e6d0af62f3ee03003c0b5a5df20d936bf71cf074b0712e94e65"),
             (("family", "--kappa", "0.5", "--l", "3"),
              "748bd2c920ef9e0ca63ee6ea53481d5007b5e048716522f752be3f8c6ec99425"),
             (("family", "--kappa", "0.5", "--l", "3", "--format", "json"),
@@ -393,9 +403,14 @@ class TestErrors:
                 ["figure", "--l", "40", "--rho-max", "1e9", "--format", "svg"],
                 "n_iso is not finite at rho = 3.33e+08",
             ),
+            # rho^(2 kappa) overflows in f', while I0 stays finite
+            (
+                ["family", "--kappa", "0.7", "--l", "0", "--rho-max", "1e300"],
+                "u_bos is not finite at rho = 3.33e+299",
+            ),
         ],
         ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan", "figure-csv-overflow",
-             "figure-svg-overflow"],
+             "figure-svg-overflow", "family-general-kappa-overflow"],
     )
     def test_non_finite_output_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "4")

@@ -59,6 +59,14 @@ class TestIndexMaxwell:
         with pytest.raises(ValueError):
             index_maxwell(-0.1, 2)
 
+    @pytest.mark.parametrize(
+        "rho,shown",
+        [(-0.1, "-0.1"), ([0.5, -1.0], "-1.0"), (math.nan, "nan"), ([0.0, math.nan], "nan")],
+    )
+    def test_bad_radius_is_named(self, rho, shown):
+        with pytest.raises(ValueError, match=rf"^rho must be non-negative, got rho = {shown}$"):
+            index_maxwell(rho, 1)
+
 
 class TestRelativeRatio:
     @pytest.mark.parametrize("lam,shown", [(0.0, "0"), (-1.0, "-1"), (math.nan, "nan")])

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
+    _i0_beta,
     i0,
     i0_closed_half,
     i0_closed_one,
@@ -154,9 +155,9 @@ class TestRoute:
         [
             (1.0, lambda rho, l: i0_closed_one(rho, l)),
             (0.5, lambda rho, l: i0_closed_half(rho, l)),
-            (0.7, lambda rho, l: i0_quadrature(rho, l, 0.7)),
+            (0.7, lambda rho, l: _i0_beta(rho, l, 0.7)),
         ],
-        ids=["closed-one", "closed-half", "quadrature"],
+        ids=["closed-one", "closed-half", "beta"],
     )
     @pytest.mark.parametrize("rho", [1.7, np.logspace(-2.0, 2.0, 9)], ids=["scalar", "array"])
     def test_route_is_bit_for_bit(self, kappa, route, rho):
@@ -170,7 +171,9 @@ class TestRoute:
             assert i0(1.7, 1, kappa) == pytest.approx(i0_quadrature(1.7, 1, kappa), abs=1e-10)
 
     def test_quadrature_fallback_for_other_kappa(self):
-        assert i0(1.3, 2, 2.0) == pytest.approx(i0_quadrature(1.3, 2, 2.0), abs=1e-9)
+        # the beta series, not the quadrature, is the route at kappa = 2;
+        # the oracle agrees with it
+        assert i0(1.3, 2, 2.0) == pytest.approx(i0_quadrature(1.3, 2, 2.0), rel=1e-12)
 
     def test_i0_vanishes_at_origin_and_grows(self):
         g = np.linspace(0.05, 6.0, 40)
@@ -182,6 +185,74 @@ class TestRoute:
     def test_nan_kappa_is_refused(self):
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = nan$"):
             i0(1.0, 0, math.nan)
+
+
+# Every (l, kappa) pair of the quadrature-kappa benchmark workload (l = 0 at
+# the ends and inside of its kappa range), the l = 0 log terms (kappa = 1/4,
+# 1/6), b < -1 (kappa = 0.3), kappa just past the poles at 1/2m, and the
+# small kappa where the switch moves off x = 1/2
+BETA_PAIRS = [
+    (0, 0.3), (0, 0.7), (0, 1.8), (0, 3.0),
+    (1, 1 / 3), (1, 0.25), (2, 2 / 3), (2, 0.4), (2, 2.0), (3, 0.75), (3, 1.5),
+    (0, 0.25), (0, 1 / 6), (0, 0.5 + 1e-9), (0, 0.25 + 1e-7), (0, 0.1), (1, 0.1),
+]
+BETA_RHO = np.logspace(-6.0, 8.0, 57)
+
+
+@st.composite
+def nodeless_pairs(draw):
+    """(l, kappa) with integral 1 + l/kappa and kappa in [1/4, 4]."""
+    l = draw(st.integers(min_value=0, max_value=5))
+    if l == 0:
+        return 0, draw(st.floats(min_value=0.25, max_value=4.0))
+    return l, l / draw(st.integers(min_value=math.ceil(l / 4), max_value=4 * l))
+
+
+def _independent_i0(rho, l, kappa):
+    """scipy betainc * beta at l >= 1; the quadrature oracle at l = 0, where b < 0."""
+    return i0_quadrature(rho, 0, kappa) if l == 0 else _i0_beta_reference(rho, l, kappa)
+
+
+class TestBetaSeries:
+    """The route at every kappa but 1/2 and 1, against references that share none of its code."""
+
+    @pytest.mark.parametrize("l,kappa", BETA_PAIRS)
+    def test_against_independent_references(self, l, kappa):
+        got = _i0_beta(BETA_RHO, l, kappa)
+        ref = _independent_i0(BETA_RHO, l, kappa)
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    @pytest.mark.parametrize("l,kappa", BETA_PAIRS)
+    def test_scalar_equals_array(self, l, kappa):
+        got = _i0_beta(BETA_RHO, l, kappa)
+        assert np.array_equal([_i0_beta(float(r), l, kappa) for r in BETA_RHO], got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=nodeless_pairs(),
+        log_rho=st.lists(st.floats(min_value=-14.0, max_value=18.0), min_size=1, max_size=8),
+    )
+    def test_relative_accuracy_property(self, pair, log_rho):
+        l, kappa = pair
+        rho = np.exp(log_rho)
+        ref = _independent_i0(rho, l, kappa)
+        assert np.max(np.abs(_i0_beta(rho, l, kappa) - ref) / ref) < 1e-12
+
+    @pytest.mark.parametrize("l,kappa", [(0, 0.7), (0, 0.3), (0, 3.0), (2, 2.0), (3, 1.5)])
+    def test_finite_to_the_top_of_the_float_range(self, l, kappa):
+        # I0 grows like rho at l = 0 and tends to B(a, b) / 2 kappa at l >= 1
+        got = _i0_beta(np.array([1e-12, 1e100, 1e200, 1e307]), l, kappa)
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0)
+        if l == 0:
+            assert got[-1] == pytest.approx(1e307, rel=1e-12)
+
+    def test_small_kappa(self):
+        # no float radius reaches the switch below kappa ~ 0.003, and every
+        # radius takes the x series
+        rho = np.logspace(-3.0, 10.0, 7)
+        got = _i0_beta(rho, 0, 1e-3)
+        assert np.max(np.abs(got - i0_quadrature(rho, 0, 1e-3)) / got) < 1e-12
+        assert np.isfinite(_i0_beta(1e300, 0, 1e-3))
 
 
 class TestGeneralRiccatiSolution:
