@@ -162,6 +162,12 @@ def i0_closed_one(rho, l):
     return (2.0 * s_lm1 - s_l - edge) / 4.0**l
 
 
+# The length past which _series refuses a series: far above the few
+# thousand terms any kappa needs, and small enough that a series that
+# never falls is refused before it takes more than a few tens of MB.
+_MAX_TERMS = 2**20
+
+
 def _series(u, v, bound, least=1):
     """Terms d_n = c_n bound^n of sum c_n z^n, with c_0 = 1 and c_(n+1) = c_n (u+n)/(v+n).
 
@@ -169,7 +175,8 @@ def _series(u, v, bound, least=1):
     The list is cut once |d_n| falls and drops below 1e-17 of the sum of
     the |d_n| so far, and has at least `least` entries.  The cut depends on
     (u, v, bound) alone, never on the radii, so a scalar call equals the
-    matching element of an array call.
+    matching element of an array call.  A series not cut within _MAX_TERMS
+    terms is refused.
     """
     size = max(128, 2 * least)
     while True:
@@ -179,40 +186,33 @@ def _series(u, v, bound, least=1):
         cut = (mag[1:] < mag[:-1]) & (mag[1:] < 1e-17 * np.cumsum(mag)[1:])
         if cut.any():
             return d[: max(cut.argmax() + 2, least)]
+        if size >= _MAX_TERMS:
+            raise ValueError(
+                f"the I0 series does not converge within {size} terms "
+                f"(u = {u:g}, v = {v:g}, bound = {bound:g})"
+            )
         size *= 2
 
 
-def _horner(coeffs, column, w):
-    """sum_n coeffs[n, column] w^n at each point, by Horner's rule.
-
-    Each point takes the series of its column.  The points go in blocks
-    that keep the per-point coefficient rows to 2^20 numbers.
-    """
-    out = np.empty(w.shape)
-    column, w, flat = column.ravel(), w.ravel(), out.reshape(-1)
-    block = max(1, 2**20 // len(coeffs))
-    for start in range(0, w.size, block):
-        part = slice(start, start + block)
-        rows, wp = coeffs[:, column[part]], w[part]
-        total = rows[-1].copy()
-        for row in rows[-2::-1]:
-            total *= wp
-            total += row
-        flat[part] = total
-    return out
+def _horner(coeffs, w):
+    """sum_n coeffs[n] w^n at each point of w, by Horner's rule."""
+    total = np.full(w.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        total *= w
+        total += c
+    return total
 
 
-# Largest factor by which the complement branch of _i0_beta may cancel.
+# Largest factor by which the l = 0 integral above the switch may cancel.
 _MAX_CANCELLATION = 1e3
 
 
 def _i0_beta(rho, l, kappa):
-    """I0 = B_x(a, b) / 2 kappa by power series, for any kappa > 0.
+    """I0 = B_x(a, b) / 2 kappa by power series, for kappa > 0 where a and b are finite.
 
     x = rho^2k / (1 + rho^2k), a = (2l+3)/2k and b = (2l-1)/2k (DLMF 8.17).
     log x and log y, y = 1 - x, come from ln rho through logaddexp, so
-    neither is rounded near 0 or 1.  The radii split at x_s = 1 - y_s,
-    y_s = 2^-j:
+    neither is rounded near 0 or 1.  The radii split at x_s = 1 - y_s:
 
     - x <= x_s: B_x(a, b) = x^a y^b / a  sum p_n x^n, the series of
       2F1(a+b, 1; a+1; x) (DLMF 8.17.8), whose terms are all positive.
@@ -228,35 +228,45 @@ def _i0_beta(rho, l, kappa):
       (kappa = 1/2m) it is the log term c_k ln(ys/y).  So b needs no
       raising, and kappa near 1/2m loses nothing.
 
-    j = 1 (x_s = 1/2) unless the complement would cancel by more than
-    _MAX_CANCELLATION: B(a, b) / B_xs(a, b) for b > 0, the alternating c_k
-    ((1+ys)/(1-ys))^(a-1) for b < 0.  That happens only below kappa = 1/4;
-    j then grows, and the x series with it, to about 39 / -ln(x_s) terms.
-    Where no float radius reaches the switch (small kappa), every radius
-    takes the x series, cut at the x of the largest float.  Each series is
-    a Horner polynomial with its terms fixed by (a, b) at its bound,
-    evaluated for all radii in one pass of elementwise numpy operations.
+    x_s = 1/2 unless the part above it would cancel by more than
+    _MAX_CANCELLATION, which happens only below kappa = 1/4.  At l >= 1 the
+    complement cancels by B(a, b) / B_xs(a, b); past the bound, x_s moves to
+    the mode (a+1)/(a+b+2), where both series fall from their first term
+    and the factor is at most 6 (I_xs(a, b) >= 1/6 for every l >= 1).  At
+    l = 0 the alternating c_k cancel by ((1+ys)/(1-ys))^(a-1), and y_s
+    drops to the first 2^-j that keeps it within the bound.  Where no float
+    radius reaches the switch (small kappa), every radius takes the x
+    series, cut at the x of the largest float.  Each series is a Horner
+    polynomial with its terms fixed by (a, b) at its bound, evaluated on its
+    radii by elementwise numpy operations.  Below about kappa = 1e-308 a
+    overflows, and above about 1e305 so does rho^2k at the largest float;
+    such kappa are refused.
     """
     r = _as_rho(rho)
     _check_kappa(kappa)
     a, b = (2 * l + 3) / (2.0 * kappa), (2 * l - 1) / (2.0 * kappa)
     t_max = 2.0 * kappa * math.log(np.finfo(float).max)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(t_max)):
+        raise ValueError(f"kappa is beyond the range of the I0 series, got kappa = {kappa:g}")
     log_x_max = t_max - float(np.logaddexp(0.0, t_max))
     j = 1
     if b < 0:
         # smallest j with ((1 + 2^-j) / (1 - 2^-j))^(a-1) <= _MAX_CANCELLATION
         while (a - 1.0) * 2.0 * math.atanh(0.5**j) > math.log(_MAX_CANCELLATION):
             j += 1
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b) if b > 0 else 0.0
+    y_s = 0.5**j
     while True:
-        y_s = 0.5**j
         split = math.log1p(-y_s) < log_x_max
         x_s = 1.0 - y_s if split else math.exp(log_x_max)
         p = _series(a + b, a + 1.0, x_s)
         log_low = a * math.log(x_s) + b * math.log1p(-x_s) + math.log(math.fsum(p) / a)
-        if b < 0 or not split or log_beta - log_low <= math.log(_MAX_CANCELLATION):
+        if b < 0 or not split or y_s < 0.5:
             break
-        j += 1
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        if log_beta - log_low <= math.log(_MAX_CANCELLATION):
+            break
+        # the mode of the beta density; 1 - (1 - y) makes x_s + y_s = 1 exactly
+        y_s = 1.0 - (1.0 - (b + 1.0) / (a + b + 2.0))
     t = 2.0 * kappa * np.log(r)
     log_y = -np.logaddexp(0.0, t)
     log_x = t + log_y
@@ -287,11 +297,10 @@ def _i0_beta(rho, l, kappa):
         top = x_s**a * y_s**b * (math.fsum(p) / a + math.fsum(q) / b)
         exponent = a * log_x + b * log_y
         scale = np.where(low, inv2k / a, -inv2k / b)
-    coeffs = np.zeros((max(p.size, q.size), 2))
-    coeffs[: p.size, 0] = p
-    coeffs[: q.size, 1] = q
     w = np.exp(np.where(low, log_x - math.log(x_s), log_y - math.log(y_s)))
-    total = _horner(coeffs, np.where(low, 0, 1), w)
+    total = np.empty(r.shape)
+    total[low] = _horner(p, w[low])
+    total[~low] = _horner(q, w[~low])
     value = np.where(low, 0.0, top * inv2k) + np.exp(exponent) * (scale * total) + pole
     return value[()]
 

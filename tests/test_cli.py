@@ -450,10 +450,19 @@ class TestErrors:
                 "nodeless sector needs integral 1 + l/kappa, got l = 1, kappa = 0.7 "
                 "(1 + l/kappa = 2.43)",
             ),
+            # a = 3/2 kappa overflows; rho^2k overflows at the largest float
+            (
+                ["family", "--kappa", "1e-310", "--l", "0"],
+                "kappa is beyond the range of the I0 series, got kappa = 1e-310",
+            ),
+            (
+                ["family", "--kappa", "inf", "--l", "0"],
+                "kappa is beyond the range of the I0 series, got kappa = inf",
+            ),
         ],
         ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan", "l-negative",
              "N-negative", "nb-negative", "aufbau-even", "beta-rounds-to-pi-half",
-             "nodeless-non-integral"],
+             "nodeless-non-integral", "kappa-below-series-range", "kappa-inf"],
     )
     def test_message_names_the_parameter_and_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "2")

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
     _i0_beta,
+    _series,
     i0,
     i0_closed_half,
     i0_closed_one,
@@ -245,6 +246,29 @@ class TestBetaSeries:
         assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0)
         if l == 0:
             assert got[-1] == pytest.approx(1e307, rel=1e-12)
+
+    @pytest.mark.parametrize("l,kappa", [(1, 0.01), (3, 0.01)])
+    def test_small_kappa_above_l_zero(self, l, kappa):
+        # the switch sits at the mode (a+1)/(a+b+2) of the beta density here
+        got = _i0_beta(BETA_RHO, l, kappa)
+        assert np.max(np.abs(got - i0_quadrature(BETA_RHO, l, kappa)) / got) < 1e-12
+
+    @pytest.mark.parametrize("l,kappa", [(10, 0.001), (20, 0.005)])
+    def test_large_a_and_b(self, l, kappa):
+        # f^2 < 1e-300 on every float radius, so I0 is 0 in floats; a switch
+        # nearer x = 1 than the mode made the x series overflow and grow
+        # without end here
+        assert np.all(_i0_beta(BETA_RHO, l, kappa) == 0.0)
+
+    @pytest.mark.parametrize("u,v,bound", [(1.0, 1.0, 1.0), (math.nan, math.inf, 0.5)])
+    def test_series_that_never_falls_is_refused(self, u, v, bound):
+        with pytest.raises(ValueError, match=r"does not converge within 1048576 terms"):
+            _series(u, v, bound)
+
+    @pytest.mark.parametrize("kappa", [1e-310, math.inf])
+    def test_kappa_beyond_the_series_range_is_refused(self, kappa):
+        with pytest.raises(ValueError, match=r"kappa is beyond the range of the I0 series"):
+            i0(1.0, 0, kappa)
 
     def test_small_kappa(self):
         # no float radius reaches the switch below kappa ~ 0.003, and every
