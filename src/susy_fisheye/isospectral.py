@@ -302,10 +302,10 @@ def _i0_beta(rho, l, kappa):
         top = x_s**a * y_s**b * (math.fsum(p) / a + math.fsum(q) / b)
         exponent = a * log_x + b * log_y
         scale = np.where(low, inv2k / a, -inv2k / b)
-    w = np.exp(np.where(low, log_x - math.log(x_s), log_y - math.log(y_s)))
     coeffs = np.zeros((max(p.size, q.size), 2))
     coeffs[: p.size, 0] = p
     coeffs[: q.size, 1] = q
+    w = np.exp(np.where(low, log_x - math.log(x_s), log_y - math.log(y_s)))
     total = _horner(coeffs, np.where(low, 0, 1), w)
     value = np.where(low, 0.0, top * inv2k) + np.exp(exponent) * (scale * total) + pole
     return value[()]
@@ -317,9 +317,9 @@ def i0(rho, l, kappa):
     The beta series takes kappa from about 1e-308 to 1e305 (it refuses the
     kappa where (2l+3)/2 kappa or rho^2k at the largest float overflows)
     and is finite for every rho from RHO_MIN to 1e307: I0 grows like rho
-    at l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  Its relative error against independent
-    references is below 1e-12 (measured: below 4e-14 for kappa from 0.01
-    to 50).  The closed forms refuse the radii where arctan(rho^kappa)
+    at l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  Its relative error
+    against independent references is below 1e-12 (measured: below 4e-14
+    for kappa from 0.01 to 50).  The closed forms refuse the radii where arctan(rho^kappa)
     rounds to pi/2: from about 9e15 at kappa = 1 and 4e31 at kappa = 1/2.
     """
     if kappa == 1.0:
