@@ -8,10 +8,14 @@ meant to check.  The quadrature and the derivative work on whole arrays:
 integrate_adaptive refines a batch of intervals together, each to its own
 absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
 once on a flat array of 24 n points (25 n for order 2) for n points x,
-builds the Richardson tableau a column at a time and picks its row point
-by point.  Both fall back to calling f point by point when f refuses an
-array.  The module imports nothing else from the package, and
-numerov_zero_energy returns the plain array of u on its grid.
+builds the Richardson tableau a column at a time and picks each point's
+row with array operations over the whole tableau.  Both fall back to
+calling f point by point when f refuses an array.  The Numerov march, the
+one sequential recurrence, runs on plain floats with its coefficients
+precomputed and tests for overflow once at the end; the DVR kinetic
+matrix is copied from a strided view of one mirrored row.  The module
+imports nothing else from the package, and numerov_zero_energy returns
+the plain array of u on its grid.
 """
 
 from __future__ import annotations
@@ -209,10 +213,13 @@ def derivative(f, x, order=1, h0=None):
     x +- h0 2^-k (25 n for order 2, which adds x itself) for n broadcast
     points, with the scalar fallback of integrate_adaptive: a scalar-only f
     such as math.sin is called point by point.  The tableau is then built a
-    column at a time over every row and point.  Only the selection runs row
-    by row, elementwise: each point keeps its own best row, error estimate,
-    stop counter (two rows in a row without improvement) and step floor, so
-    each entry selects the same row that a scalar call at that point would.
+    column at a time over every row and point, and the selection runs on
+    the whole tableau at once: per point, a row improves when its error
+    estimate is below every earlier one (a NaN estimate or a tie does not),
+    the point stops after two rows in a row without improvement or at the
+    first step below its floor, and the last improving row before the stop
+    is picked (row 0 if none), so each entry selects the same row that a
+    scalar call at that point would.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -251,22 +258,20 @@ def derivative(f, x, order=1, h0=None):
         diag[j] = col[0]
     err = abs(diag[1:] - diag[:-1]) + abs(diag[1:] - sub[1:])
 
-    best = np.full(x.size, math.nan)
-    best_err = np.full(x.size, math.inf)
-    worse = np.zeros(x.size, dtype=int)
-    live = np.ones(x.size, dtype=bool)
-    for i in range(1, _RICHARDSON_ROWS):
-        # a NaN step is not below the floor: its rows run and give NaN
-        live &= ~np.less(steps[i], h_min)
-        if not live.any():
-            break
-        better = live & (err[i - 1] < best_err)
-        best = np.where(better, diag[i], best)
-        best_err = np.where(better, err[i - 1], best_err)
-        worse = np.where(better, 0, worse + live)
-        live &= worse < 2
-    # single row: no extrapolation possible, return the bare stencil
-    best = np.where(np.isnan(best), diag[0], best)
+    # the selection over rows 1..11, all rows and points at once; row i is
+    # live while neither cut has struck it, and improves when its error is
+    # below every earlier one (fmin skips NaN, and a tie does not improve)
+    earlier = np.fmin.accumulate(np.concatenate([np.full((1, x.size), math.inf), err[:-1]]))
+    improves = err < earlier
+    # a NaN step is not below the floor: its rows run and give NaN
+    live = np.logical_and.accumulate(~np.less(steps[1:], h_min), axis=0)
+    # two idle rows in a row stop the point from the next row on
+    idle_pair = ~improves[1:] & ~improves[:-1]
+    live[2:] &= ~np.logical_or.accumulate(idle_pair[:-1], axis=0)
+    # the last live improving row; none leaves row 0, the bare stencil
+    rows = np.arange(1, _RICHARDSON_ROWS)[:, None]
+    pick = np.max(np.where(live & improves, rows, 0), axis=0)
+    best = diag[pick, np.arange(x.size)]
     return best.reshape(shape)[()]
 
 
@@ -279,8 +284,11 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     """March -u'' + U(rho) u = 0 across a uniform grid from two seed values.
 
     Returns the array of u on the grid.  Uses the standard Numerov update
-    (O(h^6) local accuracy); raises OverflowError once |u| exceeds 1e300,
-    which signals that the non-normalizable branch has taken over.
+    (O(h^6) local accuracy) on two running floats.  The overflow test runs
+    once, after the march: if |u| exceeds 1e300 anywhere past the seeds,
+    which signals that the non-normalizable branch has taken over, it
+    raises OverflowError naming the first such rho, also when an exact
+    zero divisor further on stopped the march.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 3:
@@ -289,19 +297,30 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     h = steps[0]
     if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):
         raise ValueError("grid must be uniform and increasing")
-    u_pot = _eval_vectorized(potential, g)
-    c = (1.0 - (h * h / 12.0) * u_pot).tolist()
-    u = [0.0] * g.size
-    u[0], u[1] = float(u0), float(u1)
-    for i in range(1, g.size - 1):
-        u[i + 1] = ((12.0 - 10.0 * c[i]) * u[i] - c[i - 1] * u[i - 1]) / c[i + 1]
-        if abs(u[i + 1]) > 1e300:
-            raise OverflowError(
-                f"Numerov solution exceeded 1e300 at rho = {g[i + 1]}"
-            )
-    return np.array(u)
+    c = 1.0 - (h * h / 12.0) * _eval_vectorized(potential, g)
+    lead = (12.0 - 10.0 * c[1:-1]).tolist()
+    c = c.tolist()
+    u = [float(u0), float(u1)]
+    prev, cur = u
+    try:
+        for a, c_prev, c_next in zip(lead, c, c[2:]):
+            prev, cur = cur, (a * cur - c_prev * prev) / c_next
+            u.append(cur)
+    except ZeroDivisionError:
+        _check_numerov_overflow(g, u)
+        raise
+    u = np.array(u)
+    _check_numerov_overflow(g, u)
+    return u
 
 
+def _check_numerov_overflow(g, u):
+    """Raise OverflowError at the first marched |u| above 1e300."""
+    over = np.abs(u[2:]) > 1e300
+    if over.any():
+        raise OverflowError(
+            f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +358,9 @@ def dvr_bound_states(potential, domain=(-12.0, 12.0)):
     row[0] = math.pi**2 / 3.0
     row[1:] = 2.0 * (-1.0) ** k / (k * k)
     row /= dx * dx
-    h = row[np.abs(np.arange(DVR_POINTS)[:, None] - np.arange(DVR_POINTS))]
+    # Toeplitz: the rows of the mirrored row's windows, last window first
+    mirrored = np.concatenate([row[:0:-1], row])
+    h = np.lib.stride_tricks.sliding_window_view(mirrored, DVR_POINTS)[::-1].copy()
     h[np.diag_indices(DVR_POINTS)] += v
     energies = np.linalg.eigvalsh(h)
     return energies[energies < 0.0].tolist()

@@ -105,6 +105,13 @@ class TestPotential:
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = 0$"):
             potential_v(1.0, 0.0, 3.0)
 
+    def test_nan_radius_is_refused(self):
+        # NaN < RHO_MIN is false, so the radius check must not be written that way
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = nan$"):
+            radial_factor_f(math.nan, 1, 1.0)
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = nan$"):
+            u_minus([1.0, math.nan], 1, 1.0)
+
 
 class TestXi:
     """The map xi = (1 - rho^(2 kappa)) / (1 + rho^(2 kappa)) inside radial_wavefunction.

@@ -139,6 +139,8 @@ class TestClosedForms:
             i0_closed_one(-0.1, 0)
         with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = 0.0$"):
             i0_closed_half([1.0, 0.0], 0)
+        with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = nan$"):
+            i0(math.nan, 1, 0.7)
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -0.5$"):
             i0_quadrature(1.0, 0, -0.5)
         # arctan(1e17) rounds to pi/2: the closed forms name the radius

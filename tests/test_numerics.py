@@ -1,13 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from conftest import zero_mode_residual
+from conftest import frobenius_seed, zero_mode_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from susy_fisheye.do_core import DoParams, u_minus
 from susy_fisheye.fullline import rm_potential
+from susy_fisheye.isospectral import u_bosonic_family
 from susy_fisheye.numerics import (
+    DVR_POINTS,
     ConvergenceError,
     QuadratureResult,
     StepUnderflowError,
@@ -123,6 +127,16 @@ def _rational(s):
     return (s * s * s - 2.0 * s + 1.0) / (1.0 + s * s)
 
 
+def _nan_above_one(s):
+    # NaN on part of the domain: its error estimates are NaN there
+    return np.where(s > 1.0, math.nan, s**3)
+
+
+def _staircase(s):
+    # piecewise constant: many error estimates tie at 0
+    return np.floor(1e3 * s)
+
+
 def _row_by_row_derivative(f, x, order=1, h0=None):
     """Richardson derivative with one call of f per side of each row.
 
@@ -225,7 +239,7 @@ class TestArrayDerivative:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        f=st.sampled_from([_rational, np.sin, np.exp]),
+        f=st.sampled_from([_rational, np.sin, np.exp, _nan_above_one, _staircase]),
         order=st.sampled_from([1, 2]),
         xs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=20),
         scalar=st.booleans(),
@@ -246,7 +260,7 @@ class TestArrayDerivative:
         got = derivative(f, x, order=order, h0=h0)
         ref = _row_by_row_derivative(f, x, order=order, h0=h0)
         assert type(got) is type(ref)
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got, ref, equal_nan=True)
 
     def test_nan_input_gives_nan(self):
         assert math.isnan(derivative(math.sin, math.nan))
@@ -257,20 +271,80 @@ class TestArrayDerivative:
         assert got[1] == derivative(math.sin, 0.7, order=2)
 
 
+def _stepwise_numerov(potential, grid, u0, u1):
+    """Numerov march one indexed step at a time, testing |u| after each.
+
+    The independent reference of test_equals_stepwise_march: the update and
+    the overflow test of numerov_zero_energy, written as a per-step loop.
+    """
+    g = np.asarray(grid, dtype=float)
+    h = g[1] - g[0]
+    c = (1.0 - (h * h / 12.0) * np.asarray(potential(g), dtype=float)).tolist()
+    u = [0.0] * g.size
+    u[0], u[1] = float(u0), float(u1)
+    for i in range(1, g.size - 1):
+        u[i + 1] = ((12.0 - 10.0 * c[i]) * u[i] - c[i - 1] * u[i - 1]) / c[i + 1]
+        if abs(u[i + 1]) > 1e300:
+            raise OverflowError(f"Numerov solution exceeded 1e300 at rho = {g[i + 1]}")
+    return np.array(u)
+
+
+def _zero_mode_march_inputs():
+    """The potentials, grids and seeds of verify._zero_mode_residual."""
+    grid = np.arange(1e-3, 5.0 + 5e-4, 1e-3)
+    cases = [(kappa, l, None) for kappa in (0.5, 1.0) for l in range(4)] + [(1.0, 1, 10.0)]
+    for kappa, l, lam in cases:
+        if lam is None:
+            pot = lambda r, l=l, kappa=kappa: u_minus(r, l, kappa)
+        else:
+            params = DoParams.nodeless(kappa, l, lam)
+            pot = lambda r, params=params: u_bosonic_family(r, params)
+        seeds = (frobenius_seed(grid[0], l, kappa), frobenius_seed(grid[1], l, kappa))
+        yield pot, grid, *seeds
+
+
 class TestNumerov:
+    # h = 1/4 makes c = 1 - (h^2 / 12) U exactly zero at U = 192
+    GRID = 0.25 * np.arange(1601)
+
     def test_free_particle_is_linear(self):
         grid = np.linspace(0.0, 1.0, 101)
         h = grid[1] - grid[0]
         u = numerov_zero_energy(lambda r: np.zeros_like(np.asarray(r)), grid, 0.0, h)
         assert np.max(np.abs(u - grid)) < 1e-13
 
+    def test_equals_stepwise_march(self):
+        for pot, grid, u0, u1 in _zero_mode_march_inputs():
+            got = numerov_zero_energy(pot, grid, u0, u1)
+            assert np.array_equal(got, _stepwise_numerov(pot, grid, u0, u1))
+
     def test_overflow_detection(self):
         # u'' = 4u grows like exp(2x): past 1e300 well before x = 400
         grid = np.linspace(0.0, 400.0, 8001)
-        with pytest.raises(OverflowError):
-            numerov_zero_energy(
-                lambda r: 4.0 * np.ones_like(np.asarray(r)), grid, 0.0, grid[1] - grid[0]
-            )
+        args = (lambda r: 4.0 * np.ones_like(np.asarray(r)), grid, 0.0, grid[1] - grid[0])
+        with pytest.raises(OverflowError) as ref:
+            _stepwise_numerov(*args)
+        message = str(ref.value)
+        rho = float(message.rpartition(" = ")[2])
+        assert 300.0 < rho < 400.0 and rho in grid
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            numerov_zero_energy(*args)
+
+    def test_overflow_before_a_zero_divisor(self):
+        # c = 0 at rho = 390, far past the overflow near rho = 345: the
+        # march must still report the overflow
+        pot = lambda r: np.where(np.asarray(r) == 390.0, 192.0, 4.0)
+        args = (pot, self.GRID, 0.0, 0.25)
+        with pytest.raises(OverflowError) as ref:
+            _stepwise_numerov(*args)
+        assert float(str(ref.value).rpartition(" = ")[2]) < 390.0
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(ref.value))}$"):
+            numerov_zero_energy(*args)
+
+    def test_zero_divisor_without_overflow(self):
+        pot = lambda r: np.where(np.asarray(r) == 100.0, 192.0, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            numerov_zero_energy(pot, self.GRID, 0.0, 0.25)
 
     def test_rejects_non_uniform_grid(self):
         with pytest.raises(ValueError):
@@ -343,3 +417,21 @@ class TestShooting:
         found = dvr_bound_states(lambda x: rm_potential(np.asarray(x) - shift, nb))
         assert len(found) == nb
         assert found == pytest.approx([-float(k * k) for k in range(nb, 0, -1)], abs=1e-6)
+
+    @pytest.mark.parametrize("domain", [(-12.0, 12.0), (-24.0, 24.0)])
+    def test_kinetic_matrix_is_the_sinc_gather(self, monkeypatch, domain):
+        # the matrix handed to eigvalsh equals row[|i - j|] + diag(V) bit for bit
+        well = lambda x: -2.0 / np.cosh(np.asarray(x)) ** 2
+        x = np.linspace(*domain, DVR_POINTS)
+        dx = x[1] - x[0]
+        k = np.arange(1, DVR_POINTS)
+        row = np.concatenate([[math.pi**2 / 3.0], 2.0 * (-1.0) ** k / (k * k)]) / (dx * dx)
+        ref = row[np.abs(np.arange(DVR_POINTS)[:, None] - np.arange(DVR_POINTS))]
+        ref[np.diag_indices(DVR_POINTS)] += well(x)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(h.copy()) or eigvalsh(h))
+        found = dvr_bound_states(well, domain=domain)
+        assert len(seen) == 1 and np.array_equal(seen[0], ref)
+        energies = eigvalsh(ref)
+        assert found == energies[energies < 0.0].tolist()
