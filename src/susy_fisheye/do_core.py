@@ -48,9 +48,9 @@ def _as_rho(rho):
     arr = np.asarray(rho, dtype=float)
     if arr.size == 0:
         raise ValueError("empty radius input")
-    bad = ~(arr >= RHO_MIN)  # NaN fails the test too
-    if bad.any():
-        raise ValueError(f"rho must be >= {RHO_MIN}, got rho = {float(arr[bad][0])}")
+    ok = arr >= RHO_MIN  # false for NaN too
+    if not ok.all():
+        raise ValueError(f"rho must be >= {RHO_MIN}, got rho = {float(arr.flat[np.argmin(ok)])}")
     return arr
 
 

@@ -298,8 +298,9 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):
         raise ValueError("grid must be uniform and increasing")
     c = 1.0 - (h * h / 12.0) * _eval_vectorized(potential, g)
-    lead = (12.0 - 10.0 * c[1:-1]).tolist()
-    c = c.tolist()
+    # memoryviews hand out the doubles as Python floats without a list of them
+    lead = memoryview(12.0 - 10.0 * c[1:-1])
+    c = memoryview(c)
     u = [float(u0), float(u1)]
     prev, cur = u
     try:
