@@ -307,21 +307,15 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
         for a, c_prev, c_next in zip(lead, c, c[2:]):
             prev, cur = cur, (a * cur - c_prev * prev) / c_next
             u.append(cur)
-    except ZeroDivisionError:
-        _check_numerov_overflow(g, u)
-        raise
-    u = np.array(u)
-    _check_numerov_overflow(g, u)
+    finally:
+        # also after an exact zero divisor: an overflow before it wins
+        u = np.array(u)
+        over = np.abs(u[2:]) > 1e300
+        if over.any():
+            raise OverflowError(
+                f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
+            )
     return u
-
-
-def _check_numerov_overflow(g, u):
-    """Raise OverflowError at the first marched |u| above 1e300."""
-    over = np.abs(u[2:]) > 1e300
-    if over.any():
-        raise OverflowError(
-            f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
-        )
 
 
 # --------------------------------------------------------------------------
