@@ -303,18 +303,22 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     c = memoryview(c)
     u = [float(u0), float(u1)]
     prev, cur = u
+    stopped = None
     try:
         for a, c_prev, c_next in zip(lead, c, c[2:]):
             prev, cur = cur, (a * cur - c_prev * prev) / c_next
             u.append(cur)
-    finally:
-        # also after an exact zero divisor: an overflow before it wins
-        u = np.array(u)
-        over = np.abs(u[2:]) > 1e300
-        if over.any():
-            raise OverflowError(
-                f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
-            )
+    except ZeroDivisionError as exc:
+        # an overflow before the zero divisor is reported in its place
+        stopped = exc
+    u = np.array(u)
+    over = np.abs(u[2:]) > 1e300
+    if over.any():
+        raise OverflowError(
+            f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
+        )
+    if stopped is not None:
+        raise stopped
     return u
 
 
