@@ -31,6 +31,7 @@ from .fullline import (
     aufbau_rm_potential,
     rescale_radius,
     rm_family_single,
+    rm_partner_potential,
     rm_potential,
     rm_spectrum,
 )

@@ -203,7 +203,7 @@ def _cmd_langer(cfg: RunConfig) -> int:
         cols = [xs, fullline.aufbau_rm_potential(xs, cfg.aufbau)]
     else:
         v_min = fullline.rm_potential(xs, nb)
-        v_plus = -nb * (nb - 1) / np.cosh(xs) ** 2
+        v_plus = fullline.rm_partner_potential(xs, nb)
         v_fam = fullline.rm_family_single(xs, cfg.lambda0)
         names = ["x", "v_minus", "v_plus", "v_family"]
         cols = [xs, v_min, v_plus, v_fam]

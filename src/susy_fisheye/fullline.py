@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "rm_potential",
+    "rm_partner_potential",
     "rm_spectrum",
     "rm_family_single",
     "rm_family_shift",
@@ -45,6 +46,15 @@ def rm_potential(x, n_b_int):
     """Standard reflectionless well -n_b (n_b + 1) / cosh^2 x."""
     _check_n_b(n_b_int)
     return -n_b_int * (n_b_int + 1.0) / np.cosh(x) ** 2
+
+
+def rm_partner_potential(x, n_b_int):
+    """SUSY partner -n_b (n_b - 1) / cosh^2 x of rm_potential: the ladder of well n_b - 1.
+
+    Written n_b (1 - n_b) so that the flat partner of n_b = 1 is +0.0.
+    """
+    _check_n_b(n_b_int)
+    return n_b_int * (1.0 - n_b_int) / np.cosh(x) ** 2
 
 
 def rm_spectrum(n_b_int):

@@ -13,9 +13,10 @@ row with array operations over the whole tableau.  Both fall back to
 calling f point by point when f refuses an array.  The Numerov march, the
 one sequential recurrence, runs on plain floats with its coefficients
 precomputed and tests for overflow once at the end; the DVR kinetic
-matrix is copied from a strided view of one mirrored row.  The module
-imports nothing else from the package, and numerov_zero_energy returns
-the plain array of u on its grid.
+matrix is copied from a strided view of one mirrored row, and a well even
+about the grid's centre is solved as two half-size parity blocks.  The
+module imports nothing else from the package, and numerov_zero_energy
+returns the plain array of u on its grid.
 """
 
 from __future__ import annotations
@@ -328,8 +329,16 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # 201 points resolve unit-width sech^2 wells on [-12, 12] (dx = 0.12) and the
-# half-width aufbau wells on [-24, 24] to better than 1e-8.
+# half-width aufbau wells on [-24, 24] to better than 1e-8.  The count must be
+# odd: the grid then has a centre point and mirrors onto itself, which the
+# parity split of an even well needs.
 DVR_POINTS = 201
+
+
+def _toeplitz(row):
+    """row[|i - j|] as a read-only view: the mirrored row's windows, last first."""
+    mirrored = np.concatenate([row[:0:-1], row])
+    return np.lib.stride_tricks.sliding_window_view(mirrored, row.size)[::-1]
 
 
 def dvr_bound_states(potential, domain=(-12.0, 12.0)):
@@ -337,8 +346,16 @@ def dvr_bound_states(potential, domain=(-12.0, 12.0)):
 
     The kinetic matrix is the sinc-DVR one, pi^2/3 on the diagonal and
     2 (-1)^k / k^2 at distance k from it, all over dx^2; V sits on the
-    diagonal.  The grid spans `domain` with DVR_POINTS points, so the well
-    must have decayed at both ends.  The free-particle matrix is positive
+    diagonal.  The grid is centre + half_width * (i - m) / m for
+    i = 0..DVR_POINTS - 1 with m = DVR_POINTS // 2, so its points mirror
+    bit for bit about the centre of `domain`, and the well must have
+    decayed at both ends.  When the sampled V reads the same backwards (a
+    well even about the centre), the matrix splits exactly into an even
+    block, T_|p-q| + T_(p+q) on the offsets p, q = 0..m from the centre
+    with the centre row and column scaled by sqrt(1/2), and an odd block,
+    T_|p-q| - T_(p+q) on p, q = 1..m, each with V on its diagonal; the two
+    half-size blocks are solved instead of the full matrix.  Any other V
+    is solved as the full matrix.  The free-particle matrix is positive
     definite, so a flat potential gives [], and the box states of the
     continuum stay above zero (the lowest at 5e-3 for the half-width wells
     on [-24, 24], 2e-2 for the unit-width wells on [-12, 12]), so the
@@ -347,19 +364,33 @@ def dvr_bound_states(potential, domain=(-12.0, 12.0)):
     x_min, x_max = (float(b) for b in domain)
     if not (math.isfinite(x_min) and math.isfinite(x_max) and x_min < x_max):
         raise ValueError(f"domain must be finite with x_min < x_max, got {domain!r}")
-    x = np.linspace(x_min, x_max, DVR_POINTS)
+    m = DVR_POINTS // 2
+    half_width = 0.5 * (x_max - x_min)
+    x = 0.5 * (x_min + x_max) + half_width * (np.arange(DVR_POINTS) - m) / m
     v = _eval_vectorized(potential, x)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential must be finite on the domain")
-    dx = x[1] - x[0]
+    dx = half_width / m
     k = np.arange(1, DVR_POINTS)
     row = np.empty(DVR_POINTS)
     row[0] = math.pi**2 / 3.0
     row[1:] = 2.0 * (-1.0) ** k / (k * k)
     row /= dx * dx
-    # Toeplitz: the rows of the mirrored row's windows, last window first
-    mirrored = np.concatenate([row[:0:-1], row])
-    h = np.lib.stride_tricks.sliding_window_view(mirrored, DVR_POINTS)[::-1].copy()
-    h[np.diag_indices(DVR_POINTS)] += v
-    energies = np.linalg.eigvalsh(h)
+    if np.array_equal(v, v[::-1]):
+        # even states in the basis e_0, (e_p + e_-p)/sqrt(2); odd ones in (e_p - e_-p)/sqrt(2)
+        toeplitz = _toeplitz(row[: m + 1])
+        hankel = np.lib.stride_tricks.sliding_window_view(row, m + 1)
+        even = toeplitz + hankel
+        even[0] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+        even[np.diag_indices(m + 1)] += v[m:]
+        odd = toeplitz[1:, 1:] - hankel[1:, 1:]
+        odd[np.diag_indices(m)] += v[m + 1 :]
+        energies = np.sort(
+            np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+        )
+    else:
+        h = _toeplitz(row).copy()
+        h[np.diag_indices(DVR_POINTS)] += v
+        energies = np.linalg.eigvalsh(h)
     return energies[energies < 0.0].tolist()

@@ -310,7 +310,7 @@ def check_rm_ladder():
 
 def check_rm_partner_deficit():
     for nb in (2, 3, 4):
-        found = numerics.dvr_bound_states(lambda x: -nb * (nb - 1) / np.cosh(x) ** 2)
+        found = numerics.dvr_bound_states(lambda x: fullline.rm_partner_potential(x, nb))
         if len(found) != nb - 1:
             return _result(
                 "rm-partner-deficit", 1.0, 0.0, f"nb={nb}: {len(found)} states"

@@ -46,6 +46,7 @@ CASES = [
     ("fisheye.index_iso", lambda r: fisheye.index_iso(r, 1, 1.0), RHO),
     ("fisheye.index_iso[exact]", lambda r: fisheye.index_iso(r, 1, 1.0, exact=True), RHO),
     ("fullline.rm_potential", lambda x: fullline.rm_potential(x, 3), X),
+    ("fullline.rm_partner_potential", lambda x: fullline.rm_partner_potential(x, 3), X),
     ("fullline.rm_family_single", lambda x: fullline.rm_family_single(x, 0.1), X),
     ("fullline.aufbau_rm_potential", lambda x: fullline.aufbau_rm_potential(x, 3), X),
 ]

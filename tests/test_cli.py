@@ -21,10 +21,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_alone(*argv):
+def run_alone(*argv, **env_vars):
     """(exit code, stdout, stderr) of one command in a fresh interpreter."""
     src = str(Path(susy_fisheye.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               **env_vars)
     proc = subprocess.run(
         [sys.executable, "-m", "susy_fisheye", *argv],
         capture_output=True, text=True, env=env, check=False,
@@ -362,6 +363,15 @@ class TestLangerCommand:
         payload = json.loads(out)
         assert payload["eigenvalues"] == [-2.25, -1, -0.25]
 
+    def test_flat_partner_csv_is_pinned(self, capsys):
+        # at nb = 1 the partner well is flat and its column prints 0, not -0
+        code, out, err = run_cli(capsys, "langer", "--nb", "1", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert {line.split(",")[2] for line in out.splitlines()[1:]} == {"0"}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c12d3967c470bd69195a8040f72ec5ec3b95553b0544d65c3b639170adab95e3"
+        )
+
     def test_scan_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "langer", "--nb", "2", "--format", "csv", "--samples", "7"
@@ -564,6 +574,14 @@ class TestVerifyCommand:
         monkeypatch.setenv("SUSY_FISHEYE_TOL", "1e6")
         assert run_cli(capsys, "verify", "--suite", "specfun") == plain
         assert "tol=1.000e-12" in plain[1]
+
+    def test_output_does_not_depend_on_blas_threads(self):
+        # the eigen-oracle's residuals are printed to four digits; they must
+        # read the same whatever number of threads the BLAS runs on
+        one, two = (run_alone("verify", "--suite", "fullline", OPENBLAS_NUM_THREADS=n)
+                    for n in ("1", "2"))
+        assert one[0] == 0 and "aufbau-ground-state" in one[1]
+        assert one == two
 
     def test_known_failures_reported_honestly(self, capsys):
         # the full suite carries two documented out-of-tolerance checks

@@ -10,6 +10,7 @@ from susy_fisheye.fullline import (
     rescale_radius,
     rm_family_shift,
     rm_family_single,
+    rm_partner_potential,
     rm_potential,
     rm_spectrum,
 )
@@ -50,6 +51,10 @@ class TestRmWell:
             rm_spectrum(0)
         with pytest.raises(ValueError, match=r"got n_b_int = 1.5$"):
             rm_potential(0.0, 1.5)
+        with pytest.raises(ValueError, match=r"positive integer, got n_b_int = 0$"):
+            rm_partner_potential(0.0, 0)
+        with pytest.raises(ValueError, match=r"got n_b_int = 2.5$"):
+            rm_partner_potential(0.0, 2.5)
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_shooting_oracle_finds_ladder(self, nb):
@@ -60,7 +65,7 @@ class TestRmWell:
 
     @pytest.mark.parametrize("nb", [2, 3, 4])
     def test_partner_has_one_state_less(self, nb):
-        found = dvr_bound_states(lambda x: -nb * (nb - 1) / np.cosh(x) ** 2)
+        found = dvr_bound_states(lambda x: rm_partner_potential(x, nb))
         assert len(found) == nb - 1
 
 
@@ -73,8 +78,7 @@ class TestRmSuperpotential:
         dw = derivative(lambda s: nb * np.tanh(s), x, h0=0.05)
         w2 = (nb * np.tanh(x)) ** 2
         assert w2 - dw - nb * nb == pytest.approx(rm_potential(x, nb), abs=1e-9)
-        partner = -nb * (nb - 1) / np.cosh(x) ** 2
-        assert w2 + dw - nb * nb == pytest.approx(partner, abs=1e-9)
+        assert w2 + dw - nb * nb == pytest.approx(rm_partner_potential(x, nb), abs=1e-9)
 
 
 class TestFamilyWell:

@@ -418,20 +418,43 @@ class TestShooting:
         assert len(found) == nb
         assert found == pytest.approx([-float(k * k) for k in range(nb, 0, -1)], abs=1e-6)
 
-    @pytest.mark.parametrize("domain", [(-12.0, 12.0), (-24.0, 24.0)])
-    def test_kinetic_matrix_is_the_sinc_gather(self, monkeypatch, domain):
-        # the matrix handed to eigvalsh equals row[|i - j|] + diag(V) bit for bit
-        well = lambda x: -2.0 / np.cosh(np.asarray(x)) ** 2
-        x = np.linspace(*domain, DVR_POINTS)
-        dx = x[1] - x[0]
+    @pytest.mark.parametrize(
+        "well,domain,split",
+        [
+            (lambda x: -2.0 / np.cosh(np.asarray(x)) ** 2, (-12.0, 12.0), True),
+            (lambda x: -2.0 / np.cosh(np.asarray(x)) ** 2, (-24.0, 24.0), True),
+            (lambda x: rm_potential(np.asarray(x) - 0.3, 2), (-12.0, 12.0), False),
+        ],
+        ids=["even-12", "even-24", "translated"],
+    )
+    def test_eigvalsh_receives_the_sinc_matrix(self, monkeypatch, well, domain, split):
+        # an even well reaches eigvalsh as its even and odd parity blocks, any
+        # other well as the full matrix row[|i - j|] + diag(V), bit for bit
+        m = DVR_POINTS // 2
+        centre, half_width = 0.5 * (domain[0] + domain[1]), 0.5 * (domain[1] - domain[0])
+        x = centre + half_width * np.arange(-m, m + 1) / m
+        assert np.array_equal(x - centre, -(x - centre)[::-1])
+        v = well(x)
+        dx = half_width / m
         k = np.arange(1, DVR_POINTS)
         row = np.concatenate([[math.pi**2 / 3.0], 2.0 * (-1.0) ** k / (k * k)]) / (dx * dx)
-        ref = row[np.abs(np.arange(DVR_POINTS)[:, None] - np.arange(DVR_POINTS))]
-        ref[np.diag_indices(DVR_POINTS)] += well(x)
+        i = np.arange(DVR_POINTS)
+        full = row[np.abs(i[:, None] - i)]
+        full[np.diag_indices(DVR_POINTS)] += v
+        p = np.arange(m + 1)
+        even = row[np.abs(p[:, None] - p)] + row[p[:, None] + p]
+        even[0] *= math.sqrt(0.5)
+        even[:, 0] *= math.sqrt(0.5)
+        even[np.diag_indices(m + 1)] += v[m:]
+        q = p[1:]
+        odd = row[np.abs(q[:, None] - q)] - row[q[:, None] + q]
+        odd[np.diag_indices(m)] += v[m + 1 :]
         seen = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: seen.append(h.copy()) or eigvalsh(h))
         found = dvr_bound_states(well, domain=domain)
-        assert len(seen) == 1 and np.array_equal(seen[0], ref)
-        energies = eigvalsh(ref)
-        assert found == energies[energies < 0.0].tolist()
+        expected = [even, odd] if split else [full]
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, expected))
+        energies = eigvalsh(full)
+        assert found == pytest.approx(energies[energies < 0.0].tolist(), rel=0, abs=1e-12)
