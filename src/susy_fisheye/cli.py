@@ -73,6 +73,8 @@ class RunConfig:
             raise ValueError(f"l must be non-negative, got l = {self.l}")
         if not self.lam > 0:
             raise ValueError(f"lambda must be positive, got lambda = {self.lam:g}")
+        if self.lam == math.inf:
+            raise ValueError(f"lambda must be finite, got lambda = {self.lam:g}")
         if not -1.0 < self.lambda0 < math.inf or self.lambda0 == 0.0:
             raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {self.lambda0:g}")
 

@@ -12,6 +12,7 @@ U- = W^2 - W' and U+ = W^2 + W'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,9 @@ class DoParams:
     take a nodeless DoParams and read I0 for its (kappa, l) from
     isospectral.i0.  The polynomial degree N - 1 - l/kappa must be a
     non-negative integer; the nodeless sector corresponds to degree zero.
-    Any lam > 0 selects a member of the strictly isospectral family; at
-    kappa = 1/2 and small lam, the closed form of I0 limits the relative
-    accuracy at small rho.  Radii are in units of the lens radius R
+    Any finite lam > 0 selects a member of the strictly isospectral
+    family; at kappa = 1/2 and small lam, the closed form of I0 limits the
+    relative accuracy at small rho.  Radii are in units of the lens radius R
     (rho = r / R), so R is not a parameter here; fullline.rescale_radius
     takes its own R.
     """
@@ -87,6 +88,8 @@ class DoParams:
             raise ValueError(f"N must be a positive integer, got N = {self.N:g}")
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got lam = {self.lam:g}")
+        if self.lam == math.inf:
+            raise ValueError(f"lam must be finite, got lam = {self.lam:g}")
         deg = self.N - 1 - self.l / self.kappa
         if deg < -1e-9 or abs(deg - round(deg)) > 1e-9:
             raise ValueError(

@@ -7,10 +7,10 @@ self-contained: they never call into the analytic evaluators they are
 meant to check.  The quadrature and the derivative work on whole arrays:
 integrate_adaptive refines a batch of intervals together, each to its own
 absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
-once on a flat array of 24 n points (25 n for order 2) for n points x,
-builds the Richardson tableau a column at a time and picks each point's
-row with array operations over the whole tableau.  Both fall back to
-calling f point by point when f refuses an array.  The Numerov march, the
+once on the stencil grid of shape (24,) + x.shape ((25,) + x.shape for
+order 2), builds the Richardson tableau a column at a time and picks each
+point's row with array operations over the whole tableau.  Both fall back
+to calling f point by point when f refuses an array.  The Numerov march, the
 one sequential recurrence, runs on plain floats with its coefficients
 precomputed and tests for overflow once at the end; the DVR kinetic
 matrix is copied from a strided view of one mirrored row, and a well even
@@ -94,14 +94,14 @@ _WEIGHTS_G[[9, 11, 13]] = _WG_HALF[::-1]
 
 
 def _eval_vectorized(f, x):
-    """Call f on an array, falling back to an elementwise loop."""
+    """Call f on an array, falling back to an elementwise loop; x's shape."""
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:
             return y
     except (TypeError, ValueError):
         pass
-    return np.array([float(f(xi)) for xi in x])
+    return np.array([float(f(xi)) for xi in x.flat]).reshape(x.shape)
 
 
 def _gk15(f, lo, hi):
@@ -210,17 +210,21 @@ def derivative(f, x, order=1, h0=None):
 
     x may be a scalar or an array, and h0 a scalar or an array that
     broadcasts against x; the result has the broadcast shape, a numpy float
-    for a scalar x.  f is called once, on a flat array of the 24 n points
-    x +- h0 2^-k (25 n for order 2, which adds x itself) for n broadcast
-    points, with the scalar fallback of integrate_adaptive: a scalar-only f
-    such as math.sin is called point by point.  The tableau is then built a
-    column at a time over every row and point, and the selection runs on
-    the whole tableau at once: per point, a row improves when its error
-    estimate is below every earlier one (a NaN estimate or a tie does not),
-    the point stops after two rows in a row without improvement or at the
-    first step below its floor, and the last improving row before the stop
-    is picked (row 0 if none), so each entry selects the same row that a
-    scalar call at that point would.
+    for a scalar x.  f is called once, on the stencil grid of shape
+    (24,) + shape for that broadcast shape: rows k and 12 + k hold
+    x + h0 2^-k and x - h0 2^-k for k = 0..11, and order 2 adds a 25th
+    row, x itself.  An elementwise f sees the same points however they are
+    shaped, and f may use the shape: for x of shape (cases, n), case j
+    lies on row j of the second-to-last axis, so one call can
+    differentiate a different function per case.  A scalar-only f such as
+    math.sin is called point by point, as in integrate_adaptive.  The
+    tableau is then built a column at a time over every row and point, and
+    the selection runs on the whole tableau at once: per point, a row
+    improves when its error estimate is below every earlier one (a NaN
+    estimate or a tie does not), the point stops after two rows in a row
+    without improvement or at the first step below its floor, and the last
+    improving row before the stop is picked (row 0 if none), so each entry
+    selects the same row that a scalar call at that point would.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -240,7 +244,7 @@ def derivative(f, x, order=1, h0=None):
     # one row per step; halving is exact, so row k holds h0 2^-k bit for bit
     steps = h.ravel() * 0.5 ** np.arange(_RICHARDSON_ROWS)[:, None]
     grid = np.concatenate([x + steps, x - steps] + ([x[None]] if order == 2 else []))
-    y = _eval_vectorized(f, grid.ravel()).reshape(grid.shape)
+    y = _eval_vectorized(f, grid.reshape(grid.shape[:1] + shape)).reshape(grid.shape)
     plus, minus = y[:_RICHARDSON_ROWS], y[_RICHARDSON_ROWS : 2 * _RICHARDSON_ROWS]
     if order == 1:
         col = (plus - minus) / (2.0 * steps)

@@ -41,6 +41,23 @@ def _result(name, residual, tol, detail=""):
     return CheckResult(name, float(residual), tol, float(residual) <= tol, detail)
 
 
+def _stacked(fn, cases):
+    """f(s) = fn(s, *cases[j]) on row j of the second-to-last axis of s.
+
+    numerics.derivative hands f its stencil grid in the shape (24,) +
+    x.shape, so at x = np.tile(radii, (len(cases), 1)) one derivative call
+    covers every case.
+    """
+
+    def f(s):
+        out = np.empty(s.shape)
+        for j, case in enumerate(cases):
+            out[..., j, :] = fn(s[..., j, :], *case)
+        return out
+
+    return f
+
+
 def _frobenius_seed(rho, l, kappa):
     """Two-term local solution u ~ rho^(l+1) (1 - (2l+1)/(2k) rho^(2k)).
 
@@ -79,28 +96,26 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
 
 
 def check_gegenbauer_recurrence():
+    xi = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     worst = 0.0
     for q in (0.5, 1.5, 2.5):
-        for xi in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            vals = [
-                specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)
-            ]
-            for p in range(1, 11):
-                lhs = (p + 1) * vals[p + 1]
-                rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
-                ref = max(abs(lhs), abs(rhs), 1.0)
-                worst = max(worst, abs(lhs - rhs) / ref)
+        vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
+        for p in range(1, 11):
+            lhs = (p + 1) * vals[p + 1]
+            rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
+            ref = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+            worst = max(worst, float(np.max(abs(lhs - rhs) / ref)))
     return _result("gegenbauer-recurrence", worst, 1e-12)
 
 
 def check_gegenbauer_parity():
+    xi = np.array([0.1, 0.35, 0.8])
     worst = 0.0
     for p in range(9):
         for q in (0.5, 1.5, 2.5):
-            for xi in (0.1, 0.35, 0.8):
-                a = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi))
-                b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, -xi))
-                worst = max(worst, abs(b - (-1.0) ** p * a))
+            a = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi))
+            b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, -xi))
+            worst = max(worst, float(np.max(abs(b - (-1.0) ** p * a))))
     return _result("gegenbauer-parity", worst, 1e-10)
 
 
@@ -108,25 +123,21 @@ def check_gegenbauer_parity():
 
 
 def check_log_derivative():
-    worst = 0.0
-    r = np.linspace(0.05, 20.0, 50)
-    for kappa in (0.5, 1.0):
-        for l in (0, 1, 2, 3):
-            fd = numerics.derivative(lambda s: radial_factor_f(s, l, kappa), r, h0=0.2 * r)
-            gap = superpotential_w(r, l, kappa) + fd / radial_factor_f(r, l, kappa)
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return _result("log-derivative-identity", worst, 1e-8)
+    sectors = [(l, kappa) for kappa in (0.5, 1.0) for l in (0, 1, 2, 3)]
+    f = _stacked(radial_factor_f, sectors)
+    r = np.tile(np.linspace(0.05, 20.0, 50), (len(sectors), 1))
+    fd = numerics.derivative(f, r, h0=0.2 * r)
+    gap = _stacked(superpotential_w, sectors)(r) + fd / f(r)
+    return _result("log-derivative-identity", np.max(np.abs(gap)), 1e-8)
 
 
 def check_partner_sum_difference():
-    worst = 0.0
-    r = np.linspace(0.1, 10.0, 30)
-    for kappa in (0.5, 1.0):
-        for l in (0, 1, 2):
-            dw = numerics.derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.2 * r)
-            gap = u_plus(r, l, kappa) - u_minus(r, l, kappa) - 2.0 * dw
-            worst = max(worst, float(np.max(np.abs(gap))))
-    return _result("partner-sum-difference", worst, 1e-6)
+    sectors = [(l, kappa) for kappa in (0.5, 1.0) for l in (0, 1, 2)]
+    w = _stacked(superpotential_w, sectors)
+    r = np.tile(np.linspace(0.1, 10.0, 30), (len(sectors), 1))
+    dw = numerics.derivative(w, r, h0=0.2 * r)
+    gap = _stacked(u_plus, sectors)(r) - _stacked(u_minus, sectors)(r) - 2.0 * dw
+    return _result("partner-sum-difference", np.max(np.abs(gap)), 1e-6)
 
 
 def check_coupling_integers():
@@ -157,37 +168,45 @@ def check_closed_vs_quadrature():
     return _result("closed-form-vs-quadrature", worst, 1e-9)
 
 
-def riccati_residual(v, params, r):
-    """Worst residual of -V' + 2 W V = -1 over r: absolute, and over max(1, |V'|)."""
+# the 18 families of the Riccati scan, kappa slowest and lam fastest
+RICCATI_FAMILIES = tuple(
+    DoParams.nodeless(kappa, l, lam)
+    for kappa in (0.5, 1.0)
+    for l in (0, 1, 2)
+    for lam in (0.5, 1.0, 10.0)
+)
+
+
+def riccati_residual(v, families, radii):
+    """Worst residual of -V' + 2 W V = -1: absolute, and over max(1, |V'|).
+
+    v(s, params) is V of the family params; the worst is taken over every
+    family and radius, with one derivative call for all families.
+    """
+    v = _stacked(v, [(p,) for p in families])
+    w = _stacked(superpotential_w, [(p.l, p.kappa) for p in families])
+    r = np.tile(radii, (len(families), 1))
     dv = numerics.derivative(v, r, h0=0.25 * r)
-    res = np.abs(-dv + 2.0 * superpotential_w(r, params.l, params.kappa) * v(r) + 1.0)
+    res = np.abs(-dv + 2.0 * w(r) * v(r) + 1.0)
     return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
 
 
-def partner_gap(params, r):
-    """Worst |W_gen' + W_gen^2 - (W' + W^2)| over r: the two fermionic partners."""
-    l, kappa = params.l, params.kappa
-    dwg = numerics.derivative(
-        lambda s: isospectral.superpotential_general(s, params), r, h0=0.25 * r
-    )
-    dw = numerics.derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-    up_general = dwg + isospectral.superpotential_general(r, params) ** 2
-    up_particular = dw + superpotential_w(r, l, kappa) ** 2
-    return float(np.max(np.abs(up_general - up_particular)))
+def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
+    """Worst absolute and relative Riccati residual and partner gap over the families.
 
-
-def _riccati_scan(radii=np.linspace(0.1, 10.0, 25)):
-    """Worst absolute and relative Riccati residual and partner gap over the families."""
-    worst_abs = worst_rel = worst_partner = 0.0
-    for kappa in (0.5, 1.0):
-        for l in (0, 1, 2):
-            for lam in (0.5, 1.0, 10.0):
-                params = DoParams.nodeless(kappa, l, lam)
-                res, res_rel = riccati_residual(
-                    lambda s: isospectral.v_general(s, params), params, radii
-                )
-                worst_abs, worst_rel = max(worst_abs, res), max(worst_rel, res_rel)
-                worst_partner = max(worst_partner, partner_gap(params, radii))
+    The partner gap is |W_gen' + W_gen^2 - (W' + W^2)|, the two fermionic
+    partners.  Three derivative calls in all: V_gen' and W_gen' over every
+    family, and W' over each distinct (kappa, l) once.
+    """
+    worst_abs, worst_rel = riccati_residual(isospectral.v_general, families, radii)
+    sectors = list(dict.fromkeys((p.l, p.kappa) for p in families))
+    wg = _stacked(isospectral.superpotential_general, [(p,) for p in families])
+    w = _stacked(superpotential_w, sectors)
+    r, rs = np.tile(radii, (len(families), 1)), np.tile(radii, (len(sectors), 1))
+    up_general = numerics.derivative(wg, r, h0=0.25 * r) + wg(r) ** 2
+    up_particular = numerics.derivative(w, rs, h0=0.25 * rs) + w(rs) ** 2
+    sector = [sectors.index((p.l, p.kappa)) for p in families]
+    worst_partner = float(np.max(np.abs(up_general - up_particular[sector])))
     return worst_abs, worst_rel, worst_partner
 
 
@@ -281,19 +300,18 @@ def check_inflection():
 
 
 def check_langer_residual():
-    worst = 0.0
-    xs = np.linspace(-4.0, 4.0, 41)
-    for n in (1, 2, 3):
-        l = n - 1
-        nu = n - 0.5
+    # phi_l is the bound state at -nu^2 of the well -nu (nu + 1) sech^2 x,
+    # nu = l + 1/2, for l = 0, 1, 2 on rows 0, 1, 2
+    nu = np.array([[0.5], [1.5], [2.5]])
 
-        def phi(x):
-            return np.exp(-0.5 * x) * radial_factor_f(np.exp(x), l, 1.0)
+    def phi_l(x, l):
+        return np.exp(-0.5 * x) * radial_factor_f(np.exp(x), l, 1.0)
 
-        d2 = numerics.derivative(phi, xs, order=2, h0=0.05)
-        res = -d2 + (nu**2 - nu * (nu + 1.0) / np.cosh(xs) ** 2) * phi(xs)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return _result("langer-residual", worst, 1e-6)
+    phi = _stacked(phi_l, [(0,), (1,), (2,)])
+    xs = np.tile(np.linspace(-4.0, 4.0, 41), (3, 1))
+    d2 = numerics.derivative(phi, xs, order=2, h0=0.05)
+    res = -d2 + (nu**2 - nu * (nu + 1.0) / np.cosh(xs) ** 2) * phi(xs)
+    return _result("langer-residual", np.max(np.abs(res)), 1e-6)
 
 
 def check_rm_ladder():

@@ -33,11 +33,12 @@ import numpy as np
 import pytest
 
 from susy_fisheye.cli import main as cli_main
-from susy_fisheye.do_core import DoParams, radial_factor_f
+from susy_fisheye.do_core import radial_factor_f
 from susy_fisheye.fisheye import relative_ratio
 from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import i0, i0_closed_half
 from susy_fisheye.verify import (
+    RICCATI_FAMILIES,
     _riccati_scan,
     check_aufbau,
     check_closed_vs_quadrature,
@@ -72,14 +73,6 @@ RICCATI_REL_TOL = 1e-9
 RICCATI_RADII = np.linspace(0.1, 10.0, 12)
 
 
-def riccati_families(kappas=(0.5, 1.0)):
-    """The families of the negative controls, each checked at RICCATI_RADII."""
-    for kappa in kappas:
-        for l in (0, 1, 2):
-            for lam in (0.5, 1.0, 10.0):
-                yield DoParams.nodeless(kappa, l, lam)
-
-
 def test_criterion_2_riccati_pair():
     t0 = time.perf_counter()
     worst_res, worst_res_rel, worst_partner = _riccati_scan(radii=RICCATI_RADII)
@@ -100,36 +93,30 @@ def test_criterion_2_riccati_pair():
     )
 
 
-def v_from_i0(i0, params):
-    """V = f^-2 (I0 + lam) built on a given damping integral I0(rho)."""
-    return lambda s: (i0(s) + params.lam) / radial_factor_f(
-        s, params.l, params.kappa
-    ) ** 2
+def worst_relative_residual(i0, kappas=(0.5, 1.0)):
+    """verify's relative residual of V = f^-2 (I0 + lam) built on i0(s, params).
 
+    The families are the scan's, those with kappa in kappas, at RICCATI_RADII.
+    """
 
-def worst_relative_residual(make_i0, kappas=(0.5, 1.0)):
-    return max(
-        riccati_residual(v_from_i0(make_i0(params), params), params, RICCATI_RADII)[1]
-        for params in riccati_families(kappas)
-    )
+    def v(s, params):
+        return (i0(s, params) + params.lam) / radial_factor_f(s, params.l, params.kappa) ** 2
+
+    families = [p for p in RICCATI_FAMILIES if p.kappa in kappas]
+    return riccati_residual(v, families, RICCATI_RADII)[1]
 
 
 def test_criterion_2_bound_rejects_rescaled_i0():
     # (1 + d) I0 in place of I0 turns the right-hand side -1 into -(1 + d):
     # a relative residual of d wherever |V'| <= 1
-    worst = worst_relative_residual(
-        lambda params: lambda s: (1.0 + 1e-4) * i0(s, params.l, params.kappa)
-    )
+    worst = worst_relative_residual(lambda s, p: (1.0 + 1e-4) * i0(s, p.l, p.kappa))
     assert worst > RICCATI_REL_TOL
     assert worst == pytest.approx(1e-4, rel=1e-6)
 
 
 def test_criterion_2_bound_rejects_wrong_kappa_i0():
     # a kappa = 1 family built on the kappa = 1/2 damping integral
-    worst = worst_relative_residual(
-        lambda params: lambda s: i0_closed_half(s, params.l),
-        kappas=(1.0,),
-    )
+    worst = worst_relative_residual(lambda s, p: i0_closed_half(s, p.l), kappas=(1.0,))
     assert worst > RICCATI_REL_TOL
 
 

@@ -443,6 +443,9 @@ class TestErrors:
             (["family", "--kappa", "-1"], "kappa must be positive, got kappa = -1"),
             (["potential", "--kappa", "nan"], "kappa must be positive, got kappa = nan"),
             (["family", "--lambda", "nan"], "lambda must be positive, got lambda = nan"),
+            (["family", "--lambda", "inf"], "lambda must be finite, got lambda = inf"),
+            (["index", "--lambda", "inf"], "lambda must be finite, got lambda = inf"),
+            (["figure", "--lambda", "inf"], "lambda must be finite, got lambda = inf"),
             (["index", "--l", "-2"], "l must be non-negative, got l = -2"),
             (["potential", "--N", "-1"], "N must be a positive integer, got N = -1"),
             (["langer", "--nb", "-1"], "n_b_int must be a positive integer, got n_b_int = -1"),
@@ -470,7 +473,8 @@ class TestErrors:
                 "kappa is beyond the range of the I0 series, got kappa = inf",
             ),
         ],
-        ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan", "l-negative",
+        ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan",
+             "family-lambda-inf", "index-lambda-inf", "figure-lambda-inf", "l-negative",
              "N-negative", "nb-negative", "aufbau-even", "beta-rounds-to-pi-half",
              "nodeless-non-integral", "kappa-below-series-range", "kappa-inf"],
     )

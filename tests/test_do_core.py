@@ -53,6 +53,12 @@ class TestDoParams:
         with pytest.raises(ValueError, match=rf"{field} must be positive, got {field} = nan$"):
             DoParams.nodeless(**kwargs)
 
+    def test_infinite_lambda_is_refused(self):
+        with pytest.raises(ValueError, match=r"^lam must be finite, got lam = inf$"):
+            DoParams(kappa=1.0, l=0, N=1, lam=math.inf)
+        with pytest.raises(ValueError, match=r"^lam must be finite, got lam = inf$"):
+            DoParams.nodeless(1, 1, math.inf)
+
     def test_nan_lambda_family_is_refused(self):
         with pytest.raises(ValueError, match=r"got lam = nan$"):
             DoParams.nodeless(1.0, 1, math.nan)

@@ -75,6 +75,11 @@ class TestRelativeRatio:
             with pytest.raises(ValueError, match=rf"lam must be positive, got lam = {shown}$"):
                 fn(GRID, 1, lam)
 
+    def test_rejects_infinite_lambda(self):
+        for fn in (relative_ratio, v_family_fisheye):
+            with pytest.raises(ValueError, match=r"^lam must be finite, got lam = inf$"):
+                fn(GRID, 1, math.inf)
+
     def test_vanishes_at_large_lambda(self):
         vals = np.abs(np.asarray(relative_ratio(GRID, 1, 1e9)))
         assert np.max(vals) < 1e-8

@@ -22,7 +22,7 @@ from susy_fisheye.isospectral import (
     v_general,
 )
 from susy_fisheye.numerics import derivative
-from susy_fisheye.verify import check_lambda_recovery, partner_gap, riccati_residual
+from susy_fisheye.verify import _riccati_scan, check_lambda_recovery, riccati_residual
 
 # frozen reference values at rho = 1, l = 0, kappa = 1 (I0 = 1 - pi/4)
 I0_ONE = 1.0 - math.pi / 4.0
@@ -308,7 +308,7 @@ class TestGeneralRiccatiSolution:
         # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
         params = DoParams.nodeless(kappa, l, lam)
         r = np.linspace(0.1, 10.0, 15)
-        assert riccati_residual(lambda s: v_general(s, params), params, r)[1] < 1e-9
+        assert riccati_residual(v_general, [params], r)[1] < 1e-9
 
 
 class TestGeneralSuperpotential:
@@ -338,7 +338,8 @@ class TestGeneralSuperpotential:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
     def test_shared_fermionic_partner(self, kappa, l, lam):
         params = DoParams.nodeless(kappa, l, lam)
-        assert partner_gap(params, np.linspace(0.1, 10.0, 15)) < 1e-6
+        r = np.linspace(0.1, 10.0, 15)
+        assert _riccati_scan(radii=r, families=[params])[2] < 1e-6
 
 
 class TestBosonicFamily:

@@ -15,6 +15,7 @@ from susy_fisheye.numerics import (
     ConvergenceError,
     QuadratureResult,
     StepUnderflowError,
+    _eval_vectorized,
     derivative,
     dvr_bound_states,
     integrate_adaptive,
@@ -237,20 +238,70 @@ class TestArrayDerivative:
             derivative(f, x, order=order)
             assert sizes == [(24 + (order == 2)) * np.size(x)]
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("x", [0.7, XS, XS.reshape(3, 19)], ids=["scalar", "row", "grid"])
+    def test_f_receives_the_stencil_grid_in_the_shape_of_x(self, order, x):
+        grids = []
+
+        def f(s):
+            grids.append(s)
+            return np.sin(s)
+
+        h0 = 0.1 + 0.01 * np.abs(x)
+        derivative(f, x, order=order, h0=h0)
+        (grid,) = grids
+        assert grid.shape == (24 + (order == 2),) + np.shape(x)
+        for k in range(12):
+            assert np.array_equal(grid[k], x + h0 * 0.5**k)
+            assert np.array_equal(grid[12 + k], x - h0 * 0.5**k)
+        if order == 2:
+            assert np.array_equal(grid[24], x)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_per_row_stacked_f_equals_separate_calls(self, order):
+        # row j of the second-to-last axis carries case j, here its own function
+        fns = (np.sin, np.exp, _rational)
+        x = np.stack([self.XS, 0.5 * self.XS, self.XS[::-1]])
+        h0 = 0.2 * np.abs(x) + 0.01
+
+        def stacked(s):
+            return np.stack([fn(s[..., j, :]) for j, fn in enumerate(fns)], axis=-2)
+
+        got = derivative(stacked, x, order=order, h0=h0)
+        for j, fn in enumerate(fns):
+            assert np.array_equal(got[j], derivative(fn, x[j], order=order, h0=h0[j]))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_scalar_only_f_with_a_grid_of_x(self, order):
+        # math.sin refuses an array: the fallback walks the shaped grid point
+        # by point and hands back its shape
+        x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
+        got = derivative(math.sin, x, order=order)
+        assert got.shape == (2, 3)
+        ref = [derivative(math.sin, float(xi), order=order) for xi in x.flat]
+        assert np.array_equal(got.ravel(), ref)
+        y = _eval_vectorized(math.sin, x)
+        assert y.shape == (2, 3)
+        assert np.array_equal(y.ravel(), [math.sin(xi) for xi in x.flat])
+
     @settings(max_examples=150, deadline=None)
     @given(
         f=st.sampled_from([_rational, np.sin, np.exp, _nan_above_one, _staircase]),
         order=st.sampled_from([1, 2]),
         xs=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=20),
-        scalar=st.booleans(),
+        layout=st.sampled_from(["scalar", "row", "grid"]),
         h0_kind=st.sampled_from(["none", "scalar", "array"]),
         log2_above_floor=st.lists(st.floats(2.0**-8, 40.0), min_size=20, max_size=20),
     )
-    def test_equals_row_by_row_tableau(self, f, order, xs, scalar, h0_kind, log2_above_floor):
+    def test_equals_row_by_row_tableau(self, f, order, xs, layout, h0_kind, log2_above_floor):
+        scalar = layout == "scalar"
         x = np.array(xs[:1] if scalar else xs)
+        if layout == "grid":
+            # two cases on the second-to-last axis: f gets the grid (24, 2, n)
+            x = np.stack([x, x[::-1]])
         # h0 = floor 2^e with e down to 2^-8: small e cuts rows at the floor;
         # a scalar h0 is the largest, which clears every point's floor
-        h0 = 1e-10 * np.fmax(1.0, np.abs(x)) * np.exp2(log2_above_floor[: x.size])
+        h0 = 1e-10 * np.fmax(1.0, np.abs(x)) * np.exp2(log2_above_floor[: x.shape[-1]])
         if h0_kind == "none":
             h0 = None
         elif h0_kind == "scalar" or scalar:

@@ -1,0 +1,170 @@
+"""The batched verify checks against per-parameter-set reference loops.
+
+verify stacks each check's parameter sets on one (cases, radii) grid and
+makes one Richardson call per derived quantity.  The loops here make one
+call per parameter set, the way the checks were first written; the
+residuals must agree bit for bit, so they are compared with ==.
+"""
+
+import numpy as np
+import pytest
+from test_acceptance import RICCATI_RADII
+
+from susy_fisheye import numerics, specfun, verify
+from susy_fisheye.do_core import (
+    DoParams,
+    radial_factor_f,
+    superpotential_w,
+    u_minus,
+    u_plus,
+)
+from susy_fisheye.isospectral import superpotential_general, v_general
+from susy_fisheye.numerics import derivative
+
+FAMILIES = [
+    (kappa, l, lam) for kappa in (0.5, 1.0) for l in (0, 1, 2) for lam in (0.5, 1.0, 10.0)
+]
+
+
+def riccati_loop(radii):
+    worst_abs = worst_rel = worst_partner = 0.0
+    for kappa, l, lam in FAMILIES:
+        params = DoParams.nodeless(kappa, l, lam)
+        r = radii
+        dv = derivative(lambda s: v_general(s, params), r, h0=0.25 * r)
+        res = np.abs(-dv + 2.0 * superpotential_w(r, l, kappa) * v_general(r, params) + 1.0)
+        worst_abs = max(worst_abs, float(np.max(res)))
+        worst_rel = max(worst_rel, float(np.max(res / np.maximum(1.0, np.abs(dv)))))
+        dwg = derivative(lambda s: superpotential_general(s, params), r, h0=0.25 * r)
+        dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
+        up_general = dwg + superpotential_general(r, params) ** 2
+        up_particular = dw + superpotential_w(r, l, kappa) ** 2
+        worst_partner = max(worst_partner, float(np.max(np.abs(up_general - up_particular))))
+    return worst_abs, worst_rel, worst_partner
+
+
+def log_derivative_loop():
+    worst = 0.0
+    r = np.linspace(0.05, 20.0, 50)
+    for kappa in (0.5, 1.0):
+        for l in (0, 1, 2, 3):
+            fd = derivative(lambda s: radial_factor_f(s, l, kappa), r, h0=0.2 * r)
+            gap = superpotential_w(r, l, kappa) + fd / radial_factor_f(r, l, kappa)
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def partner_sum_difference_loop():
+    worst = 0.0
+    r = np.linspace(0.1, 10.0, 30)
+    for kappa in (0.5, 1.0):
+        for l in (0, 1, 2):
+            dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.2 * r)
+            gap = u_plus(r, l, kappa) - u_minus(r, l, kappa) - 2.0 * dw
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst
+
+
+def langer_loop():
+    worst = 0.0
+    xs = np.linspace(-4.0, 4.0, 41)
+    for n in (1, 2, 3):
+        l, nu = n - 1, n - 0.5
+
+        def phi(x):
+            return np.exp(-0.5 * x) * radial_factor_f(np.exp(x), l, 1.0)
+
+        d2 = derivative(phi, xs, order=2, h0=0.05)
+        res = -d2 + (nu**2 - nu * (nu + 1.0) / np.cosh(xs) ** 2) * phi(xs)
+        worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+def gegenbauer_recurrence_loop():
+    worst = 0.0
+    for q in (0.5, 1.5, 2.5):
+        for xi in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
+            for p in range(1, 11):
+                lhs = (p + 1) * vals[p + 1]
+                rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
+                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return worst
+
+
+def gegenbauer_parity_loop():
+    worst = 0.0
+    for p in range(9):
+        for q in (0.5, 1.5, 2.5):
+            for xi in (0.1, 0.35, 0.8):
+                a = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi))
+                b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, -xi))
+                worst = max(worst, abs(b - (-1.0) ** p * a))
+    return worst
+
+
+def test_riccati_families_are_the_scan_grid():
+    assert [(p.kappa, p.l, p.lam) for p in verify.RICCATI_FAMILIES] == FAMILIES
+
+
+def test_riccati_scan_equals_the_loop():
+    # check_riccati runs the scan at its default 25 radii
+    assert verify._riccati_scan() == riccati_loop(np.linspace(0.1, 10.0, 25))
+    got = tuple(r.residual for r in verify.check_riccati())
+    assert got == riccati_loop(np.linspace(0.1, 10.0, 25))
+    assert verify._riccati_scan(radii=RICCATI_RADII) == riccati_loop(RICCATI_RADII)
+
+
+@pytest.mark.parametrize(
+    "check,loop",
+    [
+        (verify.check_log_derivative, log_derivative_loop),
+        (verify.check_partner_sum_difference, partner_sum_difference_loop),
+        (verify.check_langer_residual, langer_loop),
+        (verify.check_gegenbauer_recurrence, gegenbauer_recurrence_loop),
+        (verify.check_gegenbauer_parity, gegenbauer_parity_loop),
+    ],
+    ids=["log-derivative", "partner-sum-difference", "langer", "gegenbauer-recurrence",
+         "gegenbauer-parity"],
+)
+def test_batched_check_equals_the_loop(check, loop):
+    assert check().residual == loop()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "check,calls",
+    [
+        (verify.check_riccati, 3),
+        (verify.check_log_derivative, 1),
+        (verify.check_partner_sum_difference, 1),
+        (verify.check_langer_residual, 1),
+    ],
+    ids=["riccati", "log-derivative", "partner-sum-difference", "langer"],
+)
+def test_one_derivative_call_per_quantity(monkeypatch, check, calls):
+    made = _counting(monkeypatch, numerics, "derivative")
+    check()
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "check,calls",
+    [(verify.check_gegenbauer_recurrence, 36), (verify.check_gegenbauer_parity, 54)],
+    ids=["recurrence", "parity"],
+)
+def test_one_gegenbauer_call_per_degree_and_order(monkeypatch, check, calls):
+    made = _counting(monkeypatch, specfun, "gegenbauer")
+    check()
+    assert len(made) == calls
