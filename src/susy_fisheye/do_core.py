@@ -70,8 +70,8 @@ class DoParams:
     non-negative integer; the nodeless sector corresponds to degree zero.
     Any finite lam > 0 selects a member of the strictly isospectral
     family; at kappa = 1/2 and small lam, the closed form of I0 limits the
-    relative accuracy at small rho.  Radii are in units of the lens radius R
-    (rho = r / R), so R is not a parameter here; fullline.rescale_radius
+    relative accuracy at small rho.  Radii are in units of the lens radius
+    R (rho = r / R), so R is not a parameter here; fullline.rescale_radius
     takes its own R.
     """
 

@@ -10,8 +10,8 @@ absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
 once on the stencil grid of shape (24,) + x.shape ((25,) + x.shape for
 order 2), builds the Richardson tableau a column at a time and picks each
 point's row with array operations over the whole tableau.  Both fall back
-to calling f point by point when f refuses an array.  The Numerov march, the
-one sequential recurrence, runs on plain floats with its coefficients
+to calling f point by point when f refuses an array.  The Numerov march,
+the one sequential recurrence, runs on plain floats with its coefficients
 precomputed and tests for overflow once at the end; the DVR kinetic
 matrix is copied from a strided view of one mirrored row, and a well even
 about the grid's centre is solved as two half-size parity blocks.  The
@@ -94,7 +94,7 @@ _WEIGHTS_G[[9, 11, 13]] = _WG_HALF[::-1]
 
 
 def _eval_vectorized(f, x):
-    """Call f on an array, falling back to an elementwise loop; x's shape."""
+    """f over the array x, in x's shape; point by point if f refuses an array."""
     try:
         y = np.asarray(f(x), dtype=float)
         if y.shape == x.shape:

@@ -129,8 +129,9 @@ def _rational(s):
 
 
 def _nan_above_one(s):
-    # NaN on part of the domain: its error estimates are NaN there
-    return np.where(s > 1.0, math.nan, s**3)
+    # NaN on part of the domain: its error estimates are NaN there.  s * s * s,
+    # not s**3: numpy rounds a float64 scalar's cube differently from an array's
+    return np.where(s > 1.0, math.nan, s * s * s)
 
 
 def _staircase(s):
