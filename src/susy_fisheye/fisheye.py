@@ -63,7 +63,8 @@ class FigureTable:
 
 def _deformation(r, l, lam, exact):
     """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms."""
-    terms = _family_terms(r, DoParams.nodeless(kappa=1.0, l=l, lam=lam))
+    params = DoParams.nodeless(kappa=1.0, l=l, lam=lam)
+    terms = _family_terms(r, params.l, params.kappa, params.lam)
     v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
     ratio = 0.5 * (terms[2] - terms[3]) / v_m
     if not exact:

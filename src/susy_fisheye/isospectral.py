@@ -329,16 +329,22 @@ def i0(rho, l, kappa):
     return _i0_beta(rho, l, kappa)
 
 
-def _denominator(r, params: DoParams):
-    """I0(rho) + lam, the damping denominator of the family."""
-    return i0(r, params.l, params.kappa) + params.lam
+def _general(r, l, kappa, lam):
+    """(V_gen, W_gen, W) from one evaluation of f, I0 and W on the grid r.
+
+    lam is a float or an array that broadcasts against r, so every lam of
+    a (kappa, l) sector shares the one f, I0 and W; each element is
+    computed by the same operations as for a scalar lam.
+    """
+    f2 = radial_factor_f(r, l, kappa) ** 2
+    denom = i0(r, l, kappa) + lam
+    w = superpotential_w(r, l, kappa)
+    return denom / f2, w + f2 / denom, w
 
 
 def v_general(rho, params: DoParams):
     """General Riccati solution V_gen = f^-2 (lam + I0); strictly positive."""
-    r = _as_rho(rho)
-    f = radial_factor_f(r, params.l, params.kappa)
-    return _denominator(r, params) / f**2
+    return _general(_as_rho(rho), params.l, params.kappa, params.lam)[0]
 
 
 def superpotential_general(rho, params: DoParams):
@@ -346,22 +352,23 @@ def superpotential_general(rho, params: DoParams):
 
     The derivative of log(I0 + lam) is taken analytically: dI0/drho = f^2.
     """
-    r = _as_rho(rho)
-    f = radial_factor_f(r, params.l, params.kappa)
-    return superpotential_w(r, params.l, params.kappa) + f**2 / _denominator(r, params)
+    return _general(_as_rho(rho), params.l, params.kappa, params.lam)[1]
 
 
-def _family_terms(r, params: DoParams):
+def _family_terms(r, l, kappa, lam):
     """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2 on one grid.
 
     The one place a family evaluates f, f' and I0; every family column is
-    built from these four arrays.
+    built from these four arrays.  lam is a float or an array that
+    broadcasts against r: a (kappa, l) sector is evaluated once per grid
+    for all of its lam, and each element is computed by the same
+    operations as for a scalar lam.
     """
     # f' first: it dies on return, and with the kept f allocated after it a
     # large table leaves less of the heap fragmented (lower peak RSS).
-    df = radial_factor_df(r, params.l, params.kappa)
-    f = radial_factor_f(r, params.l, params.kappa)
-    denom = _denominator(r, params)
+    df = radial_factor_df(r, l, kappa)
+    f = radial_factor_f(r, l, kappa)
+    denom = i0(r, l, kappa) + lam
     return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
 
 
@@ -374,7 +381,7 @@ def family_columns(rho, params: DoParams):
     """The columns (U-, U_bos, f, f_bos) on one grid, from one f, f', I0 and U-."""
     r = _as_rho(rho)
     u_m = u_minus(r, params.l, params.kappa)
-    terms = _family_terms(r, params)
+    terms = _family_terms(r, params.l, params.kappa, params.lam)
     return u_m, _u_bos(u_m, terms), terms[0], terms[1]
 
 
@@ -385,4 +392,4 @@ def u_bosonic_family(rho, params: DoParams):
 
 def radial_factor_bosonic(rho, params: DoParams):
     """Damped radial factor f / (I0 + lam): strictly positive and nodeless."""
-    return _family_terms(_as_rho(rho), params)[1]
+    return _family_terms(_as_rho(rho), params.l, params.kappa, params.lam)[1]

@@ -9,7 +9,10 @@ integrate_adaptive refines a batch of intervals together, each to its own
 absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
 once on the stencil grid of shape (24,) + x.shape ((25,) + x.shape for
 order 2), builds the Richardson tableau a column at a time and picks each
-point's row with array operations over the whole tableau.  Both fall back
+point's row with array operations over the whole tableau.  Cases stacked
+on the rows of x may share one evaluation: verify's Riccati scan holds
+the family's lam in an array that broadcasts against the radii, so each
+(kappa, l) sector is evaluated once per grid for all of its lam.  Both fall back
 to calling f point by point when f refuses an array.  The Numerov march,
 the one sequential recurrence, runs on plain floats with its coefficients
 precomputed and tests for overflow once at the end; the DVR kinetic
@@ -216,7 +219,9 @@ def derivative(f, x, order=1, h0=None):
     row, x itself.  An elementwise f sees the same points however they are
     shaped, and f may use the shape: for x of shape (cases, n), case j
     lies on row j of the second-to-last axis, so one call can
-    differentiate a different function per case.  A scalar-only f such as
+    differentiate a different function per case, and cases that share
+    their expensive part (the lam of one (kappa, l) sector) can compute
+    it once per grid.  A scalar-only f such as
     math.sin is called point by point, as in integrate_adaptive.  The
     tableau is then built a column at a time over every row and point, and
     the selection runs on the whole tableau at once: per point, a row
@@ -288,19 +293,22 @@ def derivative(f, x, order=1, h0=None):
 def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     """March -u'' + U(rho) u = 0 across a uniform grid from two seed values.
 
-    Returns the array of u on the grid.  Uses the standard Numerov update
-    (O(h^6) local accuracy) on two running floats.  The overflow test runs
-    once, after the march: if |u| exceeds 1e300 anywhere past the seeds,
-    which signals that the non-normalizable branch has taken over, it
-    raises OverflowError naming the first such rho, also when an exact
-    zero divisor further on stopped the march.
+    Returns the array of u on the grid, which must be uniform: every step
+    within 1e-8 of the first (relative), with NaN and infinite points
+    refused.  Uses the standard Numerov update (O(h^6) local accuracy) on
+    two running floats.  The overflow test runs once, after the march: if
+    |u| exceeds 1e300 anywhere past the seeds, which signals that the
+    non-normalizable branch has taken over, it raises OverflowError naming
+    the first such rho, also when an exact zero divisor further on stopped
+    the march.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 3:
         raise ValueError("grid must be one-dimensional with at least 3 points")
     steps = np.diff(g)
     h = steps[0]
-    if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):
+    # one comparison, false for a NaN or an infinite step
+    if h <= 0 or not np.max(np.abs(steps - h)) <= 1e-8 * h:
         raise ValueError("grid must be uniform and increasing")
     c = 1.0 - (h * h / 12.0) * _eval_vectorized(potential, g)
     # memoryviews hand out the doubles as Python floats without a list of them

@@ -10,7 +10,6 @@ are known to fail at documented parameter corners; see README.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +73,27 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
     Marches -u'' + U u = 0 from Frobenius seeds near the origin and
     compares against the analytic radial factor (or its damped family
     counterpart when lam is given) after a least-squares global rescale.
+    lam may also be a tuple: the family terms are then evaluated once on
+    the grid for all of its values, each lam is marched on its own, and the
+    worst deviation is returned.
     """
     grid = np.arange(h, window[1] + h / 2, h)
     u0 = _frobenius_seed(grid[0], l, kappa)
     u1 = _frobenius_seed(grid[1], l, kappa)
+    u_m = u_minus(grid, l, kappa)
     if lam is None:
-        pot = lambda r: u_minus(r, l, kappa)
-        ref = radial_factor_f(grid, l, kappa)
+        pots, refs = [u_m], [radial_factor_f(grid, l, kappa)]
     else:
-        params = DoParams.nodeless(kappa, l, lam)
-        pot = lambda r: isospectral.u_bosonic_family(r, params)
-        ref = isospectral.radial_factor_bosonic(grid, params)
-    u = numerics.numerov_zero_energy(pot, grid, u0, u1)
+        terms = isospectral._family_terms(grid, l, kappa, np.reshape(lam, (-1, 1)))
+        pots, refs = isospectral._u_bos(u_m, terms), terms[1]
     sel = (grid >= window[0]) & (grid <= window[1])
-    u, f = u[sel], ref[sel]
-    scale = np.dot(u, f) / np.dot(u, u)
-    return float(np.max(np.abs(scale * u - f) / np.abs(f)))
+    worst = 0.0
+    for pot, ref in zip(pots, refs):
+        u = numerics.numerov_zero_energy(lambda r, pot=pot: pot, grid, u0, u1)[sel]
+        f = ref[sel]
+        scale = np.dot(u, f) / np.dot(u, u)
+        worst = max(worst, float(np.max(np.abs(scale * u - f) / np.abs(f))))
+    return worst
 
 
 # ----------------------------------------------------------------- specfun
@@ -177,36 +181,63 @@ RICCATI_FAMILIES = tuple(
 )
 
 
+def _riccati_worst(dv, w, v):
+    """Worst |-V' + 2 W V + 1|: absolute, and over max(1, |V'|)."""
+    res = np.abs(-dv + 2.0 * w * v + 1.0)
+    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
+
+
 def riccati_residual(v, families, radii):
     """Worst residual of -V' + 2 W V = -1: absolute, and over max(1, |V'|).
 
     v(s, params) is V of the family params; the worst is taken over every
     family and radius, with one derivative call for all families.
+    _riccati_scan applies the same formula, _riccati_worst.
     """
     v = _stacked(v, [(p,) for p in families])
     w = _stacked(superpotential_w, [(p.l, p.kappa) for p in families])
     r = np.tile(radii, (len(families), 1))
-    dv = numerics.derivative(v, r, h0=0.25 * r)
-    res = np.abs(-dv + 2.0 * w(r) * v(r) + 1.0)
-    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
+    return _riccati_worst(numerics.derivative(v, r, h0=0.25 * r), w(r), v(r))
 
 
 def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
     """Worst absolute and relative Riccati residual and partner gap over the families.
 
     The partner gap is |W_gen' + W_gen^2 - (W' + W^2)|, the two fermionic
-    partners.  Three derivative calls in all: V_gen' and W_gen' over every
-    family, and W' over each distinct (kappa, l) once.
+    partners.  The families are grouped by (kappa, l) sector, and each
+    sector's f, I0 and W are evaluated once per grid for all of its lam
+    (isospectral._general), so the scan evaluates I0 twice per sector: on
+    the stencil grid of its one derivative call, which covers V_gen' and
+    W_gen' of every family and W' of every sector, and at the radii.
     """
-    worst_abs, worst_rel = riccati_residual(isospectral.v_general, families, radii)
-    sectors = list(dict.fromkeys((p.l, p.kappa) for p in families))
-    wg = _stacked(isospectral.superpotential_general, [(p,) for p in families])
-    w = _stacked(superpotential_w, sectors)
-    r, rs = np.tile(radii, (len(families), 1)), np.tile(radii, (len(sectors), 1))
-    up_general = numerics.derivative(wg, r, h0=0.25 * r) + wg(r) ** 2
-    up_particular = numerics.derivative(w, rs, h0=0.25 * rs) + w(rs) ** 2
-    sector = [sectors.index((p.l, p.kappa)) for p in families]
-    worst_partner = float(np.max(np.abs(up_general - up_particular[sector])))
+    n = len(families)
+    sectors = {}
+    for i, p in enumerate(families):
+        sectors.setdefault((p.l, p.kappa), []).append(i)
+    # the rows of one grid, each holding the radii: V_gen of each family,
+    # W_gen of each family, then W of each sector; family i reads W on w_row[i]
+    w_row = np.empty(n, dtype=int)
+    for k, idx in enumerate(sectors.values()):
+        w_row[idx] = 2 * n + k
+    lams = np.array([p.lam for p in families])[:, None]
+
+    def quantities(s):
+        out = np.empty(s.shape)
+        for k, ((l, kappa), idx) in enumerate(sectors.items()):
+            row = [2 * n + k]
+            v, wg, w = isospectral._general(s[..., row, :], l, kappa, lams[idx])
+            out[..., idx, :] = v
+            out[..., [n + i for i in idx], :] = wg
+            out[..., row, :] = w
+        return out
+
+    r = np.tile(radii, (2 * n + len(sectors), 1))
+    d = numerics.derivative(quantities, r, h0=0.25 * r)
+    q = quantities(r)
+    worst_abs, worst_rel = _riccati_worst(d[:n], q[w_row], q[:n])
+    up_general = d[n : 2 * n] + q[n : 2 * n] ** 2
+    up_particular = d[w_row] + q[w_row] ** 2
+    worst_partner = float(np.max(np.abs(up_general - up_particular)))
     return worst_abs, worst_rel, worst_partner
 
 
@@ -225,10 +256,7 @@ def check_riccati():
 
 
 def check_zero_mode_family():
-    worst = 0.0
-    for l in (0, 1, 2):
-        for lam in (1.0, 10.0):
-            worst = max(worst, _zero_mode_residual(l, 1.0, lam))
+    worst = max(_zero_mode_residual(l, 1.0, (1.0, 10.0)) for l in (0, 1, 2))
     return _result("zero-mode-family", worst, 1e-5)
 
 
@@ -338,15 +366,11 @@ def check_rm_partner_deficit():
 
 def check_family_spectrum():
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lam0 in (0.1, 1.0, 10.0):
-            found = numerics.dvr_bound_states(lambda x: fullline.rm_family_single(x, lam0))
-            if len(found) != 1:
-                return _result(
-                    "family-spectrum-invariance", float("inf"), 1e-6, f"lam0={lam0}"
-                )
-            worst = max(worst, abs(found[0] + 1.0))
+    for lam0 in (0.1, 1.0, 10.0):
+        found = numerics.dvr_bound_states(lambda x: fullline.rm_family_single(x, lam0))
+        if len(found) != 1:
+            return _result("family-spectrum-invariance", float("inf"), 1e-6, f"lam0={lam0}")
+        worst = max(worst, abs(found[0] + 1.0))
     return _result("family-spectrum-invariance", worst, 1e-6)
 
 

@@ -10,6 +10,8 @@ from scipy.integrate import quad
 
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
+    _family_terms,
+    _general,
     _i0_beta,
     _series,
     i0,
@@ -340,6 +342,39 @@ class TestGeneralSuperpotential:
         params = DoParams.nodeless(kappa, l, lam)
         r = np.linspace(0.1, 10.0, 15)
         assert _riccati_scan(radii=r, families=[params])[2] < 1e-6
+
+
+@st.composite
+def nodeless_sectors(draw):
+    """(kappa, l) with 1 + l/kappa a positive integer: every I0 route."""
+    l = draw(st.integers(min_value=0, max_value=3))
+    if l == 0:
+        kappa = draw(st.sampled_from([0.5, 1.0]) | st.floats(min_value=0.2, max_value=3.0))
+    else:
+        kappa = l / draw(st.integers(min_value=1, max_value=3 * l))
+    DoParams.nodeless(kappa, l)
+    return kappa, l
+
+
+class TestLambdaBroadcast:
+    """A lam array shares one f, f', I0 and W; each row is the scalar-lam call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sector=nodeless_sectors(),
+        log_lam=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4),
+        log_rho=st.lists(st.floats(min_value=-4.0, max_value=3.0), min_size=1, max_size=8),
+    )
+    def test_lambda_array_equals_scalar_calls(self, sector, log_lam, log_rho):
+        kappa, l = sector
+        r = 10.0 ** np.array(log_rho)
+        lams = 10.0 ** np.array(log_lam)
+        shape = (lams.size, r.size)
+        for helper in (_family_terms, _general):
+            batched = helper(r, l, kappa, lams[:, None])
+            for j, lam in enumerate(lams):
+                for got, want in zip(batched, helper(r, l, kappa, float(lam))):
+                    assert np.array_equal(np.broadcast_to(got, shape)[j], want)
 
 
 class TestBosonicFamily:

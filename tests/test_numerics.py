@@ -399,13 +399,24 @@ class TestNumerov:
             numerov_zero_energy(pot, self.GRID, 0.0, 0.25)
 
     def test_rejects_non_uniform_grid(self):
+        free = lambda r: np.zeros_like(np.asarray(r))
         with pytest.raises(ValueError):
-            numerov_zero_energy(
-                lambda r: np.zeros_like(np.asarray(r)),
-                np.array([0.0, 0.1, 0.3]),
-                0.0,
-                0.1,
-            )
+            numerov_zero_energy(free, np.array([0.0, 0.1, 0.3]), 0.0, 0.1)
+        grid = np.linspace(1.0, 2.0, 11)
+        h = grid[1] - grid[0]
+        for bad in (math.nan, math.inf):
+            for i in (0, 5, 10):
+                g = grid.copy()
+                g[i] = bad
+                with pytest.raises(ValueError, match="^grid must be uniform and increasing$"):
+                    numerov_zero_energy(free, g, 0.0, h)
+        # the steps must agree to 1e-8 of the first step
+        g = grid.copy()
+        g[5] += 1e-9 * h
+        assert np.all(np.isfinite(numerov_zero_energy(free, g, 0.0, h)))
+        g[5] = grid[5] + 1e-7 * h
+        with pytest.raises(ValueError, match="^grid must be uniform and increasing$"):
+            numerov_zero_energy(free, g, 0.0, h)
 
     def test_zero_mode_of_half_line_potential(self):
         assert zero_mode_residual(0, 1.0) < 1e-6

@@ -6,11 +6,13 @@ call per parameter set, the way the checks were first written; the
 residuals must agree bit for bit, so they are compared with ==.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from test_acceptance import RICCATI_RADII
 
-from susy_fisheye import numerics, specfun, verify
+from susy_fisheye import isospectral, numerics, specfun, verify
 from susy_fisheye.do_core import (
     DoParams,
     radial_factor_f,
@@ -18,7 +20,12 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
-from susy_fisheye.isospectral import superpotential_general, v_general
+from susy_fisheye.isospectral import (
+    radial_factor_bosonic,
+    superpotential_general,
+    u_bosonic_family,
+    v_general,
+)
 from susy_fisheye.numerics import derivative
 
 FAMILIES = [
@@ -103,6 +110,26 @@ def gegenbauer_parity_loop():
     return worst
 
 
+def zero_mode_family_loop():
+    # one march per (l, lam), on the public family evaluators
+    worst = 0.0
+    grid = np.arange(1e-3, 5.0 + 5e-4, 1e-3)
+    sel = (grid >= 0.1) & (grid <= 5.0)
+    for l in (0, 1, 2):
+        for lam in (1.0, 10.0):
+            params = DoParams.nodeless(1.0, l, lam)
+            u0, u1 = (verify._frobenius_seed(grid[i], l, 1.0) for i in (0, 1))
+            u = numerics.numerov_zero_energy(
+                lambda r: u_bosonic_family(r, params), grid, u0, u1
+            )[sel]
+            f = radial_factor_bosonic(grid, params)[sel]
+            scale = np.dot(u, f) / np.dot(u, u)
+            case = float(np.max(np.abs(scale * u - f) / np.abs(f)))
+            assert verify._zero_mode_residual(l, 1.0, lam) == case
+            worst = max(worst, case)
+    return worst
+
+
 def test_riccati_families_are_the_scan_grid():
     assert [(p.kappa, p.l, p.lam) for p in verify.RICCATI_FAMILIES] == FAMILIES
 
@@ -123,9 +150,10 @@ def test_riccati_scan_equals_the_loop():
         (verify.check_langer_residual, langer_loop),
         (verify.check_gegenbauer_recurrence, gegenbauer_recurrence_loop),
         (verify.check_gegenbauer_parity, gegenbauer_parity_loop),
+        (verify.check_zero_mode_family, zero_mode_family_loop),
     ],
     ids=["log-derivative", "partner-sum-difference", "langer", "gegenbauer-recurrence",
-         "gegenbauer-parity"],
+         "gegenbauer-parity", "zero-mode-family"],
 )
 def test_batched_check_equals_the_loop(check, loop):
     assert check().residual == loop()
@@ -146,7 +174,7 @@ def _counting(monkeypatch, module, name):
 @pytest.mark.parametrize(
     "check,calls",
     [
-        (verify.check_riccati, 3),
+        (verify.check_riccati, 1),
         (verify.check_log_derivative, 1),
         (verify.check_partner_sum_difference, 1),
         (verify.check_langer_residual, 1),
@@ -168,3 +196,23 @@ def test_one_gegenbauer_call_per_degree_and_order(monkeypatch, check, calls):
     made = _counting(monkeypatch, specfun, "gegenbauer")
     check()
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "run,calls",
+    [(verify._riccati_scan, 12), (verify.check_zero_mode_family, 3)],
+    ids=["riccati-scan", "zero-mode-family"],
+)
+def test_one_i0_evaluation_per_sector_and_grid(monkeypatch, run, calls):
+    # the scan: 6 (kappa, l) sectors, each on the stencil grid and at the
+    # radii; the zero-mode check: l = 0, 1, 2 on the march grid, both lam at once
+    made = _counting(monkeypatch, isospectral, "i0")
+    run()
+    assert len(made) == calls
+
+
+def test_suite_runs_clean_with_warnings_as_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = verify.run_suite("all")
+    assert len(results) == 26
