@@ -9,8 +9,8 @@ first alternates from round to round.  The (name, repr(residual), detail)
 of every result must be the same on both sides, or the script stops with
 status 1 before it prints a time.  It then prints, for the suite and for
 each check, the median and quartiles in ms per side and the number of
-rounds in which the change was faster.  BLAS and OpenMP threads are pinned
-to 1 unless the environment already sets them.
+rounds in which the change was faster.  Run as a script, it pins BLAS and
+OpenMP threads to 1 unless the environment already sets them.
 
 Usage:
     python scripts/verify_ab.py --parent DIR --change DIR --rounds 60
@@ -19,8 +19,10 @@ Usage:
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":
+    # before numpy is imported, or the pins have no effect
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
@@ -33,6 +35,10 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
+
+
+class ResultsDiffer(Exception):
+    """The two sides' verify results are not the same."""
 
 
 def load_verify(root, side):
@@ -77,7 +83,7 @@ def _summary(times):
 def compare(verifies, rounds):
     """{'suite': summary, 'checks': {name: summary}} over `rounds` timed rounds.
 
-    Raises AssertionError when the two sides' results differ.
+    Raises ResultsDiffer when the two sides' results differ.
     """
     checks = [fn.__name__ for suite in verifies["change"].SUITES.values() for fn in suite]
     units = {"suite": {side: (lambda v=v: v.run_suite("all")) for side, v in verifies.items()}}
@@ -93,7 +99,7 @@ def compare(verifies, rounds):
                 if n > 0:
                     times[unit][side].append(ms)
             if got["parent"] != got["change"]:
-                raise AssertionError(
+                raise ResultsDiffer(
                     f"{unit}: results differ\n parent {got['parent']}\n change {got['change']}"
                 )
     return {
@@ -125,7 +131,7 @@ def main(argv=None):
     verifies = {side: load_verify(getattr(args, side), side) for side in SIDES}
     try:
         table = compare(verifies, args.rounds)
-    except AssertionError as exc:
+    except ResultsDiffer as exc:
         print(exc, file=sys.stderr)
         return 1
     print("every result is the same on both sides: (name, repr(residual), detail)")

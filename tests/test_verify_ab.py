@@ -41,5 +41,5 @@ def test_differing_results_are_refused(verify_ab):
         return SimpleNamespace(SUITES={"s": (check_one,)}, run_suite=lambda name: [check_one()],
                                check_one=check_one)
 
-    with pytest.raises(AssertionError, match="suite: results differ"):
+    with pytest.raises(verify_ab.ResultsDiffer, match="suite: results differ"):
         verify_ab.compare({"parent": fake(0.5), "change": fake(0.25)}, rounds=1)
