@@ -60,6 +60,11 @@ def _check_kappa(kappa):
         raise ValueError(f"kappa must be positive, got kappa = {kappa:g}")
 
 
+def _check_l(l):
+    if not (l >= 0 and float(l).is_integer()):
+        raise ValueError(f"l must be a non-negative integer, got l = {l:g}")
+
+
 @dataclass(frozen=True)
 class DoParams:
     """Parameter bundle (kappa, l, N, lam) for one half-line problem.
@@ -82,8 +87,7 @@ class DoParams:
 
     def __post_init__(self):
         _check_kappa(self.kappa)
-        if self.l < 0 or int(self.l) != self.l:
-            raise ValueError(f"l must be a non-negative integer, got l = {self.l:g}")
+        _check_l(self.l)
         if self.N < 1 or int(self.N) != self.N:
             raise ValueError(f"N must be a positive integer, got N = {self.N:g}")
         if not self.lam > 0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .do_core import DoParams, _as_rho, u_minus
+from .do_core import DoParams, _as_rho, _check_l, u_minus
 from .isospectral import _family_terms, _u_bos
 
 __all__ = [
@@ -62,9 +62,15 @@ class FigureTable:
 
 
 def _deformation(r, l, lam, exact):
-    """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms."""
-    params = DoParams.nodeless(kappa=1.0, l=l, lam=lam)
-    terms = _family_terms(r, params.l, params.kappa, params.lam)
+    """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms.
+
+    lam is a float or an array that broadcasts against r (a column gives
+    one row per lam), each lam validated as DoParams validates it; every
+    element is computed by the same operations as for a scalar lam.
+    """
+    for one_lam in np.ravel(lam):
+        DoParams.nodeless(kappa=1.0, l=l, lam=one_lam)
+    terms = _family_terms(r, l, 1.0, lam)
     v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
     ratio = 0.5 * (terms[2] - terms[3]) / v_m
     if not exact:
@@ -87,8 +93,7 @@ def index_maxwell(rho, l):
     bad = ~(r >= 0)
     if bad.any():
         raise ValueError(f"rho must be non-negative, got rho = {float(r[bad][0])}")
-    if l < 0 or int(l) != l:
-        raise ValueError(f"l must be a non-negative integer, got l = {l:g}")
+    _check_l(l)
     amp = math.sqrt((2 * l + 1) * (2 * l + 3)) / (l + 0.5)
     return amp / (1.0 + r**2)
 

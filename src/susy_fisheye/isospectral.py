@@ -22,8 +22,8 @@ rho = tan(beta)^(1/kappa), which turns f^2 drho into
 Both closed forms below are antiderivatives of exactly this integrand.
 Every route is cross-checked against i0_quadrature, the oracle, which
 integrates f^2 over a fixed dyadic ladder of radii plus one tail per point,
-all in one batched Gauss-Kronrod call at relative tolerance 1e-12; only
-verify and the tests call it.
+for any number of (kappa, l) sectors, all in one batched Gauss-Kronrod
+call at relative tolerance 1e-12; only verify and the tests call it.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from .do_core import (
     DoParams,
     _as_rho,
     _check_kappa,
+    _check_l,
     radial_factor_df,
     radial_factor_f,
     superpotential_w,
     u_minus,
 )
-from .numerics import integrate_adaptive
+from .numerics import _stacked, integrate_adaptive
 from .specfun import binomial
 
 __all__ = [
@@ -70,31 +71,42 @@ _LADDER_BOTTOM = -40
 def i0_quadrature(rho, l, kappa):
     """Integral of f^2 from 0 to rho by adaptive quadrature (the oracle).
 
-    With 2^k <= rho < 2^(k+1), I0(rho) = C[k] + int_{2^k}^rho f^2, where C
-    is the cumulative sum of the integrals over the fixed ladder [0, 2^-40],
-    [2^-40, 2^-39], ... .  The ladder panels resolve the s <~ 2 structure of
-    f^2 at every rho, and since the ladder does not depend on the query, a
-    scalar call equals the matching element of an array call bit for bit.
-    The ladder and the per-point tails are one integrate_adaptive call at
-    relative tolerance 1e-12.  f^2 must be a normal float64 on [0, rho]:
-    rho^2 overflows past 1.3e154 at l = 0, and (1 + rho^2k)^(-(2l+1)/k)
-    underflows past about 10^(308/(4l+2)) at l >= 1 (1e22 at l = 3), where
-    the oracle raises.
+    l and kappa broadcast to a sector shape S, and the result has the
+    shape S + rho.shape: every (kappa, l) sector at every radius, each
+    sector's integrand evaluated with its own scalar l and kappa, and all
+    sectors in one integrate_adaptive call, one row of intervals per
+    sector.  With 2^k <= rho < 2^(k+1), I0(rho) = C[k] + int_{2^k}^rho f^2,
+    where C is the cumulative sum of the integrals over the fixed ladder
+    [0, 2^-40], [2^-40, 2^-39], ... .  The ladder panels resolve the
+    s <~ 2 structure of f^2 at every rho, and since the ladder depends on
+    neither the query nor the other sectors, a scalar call equals the
+    matching element of an array call bit for bit.  The ladder and the
+    per-point tails are integrated at relative tolerance 1e-12.  f^2 must
+    be a normal float64 on [0, rho]: rho^2 overflows past 1.3e154 at
+    l = 0, and (1 + rho^2k)^(-(2l+1)/k) underflows past about
+    10^(308/(4l+2)) at l >= 1 (1e22 at l = 3), where the oracle raises.
     """
     r = _as_rho(rho)
-    _check_kappa(kappa)
+    ls, kappas = np.broadcast_arrays(l, kappa)
+    sectors = list(zip(ls.ravel().tolist(), kappas.ravel().tolist()))
+    for sector_l, sector_kappa in sectors:
+        _check_l(sector_l)
+        _check_kappa(sector_kappa)
     k = np.frexp(r)[1] - 1
     knots = np.ldexp(1.0, np.arange(_LADDER_BOTTOM, k.max() + 1))
+    lo = np.concatenate([[0.0], knots[:-1], np.ldexp(1.0, k).ravel()])
+    hi = np.concatenate([knots, r.ravel()])
+    shape = (len(sectors), lo.size)
     result = integrate_adaptive(
-        lambda s: _f_squared(s, l, kappa),
-        np.concatenate([[0.0], knots[:-1], np.ldexp(1.0, k).ravel()]),
-        np.concatenate([knots, r.ravel()]),
+        _stacked(_f_squared, sectors),
+        np.broadcast_to(lo, shape),
+        np.broadcast_to(hi, shape),
         tol=0.0,
         rtol=1e-12,
     )
-    ladder = np.cumsum(result.value[: knots.size])
-    tails = result.value[knots.size :].reshape(r.shape)
-    return (ladder[k - _LADDER_BOTTOM] + tails)[()]
+    ladder = np.cumsum(result.value[:, : knots.size], axis=1)
+    tails = result.value[:, knots.size :]
+    return (ladder[:, k.ravel() - _LADDER_BOTTOM] + tails).reshape(ls.shape + r.shape)[()]
 
 
 def _beta(rho, kappa):
@@ -321,7 +333,9 @@ def i0(rho, l, kappa):
     against independent references is below 1e-12 (measured: below 4e-14
     for kappa from 0.01 to 50).  The closed forms refuse the radii where arctan(rho^kappa)
     rounds to pi/2: from about 9e15 at kappa = 1 and 4e31 at kappa = 1/2.
+    l must be a non-negative integer on every route.
     """
+    _check_l(l)
     if kappa == 1.0:
         return i0_closed_one(rho, l)
     if kappa == 0.5:

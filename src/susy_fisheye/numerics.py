@@ -9,17 +9,23 @@ integrate_adaptive refines a batch of intervals together, each to its own
 absolute or relative (QUADPACK epsrel) tolerance, and derivative calls f
 once on the stencil grid of shape (24,) + x.shape ((25,) + x.shape for
 order 2), builds the Richardson tableau a column at a time and picks each
-point's row with array operations over the whole tableau.  Cases stacked
-on the rows of x may share one evaluation: verify's Riccati scan holds
-the family's lam in an array that broadcasts against the radii, so each
-(kappa, l) sector is evaluated once per grid for all of its lam.  Both fall back
-to calling f point by point when f refuses an array.  The Numerov march,
-the one sequential recurrence, runs on plain floats with its coefficients
-precomputed and tests for overflow once at the end; the DVR kinetic
-matrix is copied from a strided view of one mirrored row, and a well even
-about the grid's centre is solved as two half-size parity blocks.  The
-module imports nothing else from the package, and numerov_zero_energy
-returns the plain array of u on its grid.
+point's row with array operations over the whole tableau.  Both hand f its
+points with the cases on rows: row j of the leading axis of
+integrate_adaptive's limits, and row j of the second-to-last axis of
+derivative's x, lies on row j of the second-to-last axis of the array f
+receives, so one call can evaluate a different function per row
+(_stacked builds such an f from one function and a parameter set per
+row).  verify's I0 check integrates all twelve (kappa, l) sectors in one
+quadrature call this way, and its Riccati scan holds the family's lam in
+an array that broadcasts against the radii, so each sector is evaluated
+once per grid for all of its lam.  Both fall back to calling f point by
+point when f refuses an array.  The Numerov march, the one sequential
+recurrence, runs on plain floats with its coefficients precomputed and
+tests for overflow once at the end; the DVR kinetic matrix is copied from
+a strided view of one mirrored row, and a well even about the grid's
+centre is solved as two half-size parity blocks.  The module imports
+nothing else from the package, and numerov_zero_energy returns the plain
+array of u on its grid.
 """
 
 from __future__ import annotations
@@ -107,12 +113,42 @@ def _eval_vectorized(f, x):
     return np.array([float(f(xi)) for xi in x.flat]).reshape(x.shape)
 
 
-def _gk15(f, lo, hi):
-    """Kronrod values and error estimates of f on the panels [lo[i], hi[i]]."""
+def _stacked(fn, cases):
+    """f(s) = fn(s, *cases[j]) on row j of the second-to-last axis of s.
+
+    Row j of the limits of integrate_adaptive, and row j of the x of
+    derivative (the radii tiled once per case), reach f on that row, so
+    one call of either covers every case, each evaluated with its own
+    scalar parameters.
+    """
+
+    def f(s):
+        out = np.empty(s.shape)
+        for j, case in enumerate(cases):
+            out[..., j, :] = fn(s[..., j, :], *case)
+        return out
+
+    return f
+
+
+def _gk15(f, lo, hi, row, rows):
+    """Kronrod values and error estimates of f on the panels [lo[i], hi[i]].
+
+    Panel i lies in row row[i] of the limits.  f is called once, on an
+    array of shape (rows, 15 m) whose row j holds the nodes of the panels
+    of row j in panel order, m being the most panels in any row, and NaN
+    past them; the values there are ignored.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = (center[:, None] + half[:, None] * _NODES).ravel()
-    y = _eval_vectorized(f, x).reshape(lo.size, _NODES.size)
+    count = np.bincount(row, minlength=rows)
+    # each panel's place among the panels of its row
+    order = np.argsort(row, kind="stable")
+    slot = np.empty_like(row)
+    slot[order] = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    x = np.full((rows, count.max(), _NODES.size), np.nan)
+    x[row, slot] = center[:, None] + half[:, None] * _NODES
+    y = _eval_vectorized(f, x.reshape(rows, -1)).reshape(x.shape)[row, slot]
     finite = np.isfinite(y).all(axis=1)
     if not finite.all():
         i = np.argmin(finite)
@@ -139,25 +175,41 @@ def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> Q
     Each interval is refined on its own until its summed error estimate is
     at most max(tol, rtol |value|), QUADPACK's epsabs/epsrel test.  Every
     round evaluates all new panels of all unfinished intervals with one
-    call of f on a flat array of nodes (15 per panel); then, in each
-    unfinished interval, every panel whose error exceeds its length share
-    of that target is bisected.  Each interval's panels are refined, kept
-    in order and summed without reference to the other intervals, so a
-    batched call equals the per-interval scalar calls bit for bit.  An
-    interval with a = b gives 0 with no panels.
+    call of f (15 nodes per panel); then, in each unfinished interval,
+    every panel whose error exceeds its length share of that target is
+    bisected.  Each interval's panels are refined, kept in order and
+    summed without reference to the other intervals, so a batched call
+    equals the per-interval scalar calls bit for bit.  An interval with
+    a = b gives 0 with no panels.
+
+    Limits of two or more dimensions hold one row of intervals per index
+    of their leading axis; one-dimensional and scalar limits are a single
+    row.  f receives an array of shape (rows, k): row j holds the nodes of
+    row j's new panels and NaN past them, and f's values at the NaN
+    entries are ignored.  An elementwise f sees the same points however
+    they are shaped, and an f that evaluates row j with its own parameters
+    (numerics._stacked) integrates a different function per row in one
+    call, each row equal bit for bit to a call with that row's limits
+    alone, as long as f's value at a node does not depend on the others.
 
     value and error_estimate have the broadcast shape of a and b (numpy
     floats for scalar limits); subdivisions is the total panel count.  An
     interval still above its target with max_subdivisions panels, or with
     no panel above its share, raises ConvergenceError with its running
-    estimate; a non-finite integrand value raises ValueError.
+    estimate; a non-finite integrand value raises ValueError, as does a
+    negative or NaN tol or rtol.
     """
-    if tol < 0 or rtol < 0 or tol == rtol == 0:
-        raise ValueError("tol and rtol must be non-negative, and one of them positive")
+    for name, value in (("tol", tol), ("rtol", rtol)):
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {name} = {value:g}")
+    if tol == rtol == 0:
+        raise ValueError("tol and rtol must not both be zero")
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(b < a):
         raise ValueError("integration requires a <= b")
     shape, n = a.shape, a.size
+    rows = shape[0] if a.ndim >= 2 else 1
+    per_row = n // rows if n else 1
     a, b = a.ravel(), b.ravel()
     value, error = np.zeros(n), np.zeros(n)
     subdivisions = 0
@@ -168,7 +220,8 @@ def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> Q
     lo, hi = a[owner], b[owner]
     val = err = np.empty(0)
     while lo.size > val.size:
-        new_val, new_err = _gk15(f, lo[val.size:], hi[val.size:])
+        new = slice(val.size, None)
+        new_val, new_err = _gk15(f, lo[new], hi[new], owner[new] // per_row, rows)
         val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
         count = np.bincount(owner, minlength=n)
         total = np.bincount(owner, val, n)
@@ -324,7 +377,7 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     except ZeroDivisionError as exc:
         # an overflow before the zero divisor is reported in its place
         stopped = exc
-    u = np.array(u)
+    u = np.fromiter(u, float, len(u))
     over = np.abs(u[2:]) > 1e300
     if over.any():
         raise OverflowError(

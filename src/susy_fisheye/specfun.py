@@ -14,11 +14,15 @@ __all__ = ["GegenbauerArgs", "gegenbauer", "binomial"]
 class GegenbauerArgs:
     """Arguments (degree p, order q, argument xi) for C_p^q(xi).
 
-    The argument may be a scalar or a numpy array of points in [-1, 1].
+    The order may be a scalar above -1/2 or a numpy array of such orders,
+    and the argument a scalar or a numpy array of points in [-1, 1]; an
+    order array broadcasts against the argument (an order column against
+    a row of points gives one row per order).  A NaN order or argument is
+    refused, naming the parameter.
     """
 
     degree: int
-    order: float
+    order: float | np.ndarray
     argument: float | np.ndarray
 
     def __post_init__(self):
@@ -26,11 +30,15 @@ class GegenbauerArgs:
             raise ValueError(
                 f"degree must be a non-negative integer, got degree = {self.degree:g}"
             )
-        if self.order <= -0.5:
-            raise ValueError(f"order must be > -1/2, got order = {self.order:g}")
-        outside = np.abs(self.argument) > 1.0
-        if np.any(outside):
-            bad = float(np.asarray(self.argument)[outside].flat[0])
+        # "not x > bound" form: false for NaN as well
+        order = np.asarray(self.order, dtype=float)
+        valid = order > -0.5
+        if not valid.all():
+            raise ValueError(f"order must be > -1/2, got order = {float(order[~valid][0]):g}")
+        argument = np.asarray(self.argument, dtype=float)
+        inside = np.abs(argument) <= 1.0
+        if not inside.all():
+            bad = float(argument[~inside][0])
             raise ValueError(f"argument must lie in [-1, 1], got argument = {bad:g}")
 
 
@@ -39,13 +47,13 @@ def gegenbauer(args: GegenbauerArgs):
 
     (p+1) C_{p+1} = 2 (p+q) xi C_p - (p + 2q - 1) C_{p-1},
     seeded with C_0 = 1 and C_1 = 2 q xi.  The degrees in scope are small,
-    so the recurrence is stable.  A scalar argument gives a float; an array
-    runs the same recurrence elementwise and gives an array of its shape,
-    equal bit for bit to the scalar values.
+    so the recurrence is stable.  A scalar order and argument give a
+    float; arrays run the same recurrence elementwise and give an array of
+    their broadcast shape, equal bit for bit to the scalar values.
     """
     p, q, xi = args.degree, args.order, args.argument
     if p == 0:
-        return np.ones(np.shape(xi))[()]
+        return np.ones(np.broadcast_shapes(np.shape(q), np.shape(xi)))[()]
     prev, cur = 1.0, 2.0 * q * xi
     for k in range(1, p):
         prev, cur = cur, (2.0 * (k + q) * xi * cur - (k + 2.0 * q - 1.0) * prev) / (k + 1.0)

@@ -23,6 +23,7 @@ from .do_core import (
     u_minus,
     u_plus,
 )
+from .numerics import _stacked
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -38,23 +39,6 @@ class CheckResult:
 
 def _result(name, residual, tol, detail=""):
     return CheckResult(name, float(residual), tol, float(residual) <= tol, detail)
-
-
-def _stacked(fn, cases):
-    """f(s) = fn(s, *cases[j]) on row j of the second-to-last axis of s.
-
-    numerics.derivative hands f its stencil grid in the shape (24,) +
-    x.shape, so at x = np.tile(radii, (len(cases), 1)) one derivative call
-    covers every case.
-    """
-
-    def f(s):
-        out = np.empty(s.shape)
-        for j, case in enumerate(cases):
-            out[..., j, :] = fn(s[..., j, :], *case)
-        return out
-
-    return f
 
 
 def _frobenius_seed(rho, l, kappa):
@@ -100,26 +84,28 @@ def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
 
 
 def check_gegenbauer_recurrence():
+    # one call per degree: the orders on rows, the points on columns
     xi = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    q = np.array([[0.5], [1.5], [2.5]])
+    vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
     worst = 0.0
-    for q in (0.5, 1.5, 2.5):
-        vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
-        for p in range(1, 11):
-            lhs = (p + 1) * vals[p + 1]
-            rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
-            ref = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
-            worst = max(worst, float(np.max(abs(lhs - rhs) / ref)))
+    for p in range(1, 11):
+        lhs = (p + 1) * vals[p + 1]
+        rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
+        ref = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+        worst = max(worst, float(np.max(abs(lhs - rhs) / ref)))
     return _result("gegenbauer-recurrence", worst, 1e-12)
 
 
 def check_gegenbauer_parity():
+    # one call per degree: xi and -xi on the leading axis, the orders on rows
     xi = np.array([0.1, 0.35, 0.8])
+    q = np.array([[0.5], [1.5], [2.5]])
+    both = np.stack([xi, -xi])[:, None, :]
     worst = 0.0
     for p in range(9):
-        for q in (0.5, 1.5, 2.5):
-            a = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi))
-            b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, -xi))
-            worst = max(worst, float(np.max(abs(b - (-1.0) ** p * a))))
+        a, b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, both))
+        worst = max(worst, float(np.max(abs(b - (-1.0) ** p * a))))
     return _result("gegenbauer-parity", worst, 1e-10)
 
 
@@ -163,11 +149,14 @@ def check_zero_mode_particular():
 
 
 def check_closed_vs_quadrature():
+    # the oracle integrates all twelve (kappa, l) sectors in one call
     rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
+    kappas, ls = (1.0, 0.5), range(6)
+    quadrature = isospectral.i0_quadrature(rhos, np.array(ls), np.array(kappas)[:, None])
     worst = 0.0
-    for kappa in (1.0, 0.5):
-        for l in range(6):
-            gap = isospectral.i0(rhos, l, kappa) - isospectral.i0_quadrature(rhos, l, kappa)
+    for kappa, row in zip(kappas, quadrature):
+        for l in ls:
+            gap = isospectral.i0(rhos, l, kappa) - row[l]
             worst = max(worst, float(np.max(np.abs(gap))))
     return _result("closed-form-vs-quadrature", worst, 1e-9)
 
@@ -261,12 +250,12 @@ def check_zero_mode_family():
 
 
 def check_lambda_recovery():
+    # every lam on its own row of one evaluation of the kappa = 1, l = 1 terms
     grid = np.linspace(0.1, 5.0, 200)
-    gaps = []
-    for lam in (1.0, 10.0, 100.0, 1000.0):
-        params = DoParams.nodeless(1.0, 1, lam)
-        gap = isospectral.u_bosonic_family(grid, params) - u_minus(grid, 1, 1.0)
-        gaps.append(float(np.max(np.abs(gap))))
+    lams = np.array([[1.0], [10.0], [100.0], [1000.0]])
+    u_m = u_minus(grid, 1, 1.0)
+    u_bos = isospectral._u_bos(u_m, isospectral._family_terms(grid, 1, 1.0, lams))
+    gaps = [float(np.max(np.abs(row - u_m))) for row in u_bos]
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return _result("lambda-recovery-monotone", 0.0 if monotone else 1.0, 0.0, str(gaps))
 
@@ -285,13 +274,19 @@ def check_centrifugal_subtraction():
     return _result("centrifugal-subtraction", worst, 1e-10)
 
 
-def check_percent_bound():
+def _ratio_peaks(l, lams):
+    """max |ratio| on the lens grid at kappa = 1 for each lam, one evaluation for all."""
     grid = np.linspace(0.01, 3.0, 300)
+    ratio = fisheye._deformation(grid, l, np.reshape(lams, (-1, 1)), exact=False)[0]
+    return [float(np.max(np.abs(row))) for row in ratio]
+
+
+def check_percent_bound():
+    lams = (1.0, 10.0)
     worst = 0.0
     details = []
     for l in (1, 2):
-        for lam in (1.0, 10.0):
-            peak = float(np.max(np.abs(fisheye.relative_ratio(grid, l, lam))))
+        for lam, peak in zip(lams, _ratio_peaks(l, lams)):
             details.append(f"l={l},lam={lam}: {peak:.4f}")
             worst = max(worst, peak)
     return _result(
@@ -303,12 +298,8 @@ def check_percent_bound():
 
 
 def check_ratio_damping():
-    grid = np.linspace(0.01, 3.0, 300)
-    ok = True
-    for lam in (1.0, 10.0):
-        p1 = float(np.max(np.abs(fisheye.relative_ratio(grid, 1, lam))))
-        p2 = float(np.max(np.abs(fisheye.relative_ratio(grid, 2, lam))))
-        ok = ok and (p2 < p1)
+    lams = (1.0, 10.0)
+    ok = all(p2 < p1 for p1, p2 in zip(_ratio_peaks(1, lams), _ratio_peaks(2, lams)))
     return _result("ratio-damping-in-l", 0.0 if ok else 1.0, 0.0)
 
 

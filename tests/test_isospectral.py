@@ -152,6 +152,25 @@ class TestClosedForms:
             i0_closed_one(1e17, 2)
 
 
+    # one case per I0 route (kappa = 1/2, 1 and the beta series), for the
+    # closed form and the oracle alike
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 0.7])
+    @pytest.mark.parametrize("l", [-1, 1.5, math.nan])
+    @pytest.mark.parametrize("evaluate", [i0, i0_quadrature], ids=["i0", "i0_quadrature"])
+    def test_l_must_be_a_non_negative_integer(self, evaluate, l, kappa):
+        message = f"^l must be a non-negative integer, got l = {l:g}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(1.0, l, kappa)
+        with pytest.raises(ValueError, match=message):
+            DoParams(kappa, l, 3)
+
+    def test_sector_l_checked_one_by_one(self):
+        with pytest.raises(ValueError, match=r"^l must be a non-negative integer, got l = 2.5$"):
+            i0_quadrature(1.0, np.array([0, 1, 2.5]), np.array([[1.0], [0.5]]))
+        with pytest.raises(ValueError, match=r"^kappa must be positive, got kappa = 0$"):
+            i0_quadrature(1.0, np.array([0, 1]), np.array([[1.0], [0.0]]))
+
+
 class TestRoute:
     """i0 is the one place the route to I0 is chosen."""
 
@@ -354,6 +373,32 @@ def nodeless_sectors(draw):
         kappa = l / draw(st.integers(min_value=1, max_value=3 * l))
     DoParams.nodeless(kappa, l)
     return kappa, l
+
+
+class TestSectorBroadcast:
+    """i0_quadrature over a grid of sectors: each sector is its scalar call."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sectors=st.lists(nodeless_sectors(), min_size=1, max_size=4),
+        log_rho=st.lists(st.floats(min_value=-4.0, max_value=3.0), min_size=1, max_size=6),
+        shape=st.sampled_from(["row", "column"]),
+    )
+    def test_sector_array_equals_scalar_calls(self, sectors, log_rho, shape):
+        kappas, ls = (np.array(column) for column in zip(*sectors))
+        if shape == "column":
+            kappas, ls = kappas[:, None], ls[:, None]
+        r = 10.0 ** np.array(log_rho)
+        got = i0_quadrature(r, ls, kappas)
+        assert got.shape == kappas.shape + r.shape
+        for j, (kappa, l) in enumerate(sectors):
+            assert np.array_equal(got.reshape(len(sectors), r.size)[j], i0_quadrature(r, l, kappa))
+
+    def test_scalar_sector_and_radius_give_a_float(self):
+        got = i0_quadrature(1.0, 0, 1.0)
+        assert isinstance(got, float) and np.ndim(got) == 0
+        # an order grid (kappa on rows, l on columns) keeps both axes
+        assert i0_quadrature([0.5, 1.0, 2.0], np.arange(3), np.array([[1.0], [0.5]])).shape == (2, 3, 3)
 
 
 class TestLambdaBroadcast:

@@ -16,6 +16,7 @@ from susy_fisheye.numerics import (
     QuadratureResult,
     StepUnderflowError,
     _eval_vectorized,
+    _stacked,
     derivative,
     dvr_bound_states,
     integrate_adaptive,
@@ -65,6 +66,12 @@ class TestQuadrature:
         with pytest.raises(ValueError, match="tol and rtol"):
             integrate_adaptive(lambda x: x, 0.0, 1.0, tol=0.0)
 
+    @pytest.mark.parametrize("name", ["tol", "rtol"])
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12])
+    def test_rejects_nan_or_negative_tolerance_naming_it(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got {name} = {bad:g}$"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, **{name: bad})
+
     def test_non_finite_integrand_names_the_panel(self):
         with pytest.raises(ValueError, match=r"non-finite integrand value on \[0.0, 1.0\]"):
             integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
@@ -90,6 +97,45 @@ class TestQuadrature:
             assert np.array_equal(batch.value, [r.value for r in single])
             assert np.array_equal(batch.error_estimate, [r.error_estimate for r in single])
             assert batch.subdivisions == sum(r.subdivisions for r in single)
+
+    @pytest.mark.parametrize("tol,rtol", [(1e-10, 0.0), (0.0, 1e-12)])
+    def test_per_row_f_equals_separate_calls(self, tol, rtol):
+        # row j of the limits carries its own function; row 2 finishes in
+        # the first round while the others still refine, and [2, 2] is empty
+        fns = (np.sin, lambda x: np.exp(-x) / (1.0 + x * x), lambda x: x**2)
+        a = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 3.0], [2.0, 0.0, 1.0]])
+        b = np.array([[30.0, 7.0, 2.0], [20.0, 1.5, 40.0], [2.0, 1.0, 3.0]])
+        got = integrate_adaptive(_stacked(lambda s, fn: fn(s), [(fn,) for fn in fns]),
+                                 a, b, tol=tol, rtol=rtol)
+        subdivisions = 0
+        for j, fn in enumerate(fns):
+            row = integrate_adaptive(fn, a[j], b[j], tol=tol, rtol=rtol)
+            assert np.array_equal(got.value[j], row.value)
+            assert np.array_equal(got.error_estimate[j], row.error_estimate)
+            subdivisions += row.subdivisions
+        assert got.subdivisions == subdivisions
+
+    def test_f_receives_one_row_per_row_of_the_limits(self):
+        # the nodes of row j's panels on row j, NaN past them
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.where(np.isnan(x), np.nan, 1.0)
+
+        a = [[0.0, 1.0], [2.0, 2.0], [0.0, 0.0]]
+        b = [[1.0, 3.0], [3.0, 2.0], [0.0, 0.0]]
+        r = integrate_adaptive(f, a, b)
+        assert r.subdivisions == 3
+        assert np.allclose(r.value, [[1.0, 2.0], [1.0, 0.0], [0.0, 0.0]], rtol=1e-13, atol=0.0)
+        (x,) = seen
+        assert x.shape == (3, 30)
+        assert np.all((x[0] > 0.0) & (x[0] < 3.0))
+        assert np.all((x[1, :15] > 2.0) & (x[1, :15] < 3.0))
+        assert np.isnan(x[1, 15:]).all() and np.isnan(x[2]).all()
+        one_row = []
+        integrate_adaptive(lambda x: one_row.append(x.shape) or x, [0.0, 1.0], [1.0, 3.0])
+        assert one_row == [(1, 30)]
 
     def test_limits_broadcast(self):
         r = integrate_adaptive(lambda x: x, [[0.0], [1.0]], [1.0, 2.0, 3.0])
@@ -364,6 +410,13 @@ class TestNumerov:
         h = grid[1] - grid[0]
         u = numerov_zero_energy(lambda r: np.zeros_like(np.asarray(r)), grid, 0.0, h)
         assert np.max(np.abs(u - grid)) < 1e-13
+
+    def test_returns_a_float64_array(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        pot = lambda r: 4.0 * np.ones_like(np.asarray(r))
+        got = numerov_zero_energy(pot, grid, 0.0, 0.01)
+        assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == grid.shape
+        assert np.array_equal(got, _stepwise_numerov(pot, grid, 0.0, 0.01))
 
     def test_equals_stepwise_march(self):
         for pot, grid, u0, u1 in _zero_mode_march_inputs():

@@ -68,6 +68,31 @@ def test_array_argument_matches_scalar_loop(q):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("p", range(9))
+def test_order_column_matches_per_order_calls(p):
+    q = np.array([[0.5], [1.5], [2.7], [4.0]])
+    xi = np.linspace(-1.0, 1.0, 21)
+    got = gegenbauer(GegenbauerArgs(p, q, xi))
+    assert got.shape == (4, 21)
+    for row, order in zip(got, q[:, 0]):
+        assert np.array_equal(row, gegenbauer(GegenbauerArgs(p, float(order), xi)))
+    # xi and -xi on a leading axis, as verify's parity check passes them
+    both = gegenbauer(GegenbauerArgs(p, q, np.stack([xi, -xi])[:, None, :]))
+    assert np.array_equal(both[0], got)
+    assert np.array_equal(both[1], gegenbauer(GegenbauerArgs(p, q, -xi)))
+
+
+def test_nan_order_and_argument_refused():
+    with pytest.raises(ValueError, match=r"^order must be > -1/2, got order = nan$"):
+        GegenbauerArgs(2, math.nan, 0.3)
+    with pytest.raises(ValueError, match=r"^order must be > -1/2, got order = nan$"):
+        GegenbauerArgs(2, np.array([[1.5], [math.nan]]), 0.3)
+    with pytest.raises(ValueError, match=r"^argument must lie in \[-1, 1\], got argument = nan$"):
+        GegenbauerArgs(2, 1.5, math.nan)
+    with pytest.raises(ValueError, match=r"^argument must lie in \[-1, 1\], got argument = nan$"):
+        GegenbauerArgs(2, 1.5, np.array([0.0, math.nan, 2.0]))
+
+
 def test_domain_errors():
     with pytest.raises(ValueError, match=r"non-negative integer, got degree = -1$"):
         GegenbauerArgs(-1, 1.5, 0.0)

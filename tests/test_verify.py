@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_acceptance import RICCATI_RADII
 
-from susy_fisheye import isospectral, numerics, specfun, verify
+from susy_fisheye import fisheye, isospectral, numerics, specfun, verify
 from susy_fisheye.do_core import (
     DoParams,
     radial_factor_f,
@@ -130,6 +130,51 @@ def zero_mode_family_loop():
     return worst
 
 
+def closed_vs_quadrature_loop():
+    # one oracle call per (kappa, l) sector
+    rhos = np.logspace(np.log10(0.01), np.log10(50.0), 50)
+    worst = 0.0
+    for kappa in (1.0, 0.5):
+        for l in range(6):
+            gap = isospectral.i0(rhos, l, kappa) - isospectral.i0_quadrature(rhos, l, kappa)
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return worst, ""
+
+
+def percent_bound_loop():
+    # one public relative_ratio call per (l, lam)
+    grid = np.linspace(0.01, 3.0, 300)
+    worst = 0.0
+    details = []
+    for l in (1, 2):
+        for lam in (1.0, 10.0):
+            peak = float(np.max(np.abs(fisheye.relative_ratio(grid, l, lam))))
+            details.append(f"l={l},lam={lam}: {peak:.4f}")
+            worst = max(worst, peak)
+    return worst, "; ".join(details) + " (known to exceed 0.10 at l=1, lam=1 near rho=3)"
+
+
+def ratio_damping_loop():
+    grid = np.linspace(0.01, 3.0, 300)
+    ok = True
+    for lam in (1.0, 10.0):
+        p1 = float(np.max(np.abs(fisheye.relative_ratio(grid, 1, lam))))
+        p2 = float(np.max(np.abs(fisheye.relative_ratio(grid, 2, lam))))
+        ok = ok and (p2 < p1)
+    return 0.0 if ok else 1.0, ""
+
+
+def lambda_recovery_loop():
+    # one public u_bosonic_family call per lam
+    grid = np.linspace(0.1, 5.0, 200)
+    gaps = []
+    for lam in (1.0, 10.0, 100.0, 1000.0):
+        gap = u_bosonic_family(grid, DoParams.nodeless(1.0, 1, lam)) - u_minus(grid, 1, 1.0)
+        gaps.append(float(np.max(np.abs(gap))))
+    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
+    return 0.0 if monotone else 1.0, str(gaps)
+
+
 def test_riccati_families_are_the_scan_grid():
     assert [(p.kappa, p.l, p.lam) for p in verify.RICCATI_FAMILIES] == FAMILIES
 
@@ -157,6 +202,21 @@ def test_riccati_scan_equals_the_loop():
 )
 def test_batched_check_equals_the_loop(check, loop):
     assert check().residual == loop()
+
+
+@pytest.mark.parametrize(
+    "check,loop",
+    [
+        (verify.check_closed_vs_quadrature, closed_vs_quadrature_loop),
+        (verify.check_percent_bound, percent_bound_loop),
+        (verify.check_ratio_damping, ratio_damping_loop),
+        (verify.check_lambda_recovery, lambda_recovery_loop),
+    ],
+    ids=["closed-vs-quadrature", "percent-bound", "ratio-damping", "lambda-recovery"],
+)
+def test_batched_check_and_detail_equal_the_loop(check, loop):
+    result = check()
+    assert (result.residual, result.detail) == loop()
 
 
 def _counting(monkeypatch, module, name):
@@ -189,13 +249,22 @@ def test_one_derivative_call_per_quantity(monkeypatch, check, calls):
 
 @pytest.mark.parametrize(
     "check,calls",
-    [(verify.check_gegenbauer_recurrence, 36), (verify.check_gegenbauer_parity, 54)],
+    [(verify.check_gegenbauer_recurrence, 12), (verify.check_gegenbauer_parity, 9)],
     ids=["recurrence", "parity"],
 )
-def test_one_gegenbauer_call_per_degree_and_order(monkeypatch, check, calls):
+def test_one_gegenbauer_call_per_degree(monkeypatch, check, calls):
+    # every order (and, for parity, both signs of xi) in one call per degree
     made = _counting(monkeypatch, specfun, "gegenbauer")
     check()
     assert len(made) == calls
+
+
+def test_one_quadrature_call_for_every_i0_sector(monkeypatch):
+    made = _counting(monkeypatch, numerics, "integrate_adaptive")
+    # i0_quadrature holds its own reference to the function
+    monkeypatch.setattr(isospectral, "integrate_adaptive", numerics.integrate_adaptive)
+    verify.check_closed_vs_quadrature()
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize(
