@@ -69,10 +69,8 @@ def rm_family_shift(lambda0) -> float:
     Diverges to +inf as lambda0 -> 0+ and to -inf as lambda0 -> -1+, which
     pushes the well itself to -inf and +inf respectively.
     """
-    if lambda0 == 0.0 or lambda0 == -1.0:
-        raise ValueError("lambda0 = 0 and lambda0 = -1 are outside the family")
-    if lambda0 <= -1.0:
-        raise ValueError("lambda0 must lie in (-1, 0) or (0, inf)")
+    if not lambda0 > -1.0 or lambda0 == 0.0:
+        raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got lambda0 = {lambda0:g}")
     if lambda0 < 0.0:
         warnings.warn(
             "lambda0 in (-1, 0) is outside the strictly isospectral branch; "
@@ -94,10 +92,10 @@ def rm_family_single(x, lambda0):
 
 def rescale_radius(R, lambda0) -> float:
     """Rescaled lens radius R sqrt(lambda0 / (lambda0 + 1)) < R."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if lambda0 <= 0:
-        raise ValueError("lambda0 must be positive")
+    if not R > 0:
+        raise ValueError(f"R must be positive, got R = {R:g}")
+    if not lambda0 > 0:
+        raise ValueError(f"lambda0 must be positive, got lambda0 = {lambda0:g}")
     return R * math.sqrt(lambda0 / (lambda0 + 1.0))
 
 

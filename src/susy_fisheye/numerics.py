@@ -393,11 +393,17 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
 # (J. Chem. Phys. 96, 1982 (1992)), one dense symmetric eigenproblem.
 # --------------------------------------------------------------------------
 
-# 201 points resolve unit-width sech^2 wells on [-12, 12] (dx = 0.12) and the
-# half-width aufbau wells on [-24, 24] to better than 1e-8.  The count must be
-# odd: the grid then has a centre point and mirrors onto itself, which the
-# parity split of an even well needs.
-DVR_POINTS = 201
+# 117 points (dx = 0.207 on [-12, 12], 0.414 on [-24, 24]) is the smallest
+# odd count at which every bound state of verify's 12 wells (sech^2 ladders,
+# partners, translated family, aufbau) lies within 4.2e-10 of a 401-point grid
+# on the same domain, below the 1e-9 budget, and no verify residual exceeds its
+# 201-point value: there the error is set by the domain cut on the weakly
+# bound k = 1 states (about 2.3e-9), not by the spacing.  Below 113 points
+# the discretisation error grows past 1e-9 (1.6e-9 at 111, 4.1e-8 at 101);
+# scripts/dvr_grid_scan.py prints the scan.  The count must be odd: the grid
+# then has a centre point and mirrors onto itself, which the parity split of
+# an even well needs.
+DVR_POINTS = 117
 
 
 def _toeplitz(row):
@@ -422,8 +428,8 @@ def dvr_bound_states(potential, domain=(-12.0, 12.0)):
     half-size blocks are solved instead of the full matrix.  Any other V
     is solved as the full matrix.  The free-particle matrix is positive
     definite, so a flat potential gives [], and the box states of the
-    continuum stay above zero (the lowest at 5e-3 for the half-width wells
-    on [-24, 24], 2e-2 for the unit-width wells on [-12, 12]), so the
+    continuum stay above zero (the lowest at 4.9e-3 for the half-width
+    wells on [-24, 24], 2.0e-2 for the unit-width wells on [-12, 12]), so the
     E < 0 cut keeps only bound states.
     """
     x_min, x_max = (float(b) for b in domain)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,15 @@ class TestFamilyWell:
         with pytest.raises(ValueError):
             rm_family_single(0.0, -1.0)
 
+    @pytest.mark.parametrize("lam0,shown", [(math.nan, "nan"), (0.0, "0"), (-1.0, "-1"),
+                                            (-2.5, "-2.5")])
+    def test_refusal_names_the_value(self, lam0, shown):
+        message = re.escape(f"lambda0 must lie in (-1, 0) or (0, inf), got lambda0 = {shown}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rm_family_shift(lam0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rm_family_single(0.0, lam0)
+
 
 class TestRescaling:
     def test_values(self):
@@ -140,6 +150,20 @@ class TestRescaling:
             rescale_radius(0.0, 1.0)
         with pytest.raises(ValueError):
             rescale_radius(1.0, -0.5)
+
+    @pytest.mark.parametrize(
+        "R,lam0,message",
+        [
+            (0.0, 1.0, "R must be positive, got R = 0"),
+            (math.nan, 1.0, "R must be positive, got R = nan"),
+            (1.0, -0.5, "lambda0 must be positive, got lambda0 = -0.5"),
+            (1.0, math.nan, "lambda0 must be positive, got lambda0 = nan"),
+        ],
+        ids=["R-zero", "R-nan", "lambda0-negative", "lambda0-nan"],
+    )
+    def test_refusal_names_the_value(self, R, lam0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rescale_radius(R, lam0)
 
 
 class TestAufbau:

@@ -164,6 +164,18 @@ def ratio_damping_loop():
     return 0.0 if ok else 1.0, ""
 
 
+def centrifugal_subtraction_loop():
+    # two public evaluations per (l, lam)
+    grid = np.linspace(0.05, 3.0, 120)
+    worst = 0.0
+    for l in (0, 1, 2):
+        for lam in (1.0, 10.0):
+            lhs = fisheye.v_family_fisheye(grid, l, lam) + l * (l + 1) / grid**2
+            rhs = u_bosonic_family(grid, DoParams.nodeless(1.0, l, lam))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst, ""
+
+
 def lambda_recovery_loop():
     # one public u_bosonic_family call per lam
     grid = np.linspace(0.1, 5.0, 200)
@@ -211,8 +223,10 @@ def test_batched_check_equals_the_loop(check, loop):
         (verify.check_percent_bound, percent_bound_loop),
         (verify.check_ratio_damping, ratio_damping_loop),
         (verify.check_lambda_recovery, lambda_recovery_loop),
+        (verify.check_centrifugal_subtraction, centrifugal_subtraction_loop),
     ],
-    ids=["closed-vs-quadrature", "percent-bound", "ratio-damping", "lambda-recovery"],
+    ids=["closed-vs-quadrature", "percent-bound", "ratio-damping", "lambda-recovery",
+         "centrifugal-subtraction"],
 )
 def test_batched_check_and_detail_equal_the_loop(check, loop):
     result = check()
