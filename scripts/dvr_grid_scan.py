@@ -6,13 +6,13 @@ reports what the five eigen-oracle checks of verify see: the residuals of
 rm-ladder, family-spectrum-invariance and aufbau-ground-state, the pass
 state of the two count checks (rm-partner-deficit, shooting-completeness),
 the discretisation change (the largest change of any bound state of the
-suite's 12 wells against the same well on a REFERENCE-point grid over the
-same domain) and the median in-process time of the five checks.  The
+suite's 12 wells against the same well on a 401-point grid over the same
+domain) and the median in-process time of the five checks.  The
 wells are the ladders nb = 1..4, the partners nb = 2..4, the family
 members lambda0 = 0.1, 1, 10 on (-12, 12) and the aufbau wells N = 1, 3 on
 (-24, 24).  The last line names the smallest N whose residuals are all at
-most their values at --baseline points and whose discretisation change is
-at most --budget.  Run it with BLAS threads pinned to 1, or the times
+most their 201-point values and whose discretisation change is at most
+1e-9.  Run it with BLAS threads pinned to 1, or the times
 follow the thread count.
 
 Usage:
@@ -29,6 +29,8 @@ import numpy as np
 from susy_fisheye import fullline, numerics, verify
 
 REFERENCE = 401
+BASELINE = 201
+BUDGET = 1e-9
 VALUED = ("rm-ladder", "family-spectrum-invariance", "aufbau-ground-state")
 COUNTED = ("rm-partner-deficit", "shooting-completeness")
 CHECKS = (
@@ -98,17 +100,15 @@ def measure(points, rounds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--points", type=int, nargs="+", default=list(range(101, 202, 2)))
-    parser.add_argument("--baseline", type=int, default=201)
-    parser.add_argument("--budget", type=float, default=1e-9)
     parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args(argv)
-    if any(n % 2 == 0 for n in args.points + [args.baseline]):
+    if any(n % 2 == 0 for n in args.points):
         parser.error("grid sizes must be odd")
 
     reference = bound_states(REFERENCE)
-    baseline = measure(args.baseline, 1)[0]
+    baseline = measure(BASELINE, 1)[0]
     print(f"discretisation change against {REFERENCE} points; residuals at most "
-          f"their {args.baseline}-point values; budget {args.budget:.0e}")
+          f"their {BASELINE}-point values; budget {BUDGET:.0e}")
     print(f"{'N':>4} {'rm-ladder':>10} {'family':>10} {'aufbau':>10} "
           f"{'partner':>8} {'complete':>8} {'disc':>9} {'ms':>6}  ok")
     chosen = None
@@ -118,7 +118,7 @@ def main(argv=None):
         ok = (
             all(results[n].residual <= baseline[n].residual for n in VALUED)
             and all(results[n].passed for n in COUNTED)
-            and disc <= args.budget
+            and disc <= BUDGET
         )
         if ok and chosen is None:
             chosen = points
