@@ -92,10 +92,10 @@ def rm_family_single(x, lambda0):
 
 def rescale_radius(R, lambda0) -> float:
     """Rescaled lens radius R sqrt(lambda0 / (lambda0 + 1)) < R."""
-    if not R > 0:
-        raise ValueError(f"R must be positive, got R = {R:g}")
-    if not lambda0 > 0:
-        raise ValueError(f"lambda0 must be positive, got lambda0 = {lambda0:g}")
+    if not 0 < R < math.inf:
+        raise ValueError(f"R must be positive and finite, got R = {R:g}")
+    if not 0 < lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be positive and finite, got lambda0 = {lambda0:g}")
     return R * math.sqrt(lambda0 / (lambda0 + 1.0))
 
 

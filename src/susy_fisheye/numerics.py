@@ -344,16 +344,17 @@ def derivative(f, x, order=1, h0=None):
 
 
 def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
-    """March -u'' + U(rho) u = 0 across a uniform grid from two seed values.
+    """March -u'' + U(x) u = 0 across a uniform grid from two seed values.
 
-    Returns the array of u on the grid, which must be uniform: every step
-    within 1e-8 of the first (relative), with NaN and infinite points
-    refused.  Uses the standard Numerov update (O(h^6) local accuracy) on
-    two running floats.  The overflow test runs once, after the march: if
-    |u| exceeds 1e300 anywhere past the seeds, which signals that the
-    non-normalizable branch has taken over, it raises OverflowError naming
-    the first such rho, also when an exact zero divisor further on stopped
-    the march.
+    The grid variable x may be the radius rho or any other coordinate, such
+    as ln rho.  Returns the array of u on the grid, which must be uniform:
+    every step within 1e-8 of the first (relative), with NaN and infinite
+    points refused.  Uses the standard Numerov update (O(h^6) local
+    accuracy) on two running floats.  The overflow test runs once, after
+    the march: if |u| exceeds 1e300 anywhere past the seeds, which signals
+    that the non-normalizable branch has taken over, it raises
+    OverflowError naming the first such grid point ("at x = ..."), also
+    when an exact zero divisor further on stopped the march.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size < 3:
@@ -381,7 +382,7 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
     over = np.abs(u[2:]) > 1e300
     if over.any():
         raise OverflowError(
-            f"Numerov solution exceeded 1e300 at rho = {g[2 + np.argmax(over)]}"
+            f"Numerov solution exceeded 1e300 at x = {g[2 + np.argmax(over)]}"
         )
     if stopped is not None:
         raise stopped

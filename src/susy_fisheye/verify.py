@@ -51,33 +51,78 @@ def _frobenius_seed(rho, l, kappa):
     return rho ** (l + 1) * (1.0 - (2 * l + 1) / (2.0 * kappa) * rho ** (2.0 * kappa))
 
 
-def _zero_mode_residual(l, kappa, lam=None, h=1e-3, window=(0.1, 5.0)):
+# The zero mode is marched in the Langer variable x = ln rho on a uniform
+# x-grid from ln ZERO_MODE_START to ln 5 whose step is at most
+# ZERO_MODE_STEP.  The pair is the one with the fewest steps, among those
+# scripts/zero_mode_step_scan.py scans, whose two residuals are at most
+# those of a uniform rho-grid of step 1e-3 from rho = 1e-3:
+# zero-mode-particular 1.154e-7 and zero-mode-family 1.267e-9.  A larger
+# start is held back by the seed's truncation error (3e-3: particular
+# 9.4e-7), a larger step by the march's (4.5e-3: family 1.7e-9).
+ZERO_MODE_START = 1e-3
+ZERO_MODE_STEP = 4e-3
+
+
+def _rescaled_deviation(u, f):
+    """Max relative deviation of u from f after a least-squares global rescale."""
+    scale = np.dot(u, f) / np.dot(u, u)
+    return float(np.max(np.abs(scale * u - f) / np.abs(f)))
+
+
+def _zero_mode_residual(l, kappa, lam=None):
     """Max relative deviation between the Numerov zero mode and the factor.
 
-    Marches -u'' + U u = 0 from Frobenius seeds near the origin and
-    compares against the analytic radial factor (or its damped family
-    counterpart when lam is given) after a least-squares global rescale.
+    Under x = ln rho and phi = rho^(-1/2) u, -u'' + U u = 0 becomes
+    -phi'' + (1/4 + rho^2 U) phi = 0, the Langer form of the paper's full
+    line: for U = U_- its potential is (l + 1/2)^2 - (w/4) sech^2(kappa x),
+    smooth for every kappa, where on the rho-grid the kappa = 1/2 well is
+    Coulomb-like at the origin.  phi is marched across a uniform x-grid
+    from ln ZERO_MODE_START to ln 5, step at most ZERO_MODE_STEP, from the
+    Frobenius seeds times rho^(-1/2).  rho^(1/2) phi is compared with the
+    analytic radial factor (or its damped family counterpart when lam is
+    given) on the window [0.1, 5] after a least-squares global rescale.
     lam may also be a tuple: the family terms are then evaluated once on
-    the grid for all of its values, each lam is marched on its own, and the
-    worst deviation is returned.
+    the grid for all of its values, each lam is marched on its own, and
+    the worst deviation is returned.
+
+    The convergence-order check marches on the rho-grid instead
+    (_rho_grid_residual).  On this x-grid the (kappa = 1, l = 0) residual
+    is 3.6e-11 at step 8e-3 and 8.7e-12 at 4e-3, a step-halving ratio of
+    4.2: at that size the seed's truncation error, not the step, sets it,
+    so the ratio cannot show the march's fourth order.
     """
-    grid = np.arange(h, window[1] + h / 2, h)
-    u0 = _frobenius_seed(grid[0], l, kappa)
-    u1 = _frobenius_seed(grid[1], l, kappa)
-    u_m = u_minus(grid, l, kappa)
+    n = math.ceil(math.log(5.0 / ZERO_MODE_START) / ZERO_MODE_STEP) + 1
+    x = np.linspace(math.log(ZERO_MODE_START), math.log(5.0), n)
+    rho = np.exp(x)
+    phi0, phi1 = (_frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
+    u_m = u_minus(rho, l, kappa)
     if lam is None:
-        pots, refs = [u_m], [radial_factor_f(grid, l, kappa)]
+        pots, refs = [u_m], [radial_factor_f(rho, l, kappa)]
     else:
-        terms = isospectral._family_terms(grid, l, kappa, np.reshape(lam, (-1, 1)))
+        terms = isospectral._family_terms(rho, l, kappa, np.reshape(lam, (-1, 1)))
         pots, refs = isospectral._u_bos(u_m, terms), terms[1]
-    sel = (grid >= window[0]) & (grid <= window[1])
+    sel = (rho >= 0.1) & (rho <= 5.0)
+    root = np.sqrt(rho[sel])
     worst = 0.0
     for pot, ref in zip(pots, refs):
-        u = numerics.numerov_zero_energy(lambda r, pot=pot: pot, grid, u0, u1)[sel]
-        f = ref[sel]
-        scale = np.dot(u, f) / np.dot(u, u)
-        worst = max(worst, float(np.max(np.abs(scale * u - f) / np.abs(f))))
+        langer = 0.25 + rho**2 * pot
+        phi = numerics.numerov_zero_energy(lambda _, langer=langer: langer, x, phi0, phi1)
+        worst = max(worst, _rescaled_deviation(root * phi[sel], ref[sel]))
     return worst
+
+
+def _rho_grid_residual(h):
+    """The (kappa = 1, l = 0) zero-mode residual marched in rho with step h.
+
+    -u'' + U_- u = 0 on the uniform rho-grid h, 2h, ..., 5 from the
+    Frobenius seeds, compared on [0.1, 5] as in _zero_mode_residual.
+    """
+    grid = np.arange(h, 5.0 + h / 2, h)
+    u0, u1 = (_frobenius_seed(r, 0, 1.0) for r in grid[:2])
+    pot = u_minus(grid, 0, 1.0)
+    u = numerics.numerov_zero_energy(lambda _: pot, grid, u0, u1)
+    sel = (grid >= 0.1) & (grid <= 5.0)
+    return _rescaled_deviation(u[sel], radial_factor_f(grid, 0, 1.0)[sel])
 
 
 # ----------------------------------------------------------------- specfun
@@ -413,8 +458,8 @@ def check_quadrature_examples():
 
 
 def check_numerov_order():
-    e_coarse = _zero_mode_residual(0, 1.0, h=8e-3)
-    e_fine = _zero_mode_residual(0, 1.0, h=4e-3)
+    e_coarse = _rho_grid_residual(8e-3)
+    e_fine = _rho_grid_residual(4e-3)
     ratio = e_coarse / e_fine
     return _result(
         "numerov-convergence-order",

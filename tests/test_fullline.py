@@ -154,12 +154,17 @@ class TestRescaling:
     @pytest.mark.parametrize(
         "R,lam0,message",
         [
-            (0.0, 1.0, "R must be positive, got R = 0"),
-            (math.nan, 1.0, "R must be positive, got R = nan"),
-            (1.0, -0.5, "lambda0 must be positive, got lambda0 = -0.5"),
-            (1.0, math.nan, "lambda0 must be positive, got lambda0 = nan"),
+            (0.0, 1.0, "R must be positive and finite, got R = 0"),
+            (math.nan, 1.0, "R must be positive and finite, got R = nan"),
+            (math.inf, 1.0, "R must be positive and finite, got R = inf"),
+            (-math.inf, 1.0, "R must be positive and finite, got R = -inf"),
+            (1.0, -0.5, "lambda0 must be positive and finite, got lambda0 = -0.5"),
+            (1.0, math.nan, "lambda0 must be positive and finite, got lambda0 = nan"),
+            (1.0, math.inf, "lambda0 must be positive and finite, got lambda0 = inf"),
+            (1.0, -math.inf, "lambda0 must be positive and finite, got lambda0 = -inf"),
         ],
-        ids=["R-zero", "R-nan", "lambda0-negative", "lambda0-nan"],
+        ids=["R-zero", "R-nan", "R-inf", "R-minus-inf", "lambda0-negative", "lambda0-nan",
+             "lambda0-inf", "lambda0-minus-inf"],
     )
     def test_refusal_names_the_value(self, R, lam0, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -3,11 +3,11 @@ import re
 
 import numpy as np
 import pytest
-from conftest import frobenius_seed, zero_mode_residual
+from conftest import frobenius_seed, rho_grid_residual, zero_mode_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susy_fisheye import numerics
+from susy_fisheye import numerics, verify
 from susy_fisheye.do_core import DoParams, u_minus
 from susy_fisheye.fullline import (
     aufbau_rm_potential,
@@ -390,22 +390,32 @@ def _stepwise_numerov(potential, grid, u0, u1):
     for i in range(1, g.size - 1):
         u[i + 1] = ((12.0 - 10.0 * c[i]) * u[i] - c[i - 1] * u[i - 1]) / c[i + 1]
         if abs(u[i + 1]) > 1e300:
-            raise OverflowError(f"Numerov solution exceeded 1e300 at rho = {g[i + 1]}")
+            raise OverflowError(f"Numerov solution exceeded 1e300 at x = {g[i + 1]}")
     return np.array(u)
 
 
 def _zero_mode_march_inputs():
-    """The potentials, grids and seeds of verify._zero_mode_residual."""
-    grid = np.arange(1e-3, 5.0 + 5e-4, 1e-3)
+    """The potentials, grids and seeds of verify's zero-mode marches.
+
+    The Langer marches of verify._zero_mode_residual, on its x = ln rho
+    grid, and the two rho-grid marches of check_numerov_order.
+    """
+    start, end = math.log(verify.ZERO_MODE_START), math.log(5.0)
+    x = np.linspace(start, end, math.ceil((end - start) / verify.ZERO_MODE_STEP) + 1)
+    rho = np.exp(x)
     cases = [(kappa, l, None) for kappa in (0.5, 1.0) for l in range(4)] + [(1.0, 1, 10.0)]
     for kappa, l, lam in cases:
         if lam is None:
-            pot = lambda r, l=l, kappa=kappa: u_minus(r, l, kappa)
+            u = u_minus(rho, l, kappa)
         else:
-            params = DoParams.nodeless(kappa, l, lam)
-            pot = lambda r, params=params: u_bosonic_family(r, params)
-        seeds = (frobenius_seed(grid[0], l, kappa), frobenius_seed(grid[1], l, kappa))
-        yield pot, grid, *seeds
+            u = u_bosonic_family(rho, DoParams.nodeless(kappa, l, lam))
+        langer = 0.25 + rho**2 * u
+        seeds = (frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
+        yield lambda _, langer=langer: langer, x, *seeds
+    for h in (8e-3, 4e-3):
+        grid = np.arange(h, 5.0 + h / 2, h)
+        seeds = (frobenius_seed(r, 0, 1.0) for r in grid[:2])
+        yield lambda r: u_minus(r, 0, 1.0), grid, *seeds
 
 
 class TestNumerov:
@@ -485,10 +495,28 @@ class TestNumerov:
         assert zero_mode_residual(0, 1.0, lam=1.0) < 1e-5
 
     def test_convergence_order(self):
-        # doubling the density must reduce the zero-mode residual by >= 16
-        coarse = zero_mode_residual(0, 1.0, h=8e-3)
-        fine = zero_mode_residual(0, 1.0, h=4e-3)
+        # doubling the density of the rho-grid must reduce the zero-mode
+        # residual by >= 16
+        coarse = rho_grid_residual(8e-3)
+        fine = rho_grid_residual(4e-3)
         assert coarse / fine >= 16.0
+
+    @pytest.mark.parametrize(
+        "kappa,l",
+        [(1 / 3, 0), (1 / 3, 2), (0.5, 0), (0.5, 1), (0.5, 3), (1.0, 0), (1.0, 1),
+         (1.0, 3), (1.5, 0), (1.5, 3), (2.0, 0), (2.0, 2), (2.0, 4)],
+    )
+    def test_langer_potential_is_poschl_teller(self, kappa, l):
+        # the potential verify marches in x = ln rho: 1/4 + rho^2 U_- is
+        # (l + 1/2)^2 - (w/4) sech^2(kappa x) for the nodeless coupling w.
+        # The well changes sign, so the gap is taken relative to the size
+        # of its two terms (measured at most 6e-16).
+        x = np.linspace(math.log(1e-3), math.log(5.0), 2001)
+        rho = np.exp(x)
+        langer = 0.25 + rho**2 * u_minus(rho, l, kappa)
+        nu_sq = (l + 0.5) ** 2
+        dip = 0.25 * DoParams.nodeless(kappa, l).w / np.cosh(kappa * x) ** 2
+        assert np.max(np.abs(langer - (nu_sq - dip)) / (nu_sq + dip)) < 1e-13
 
 
 # the wells of verify's eigen-oracle checks, each with its domain and, for a

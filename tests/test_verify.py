@@ -6,6 +6,7 @@ call per parameter set, the way the checks were first written; the
 residuals must agree bit for bit, so they are compared with ==.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -111,18 +112,22 @@ def gegenbauer_parity_loop():
 
 
 def zero_mode_family_loop():
-    # one march per (l, lam), on the public family evaluators
+    # one march per (l, lam), on the public family evaluators, of
+    # phi = rho^(-1/2) u in the Langer variable x = ln rho
     worst = 0.0
-    grid = np.arange(1e-3, 5.0 + 5e-4, 1e-3)
-    sel = (grid >= 0.1) & (grid <= 5.0)
+    start, end = math.log(verify.ZERO_MODE_START), math.log(5.0)
+    x = np.linspace(start, end, math.ceil((end - start) / verify.ZERO_MODE_STEP) + 1)
+    rho = np.exp(x)
+    sel = (rho >= 0.1) & (rho <= 5.0)
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
             params = DoParams.nodeless(1.0, l, lam)
-            u0, u1 = (verify._frobenius_seed(grid[i], l, 1.0) for i in (0, 1))
-            u = numerics.numerov_zero_energy(
-                lambda r: u_bosonic_family(r, params), grid, u0, u1
-            )[sel]
-            f = radial_factor_bosonic(grid, params)[sel]
+            phi0, phi1 = (verify._frobenius_seed(r, l, 1.0) / math.sqrt(r) for r in rho[:2])
+            phi = numerics.numerov_zero_energy(
+                lambda _: 0.25 + rho**2 * u_bosonic_family(rho, params), x, phi0, phi1
+            )
+            u = np.sqrt(rho[sel]) * phi[sel]
+            f = radial_factor_bosonic(rho, params)[sel]
             scale = np.dot(u, f) / np.dot(u, u)
             case = float(np.max(np.abs(scale * u - f) / np.abs(f)))
             assert verify._zero_mode_residual(l, 1.0, lam) == case
