@@ -14,7 +14,7 @@ follow the thread count.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/zero_mode_step_scan.py
-    OPENBLAS_NUM_THREADS=1 python scripts/zero_mode_step_scan.py --starts 1e-3 --steps 0.004 --rounds 21
+    OPENBLAS_NUM_THREADS=1 python scripts/zero_mode_step_scan.py --starts 1e-3 --rounds 21
 """
 
 import argparse

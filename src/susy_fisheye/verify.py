@@ -88,8 +88,8 @@ def _zero_mode_residual(l, kappa, lam=None):
     The convergence-order check marches on the rho-grid instead
     (_rho_grid_residual).  On this x-grid the (kappa = 1, l = 0) residual
     is 3.6e-11 at step 8e-3 and 8.7e-12 at 4e-3, a step-halving ratio of
-    4.2: at that size the seed's truncation error, not the step, sets it,
-    so the ratio cannot show the march's fourth order.
+    4.2: at that size the seed's truncation and rounding, not the step,
+    set it, so the ratio cannot show the march's fourth order.
     """
     n = math.ceil(math.log(5.0 / ZERO_MODE_START) / ZERO_MODE_STEP) + 1
     x = np.linspace(math.log(ZERO_MODE_START), math.log(5.0), n)
