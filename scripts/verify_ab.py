@@ -5,12 +5,13 @@ Both checkouts' src/susy_fisheye are imported into one process, under the
 package names susy_fisheye_parent and susy_fisheye_change.  After one
 untimed warm-up round, every round runs verify.run_suite("all") once per
 side and then each check of verify.SUITES once per side; the side that goes
-first alternates from round to round.  The (name, repr(residual), detail)
-of every result must be the same on both sides, or the script stops with
-status 1 before it prints a time.  It then prints, for the suite and for
-each check, the median and quartiles in ms per side and the number of
-rounds in which the change was faster.  Run as a script, it pins BLAS and
-OpenMP threads to 1 unless the environment already sets them.
+first alternates from round to round.  The (name, passed, detail) of every
+result must be the same on both sides, and no residual may be larger on the
+change's side, or the script stops with status 1 before it prints a time.
+It then prints each residual that changed, and, for the suite and for each
+check, the median and quartiles in ms per side and the number of rounds in
+which the change was faster.  Run as a script, it pins BLAS and OpenMP
+threads to 1 unless the environment already sets them.
 
 Usage:
     python scripts/verify_ab.py --parent DIR --change DIR --rounds 60
@@ -38,7 +39,7 @@ SIDES = ("parent", "change")
 
 
 class ResultsDiffer(Exception):
-    """The two sides' verify results are not the same."""
+    """A verify result of the change differs from the parent's other than by a smaller residual."""
 
 
 def load_verify(root, side):
@@ -55,8 +56,20 @@ def load_verify(root, side):
 
 
 def _results(out):
-    out = [out] if hasattr(out, "residual") else out
-    return [(r.name, repr(r.residual), r.detail) for r in out]
+    return [out] if hasattr(out, "residual") else out
+
+
+def _changed_residuals(unit, parent, change):
+    """{name: (parent residual, change residual)} of the results whose residual fell.
+
+    Raises ResultsDiffer when a name, a pass/fail or a detail differs, or
+    when a residual is larger (or NaN) on the change's side.
+    """
+    keys = [[(r.name, r.passed, r.detail) for r in side] for side in (parent, change)]
+    moved = [(p, c) for p, c in zip(parent, change) if repr(p.residual) != repr(c.residual)]
+    if keys[0] != keys[1] or any(not c.residual <= p.residual for p, c in moved):
+        raise ResultsDiffer(f"{unit}: results differ\n parent {parent}\n change {change}")
+    return {p.name: (p.residual, c.residual) for p, c in moved}
 
 
 def _timed(fn):
@@ -81,15 +94,18 @@ def _summary(times):
 
 
 def compare(verifies, rounds):
-    """{'suite': summary, 'checks': {name: summary}} over `rounds` timed rounds.
+    """{'suite': summary, 'checks': {name: summary}, 'residuals': changed} over `rounds` rounds.
 
-    Raises ResultsDiffer when the two sides' results differ.
+    changed maps each result name whose residual fell to its
+    [parent, change] residuals.  Raises ResultsDiffer as _changed_residuals
+    does.
     """
     checks = [fn.__name__ for suite in verifies["change"].SUITES.values() for fn in suite]
     units = {"suite": {side: (lambda v=v: v.run_suite("all")) for side, v in verifies.items()}}
     for name in checks:
         units[name] = {side: getattr(v, name) for side, v in verifies.items()}
     times = {unit: {side: [] for side in SIDES} for unit in units}
+    changed = {}
     for n in range(rounds + 1):
         order = SIDES if n % 2 == 0 else SIDES[::-1]
         for unit, fns in units.items():
@@ -98,17 +114,20 @@ def compare(verifies, rounds):
                 ms, got[side] = _timed(fns[side])
                 if n > 0:
                     times[unit][side].append(ms)
-            if got["parent"] != got["change"]:
-                raise ResultsDiffer(
-                    f"{unit}: results differ\n parent {got['parent']}\n change {got['change']}"
-                )
+            changed.update(_changed_residuals(unit, got["parent"], got["change"]))
     return {
         "suite": _summary(times["suite"]),
         "checks": {name: _summary(times[name]) for name in checks},
+        "residuals": {name: list(pair) for name, pair in changed.items()},
     }
 
 
-def _print_table(table, rounds):
+def _report(table, rounds):
+    """Print the residuals that fell, then the timing table."""
+    print(f"names, pass/fail and details the same on both sides; "
+          f"{len(table['residuals'])} residuals fell")
+    for name, (parent, change) in table["residuals"].items():
+        print(f"  {name}: {parent!r} -> {change!r}")
     print(f"{'':34s} {'parent ms (q1-q3)':>24s} {'change ms (q1-q3)':>24s}  wins")
     rows = [("suite", table["suite"])] + list(table["checks"].items())
     for name, row in rows:
@@ -134,8 +153,7 @@ def main(argv=None):
     except ResultsDiffer as exc:
         print(exc, file=sys.stderr)
         return 1
-    print("every result is the same on both sides: (name, repr(residual), detail)")
-    _print_table(table, args.rounds)
+    _report(table, args.rounds)
     if args.json:
         Path(args.json).write_text(json.dumps({"rounds": args.rounds, **table}, indent=1) + "\n")
     return 0

@@ -38,7 +38,6 @@ from .fullline import (
 from .isospectral import (
     family_columns,
     i0,
-    i0_closed_half,
     i0_closed_one,
     i0_quadrature,
     radial_factor_bosonic,

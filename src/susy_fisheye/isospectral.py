@@ -8,22 +8,19 @@ and I0(rho) = int_0^rho f^2, the family members are
     U_bos  = U- - 4 f f' / (I0 + lam) + 2 f^4 / (I0 + lam)^2
     f_bos  = f / (I0 + lam)                       (damped radial factor)
 
-I0 is chosen in one place, i0: a closed form for kappa = 1/2 and kappa = 1,
-and for every other kappa the incomplete beta function
+I0 is chosen in one place, i0: a closed form for kappa = 1, and for every
+other kappa the incomplete beta function
 
     I0 = B_x(a, b) / 2 kappa,  x = rho^2k / (1 + rho^2k),  a = (2l+3)/2k,  b = (2l-1)/2k,
 
-summed as power series (_i0_beta).  The closed forms take rho and form the
-angle beta = arctan(rho^kappa) inside, through the substitution
-rho = tan(beta)^(1/kappa), which turns f^2 drho into
-
-    (1/kappa) sin(beta)^((2l+3-kappa)/kappa) cos(beta)^((2l-1-kappa)/kappa) dbeta.
-
-Both closed forms below are antiderivatives of exactly this integrand.
-Every route is cross-checked against i0_quadrature, the oracle, which
-integrates f^2 over a fixed dyadic ladder of radii plus one tail per point,
-for any number of (kappa, l) sectors, all in one batched Gauss-Kronrod
-call at relative tolerance 1e-12; only verify and the tests call it.
+summed as power series (_i0_beta).  The closed form takes rho and forms the
+angle beta = arctan(rho) inside, through the substitution rho = tan(beta),
+which turns f^2 drho into sin(beta)^(2l+2) cos(beta)^(2l-2) dbeta, the
+integrand it integrates.  Both routes are cross-checked against
+i0_quadrature, the oracle, which integrates f^2 over a fixed dyadic ladder
+of radii plus one tail per point, for any number of (kappa, l) sectors,
+all in one batched Gauss-Kronrod call at relative tolerance 1e-12; only
+verify and the tests call it.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from .specfun import binomial
 __all__ = [
     "i0",
     "i0_quadrature",
-    "i0_closed_half",
     "i0_closed_one",
     "v_general",
     "superpotential_general",
@@ -109,10 +105,10 @@ def i0_quadrature(rho, l, kappa):
     return (ladder[:, k.ravel() - _LADDER_BOTTOM] + tails).reshape(ls.shape + r.shape)[()]
 
 
-def _beta(rho, kappa):
-    """beta = arctan(rho^kappa), refusing the radii where it rounds to pi/2."""
+def _beta(rho):
+    """beta = arctan(rho), refusing the radii where it rounds to pi/2."""
     r = _as_rho(rho)
-    beta = np.arctan(r**kappa)
+    beta = np.arctan(r)
     top = beta >= 0.5 * math.pi
     if top.any():
         raise ValueError(
@@ -120,30 +116,6 @@ def _beta(rho, kappa):
             f"rho = {float(r[top][0])}: beyond the range of the closed form of I0"
         )
     return beta
-
-
-def i0_closed_half(rho, l):
-    """Closed form of I0 for kappa = 1/2 as F(beta) - F(0), beta = arctan(sqrt(rho)).
-
-    The integrand 2 sin^(4l+5) cos^(4l-3) has the antiderivative
-
-        F(beta) = -2 sum_j (-1)^j C(2l+2, j) cos^(4l-2+2j) / (4l-2+2j),
-
-    with the j where the exponent vanishes (l = 0, j = 1) contributing a
-    log(cos) term instead; F(0) removes the integration constant.
-    """
-    cos_b = np.cos(_beta(rho, 0.5))
-    total = 0.0
-    const = 0.0
-    for j in range(2 * l + 3):
-        coeff = -2.0 * (-1) ** j * binomial(2 * l + 2, j)
-        expo = 4 * l - 2 + 2 * j
-        if expo == 0:
-            total = total + coeff * np.log(cos_b)
-        else:
-            total = total + coeff * cos_b ** expo / expo
-            const += coeff / expo
-    return total - const
 
 
 def _sin_power_integral(m, x):
@@ -165,7 +137,7 @@ def i0_closed_one(rho, l):
     plus one odd cos(2b) term, each with an elementary antiderivative; every
     term vanishes at beta = 0 so no constant is needed.
     """
-    b = _beta(rho, 1.0)
+    b = _beta(rho)
     if l == 0:
         return np.tan(b) - b
     s_lm1 = 0.5 * _sin_power_integral(l - 1, 2.0 * b)
@@ -324,22 +296,20 @@ def _i0_beta(rho, l, kappa):
 
 
 def i0(rho, l, kappa):
-    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1 or 1/2, else the beta series.
+    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1, else the beta series.
 
     The beta series takes kappa from about 1e-308 to 1e305 (it refuses the
     kappa where (2l+3)/2 kappa or rho^2k at the largest float overflows)
     and is finite for every rho from RHO_MIN to 1e307: I0 grows like rho
     at l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  Its relative error
     against independent references is below 1e-12 (measured: below 4e-14
-    for kappa from 0.01 to 50).  The closed forms refuse the radii where arctan(rho^kappa)
-    rounds to pi/2: from about 9e15 at kappa = 1 and 4e31 at kappa = 1/2.
-    l must be a non-negative integer on every route.
+    for kappa from 0.01 to 50).  The closed form refuses the radii where
+    arctan(rho) rounds to pi/2, from about 9e15.  l must be a non-negative
+    integer on every route.
     """
     _check_l(l)
     if kappa == 1.0:
         return i0_closed_one(rho, l)
-    if kappa == 0.5:
-        return i0_closed_half(rho, l)
     return _i0_beta(rho, l, kappa)
 
 

@@ -36,7 +36,7 @@ from susy_fisheye.cli import main as cli_main
 from susy_fisheye.do_core import radial_factor_f
 from susy_fisheye.fisheye import relative_ratio
 from susy_fisheye.fullline import rescale_radius
-from susy_fisheye.isospectral import i0, i0_closed_half
+from susy_fisheye.isospectral import i0
 from susy_fisheye.verify import (
     RICCATI_FAMILIES,
     _riccati_scan,
@@ -116,7 +116,7 @@ def test_criterion_2_bound_rejects_rescaled_i0():
 
 def test_criterion_2_bound_rejects_wrong_kappa_i0():
     # a kappa = 1 family built on the kappa = 1/2 damping integral
-    worst = worst_relative_residual(lambda s, p: i0_closed_half(s, p.l), kappas=(1.0,))
+    worst = worst_relative_residual(lambda s, p: i0(s, p.l, 0.5), kappas=(1.0,))
     assert worst > RICCATI_REL_TOL
 
 

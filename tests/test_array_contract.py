@@ -6,8 +6,8 @@ float64, 0-d), a list or an array gives an ndarray of the input's shape,
 and a scalar result equals the matching element of the array call to
 within 2 ulp.  The array call may round a power or a transcendental
 function one ulp away from the scalar call, and cancellation can amplify
-that (the closed form of I0 at kappa = 1/2, l = 2 differs by 4096 ulp at
-rho = 0.5), so the points here are well-conditioned ones.
+that (the closed form of I0 at kappa = 1, l = 2 differs by 6.7e7 ulp at
+rho = 0.011), so the points here are well-conditioned ones.
 """
 
 import inspect
@@ -21,7 +21,7 @@ from susy_fisheye.do_core import DoParams
 RHO = (0.3, 1.0, 2.5)
 X = (-2.0, 0.0, 0.5, 3.0)
 
-# kappa = 1/2 and 1 take the closed forms of I0, kappa = 2 the beta series
+# kappa = 1 takes the closed form of I0, kappa = 1/2 and 2 the beta series
 FAMILIES = {kappa: DoParams.nodeless(kappa, 2, 0.5) for kappa in (0.5, 1.0, 2.0)}
 
 CASES = [
@@ -37,7 +37,6 @@ CASES = [
     ("do_core.superpotential_dw", lambda r: do_core.superpotential_dw(r, 1, 0.5), RHO),
     ("do_core.u_minus", lambda r: do_core.u_minus(r, 1, 1.0), RHO),
     ("do_core.u_plus", lambda r: do_core.u_plus(r, 1, 1.0), RHO),
-    ("isospectral.i0_closed_half", lambda r: isospectral.i0_closed_half(r, 2), RHO),
     ("isospectral.i0_closed_one", lambda r: isospectral.i0_closed_one(r, 2), RHO),
     ("isospectral.i0_quadrature", lambda r: isospectral.i0_quadrature(r, 2, 0.7), RHO),
     ("fisheye.v_family_fisheye", lambda r: fisheye.v_family_fisheye(r, 1, 1.0), RHO),

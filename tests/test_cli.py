@@ -252,12 +252,14 @@ class TestGridCommands:
 
     @pytest.mark.parametrize(
         "kappa,l,rho_max",
-        [("0.7", "0", "1e200"), ("0.3", "0", "1e300"), ("2", "2", "1e60"), ("0.005", "0", "1e10")],
+        [("0.7", "0", "1e200"), ("0.3", "0", "1e300"), ("2", "2", "1e60"), ("0.005", "0", "1e10"),
+         ("0.5", "0", "1e40")],
     )
     def test_family_past_the_quadrature_range(self, capsys, kappa, l, rho_max):
         # the quadrature's f^2 left the float range at 1e200, 1e300 and 1e60
         # (exit 2); the beta series stays finite, and at kappa = 0.005 no
-        # radius reaches its switch
+        # radius reaches its switch; at kappa = 1/2, arctan(sqrt(rho))
+        # rounds to pi/2 past about 4e31, where the series needs no angle
         code, out, err = run_cli(
             capsys, "family", "--kappa", kappa, "--l", l, "--rho-max", rho_max
         )
@@ -265,8 +267,25 @@ class TestGridCommands:
         rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         assert rows.shape == (300, 5) and np.all(np.isfinite(rows))
 
+    def test_family_small_lambda_against_the_quadrature(self, capsys):
+        # I0 is about 1e-15 on this grid, so with lam = 1e-12 the columns
+        # carry I0's relative error
+        code, out, err = run_cli(
+            capsys, "family", "--kappa", "0.5", "--l", "2", "--lambda", "1e-12",
+            "--rho-max", "0.05", "--samples", "3",
+        )
+        assert (code, err) == (0, "")
+        rho, u_m, u_bos, f, f_bos = np.array(
+            [line.split(",") for line in out.splitlines()[1:]], dtype=float
+        ).T
+        denom = isospectral.i0_quadrature(rho, 2, 0.5) + 1e-12
+        df = do_core.radial_factor_df(rho, 2, 0.5)
+        want_u = u_m - 4.0 * f * df / denom + 2.0 * f**4 / denom**2
+        assert np.max(np.abs(u_bos / want_u - 1.0)) < 1e-9
+        assert np.max(np.abs(f_bos / (f / denom) - 1.0)) < 1e-9
 
-I0_PATHS = ("_i0_beta", "i0_closed_one", "i0_closed_half")
+
+I0_PATHS = ("_i0_beta", "i0_closed_one")
 FAMILY_TERMS = ("radial_factor_f", "radial_factor_df", "u_minus")
 
 
@@ -317,7 +336,9 @@ class TestFamilyTerms:
 
     # stdout digests recorded before the family terms were shared; the two
     # kappa = 0.7 ones again when I0 moved from the quadrature to the beta
-    # series (464 of 1500 values moved, by at most 6.2e-13 relative)
+    # series (464 of 1500 values moved, by at most 6.2e-13 relative), and
+    # the two kappa = 1/2 ones when I0 moved from its closed form to the
+    # beta series (298 f_bos values moved, by at most 2.0e-15 relative)
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -326,9 +347,9 @@ class TestFamilyTerms:
             (("family", "--kappa", "0.7", "--l", "0", "--format", "json"),
              "e92f1c5dd7e68e6d0af62f3ee03003c0b5a5df20d936bf71cf074b0712e94e65"),
             (("family", "--kappa", "0.5", "--l", "3"),
-             "748bd2c920ef9e0ca63ee6ea53481d5007b5e048716522f752be3f8c6ec99425"),
+             "2f74d83b2d9ab3e5137e14241973c4d614dbc29bd5d3a9bdf58b0d80046e8411"),
             (("family", "--kappa", "0.5", "--l", "3", "--format", "json"),
-             "8c51e640242183524bb2975ca5b319f2d6b5a0dea72bf39eaf1ba644c16cec5b"),
+             "28e917f9add656a7b6359ff23ea6e06b4cfbfdde50d087979f9a1af2ccef6530"),
             (("family",), "1e59c3f7a5c91989aba5720d07c7377e7ba50885c9152b05d2836cfd9c0326c9"),
             (("family", "--format", "json"),
              "378c6778dde8eeecb0cc962e7a95776c7731af14a994487cf7eedf0b77a79e75"),

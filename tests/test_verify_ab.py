@@ -1,6 +1,7 @@
 """Smoke test of scripts/verify_ab.py, the interleaved A/B timing of verify."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,13 +34,26 @@ def test_one_round_against_the_same_tree(verify_ab, capsys, tmp_path):
     assert '"change_faster_rounds"' in out.read_text()
 
 
+def _fake_verify(residual, detail=""):
+    def check_one():
+        return verify.CheckResult("one", residual, 1.0, True, detail)
+
+    return SimpleNamespace(SUITES={"s": (check_one,)}, run_suite=lambda name: [check_one()],
+                           check_one=check_one)
+
+
 def test_differing_results_are_refused(verify_ab):
-    def fake(residual):
-        def check_one():
-            return verify.CheckResult("one", residual, 1.0, True)
+    # a larger residual, a NaN one, and a changed detail
+    for parent, change in [((0.25,), (0.5,)), ((0.25,), (math.nan,)), ((0.5, "a"), (0.5, "b"))]:
+        fakes = {"parent": _fake_verify(*parent), "change": _fake_verify(*change)}
+        with pytest.raises(verify_ab.ResultsDiffer, match="suite: results differ"):
+            verify_ab.compare(fakes, rounds=1)
 
-        return SimpleNamespace(SUITES={"s": (check_one,)}, run_suite=lambda name: [check_one()],
-                               check_one=check_one)
 
-    with pytest.raises(verify_ab.ResultsDiffer, match="suite: results differ"):
-        verify_ab.compare({"parent": fake(0.5), "change": fake(0.25)}, rounds=1)
+def test_better_residual_is_accepted_and_reported(verify_ab, capsys):
+    table = verify_ab.compare({"parent": _fake_verify(0.5), "change": _fake_verify(0.25)}, rounds=1)
+    assert table["residuals"] == {"one": [0.5, 0.25]}
+    verify_ab._report(table, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["names, pass/fail and details the same on both sides; 1 residuals fell",
+                         "  one: 0.5 -> 0.25"]
