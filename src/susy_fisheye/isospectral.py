@@ -13,7 +13,9 @@ other kappa the incomplete beta function
 
     I0 = B_x(a, b) / 2 kappa,  x = rho^2k / (1 + rho^2k),  a = (2l+3)/2k,  b = (2l-1)/2k,
 
-summed as power series (_i0_beta).  The closed form takes rho and forms the
+which _i0_beta sums as a terminating sum of b positive terms where b is a
+positive integer (kappa = 1/2 at every l >= 1, and kappa = 1/4 or 1/6), and
+as power series everywhere else.  The closed form takes rho and forms the
 angle beta = arctan(rho) inside, through the substitution rho = tan(beta),
 which turns f^2 drho into sin(beta)^(2l+2) cos(beta)^(2l-2) dbeta, the
 integrand it integrates.  Both routes are cross-checked against
@@ -112,19 +114,20 @@ def _beta(rho):
     top = beta >= 0.5 * math.pi
     if top.any():
         raise ValueError(
-            f"beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
+            f"beta must lie in [0, pi/2), but arctan(rho) rounds to pi/2 at "
             f"rho = {float(r[top][0])}: beyond the range of the closed form of I0"
         )
     return beta
 
 
-def _sin_power_integral(m, x):
-    """int_0^x sin^(2m) u du as the standard finite multiple-angle sum."""
+def _sin_power_integral(m, x, sines):
+    """int_0^x sin^(2m) u du as the standard finite multiple-angle sum.
+
+    sines[j - 1] is sin(2j x), for j = 1..m at least.
+    """
     out = binomial(2 * m, m) * x
     for k in range(m):
-        out = out + (-1.0) ** (m - k) * binomial(2 * m, k) * np.sin(
-            (2 * m - 2 * k) * x
-        ) / (m - k)
+        out = out + (-1.0) ** (m - k) * binomial(2 * m, k) * sines[m - k - 1] / (m - k)
     return out / 4.0**m
 
 
@@ -140,10 +143,70 @@ def i0_closed_one(rho, l):
     b = _beta(rho)
     if l == 0:
         return np.tan(b) - b
-    s_lm1 = 0.5 * _sin_power_integral(l - 1, 2.0 * b)
-    s_l = 0.5 * _sin_power_integral(l, 2.0 * b)
-    edge = np.sin(2.0 * b) ** (2 * l - 1) / (2 * l - 1)
+    x = 2.0 * b
+    # sin(2j x) for j = 1..l, shared by both multiple-angle sums
+    sines = [np.sin((2 * j) * x) for j in range(1, l + 1)]
+    s_lm1 = 0.5 * _sin_power_integral(l - 1, x, sines)
+    s_l = 0.5 * _sin_power_integral(l, x, sines)
+    edge = np.sin(x) ** (2 * l - 1) / (2 * l - 1)
     return (2.0 * s_lm1 - s_l - edge) / 4.0**l
+
+
+# Largest b = (2l-1)/2 kappa that _i0_beta sums as the terminating sum.
+# Its cost grows with b and the series' barely: scripts/i0_route_scan.py
+# measures the sum faster than the series at 50, 300 and 600 radii for
+# every integer b up to 576; past that the two trade places with the
+# host's noise, and at b = 1152 the series is faster at every size.
+_MAX_FINITE_TERMS = 512
+
+
+def _i0_beta(rho, l, kappa):
+    """I0 = B_x(a, b) / 2 kappa, x = rho^2k / (1 + rho^2k), a = (2l+3)/2k, b = (2l-1)/2k.
+
+    The terminating sum (_i0_finite) where b is a positive integer of at
+    most _MAX_FINITE_TERMS, the power series (_i0_series) everywhere else.
+    """
+    r = _as_rho(rho)
+    _check_kappa(kappa)
+    n = _finite_terms(l, kappa)
+    if n:
+        return _i0_finite(r, (2 * l + 3) / (2.0 * kappa), n, kappa)
+    return _i0_series(r, l, kappa)
+
+
+def _finite_terms(l, kappa):
+    """b = (2l-1)/2 kappa where _i0_beta takes the terminating sum, else 0."""
+    b = (2 * l - 1) / (2.0 * kappa)
+    return int(b) if 1.0 <= b <= _MAX_FINITE_TERMS and b.is_integer() else 0
+
+
+def _i0_finite(r, a, n, kappa):
+    """I0 = x^a sum_(j<n) d_j y^j on the radii r, for b = n a positive integer.
+
+    I_x(a, n) = x^a sum_(j<n) (a)_j / j! y^j, y = 1 - x, follows from
+    I_x(a, 1) = x^a by DLMF 8.17.21 applied n - 1 times, and
+    B(a, n) = (n-1)! / (a)_n, so d_j = (a)_j / j! B(a, n) / 2 kappa.  The
+    d_j are formed downwards from d_(n-1) = 1 / (2 kappa (a+n-1)) by
+    d_(j-1) = d_j j / (a+j-1), so none overflows, and all n terms are
+    positive.  x = t / (t+s) and y = s / (t+s), with t = rho^2k and s = 1
+    up to rho = 1 and t = 1, s = rho^-2k past it, so no power overflows
+    and I0 tends to B(a, n) / 2 kappa.  Every step on the radii is a numpy
+    ufunc with a scalar exponent (a power with an array of exponents may
+    round a 0-d call differently), so a scalar call equals the matching
+    element of an array call.
+    """
+    d = [0.5 / (kappa * (a + n - 1.0))]
+    for j in range(n - 1, 0, -1):
+        d.append(d[-1] * j / (a + j - 1.0))
+    t = np.power(np.minimum(r, 1.0), 2.0 * kappa)
+    s = np.power(np.maximum(r, 1.0), -2.0 * kappa)
+    u = t + s
+    x = t / u
+    y = s / u
+    total = d[0]
+    for term in d[1:]:
+        total = total * y + term
+    return (np.power(x, a) * total)[()]
 
 
 # The length past which _series refuses a series: far above the few
@@ -196,9 +259,10 @@ def _horner(coeffs, column, w):
 _MAX_CANCELLATION = 1e3
 
 
-def _i0_beta(rho, l, kappa):
-    """I0 = B_x(a, b) / 2 kappa by power series, for kappa > 0 where a and b are finite.
+def _i0_series(r, l, kappa):
+    """I0 = B_x(a, b) / 2 kappa by power series on the radii r, for kappa > 0 where a and b are finite.
 
+    r is a float array of radii at least RHO_MIN, as _as_rho returns it.
     x = rho^2k / (1 + rho^2k), a = (2l+3)/2k and b = (2l-1)/2k (DLMF 8.17).
     log x and log y, y = 1 - x, come from ln rho through logaddexp, so
     neither is rounded near 0 or 1.  The radii split at x_s = 1 - y_s:
@@ -231,8 +295,6 @@ def _i0_beta(rho, l, kappa):
     overflows, and above about 1e305 so does rho^2k at the largest float;
     such kappa are refused.
     """
-    r = _as_rho(rho)
-    _check_kappa(kappa)
     a, b = (2 * l + 3) / (2.0 * kappa), (2 * l - 1) / (2.0 * kappa)
     t_max = 2.0 * kappa * math.log(np.finfo(float).max)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(t_max)):
@@ -296,16 +358,25 @@ def _i0_beta(rho, l, kappa):
 
 
 def i0(rho, l, kappa):
-    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1, else the beta series.
+    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1, else _i0_beta.
 
-    The beta series takes kappa from about 1e-308 to 1e305 (it refuses the
-    kappa where (2l+3)/2 kappa or rho^2k at the largest float overflows)
-    and is finite for every rho from RHO_MIN to 1e307: I0 grows like rho
-    at l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  Its relative error
-    against independent references is below 1e-12 (measured: below 4e-14
-    for kappa from 0.01 to 50).  The closed form refuses the radii where
-    arctan(rho) rounds to pi/2, from about 9e15.  l must be a non-negative
-    integer on every route.
+    _i0_beta takes the terminating sum of b = (2l-1)/2 kappa positive terms
+    where b is a positive integer up to _MAX_FINITE_TERMS (kappa = 1/2 at
+    every l >= 1, 1 to 9 terms at l = 1..5), and power series everywhere
+    else (l = 0 and every b that is not an integer; 49 to 81 terms for
+    kappa from 1/2 to 2).  On logspace(1e-3, 50), l = 1..5, the sum is
+    within 7.4e-15 relative of i0_quadrature at kappa = 1/2 and within
+    1.9e-14 at kappa = 1/4 and 1/6, at 6 to 30 us per kappa = 1/2 call on
+    50 to 600 radii, where the series takes 160 to 350 us
+    (scripts/i0_route_scan.py).  The series' relative error is below 1e-12
+    for kappa >= 1/4 (tested); below that, just past rho = 1, it reaches
+    1.6e-11 (l = 3, kappa = 3/49).  I0 takes kappa from about 1e-308 to
+    1e305 (the series refuses the kappa where (2l+3)/2 kappa or rho^2k at
+    the largest float overflows) and is finite for every rho from RHO_MIN
+    to 1e307: it grows like rho at l = 0 and tends to B(a, b) / 2 kappa at
+    l >= 1.  The closed form refuses the radii where arctan(rho) rounds to
+    pi/2, from about 9e15.  l must be a non-negative integer on every
+    route.
     """
     _check_l(l)
     if kappa == 1.0:

@@ -476,7 +476,7 @@ class TestErrors:
             ),
             (
                 ["figure", "--rho-max", "1e200"],
-                "beta must lie in [0, pi/2), but arctan(rho^kappa) rounds to pi/2 at "
+                "beta must lie in [0, pi/2), but arctan(rho) rounds to pi/2 at "
                 "rho = 1e+200: beyond the range of the closed form of I0",
             ),
             (

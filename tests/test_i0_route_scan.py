@@ -1,0 +1,35 @@
+"""Smoke test of scripts/i0_route_scan.py, the scan of the two I0 routes of _i0_beta."""
+
+import importlib.util
+from pathlib import Path
+
+from susy_fisheye import isospectral
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scan_reports_route_terms_and_error(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "i0_route_scan", ROOT / "scripts" / "i0_route_scan.py"
+    )
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    saved = isospectral._horner
+    scan.main(["--kappas", "1/2", "0.7", "--ls", "0", "1", "5", "--sizes", "20", "--rounds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 6 + 1
+    rows = [line.split() for line in lines[2:-1]]
+    # kappa, l, b, route, terms, us, error
+    assert [(row[0], row[1], row[3], row[4]) for row in rows] == [
+        ("1/2", "0", "series", "49"),
+        ("1/2", "1", "sum", "1"),
+        ("1/2", "5", "sum", "9"),
+        ("0.7", "0", "series", "49"),
+        ("0.7", "1", "series", "68"),
+        ("0.7", "5", "series", "80"),
+    ]
+    assert all(float(row[6]) < 1e-13 for row in rows)
+    # the kappa = 1/2 rows time the series too
+    assert all("series:" in line for line in lines[3:5])
+    assert lines[-1].startswith("terminating sum faster than the series at every size up to b = ")
+    assert isospectral._horner is saved

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
+from susy_fisheye import isospectral
 from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
     _family_terms,
     _general,
     _i0_beta,
+    _i0_series,
     _series,
     i0,
     i0_closed_one,
@@ -149,8 +151,8 @@ class TestClosedForms:
             i0_closed_one(1e17, 2)
 
 
-    # the closed form at kappa = 1 and the beta series at kappa = 1/2 and
-    # 0.7, for i0 and the oracle alike
+    # the closed form at kappa = 1, the terminating sum at kappa = 1/2 and
+    # the beta series at 0.7, for i0 and the oracle alike
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 0.7])
     @pytest.mark.parametrize("l", [-1, 1.5, math.nan])
     @pytest.mark.parametrize("evaluate", [i0, i0_quadrature], ids=["i0", "i0_quadrature"])
@@ -178,7 +180,7 @@ class TestRoute:
             (0.5, lambda rho, l: _i0_beta(rho, l, 0.5)),
             (0.7, lambda rho, l: _i0_beta(rho, l, 0.7)),
         ],
-        ids=["closed-one", "closed-half", "beta"],
+        ids=["closed-one", "beta-half", "beta"],
     )
     @pytest.mark.parametrize("rho", [1.7, np.logspace(-2.0, 2.0, 9)], ids=["scalar", "array"])
     def test_route_is_bit_for_bit(self, kappa, route, rho):
@@ -187,14 +189,27 @@ class TestRoute:
             assert type(got) is type(want)
             np.testing.assert_array_equal(got, want)
 
-    def test_closed_form_selected_for_physical_kappas(self):
+    def test_physical_kappas_agree_with_the_quadrature(self):
         for kappa in (0.5, 1.0):
             assert i0(1.7, 1, kappa) == pytest.approx(i0_quadrature(1.7, 1, kappa), abs=1e-10)
 
-    def test_quadrature_fallback_for_other_kappa(self):
+    def test_series_at_other_kappa_agrees_with_the_quadrature(self):
         # the beta series, not the quadrature, is the route at kappa = 2;
         # the oracle agrees with it
         assert i0(1.3, 2, 2.0) == pytest.approx(i0_quadrature(1.3, 2, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("l,kappa", [(1, 0.5), (5, 0.5), (1, 0.25), (2, 1.5)])
+    def test_integer_b_sums_no_series(self, monkeypatch, l, kappa):
+        # b = (2l-1)/2 kappa is a positive integer: the terminating sum
+        # builds no power series and runs no Horner loop
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power series ran on an integer-b sector")
+
+        monkeypatch.setattr(isospectral, "_series", refuse)
+        monkeypatch.setattr(isospectral, "_horner", refuse)
+        rho = np.logspace(-3.0, 3.0, 7)
+        assert np.all(np.isfinite(i0(rho, l, kappa)))
+        assert np.isfinite(i0(1.7, l, kappa))
 
     def test_i0_vanishes_at_origin_and_grows(self):
         g = np.linspace(0.05, 6.0, 40)
@@ -210,12 +225,14 @@ class TestRoute:
 
 # Every (l, kappa) pair of the quadrature-kappa benchmark workload (l = 0 at
 # the ends and inside of its kappa range), the l = 0 log terms (kappa = 1/4,
-# 1/6), b < -1 (kappa = 0.3), kappa just past the poles at 1/2m, and the
-# small kappa where the switch moves off x = 1/2
+# 1/6), b < -1 (kappa = 0.3), kappa just past the poles at 1/2m, the small
+# kappa where the switch moves off x = 1/2, and the terminating sum at
+# kappa = 1/2 and at b = 1 with kappa > 1
 BETA_PAIRS = [
     (0, 0.3), (0, 0.7), (0, 1.8), (0, 3.0),
     (1, 1 / 3), (1, 0.25), (2, 2 / 3), (2, 0.4), (2, 2.0), (3, 0.75), (3, 1.5),
     (0, 0.25), (0, 1 / 6), (0, 0.5 + 1e-9), (0, 0.25 + 1e-7), (0, 0.1), (1, 0.1),
+    (2, 0.5), (5, 0.5), (2, 1.5),
 ]
 BETA_RHO = np.logspace(-6.0, 8.0, 57)
 
@@ -269,9 +286,12 @@ class TestBetaSeries:
 
     @pytest.mark.parametrize("l,kappa", [(1, 0.01), (3, 0.01)])
     def test_small_kappa_above_l_zero(self, l, kappa):
-        # the switch sits at the mode (a+1)/(a+b+2) of the beta density here
-        got = _i0_beta(BETA_RHO, l, kappa)
-        assert np.max(np.abs(got - i0_quadrature(BETA_RHO, l, kappa)) / got) < 1e-12
+        # the switch of the series sits at the mode (a+1)/(a+b+2) of the
+        # beta density here; b = 50 and 250 are integers, so _i0_beta takes
+        # the terminating sum, and the series is held to the same bound
+        ref = i0_quadrature(BETA_RHO, l, kappa)
+        for got in (_i0_beta(BETA_RHO, l, kappa), _i0_series(BETA_RHO, l, kappa)):
+            assert np.max(np.abs(got - ref) / got) < 1e-12
 
     @pytest.mark.parametrize("l,kappa", [(10, 0.001), (20, 0.005)])
     def test_large_a_and_b(self, l, kappa):
@@ -292,6 +312,33 @@ class TestBetaSeries:
         got = _i0_beta(rho, 0, 1e-3)
         assert np.max(np.abs(got - i0_quadrature(rho, 0, 1e-3)) / got) < 1e-12
         assert np.isfinite(_i0_beta(1e300, 0, 1e-3))
+
+
+class TestTerminatingSum:
+    """_i0_beta where b = (2l-1)/2 kappa is a positive integer: b positive terms."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.25, 1 / 6])
+    @pytest.mark.parametrize("l", range(1, 6))
+    def test_against_the_quadrature(self, l, kappa):
+        rho = np.logspace(-3.0, math.log10(50.0), 50)
+        got = _i0_beta(rho, l, kappa)
+        assert np.max(np.abs(got / i0_quadrature(rho, l, kappa) - 1.0)) < 1e-13
+
+    # the series is within 3.3e-14 of the quadrature on logspace(1e-3, 50)
+    # at these sectors (measured), so the two routes within 4e-14 of each other
+    @pytest.mark.parametrize("l,kappa", [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5), (2, 1.5)])
+    def test_against_the_series(self, l, kappa):
+        got = _i0_beta(BETA_RHO, l, kappa)
+        assert np.max(np.abs(got / _i0_series(BETA_RHO, l, kappa) - 1.0)) < 4e-14
+
+    @pytest.mark.parametrize("l,kappa", [(3, 0.5), (2, 1.5)])
+    def test_tends_to_the_complete_beta_function(self, l, kappa):
+        # at (2, 1.5), b = 1 and rho^3 overflows past 5.6e102: the radii
+        # past 1 take rho^-2k
+        a, b = (2 * l + 3) / (2 * kappa), (2 * l - 1) / (2 * kappa)
+        got = _i0_beta(np.array([1e100, 1e200, 1e307]), l, kappa)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(special.beta(a, b) / (2 * kappa), rel=1e-14)
 
 
 class TestGeneralRiccatiSolution:
