@@ -58,10 +58,8 @@ def routes(l, kappa):
     return out
 
 
-def terms(name, evaluate, l, kappa):
-    """Terms the route sums: b for the terminating sum, the Horner length for the series."""
-    if name == "sum":
-        return int((2 * l - 1) / (2.0 * kappa))
+def series_terms(evaluate):
+    """The Horner length of the series that `evaluate` sums (it does not depend on the radii)."""
     lengths = []
     with horner_length(lengths):
         evaluate(_as_rho(1.0))
@@ -101,7 +99,8 @@ def main(argv=None):
         for l in args.ls:
             ways = routes(l, kappa)
             b = (2 * l - 1) / (2.0 * kappa)
-            taken = "sum" if isospectral._finite_terms(l, kappa) else "series"
+            n = isospectral._finite_terms(l, kappa)
+            taken = "sum" if n else "series"
             cost = {name: [microseconds(f, r, args.rounds) for r in grids] for name, f in ways.items()}
             got = isospectral._i0_beta(grids[-1], l, kappa)
             ref = isospectral.i0_quadrature(grids[-1], l, kappa)
@@ -109,7 +108,7 @@ def main(argv=None):
             error = float(np.max(np.divide(np.abs(got - ref), ref, out=np.zeros_like(ref),
                                            where=got != ref)))
             line = (f"{text:>8} {l:>2} {b:>9.4g} {taken:>6} "
-                    f"{terms(taken, ways[taken], l, kappa):>5} "
+                    f"{n or series_terms(ways['series']):>5} "
                     + " ".join(f"{us:>8.1f}" for us in cost[taken])
                     + f" {error:>9.2e}")
             if len(ways) == 2:
