@@ -40,11 +40,9 @@ def main():
                 if cli.main(argv) != 0:
                     raise SystemExit(f"figure failed for l={l}, lambda={lam:g}")
 
-            table = figure_table(l, lam, grid)
-            peak = float(np.max(np.abs(table.ratio_minus_one)))
-            lens_peak = float(
-                np.max(np.abs(table.ratio_minus_one[: lens.size]))
-            )
+            ratio = figure_table(l, lam, grid)[3]
+            peak = float(np.max(np.abs(ratio)))
+            lens_peak = float(np.max(np.abs(ratio[: lens.size])))
             star = find_inflection(l, lam, grid)
             print(
                 f"l={l} lam={lam:4g}: peak |ratio| {peak:.4f} "

@@ -1,6 +1,6 @@
 """Isospectral deformations of the zero-energy focusing problem on the half line.
 
-Subpackages cover the half-line model (do_core), the one-parameter
+Modules cover the half-line model (do_core), the one-parameter
 isospectral family (isospectral), the fish-eye index application
 (fisheye), the full-line sech^2 picture (fullline), self-contained
 numerical oracles (numerics) and a residual-reporting verification suite
@@ -17,16 +17,7 @@ from .do_core import (
     u_minus,
     u_plus,
 )
-from .fisheye import (
-    FigureTable,
-    figure_table,
-    find_inflection,
-    index_columns,
-    index_iso,
-    index_maxwell,
-    relative_ratio,
-    v_family_fisheye,
-)
+from .fisheye import figure_table, find_inflection, index_columns, index_maxwell
 from .fullline import (
     aufbau_rm_potential,
     rescale_radius,
@@ -35,16 +26,7 @@ from .fullline import (
     rm_potential,
     rm_spectrum,
 )
-from .isospectral import (
-    family_columns,
-    i0,
-    i0_closed_one,
-    i0_quadrature,
-    radial_factor_bosonic,
-    superpotential_general,
-    u_bosonic_family,
-    v_general,
-)
+from .isospectral import family_columns, i0, i0_closed_one, i0_quadrature
 from .numerics import (
     ConvergenceError,
     QuadratureResult,
@@ -54,6 +36,6 @@ from .numerics import (
     integrate_adaptive,
     numerov_zero_energy,
 )
-from .specfun import GegenbauerArgs, binomial, gegenbauer
+from .specfun import GegenbauerArgs, gegenbauer
 
 __version__ = "0.1.0"

@@ -214,26 +214,20 @@ def _cmd_langer(cfg: RunConfig) -> int:
 
 
 def _cmd_figure(cfg: RunConfig) -> int:
-    table = figure_table(cfg.l, cfg.lam, cfg.grid())
+    columns = figure_table(cfg.l, cfg.lam, cfg.grid())
     names = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
-    columns = [
-        table.grid,
-        table.n_maxwell,
-        table.n_iso,
-        table.ratio_minus_one,
-        table.f_bos_squared,
-    ]
     if cfg.fmt != "svg":
         _grid_output(cfg, {"l": cfg.l, "lambda": cfg.lam}, names, columns)
         return 0
     _check_finite(names, columns)
     caption = f"index family: l={cfg.l}, lambda={cfg.lam:g}"
+    grid, n_maxwell, n_iso, ratio, f_bos_sq = columns
     svg = svg_panels(
         [
-            (table.grid, table.n_maxwell, "baseline index n_M"),
-            (table.grid, table.n_iso, "family index n_iso"),
-            (table.grid, table.ratio_minus_one, "n_iso/n_M - 1"),
-            (table.grid, table.f_bos_squared, "damped radial factor squared"),
+            (grid, n_maxwell, "baseline index n_M"),
+            (grid, n_iso, "family index n_iso"),
+            (grid, ratio, "n_iso/n_M - 1"),
+            (grid, f_bos_sq, "damped radial factor squared"),
         ],
         caption=caption,
     )

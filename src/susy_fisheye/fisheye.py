@@ -19,46 +19,17 @@ lam-dependent part; the exact sqrt(-V_fam) form is available via a flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .do_core import DoParams, _as_rho, _check_l, u_minus
 from .isospectral import _family_terms, _u_bos
 
-__all__ = [
-    "FigureTable",
-    "v_family_fisheye",
-    "index_maxwell",
-    "index_columns",
-    "relative_ratio",
-    "index_iso",
-    "find_inflection",
-    "figure_table",
-]
+__all__ = ["index_maxwell", "index_columns", "find_inflection", "figure_table"]
 
 # Hysteresis band for second-difference sign detection: curvature values
 # smaller than this are treated as zero to suppress round-off flips.
 _CURVATURE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class FigureTable:
-    """Four sampled curves (baseline index, family index, ratio, f_bos^2)."""
-
-    grid: np.ndarray
-    n_maxwell: np.ndarray
-    n_iso: np.ndarray
-    ratio_minus_one: np.ndarray
-    f_bos_squared: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.grid).size
-        for col in (self.n_maxwell, self.n_iso, self.ratio_minus_one, self.f_bos_squared):
-            if np.asarray(col).size != n:
-                raise ValueError("all table columns must share the grid length")
-        if np.any(self.n_maxwell <= 0) or np.any(self.n_iso <= 0):
-            raise ValueError("index columns must be strictly positive")
 
 
 def _deformation(r, l, lam, exact):
@@ -76,11 +47,6 @@ def _deformation(r, l, lam, exact):
     if not exact:
         return ratio, terms[1], None
     return ratio, terms[1], _u_bos(u_minus(r, l, 1.0), terms) - l * (l + 1) / r**2
-
-
-def v_family_fisheye(rho, l, lam):
-    """Family potential at kappa = 1 with the centrifugal term removed."""
-    return _deformation(_as_rho(rho), l, lam, exact=True)[2]
 
 
 def index_maxwell(rho, l):
@@ -119,16 +85,6 @@ def index_columns(rho, l, lam, exact=False):
     return n_m, np.sqrt(-v_fam) / (l + 0.5), ratio, f_bos
 
 
-def relative_ratio(rho, l, lam):
-    """First-order index ratio (1/2) V_lam / V_M (see index_columns)."""
-    return index_columns(rho, l, lam)[2]
-
-
-def index_iso(rho, l, lam, exact=False):
-    """Family refractive index, first-order by default (see index_columns)."""
-    return index_columns(rho, l, lam, exact)[1]
-
-
 def _second_difference(values, h):
     """Five-point second-derivative stencil on a uniform grid (O(h^4))."""
     v = values
@@ -140,7 +96,7 @@ def _second_difference(values, h):
 
 
 def find_inflection(l, lam, grid):
-    """Smallest rho in (0, 1] where the curvature of index_iso changes sign.
+    """Smallest rho in (0, 1] where the curvature of n_iso changes sign.
 
     The grid must be uniform, strictly increasing and carry at least 100
     points inside (0, 1].  Returns the linearly interpolated crossing
@@ -158,7 +114,7 @@ def find_inflection(l, lam, grid):
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniform")
-    n = index_iso(g, l, lam)
+    n = index_columns(g, l, lam)[1]
     d2 = _second_difference(n, h)
     sign = np.zeros_like(d2)
     valid = np.isfinite(d2) & (np.abs(d2) > _CURVATURE_EPS)
@@ -174,8 +130,15 @@ def find_inflection(l, lam, grid):
     return None
 
 
-def figure_table(l, lam, grid) -> FigureTable:
-    """Assemble the four-column table behind the index-family figures."""
+def figure_table(l, lam, grid):
+    """The figure's five CSV columns (rho, n_M, n_iso, ratio, f_bos^2) on one grid.
+
+    Both index columns must be strictly positive; n_M always is, and the
+    first-order n_iso turns negative where the ratio drops below -1
+    (l = 0, lam = 1 past rho ~ 2.1).
+    """
     g = _as_rho(grid)
     n_m, n_iso, ratio, f_bos = index_columns(g, l, lam)
-    return FigureTable(g, n_m, n_iso, ratio, f_bos**2)
+    if np.any(n_iso <= 0):
+        raise ValueError("index columns must be strictly positive")
+    return g, n_m, n_iso, ratio, f_bos**2

@@ -42,18 +42,8 @@ from .do_core import (
     u_minus,
 )
 from .numerics import _stacked, integrate_adaptive
-from .specfun import binomial
 
-__all__ = [
-    "i0",
-    "i0_quadrature",
-    "i0_closed_one",
-    "v_general",
-    "superpotential_general",
-    "family_columns",
-    "u_bosonic_family",
-    "radial_factor_bosonic",
-]
+__all__ = ["i0", "i0_quadrature", "i0_closed_one", "family_columns"]
 
 
 def _f_squared(s, l, kappa):
@@ -125,9 +115,9 @@ def _sin_power_integral(m, x, sines):
 
     sines[j - 1] is sin(2j x), for j = 1..m at least.
     """
-    out = binomial(2 * m, m) * x
+    out = math.comb(2 * m, m) * x
     for k in range(m):
-        out = out + (-1.0) ** (m - k) * binomial(2 * m, k) * sines[m - k - 1] / (m - k)
+        out = out + (-1.0) ** (m - k) * math.comb(2 * m, k) * sines[m - k - 1] / (m - k)
     return out / 4.0**m
 
 
@@ -397,19 +387,6 @@ def _general(r, l, kappa, lam):
     return denom / f2, w + f2 / denom, w
 
 
-def v_general(rho, params: DoParams):
-    """General Riccati solution V_gen = f^-2 (lam + I0); strictly positive."""
-    return _general(_as_rho(rho), params.l, params.kappa, params.lam)[0]
-
-
-def superpotential_general(rho, params: DoParams):
-    """General superpotential W_gen = W + f^2 / (I0 + lam).
-
-    The derivative of log(I0 + lam) is taken analytically: dI0/drho = f^2.
-    """
-    return _general(_as_rho(rho), params.l, params.kappa, params.lam)[1]
-
-
 def _family_terms(r, l, kappa, lam):
     """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2 on one grid.
 
@@ -438,13 +415,3 @@ def family_columns(rho, params: DoParams):
     u_m = u_minus(r, params.l, params.kappa)
     terms = _family_terms(r, params.l, params.kappa, params.lam)
     return u_m, _u_bos(u_m, terms), terms[0], terms[1]
-
-
-def u_bosonic_family(rho, params: DoParams):
-    """Isospectral bosonic potential U- - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2."""
-    return family_columns(rho, params)[1]
-
-
-def radial_factor_bosonic(rho, params: DoParams):
-    """Damped radial factor f / (I0 + lam): strictly positive and nodeless."""
-    return _family_terms(_as_rho(rho), params.l, params.kappa, params.lam)[1]

@@ -18,14 +18,14 @@ receives, so one call can evaluate a different function per row
 row).  verify's I0 check integrates all twelve (kappa, l) sectors in one
 quadrature call this way, and its Riccati scan holds the family's lam in
 an array that broadcasts against the radii, so each sector is evaluated
-once per grid for all of its lam.  Both fall back to calling f point by
-point when f refuses an array.  The Numerov march, the one sequential
-recurrence, runs on plain floats with its coefficients precomputed and
-tests for overflow once at the end; the DVR kinetic matrix is copied from
-a strided view of one mirrored row, and a well even about the grid's
-centre is solved as two half-size parity blocks.  The module imports
-nothing else from the package, and numerov_zero_energy returns the plain
-array of u on its grid.
+once per grid for all of its lam.  f must take an array and return one
+of the same shape.  The Numerov march, the one sequential recurrence,
+runs on plain floats with its coefficients precomputed and tests for
+overflow once at the end; the DVR kinetic matrix is copied from a strided
+view of one mirrored row, and a well even about the grid's centre is
+solved as two half-size parity blocks.  The module imports nothing else
+from the package, and numerov_zero_energy returns the plain array of u on
+its grid.
 """
 
 from __future__ import annotations
@@ -103,14 +103,11 @@ _WEIGHTS_G[[9, 11, 13]] = _WG_HALF[::-1]
 
 
 def _eval_vectorized(f, x):
-    """f over the array x, in x's shape; point by point if f refuses an array."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x.flat]).reshape(x.shape)
+    """f over the array x, called once; a result not of x's shape is refused."""
+    y = np.asarray(f(x), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(f"f must return an array of shape {x.shape}, got shape {y.shape}")
+    return y
 
 
 def _stacked(fn, cases):
@@ -274,8 +271,7 @@ def derivative(f, x, order=1, h0=None):
     lies on row j of the second-to-last axis, so one call can
     differentiate a different function per case, and cases that share
     their expensive part (the lam of one (kappa, l) sector) can compute
-    it once per grid.  A scalar-only f such as
-    math.sin is called point by point, as in integrate_adaptive.  The
+    it once per grid.  f must return an array of the grid's shape.  The
     tableau is then built a column at a time over every row and point, and
     the selection runs on the whole tableau at once: per point, a row
     improves when its error estimate is below every earlier one (a NaN

@@ -1,13 +1,12 @@
-"""Gegenbauer (ultraspherical) polynomials and exact binomial coefficients."""
+"""Gegenbauer (ultraspherical) polynomials by their three-term recurrence."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GegenbauerArgs", "gegenbauer", "binomial"]
+__all__ = ["GegenbauerArgs", "gegenbauer"]
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,3 @@ def gegenbauer(args: GegenbauerArgs):
     for k in range(1, p):
         prev, cur = cur, (2.0 * (k + q) * xi * cur - (k + 2.0 * q - 1.0) * prev) / (k + 1.0)
     return cur
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact integer binomial coefficient, with a hard domain check for k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be non-negative")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
-    return math.comb(n, k)

@@ -34,7 +34,7 @@ import pytest
 
 from susy_fisheye.cli import main as cli_main
 from susy_fisheye.do_core import radial_factor_f
-from susy_fisheye.fisheye import relative_ratio
+from susy_fisheye.fisheye import index_columns
 from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import i0
 from susy_fisheye.verify import (
@@ -153,7 +153,7 @@ def test_criterion_4_percent_claim():
     full_peaks = {}
     for l in (1, 2):
         for lam in (1.0, 10.0):
-            ratio = np.abs(np.asarray(relative_ratio(grid, l, lam)))
+            ratio = np.abs(index_columns(grid, l, lam)[2])
             lens_peaks[(l, lam)] = float(np.max(ratio[lens]))
             i = int(np.argmax(ratio))
             full_peaks[(l, lam)] = (float(ratio[i]), float(grid[i]))

@@ -39,25 +39,12 @@ CASES = [
     ("do_core.u_plus", lambda r: do_core.u_plus(r, 1, 1.0), RHO),
     ("isospectral.i0_closed_one", lambda r: isospectral.i0_closed_one(r, 2), RHO),
     ("isospectral.i0_quadrature", lambda r: isospectral.i0_quadrature(r, 2, 0.7), RHO),
-    ("fisheye.v_family_fisheye", lambda r: fisheye.v_family_fisheye(r, 1, 1.0), RHO),
     ("fisheye.index_maxwell", lambda r: fisheye.index_maxwell(r, 1), RHO),
-    ("fisheye.relative_ratio", lambda r: fisheye.relative_ratio(r, 1, 1.0), RHO),
-    ("fisheye.index_iso", lambda r: fisheye.index_iso(r, 1, 1.0), RHO),
-    ("fisheye.index_iso[exact]", lambda r: fisheye.index_iso(r, 1, 1.0, exact=True), RHO),
     ("fullline.rm_potential", lambda x: fullline.rm_potential(x, 3), X),
     ("fullline.rm_partner_potential", lambda x: fullline.rm_partner_potential(x, 3), X),
     ("fullline.rm_family_single", lambda x: fullline.rm_family_single(x, 0.1), X),
     ("fullline.aufbau_rm_potential", lambda x: fullline.aufbau_rm_potential(x, 3), X),
 ]
-for _name in ("v_general", "superpotential_general", "u_bosonic_family", "radial_factor_bosonic"):
-    for _kappa, _params in FAMILIES.items():
-        CASES.append(
-            (
-                f"isospectral.{_name}[kappa={_kappa:g}]",
-                lambda r, fn=getattr(isospectral, _name), p=_params: fn(r, p),
-                RHO,
-            )
-        )
 # the column functions return a tuple: each column follows the contract
 for _kappa, _params in FAMILIES.items():
     CASES.append(

@@ -116,6 +116,18 @@ class TestFigureCommand:
         assert text.count("<polyline") == 4
         assert "href" not in text  # self-contained, no external references
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_non_positive_index_is_refused(self, capsys, tmp_path, fmt):
+        # at l = 1, lam = 1 the first-order ratio falls below -1 before rho = 30
+        path = tmp_path / f"fig.{fmt}"
+        code, out, err = run_cli(
+            capsys, "figure", "--l", "1", "--rho-max", "30", "--samples", "2",
+            "--format", fmt, "--output", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: index columns must be strictly positive\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "samples,digest",
         [

@@ -4,39 +4,46 @@ import numpy as np
 import pytest
 
 from susy_fisheye.cli import main
-from susy_fisheye.do_core import DoParams
+from susy_fisheye.do_core import DoParams, _as_rho
 from susy_fisheye.fisheye import (
-    FigureTable,
+    _deformation,
     figure_table,
     find_inflection,
-    index_iso,
+    index_columns,
     index_maxwell,
-    relative_ratio,
-    v_family_fisheye,
 )
-from susy_fisheye.isospectral import radial_factor_bosonic, u_bosonic_family
+from susy_fisheye.isospectral import family_columns
 
 GRID = np.linspace(0.01, 3.0, 300)
 LENS = GRID[GRID <= 1.0]
 
 
+def family_potential(rho, l, lam):
+    """V_fam at kappa = 1 without its centrifugal term."""
+    return _deformation(_as_rho(rho), l, lam, exact=True)[2]
+
+
+def f_bos_squared(l, lam):
+    return family_columns(GRID, DoParams.nodeless(1.0, l, lam))[3] ** 2
+
+
 class TestFamilyPotential:
     def test_maxwell_limit(self):
-        assert v_family_fisheye(1.0, 0, 1e9) == pytest.approx(-0.75, abs=1e-8)
+        assert family_potential(1.0, 0, 1e9) == pytest.approx(-0.75, abs=1e-8)
 
     def test_centrifugal_subtraction_identity(self):
         for l in (0, 1, 2):
             for lam in (1.0, 10.0):
-                lhs = np.asarray(v_family_fisheye(GRID, l, lam)) + l * (l + 1) / GRID**2
-                rhs = np.asarray(u_bosonic_family(GRID, DoParams.nodeless(1.0, l, lam)))
+                lhs = np.asarray(family_potential(GRID, l, lam)) + l * (l + 1) / GRID**2
+                rhs = family_columns(GRID, DoParams.nodeless(1.0, l, lam))[1]
                 assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_decay(self):
         # negative across the plot range; the far tail decays to zero (for
         # l >= 1 it crosses through zero first: the lam-dependent term only
         # falls off like rho^-3 against the rho^-4 baseline)
-        assert np.all(np.asarray(v_family_fisheye(GRID, 1, 1.0)) < 0)
-        tail = np.abs(np.asarray(v_family_fisheye(np.array([20.0, 100.0, 500.0]), 1, 1.0)))
+        assert np.all(np.asarray(family_potential(GRID, 1, 1.0)) < 0)
+        tail = np.abs(np.asarray(family_potential(np.array([20.0, 100.0, 500.0]), 1, 1.0)))
         assert np.all(np.diff(tail) < 0)
         assert tail[-1] < 1e-7
 
@@ -71,61 +78,61 @@ class TestIndexMaxwell:
 class TestRelativeRatio:
     @pytest.mark.parametrize("lam,shown", [(0.0, "0"), (-1.0, "-1"), (math.nan, "nan")])
     def test_rejects_non_positive_lambda(self, lam, shown):
-        for fn in (relative_ratio, v_family_fisheye):
+        for fn in (index_columns, family_potential):
             with pytest.raises(ValueError, match=rf"lam must be positive, got lam = {shown}$"):
                 fn(GRID, 1, lam)
 
     def test_rejects_infinite_lambda(self):
-        for fn in (relative_ratio, v_family_fisheye):
+        for fn in (index_columns, family_potential):
             with pytest.raises(ValueError, match=r"^lam must be finite, got lam = inf$"):
                 fn(GRID, 1, math.inf)
 
     def test_vanishes_at_large_lambda(self):
-        vals = np.abs(np.asarray(relative_ratio(GRID, 1, 1e9)))
+        vals = np.abs(np.asarray(index_columns(GRID, 1, 1e9)[2]))
         assert np.max(vals) < 1e-8
 
     def test_percent_level_inside_lens(self):
         # measured peaks inside the lens: 3.24e-2 (l=1), 4.4e-3 (l=2)
-        assert np.max(np.abs(np.asarray(relative_ratio(LENS, 1, 1.0)))) <= 0.1
-        assert np.max(np.abs(np.asarray(relative_ratio(LENS, 2, 1.0)))) <= 0.1
+        assert np.max(np.abs(np.asarray(index_columns(LENS, 1, 1.0)[2]))) <= 0.1
+        assert np.max(np.abs(np.asarray(index_columns(LENS, 2, 1.0)[2]))) <= 0.1
 
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_damping_with_l(self, lam):
-        peak1 = np.max(np.abs(np.asarray(relative_ratio(GRID, 1, lam))))
-        peak2 = np.max(np.abs(np.asarray(relative_ratio(GRID, 2, lam))))
+        peak1 = np.max(np.abs(np.asarray(index_columns(GRID, 1, lam)[2])))
+        peak2 = np.max(np.abs(np.asarray(index_columns(GRID, 2, lam)[2])))
         assert peak2 < peak1
 
     def test_changes_sign_past_factor_peak(self):
         # f peaks at rho = sqrt(2) for l = 1: the ratio is positive before
         # and negative after
-        assert relative_ratio(1.0, 1, 1.0) > 0
-        assert relative_ratio(2.0, 1, 1.0) < 0
+        assert index_columns(1.0, 1, 1.0)[2] > 0
+        assert index_columns(2.0, 1, 1.0)[2] < 0
 
 
 class TestIndexIso:
     def test_equals_maxwell_at_large_lambda(self):
         gap = np.abs(
-            np.asarray(index_iso(GRID, 1, 1e9)) - np.asarray(index_maxwell(GRID, 1))
+            np.asarray(index_columns(GRID, 1, 1e9)[1]) - np.asarray(index_maxwell(GRID, 1))
         )
         assert np.max(gap) < 1e-8
 
     def test_composition(self):
-        got = index_iso(1.0, 1, 1.0)
-        expected = index_maxwell(1.0, 1) * (1.0 + relative_ratio(1.0, 1, 1.0))
+        got = index_columns(1.0, 1, 1.0)[1]
+        expected = index_maxwell(1.0, 1) * (1.0 + index_columns(1.0, 1, 1.0)[2])
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_exact_mode_taylor_bound_inside_lens(self):
-        n_exact = np.asarray(index_iso(LENS, 1, 1.0, exact=True))
-        n_first = np.asarray(index_iso(LENS, 1, 1.0))
+        n_exact = np.asarray(index_columns(LENS, 1, 1.0, exact=True)[1])
+        n_first = np.asarray(index_columns(LENS, 1, 1.0)[1])
         n_m = np.asarray(index_maxwell(LENS, 1))
-        peak = np.max(np.abs(np.asarray(relative_ratio(LENS, 1, 1.0))))
+        peak = np.max(np.abs(np.asarray(index_columns(LENS, 1, 1.0)[2])))
         assert np.all(np.abs(n_exact - n_first) < 0.5 * peak**2 * n_m)
 
     def test_exact_mode_rejects_non_negative_potential(self):
         # a huge negative-side ratio cannot happen on this grid, so force
         # the guard through the far tail where the family term dominates
         with pytest.raises(ValueError):
-            index_iso(2000.0, 1, 0.001, exact=True)
+            index_columns(2000.0, 1, 0.001, exact=True)
 
 
 class TestFindInflection:
@@ -152,28 +159,21 @@ class TestFindInflection:
 
 class TestFigureTable:
     def test_columns_and_meta(self):
-        t = figure_table(1, 1.0, GRID)
-        assert isinstance(t, FigureTable)
-        for col in (t.n_maxwell, t.n_iso, t.ratio_minus_one, t.f_bos_squared):
+        grid, n_maxwell, n_iso, ratio, f_bos_sq = figure_table(1, 1.0, GRID)
+        assert np.array_equal(grid, GRID)
+        for col in (n_maxwell, n_iso, ratio, f_bos_sq):
             assert col.shape == GRID.shape
-        assert np.all(t.n_maxwell > 0) and np.all(t.n_iso > 0)
-
-    def test_ratio_column_is_relative_ratio(self):
-        t = figure_table(2, 10.0, GRID)
-        assert np.allclose(
-            t.ratio_minus_one, np.asarray(relative_ratio(GRID, 2, 10.0)), atol=1e-15
-        )
+        assert np.all(n_maxwell > 0) and np.all(n_iso > 0)
 
     def test_larger_lambda_damps_the_ratio(self):
-        peak_1 = np.max(np.abs(figure_table(2, 1.0, GRID).ratio_minus_one))
-        peak_10 = np.max(np.abs(figure_table(2, 10.0, GRID).ratio_minus_one))
+        peak_1 = np.max(np.abs(figure_table(2, 1.0, GRID)[3]))
+        peak_10 = np.max(np.abs(figure_table(2, 10.0, GRID)[3]))
         assert peak_10 < peak_1
 
     def test_first_order_index_can_turn_negative_for_s_wave(self):
         # for l = 0, lam = 1 the first-order ratio drops below -1 past
-        # rho ~ 2.1, so the table constructor enforces its positivity
-        # invariant by refusing the default grid
-        with pytest.raises(ValueError):
+        # rho ~ 2.1, so figure_table refuses the default grid
+        with pytest.raises(ValueError, match="^index columns must be strictly positive$"):
             figure_table(0, 1.0, GRID)
 
     @pytest.mark.parametrize(
@@ -197,13 +197,13 @@ class TestFigureTable:
         ],
     )
     def test_surface_peaking(self, l, lam):
-        f_bos_sq = np.asarray(radial_factor_bosonic(GRID, DoParams.nodeless(1.0, l, lam))) ** 2
+        f_bos_sq = f_bos_squared(l, lam)
         peak_rho = float(GRID[int(np.argmax(f_bos_sq))])
         assert 0.5 <= peak_rho <= 1.5
 
     @pytest.mark.parametrize("l,lam", [(0, 1.0), (0, 10.0), (1, 1.0), (2, 10.0)])
     def test_f_bos_squared_single_peaked(self, l, lam):
-        col = np.asarray(radial_factor_bosonic(GRID, DoParams.nodeless(1.0, l, lam))) ** 2
+        col = f_bos_squared(l, lam)
         d = np.diff(col)
         switch = np.nonzero(d < 0)[0]
         assert switch.size > 0
@@ -221,9 +221,6 @@ class TestFigureTable:
         assert lines[0] == "rho,n_maxwell,n_iso,ratio_minus_1,f_bos_sq"
         assert len(lines) == 6
         assert all(len(line.split(",")) == 5 for line in lines[1:])
-        t = figure_table(1, 1.0, np.linspace(0.5, 1.5, 5))
+        expected = np.column_stack(figure_table(1, 1.0, np.linspace(0.5, 1.5, 5)))
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        expected = np.column_stack(
-            [t.grid, t.n_maxwell, t.n_iso, t.ratio_minus_one, t.f_bos_squared]
-        )
         assert np.array_equal(rows, expected)

@@ -18,11 +18,8 @@ from susy_fisheye.isospectral import (
     _series,
     i0,
     i0_closed_one,
+    family_columns,
     i0_quadrature,
-    radial_factor_bosonic,
-    superpotential_general,
-    u_bosonic_family,
-    v_general,
 )
 from susy_fisheye.numerics import derivative
 from susy_fisheye.verify import _riccati_scan, check_lambda_recovery, riccati_residual
@@ -32,6 +29,16 @@ I0_ONE = 1.0 - math.pi / 4.0
 # for kappa = 1/2, l = 0 the symbolic antiderivative sec^2 b + 4 ln cos b - cos^2 b
 # gives I0(rho=1) = 3/2 - 2 ln 2; adaptive quadrature reproduces it below
 I0_HALF = 1.5 - 2.0 * math.log(2.0)
+
+
+def v_gen(rho, params):
+    """V_gen = f^-2 (lam + I0) of the family params."""
+    return _general(rho, params.l, params.kappa, params.lam)[0]
+
+
+def w_gen(rho, params):
+    """W_gen = W + f^2 / (I0 + lam) of the family params."""
+    return _general(rho, params.l, params.kappa, params.lam)[1]
 
 
 def _i0_beta_reference(rho, l, kappa):
@@ -344,24 +351,24 @@ class TestTerminatingSum:
 class TestGeneralRiccatiSolution:
     def test_value_at_unit_radius(self):
         params = DoParams.nodeless(1.0, 0, 1.0)
-        assert v_general(1.0, params) == pytest.approx(2.0 * (1.0 + I0_ONE), rel=1e-12)
+        assert v_gen(1.0, params) == pytest.approx(2.0 * (1.0 + I0_ONE), rel=1e-12)
 
     def test_large_lambda_dominance(self):
         params = DoParams.nodeless(1.0, 1, 1e9)
         r = 0.8
         f2 = (r**2 / (1 + r**2) ** 1.5) ** 2
-        assert v_general(r, params) == pytest.approx(1e9 / f2, rel=1e-8)
+        assert v_gen(r, params) == pytest.approx(1e9 / f2, rel=1e-8)
 
     def test_positive_everywhere(self):
         params = DoParams.nodeless(0.5, 1, 0.5)
         g = np.linspace(0.05, 10.0, 50)
-        assert np.all(np.asarray(v_general(g, params)) > 0)
+        assert np.all(np.asarray(v_gen(g, params)) > 0)
 
     def test_ode_residual_pointwise(self):
         params = DoParams.nodeless(1.0, 1, 10.0)
         r = 0.5
-        dv = derivative(lambda s: v_general(s, params), r, h0=0.25 * r)
-        res = -dv + 2.0 * superpotential_w(r, 1, 1.0) * v_general(r, params) + 1.0
+        dv = derivative(lambda s: v_gen(s, params), r, h0=0.25 * r)
+        res = -dv + 2.0 * superpotential_w(r, 1, 1.0) * v_gen(r, params) + 1.0
         assert abs(res) < 1e-6
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -373,7 +380,7 @@ class TestGeneralRiccatiSolution:
         # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
         params = DoParams.nodeless(kappa, l, lam)
         r = np.linspace(0.1, 10.0, 15)
-        assert riccati_residual(v_general, [params], r)[1] < 1e-9
+        assert riccati_residual(v_gen, [params], r)[1] < 1e-9
 
 
 class TestGeneralSuperpotential:
@@ -381,21 +388,21 @@ class TestGeneralSuperpotential:
         params = DoParams.nodeless(1.0, 1, 1e9)
         for r in (0.3, 1.0, 4.0):
             assert abs(
-                superpotential_general(r, params) - superpotential_w(r, 1, 1.0)
+                w_gen(r, params) - superpotential_w(r, 1, 1.0)
             ) < 1e-8
 
     def test_frozen_value(self):
         params = DoParams.nodeless(1.0, 0, 1.0)
         expected = -0.5 + 0.5 / (1.0 + I0_ONE)  # W + f^2/(I0 + lam)
         assert expected == pytest.approx(-0.088342463404645, abs=1e-14)
-        assert superpotential_general(1.0, params) == pytest.approx(expected, rel=1e-12)
+        assert w_gen(1.0, params) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     def test_algebraic_identity_with_v(self, kappa):
         params = DoParams.nodeless(kappa, 2, 0.7)
         for r in (0.2, 1.1, 5.0):
-            lhs = superpotential_general(r, params)
-            rhs = 1.0 / v_general(r, params) + superpotential_w(r, 2, kappa)
+            lhs = w_gen(r, params)
+            rhs = 1.0 / v_gen(r, params) + superpotential_w(r, 2, kappa)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
@@ -470,7 +477,7 @@ class TestBosonicFamily:
     def test_large_lambda_recovers_original(self):
         params = DoParams.nodeless(1.0, 0, 1e9)
         for r in (0.2, 1.0, 3.0):
-            assert abs(u_bosonic_family(r, params) - u_minus(r, 0, 1.0)) < 1e-8
+            assert abs(family_columns(r, params)[1] - u_minus(r, 0, 1.0)) < 1e-8
 
     def test_frozen_regression_value(self):
         # assembled from independently verified components:
@@ -479,12 +486,12 @@ class TestBosonicFamily:
         f, df = 2**-0.5, 2**-1.5
         expected = -0.75 - 4 * f * df / (1 + I0_ONE) + 2 * f**4 / (1 + I0_ONE) ** 2
         assert expected == pytest.approx(-1.234391218319198, abs=1e-14)
-        assert u_bosonic_family(1.0, params) == pytest.approx(expected, rel=1e-13)
+        assert family_columns(1.0, params)[1] == pytest.approx(expected, rel=1e-13)
 
     def test_centrifugal_dominates_at_origin(self):
         params = DoParams.nodeless(1.0, 2, 1.0)
         r = 1e-3
-        assert u_bosonic_family(r, params) == pytest.approx(6.0 / r**2, rel=1e-5)
+        assert family_columns(r, params)[1] == pytest.approx(6.0 / r**2, rel=1e-5)
 
     def test_lambda_monotone_recovery(self):
         # max |U_bos - U-| on (0.1, 5) falls with lam = 1, 10, 100, 1000
@@ -498,18 +505,18 @@ class TestDampedRadialFactor:
         params = DoParams.nodeless(1.0, 1, lam)
         for r in (0.4, 1.0, 2.5):
             f = r**2 / (1 + r**2) ** 1.5
-            assert radial_factor_bosonic(r, params) == pytest.approx(f / lam, rel=1e-8)
+            assert family_columns(r, params)[3] == pytest.approx(f / lam, rel=1e-8)
 
     def test_frozen_value(self):
         params = DoParams.nodeless(1.0, 0, 1.0)
         expected = (2**-0.5) / (1.0 + I0_ONE)
         assert expected == pytest.approx(0.582171671306249, abs=1e-14)
-        assert radial_factor_bosonic(1.0, params) == pytest.approx(expected, rel=1e-13)
+        assert family_columns(1.0, params)[3] == pytest.approx(expected, rel=1e-13)
 
     def test_positive_and_nodeless(self):
         params = DoParams.nodeless(0.5, 1, 0.3)
         g = np.linspace(0.05, 20.0, 80)
-        assert np.all(np.asarray(radial_factor_bosonic(g, params)) > 0)
+        assert np.all(np.asarray(family_columns(g, params)[3]) > 0)
 
     @pytest.mark.parametrize("l", [0, 1, 2])
     @pytest.mark.parametrize("lam", [1.0, 10.0])

@@ -16,13 +16,12 @@ from susy_fisheye.fullline import (
     rm_potential,
     rm_spectrum,
 )
-from susy_fisheye.isospectral import u_bosonic_family
+from susy_fisheye.isospectral import family_columns
 from susy_fisheye.numerics import (
     DVR_POINTS,
     ConvergenceError,
     QuadratureResult,
     StepUnderflowError,
-    _eval_vectorized,
     _stacked,
     derivative,
     dvr_bound_states,
@@ -157,14 +156,14 @@ class TestQuadrature:
 
 class TestDerivative:
     def test_first_derivative(self):
-        assert derivative(math.sin, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert derivative(np.sin, 0.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_second_derivative(self):
         assert derivative(lambda x: x**3, 2.0, order=2) == pytest.approx(12.0, abs=1e-8)
 
     def test_half_line_factor_derivative(self):
         # analytic f' for l = 0, kappa = 1 is (1 + rho^2)^(-3/2)
-        got = derivative(lambda s: s / math.sqrt(1 + s * s), 1.0)
+        got = derivative(lambda s: s / np.sqrt(1 + s * s), 1.0)
         assert got == pytest.approx(2.0**-1.5, abs=1e-8)
 
     def test_step_underflow(self):
@@ -267,19 +266,13 @@ class TestArrayDerivative:
         with pytest.raises(StepUnderflowError):
             derivative(np.sin, x, h0=np.array([0.1, 1e-12, 0.1]))
 
-    def test_scalar_only_f_still_works(self):
-        # math.sin and math.sqrt refuse an array, so f runs point by point
-        # through the fallback; the values are the row-by-row ones
-        sqrt_ratio = lambda s: s / math.sqrt(1 + s * s)
-        for f, x, order, expected in (
-            (math.sin, 0.7, 1, 0.7648421872845045),
-            (math.sin, 0.7, 2, -0.6442176872364035),
-            (sqrt_ratio, 1.0, 1, 0.3535533905932781),
-            (sqrt_ratio, 1.0, 2, -0.5303300858542417),
-        ):
-            got = derivative(f, x, order=order)
-            assert isinstance(got, np.float64)
-            assert got == expected
+    def test_f_of_another_shape_is_refused(self):
+        # f is called once on the stencil grid and must keep its shape
+        refused = r"^f must return an array of shape \(24,\), got shape \(\)$"
+        with pytest.raises(ValueError, match=refused):
+            derivative(lambda s: 1.0, 0.7)
+        with pytest.raises(ValueError, match=r"shape \(24, 3\), got shape \(24,\)$"):
+            derivative(lambda s: s.sum(axis=-1), self.XS[:3])
 
     def test_array_f_is_called_once(self):
         for x, order in ((0.7, 1), (self.XS, 1), (self.XS, 2)):
@@ -325,19 +318,6 @@ class TestArrayDerivative:
         for j, fn in enumerate(fns):
             assert np.array_equal(got[j], derivative(fn, x[j], order=order, h0=h0[j]))
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_scalar_only_f_with_a_grid_of_x(self, order):
-        # math.sin refuses an array: the fallback walks the shaped grid point
-        # by point and hands back its shape
-        x = np.linspace(-2.0, 2.0, 6).reshape(2, 3)
-        got = derivative(math.sin, x, order=order)
-        assert got.shape == (2, 3)
-        ref = [derivative(math.sin, float(xi), order=order) for xi in x.flat]
-        assert np.array_equal(got.ravel(), ref)
-        y = _eval_vectorized(math.sin, x)
-        assert y.shape == (2, 3)
-        assert np.array_equal(y.ravel(), [math.sin(xi) for xi in x.flat])
-
     @settings(max_examples=150, deadline=None)
     @given(
         f=st.sampled_from([_rational, np.sin, np.exp, _nan_above_one, _staircase]),
@@ -368,12 +348,12 @@ class TestArrayDerivative:
         assert np.array_equal(got, ref, equal_nan=True)
 
     def test_nan_input_gives_nan(self):
-        assert math.isnan(derivative(math.sin, math.nan))
-        assert math.isnan(derivative(math.sin, 0.7, h0=math.nan))
+        assert math.isnan(derivative(np.sin, math.nan))
+        assert math.isnan(derivative(np.sin, 0.7, h0=math.nan))
         got = derivative(np.sin, np.array([math.nan, 0.7]), order=2)
         assert got.dtype == float
         assert math.isnan(got[0])
-        assert got[1] == derivative(math.sin, 0.7, order=2)
+        assert got[1] == derivative(np.sin, 0.7, order=2)
 
 
 def _stepwise_numerov(potential, grid, u0, u1):
@@ -408,7 +388,7 @@ def _zero_mode_march_inputs():
         if lam is None:
             u = u_minus(rho, l, kappa)
         else:
-            u = u_bosonic_family(rho, DoParams.nodeless(kappa, l, lam))
+            u = family_columns(rho, DoParams.nodeless(kappa, l, lam))[1]
         langer = 0.25 + rho**2 * u
         seeds = (frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
         yield lambda _, langer=langer: langer, x, *seeds

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
-from susy_fisheye.specfun import GegenbauerArgs, binomial, gegenbauer
+from susy_fisheye.specfun import GegenbauerArgs, gegenbauer
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 7.2])
@@ -104,30 +104,3 @@ def test_domain_errors():
         GegenbauerArgs(2, 1.5, np.array([0.0, 0.5, -1.2]))
 
 
-@pytest.mark.parametrize(
-    "n,k,expected", [(4, 2, 6), (7, 0, 1), (11, 0, 1), (6, 3, 20), (22, 11, 705432)]
-)
-def test_binomial_values(n, k, expected):
-    value = binomial(n, k)
-    assert isinstance(value, int)
-    assert value == expected
-
-
-def test_binomial_rejects_k_above_n():
-    with pytest.raises(ValueError):
-        binomial(4, 6)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=40), k=st.integers(min_value=0, max_value=40))
-def test_binomial_pascal_rule(n, k):
-    if k > n:
-        with pytest.raises(ValueError):
-            binomial(n, k)
-        return
-    lhs = binomial(n, k)
-    assert lhs == math.comb(n, k)
-    if 0 < k:
-        assert lhs == binomial(n - 1, k - 1) + (binomial(n - 1, k) if k <= n - 1 else 0)

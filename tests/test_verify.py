@@ -21,12 +21,7 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
-from susy_fisheye.isospectral import (
-    radial_factor_bosonic,
-    superpotential_general,
-    u_bosonic_family,
-    v_general,
-)
+from susy_fisheye.isospectral import _general, family_columns
 from susy_fisheye.numerics import derivative
 
 FAMILIES = [
@@ -37,15 +32,15 @@ FAMILIES = [
 def riccati_loop(radii):
     worst_abs = worst_rel = worst_partner = 0.0
     for kappa, l, lam in FAMILIES:
-        params = DoParams.nodeless(kappa, l, lam)
         r = radii
-        dv = derivative(lambda s: v_general(s, params), r, h0=0.25 * r)
-        res = np.abs(-dv + 2.0 * superpotential_w(r, l, kappa) * v_general(r, params) + 1.0)
+        v, wg, _ = _general(r, l, kappa, lam)
+        dv = derivative(lambda s: _general(s, l, kappa, lam)[0], r, h0=0.25 * r)
+        res = np.abs(-dv + 2.0 * superpotential_w(r, l, kappa) * v + 1.0)
         worst_abs = max(worst_abs, float(np.max(res)))
         worst_rel = max(worst_rel, float(np.max(res / np.maximum(1.0, np.abs(dv)))))
-        dwg = derivative(lambda s: superpotential_general(s, params), r, h0=0.25 * r)
+        dwg = derivative(lambda s: _general(s, l, kappa, lam)[1], r, h0=0.25 * r)
         dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
-        up_general = dwg + superpotential_general(r, params) ** 2
+        up_general = dwg + wg**2
         up_particular = dw + superpotential_w(r, l, kappa) ** 2
         worst_partner = max(worst_partner, float(np.max(np.abs(up_general - up_particular))))
     return worst_abs, worst_rel, worst_partner
@@ -112,7 +107,7 @@ def gegenbauer_parity_loop():
 
 
 def zero_mode_family_loop():
-    # one march per (l, lam), on the public family evaluators, of
+    # one march per (l, lam), on the public family columns, of
     # phi = rho^(-1/2) u in the Langer variable x = ln rho
     worst = 0.0
     start, end = math.log(verify.ZERO_MODE_START), math.log(5.0)
@@ -121,13 +116,11 @@ def zero_mode_family_loop():
     sel = (rho >= 0.1) & (rho <= 5.0)
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
-            params = DoParams.nodeless(1.0, l, lam)
+            _, u_bos, _, f_bos = family_columns(rho, DoParams.nodeless(1.0, l, lam))
             phi0, phi1 = (verify._frobenius_seed(r, l, 1.0) / math.sqrt(r) for r in rho[:2])
-            phi = numerics.numerov_zero_energy(
-                lambda _: 0.25 + rho**2 * u_bosonic_family(rho, params), x, phi0, phi1
-            )
+            phi = numerics.numerov_zero_energy(lambda _: 0.25 + rho**2 * u_bos, x, phi0, phi1)
             u = np.sqrt(rho[sel]) * phi[sel]
-            f = radial_factor_bosonic(rho, params)[sel]
+            f = f_bos[sel]
             scale = np.dot(u, f) / np.dot(u, u)
             case = float(np.max(np.abs(scale * u - f) / np.abs(f)))
             assert verify._zero_mode_residual(l, 1.0, lam) == case
@@ -147,13 +140,13 @@ def closed_vs_quadrature_loop():
 
 
 def percent_bound_loop():
-    # one public relative_ratio call per (l, lam)
+    # one public index_columns call per (l, lam)
     grid = np.linspace(0.01, 3.0, 300)
     worst = 0.0
     details = []
     for l in (1, 2):
         for lam in (1.0, 10.0):
-            peak = float(np.max(np.abs(fisheye.relative_ratio(grid, l, lam))))
+            peak = float(np.max(np.abs(fisheye.index_columns(grid, l, lam)[2])))
             details.append(f"l={l},lam={lam}: {peak:.4f}")
             worst = max(worst, peak)
     return worst, "; ".join(details) + " (known to exceed 0.10 at l=1, lam=1 near rho=3)"
@@ -163,30 +156,30 @@ def ratio_damping_loop():
     grid = np.linspace(0.01, 3.0, 300)
     ok = True
     for lam in (1.0, 10.0):
-        p1 = float(np.max(np.abs(fisheye.relative_ratio(grid, 1, lam))))
-        p2 = float(np.max(np.abs(fisheye.relative_ratio(grid, 2, lam))))
+        p1 = float(np.max(np.abs(fisheye.index_columns(grid, 1, lam)[2])))
+        p2 = float(np.max(np.abs(fisheye.index_columns(grid, 2, lam)[2])))
         ok = ok and (p2 < p1)
     return 0.0 if ok else 1.0, ""
 
 
 def centrifugal_subtraction_loop():
-    # two public evaluations per (l, lam)
+    # two evaluations per (l, lam)
     grid = np.linspace(0.05, 3.0, 120)
     worst = 0.0
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
-            lhs = fisheye.v_family_fisheye(grid, l, lam) + l * (l + 1) / grid**2
-            rhs = u_bosonic_family(grid, DoParams.nodeless(1.0, l, lam))
+            lhs = fisheye._deformation(grid, l, lam, exact=True)[2] + l * (l + 1) / grid**2
+            rhs = family_columns(grid, DoParams.nodeless(1.0, l, lam))[1]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst, ""
 
 
 def lambda_recovery_loop():
-    # one public u_bosonic_family call per lam
+    # one public family_columns call per lam
     grid = np.linspace(0.1, 5.0, 200)
     gaps = []
     for lam in (1.0, 10.0, 100.0, 1000.0):
-        gap = u_bosonic_family(grid, DoParams.nodeless(1.0, 1, lam)) - u_minus(grid, 1, 1.0)
+        gap = family_columns(grid, DoParams.nodeless(1.0, 1, lam))[1] - u_minus(grid, 1, 1.0)
         gaps.append(float(np.max(np.abs(gap))))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return 0.0 if monotone else 1.0, str(gaps)
