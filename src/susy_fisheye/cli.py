@@ -77,6 +77,10 @@ class RunConfig:
             raise ValueError(f"lambda must be finite, got lambda = {self.lam:g}")
         if not -1.0 < self.lambda0 < math.inf or self.lambda0 == 0.0:
             raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {self.lambda0:g}")
+        if self.nb and self.aufbau:
+            raise ValueError(
+                f"choose one of --nb and --aufbau, got nb = {self.nb}, aufbau = {self.aufbau}"
+            )
 
     def grid(self):
         return np.linspace(self.rho_min, self.rho_max, self.samples)

@@ -39,6 +39,9 @@ def _ticks(lo: float, hi: float, n: int = 5):
     t = start
     while t <= hi + 1e-12 * abs(step):
         ticks.append(0.0 if abs(t) < 1e-12 * abs(step) else t)
+        if t + step == t:
+            # a step below half an ulp of t: an axis a few ulps wide
+            break
         t += step
     return ticks
 
@@ -48,8 +51,14 @@ def _panel(x, y, title, ox, oy):
 
     x and y are float64 arrays; sx and sy map a tick or a whole array with
     the same operations in the same order, so each point rounds alike.
+    A non-finite value or a constant x is refused with a ValueError naming
+    the panel.
     """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"panel {title!r}: x and y must be finite")
     x_lo, x_hi = float(x.min()), float(x.max())
+    if x_hi == x_lo:
+        raise ValueError(f"panel {title!r}: x must not be constant, got x = {x_lo:g}")
     y_lo, y_hi = float(y.min()), float(y.max())
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0

@@ -22,13 +22,17 @@ def run_cli(capsys, *argv):
 
 
 def run_alone(*argv, **env_vars):
-    """(exit code, stdout, stderr) of one command in a fresh interpreter."""
+    """(exit code, stdout, stderr) of one command in a fresh interpreter.
+
+    A command that runs past 60 s raises subprocess.TimeoutExpired, so a
+    hang fails the test instead of stalling the run.
+    """
     src = str(Path(susy_fisheye.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
                **env_vars)
     proc = subprocess.run(
         [sys.executable, "-m", "susy_fisheye", *argv],
-        capture_output=True, text=True, env=env, check=False,
+        capture_output=True, text=True, env=env, check=False, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -115,6 +119,28 @@ class TestFigureCommand:
         assert text.rstrip().endswith("</svg>")
         assert text.count("<polyline") == 4
         assert "href" not in text  # self-contained, no external references
+
+    def test_svg_of_an_axis_one_ulp_wide_returns(self):
+        # an x axis one ulp wide: its tick step is below half an ulp of 1.0
+        code, out, err = run_alone(
+            "figure", "--format", "svg", "--rho-min", "1", "--rho-max", "1.0000000000000002",
+            "--samples", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out.count("<polyline") == 4
+
+    @pytest.mark.parametrize(
+        "x,y,message",
+        [
+            ([2.0, 2.0], [0.0, 1.0], "panel 'p': x must not be constant, got x = 2"),
+            ([0.0, np.nan], [0.0, 1.0], "panel 'p': x and y must be finite"),
+            ([0.0, 1.0], [np.inf, 1.0], "panel 'p': x and y must be finite"),
+        ],
+        ids=["constant-x", "nan-x", "inf-y"],
+    )
+    def test_svg_panels_refuses_a_degenerate_panel(self, x, y, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            svgplot.svg_panels([([0.0, 1.0], [0.0, 1.0], "ok"), (x, y, "p")])
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_non_positive_index_is_refused(self, capsys, tmp_path, fmt):
@@ -437,6 +463,12 @@ class TestErrors:
     def test_lambda0_message_names_the_value(self, capsys):
         _, _, err = run_cli(capsys, "langer", "--aufbau", "3", "--lambda0", "-2")
         assert err == "error: lambda0 must lie in (-1, 0) or (0, inf), got -2\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_langer_refuses_nb_with_aufbau(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "langer", "--nb", "3", "--aufbau", "3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: choose one of --nb and --aufbau, got nb = 3, aufbau = 3\n"
 
     @pytest.mark.parametrize(
         "argv,message",

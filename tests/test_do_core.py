@@ -212,15 +212,6 @@ class TestSuperpotential:
     def test_values(self, rho, l, kappa, expected):
         assert superpotential_w(rho, l, kappa) == pytest.approx(expected, abs=1e-14)
 
-    def test_log_derivative_identity(self):
-        # W = -f'/f with f' from the Richardson finite-difference oracle
-        rho = np.linspace(0.05, 20.0, 50)
-        for kappa in (0.5, 1.0):
-            for l in (0, 1, 2, 3):
-                fd = derivative(lambda s: radial_factor_f(s, l, kappa), rho, h0=0.2 * rho)
-                res = superpotential_w(rho, l, kappa) + fd / radial_factor_f(rho, l, kappa)
-                assert np.max(np.abs(res)) < 1e-8
-
 
 class TestPartnerPotentials:
     def test_u_minus_values(self):
@@ -253,14 +244,6 @@ class TestPartnerPotentials:
 
     def test_u_plus_decay(self):
         assert abs(u_plus(1e6, 0, 1.0)) < 1e-11
-
-    def test_partner_sum_difference(self):
-        rho = np.linspace(0.1, 10.0, 25)
-        for kappa in (0.5, 1.0):
-            for l in (0, 1, 2):
-                dw = derivative(lambda s: superpotential_w(s, l, kappa), rho, h0=0.2 * rho)
-                gap = u_plus(rho, l, kappa) - u_minus(rho, l, kappa) - 2.0 * dw
-                assert np.max(np.abs(gap)) < 1e-6
 
     def test_two_superpartner_routes_differ(self):
         # the direct half-line partner shifts the centrifugal index, the

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from susy_fisheye.do_core import radial_factor_f
 from susy_fisheye.fullline import (
     aufbau_rm_potential,
     aufbau_spectrum,
@@ -16,23 +15,6 @@ from susy_fisheye.fullline import (
     rm_spectrum,
 )
 from susy_fisheye.numerics import derivative, dvr_bound_states
-
-
-class TestLangerMap:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_transplanted_nodeless_state_residual(self, n):
-        # phi(x) = exp(-x/2) f(exp x) must satisfy the full-line equation
-        # with the shifted well; second derivative by the Richardson oracle
-        l = n - 1
-        nu = n - 0.5
-
-        def phi(x):
-            return np.exp(-0.5 * x) * radial_factor_f(np.exp(x), l, 1.0)
-
-        xs = np.linspace(-4.0, 4.0, 41)
-        d2 = derivative(phi, xs, order=2, h0=0.05)
-        res = -d2 + (nu**2 - nu * (nu + 1.0) / np.cosh(xs) ** 2) * phi(xs)
-        assert np.max(np.abs(res)) < 1e-6
 
 
 class TestRmWell:
@@ -57,18 +39,6 @@ class TestRmWell:
         with pytest.raises(ValueError, match=r"got n_b_int = 2.5$"):
             rm_partner_potential(0.0, 2.5)
 
-    @pytest.mark.parametrize("nb", [1, 2, 3, 4])
-    def test_shooting_oracle_finds_ladder(self, nb):
-        found = dvr_bound_states(lambda x: rm_potential(x, nb))
-        assert len(found) == nb
-        for e, expected in zip(found, rm_spectrum(nb)):
-            assert e == pytest.approx(expected, abs=1e-6)
-
-    @pytest.mark.parametrize("nb", [2, 3, 4])
-    def test_partner_has_one_state_less(self, nb):
-        found = dvr_bound_states(lambda x: rm_partner_potential(x, nb))
-        assert len(found) == nb - 1
-
 
 class TestRmSuperpotential:
     def test_riccati_gives_partner(self):
@@ -92,19 +62,6 @@ class TestFamilyWell:
     def test_center_value_at_unit_parameter(self):
         # cosh^2((ln 2)/2) = 9/8 exactly, so the well center sits at -16/9
         assert rm_family_single(0.0, 1.0) == pytest.approx(-16.0 / 9.0, rel=1e-14)
-
-    @pytest.mark.parametrize("lam0", [0.1, 1.0, 10.0])
-    def test_translation_preserves_single_state(self, lam0):
-        found = dvr_bound_states(lambda x: rm_family_single(x, lam0))
-        assert len(found) == 1
-        assert found[0] == pytest.approx(-1.0, abs=1e-6)
-
-    @pytest.mark.parametrize("lam0", [0.1, 1.0, 10.0])
-    def test_argmin_matches_shift_formula(self, lam0):
-        xs = np.linspace(-8.0, 8.0, 20001)
-        v = np.asarray(rm_family_single(xs, lam0))
-        argmin = float(xs[int(np.argmin(v))])
-        assert argmin == pytest.approx(-rm_family_shift(lam0), abs=1e-3)
 
     def test_limits_push_the_well_to_both_infinities(self):
         # Pursey direction: the center -shift runs to -inf as lambda0 -> 0+
