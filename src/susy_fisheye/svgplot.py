@@ -34,11 +34,12 @@ def _ticks(lo: float, hi: float, n: int = 5):
         if raw <= mult * mag:
             step = mult * mag
             break
-    start = math.ceil(lo / step) * step
     ticks = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
-        ticks.append(0.0 if abs(t) < 1e-12 * abs(step) else t)
+        # on an axis a few ulps wide, ceil(lo / step) * step may round below lo
+        if t >= lo - 1e-12 * abs(step):
+            ticks.append(0.0 if abs(t) < 1e-12 * abs(step) else t)
         if t + step == t:
             # a step below half an ulp of t: an axis a few ulps wide
             break
@@ -51,8 +52,8 @@ def _panel(x, y, title, ox, oy):
 
     x and y are float64 arrays; sx and sy map a tick or a whole array with
     the same operations in the same order, so each point rounds alike.
-    A non-finite value or a constant x is refused with a ValueError naming
-    the panel.
+    A non-finite value, a constant x, or a range of x or of the padded y
+    whose drawing overflows is refused with a ValueError naming the panel.
     """
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"panel {title!r}: x and y must be finite")
@@ -66,6 +67,15 @@ def _panel(x, y, title, ox, oy):
     y_lo, y_hi = y_lo - pad, y_hi + pad
     inner_w = _PANEL_W - _MARGIN_L - _MARGIN_R
     inner_h = _PANEL_H - _MARGIN_T - _MARGIN_B
+    # sx multiplies by inner_w before it divides by the range of x
+    if not math.isfinite(inner_w * (x_hi - x_lo)):
+        raise ValueError(
+            f"panel {title!r}: the range of x overflows, got {x_lo:g} to {x_hi:g}"
+        )
+    if not math.isfinite(y_hi - y_lo):
+        raise ValueError(
+            f"panel {title!r}: the range of padded y overflows, got {y_lo:g} to {y_hi:g}"
+        )
 
     def sx(v):
         return ox + _MARGIN_L + inner_w * (v - x_lo) / (x_hi - x_lo)

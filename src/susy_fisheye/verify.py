@@ -215,34 +215,17 @@ RICCATI_FAMILIES = tuple(
 )
 
 
-def _riccati_worst(dv, w, v):
-    """Worst |-V' + 2 W V + 1|: absolute, and over max(1, |V'|)."""
-    res = np.abs(-dv + 2.0 * w * v + 1.0)
-    return float(np.max(res)), float(np.max(res / np.maximum(1.0, np.abs(dv))))
-
-
-def riccati_residual(v, families, radii):
-    """Worst residual of -V' + 2 W V = -1: absolute, and over max(1, |V'|).
-
-    v(s, params) is V of the family params; the worst is taken over every
-    family and radius, with one derivative call for all families.
-    _riccati_scan applies the same formula, _riccati_worst.
-    """
-    v = _stacked(v, [(p,) for p in families])
-    w = _stacked(superpotential_w, [(p.l, p.kappa) for p in families])
-    r = np.tile(radii, (len(families), 1))
-    return _riccati_worst(numerics.derivative(v, r, h0=0.25 * r), w(r), v(r))
-
-
 def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
     """Worst absolute and relative Riccati residual and partner gap over the families.
 
-    The partner gap is |W_gen' + W_gen^2 - (W' + W^2)|, the two fermionic
-    partners.  The families are grouped by (kappa, l) sector, and each
-    sector's f, I0 and W are evaluated once per grid for all of its lam
-    (isospectral._general), so the scan evaluates I0 twice per sector: on
-    the stencil grid of its one derivative call, which covers V_gen' and
-    W_gen' of every family and W' of every sector, and at the radii.
+    The residual is |-V_gen' + 2 W V_gen + 1|, taken as it is and over
+    max(1, |V_gen'|); the partner gap is |W_gen' + W_gen^2 - (W' + W^2)|,
+    the two fermionic partners.  The families are grouped by (kappa, l)
+    sector, and each sector's f, I0 and W are evaluated once per grid for
+    all of its lam (isospectral._general), so the scan evaluates I0 twice
+    per sector: on the stencil grid of its one derivative call, which
+    covers V_gen' and W_gen' of every family and W' of every sector, and at
+    the radii.
     """
     n = len(families)
     sectors = {}
@@ -268,11 +251,12 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
     r = np.tile(radii, (2 * n + len(sectors), 1))
     d = numerics.derivative(quantities, r, h0=0.25 * r)
     q = quantities(r)
-    worst_abs, worst_rel = _riccati_worst(d[:n], q[w_row], q[:n])
+    res = np.abs(-d[:n] + 2.0 * q[w_row] * q[:n] + 1.0)
+    worst_rel = float(np.max(res / np.maximum(1.0, np.abs(d[:n]))))
     up_general = d[n : 2 * n] + q[n : 2 * n] ** 2
     up_particular = d[w_row] + q[w_row] ** 2
     worst_partner = float(np.max(np.abs(up_general - up_particular)))
-    return worst_abs, worst_rel, worst_partner
+    return float(np.max(res)), worst_rel, worst_partner
 
 
 def check_riccati():

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from susy_fisheye import isospectral
 from susy_fisheye.cli import main as cli_main
-from susy_fisheye.do_core import radial_factor_f
 from susy_fisheye.fisheye import index_columns
 from susy_fisheye.fullline import rescale_radius
 from susy_fisheye.isospectral import i0
@@ -49,7 +49,6 @@ from susy_fisheye.verify import (
     check_rm_partner_deficit,
     check_zero_mode_family,
     check_zero_mode_particular,
-    riccati_residual,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -93,30 +92,29 @@ def test_criterion_2_riccati_pair():
     )
 
 
-def worst_relative_residual(i0, kappas=(0.5, 1.0)):
-    """verify's relative residual of V = f^-2 (I0 + lam) built on i0(s, params).
+def worst_relative_residual(monkeypatch, wrong_i0, kappas=(0.5, 1.0)):
+    """verify's relative residual with wrong_i0(s, l, kappa) in place of I0.
 
     The families are the scan's, those with kappa in kappas, at RICCATI_RADII.
     """
-
-    def v(s, params):
-        return (i0(s, params) + params.lam) / radial_factor_f(s, params.l, params.kappa) ** 2
-
+    monkeypatch.setattr(isospectral, "i0", wrong_i0)
     families = [p for p in RICCATI_FAMILIES if p.kappa in kappas]
-    return riccati_residual(v, families, RICCATI_RADII)[1]
+    return _riccati_scan(radii=RICCATI_RADII, families=families)[1]
 
 
-def test_criterion_2_bound_rejects_rescaled_i0():
+def test_criterion_2_bound_rejects_rescaled_i0(monkeypatch):
     # (1 + d) I0 in place of I0 turns the right-hand side -1 into -(1 + d):
     # a relative residual of d wherever |V'| <= 1
-    worst = worst_relative_residual(lambda s, p: (1.0 + 1e-4) * i0(s, p.l, p.kappa))
+    rescaled = lambda s, l, kappa: (1.0 + 1e-4) * i0(s, l, kappa)
+    worst = worst_relative_residual(monkeypatch, rescaled)
     assert worst > RICCATI_REL_TOL
     assert worst == pytest.approx(1e-4, rel=1e-6)
 
 
-def test_criterion_2_bound_rejects_wrong_kappa_i0():
+def test_criterion_2_bound_rejects_wrong_kappa_i0(monkeypatch):
     # a kappa = 1 family built on the kappa = 1/2 damping integral
-    worst = worst_relative_residual(lambda s, p: i0(s, p.l, 0.5), kappas=(1.0,))
+    half = lambda s, l, kappa: i0(s, l, 0.5)
+    worst = worst_relative_residual(monkeypatch, half, kappas=(1.0,))
     assert worst > RICCATI_REL_TOL
 
 

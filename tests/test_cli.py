@@ -128,6 +128,11 @@ class TestFigureCommand:
         )
         assert (code, err) == (0, "")
         assert out.count("<polyline") == 4
+        # every x tick, a vertical line, lies inside the plot box of its column
+        lines = re.findall(r'<line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"', out)
+        ticks = [float(a) for a, b in lines if a == b]
+        assert len(ticks) == 4
+        assert all(62.0 <= t <= 414.0 or 492.0 <= t <= 844.0 for t in ticks)
 
     @pytest.mark.parametrize(
         "x,y,message",
@@ -135,8 +140,12 @@ class TestFigureCommand:
             ([2.0, 2.0], [0.0, 1.0], "panel 'p': x must not be constant, got x = 2"),
             ([0.0, np.nan], [0.0, 1.0], "panel 'p': x and y must be finite"),
             ([0.0, 1.0], [np.inf, 1.0], "panel 'p': x and y must be finite"),
+            ([-1e308, 1e308], [0.0, 1.0],
+             "panel 'p': the range of x overflows, got -1e+308 to 1e+308"),
+            ([0.0, 1.0], [0.0, 1.7e308],
+             "panel 'p': the range of padded y overflows, got -8.5e+306 to 1.785e+308"),
         ],
-        ids=["constant-x", "nan-x", "inf-y"],
+        ids=["constant-x", "nan-x", "inf-y", "x-range-overflows", "y-range-overflows"],
     )
     def test_svg_panels_refuses_a_degenerate_panel(self, x, y, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

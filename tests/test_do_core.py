@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import zero_mode_residual
 
 from susy_fisheye.do_core import (
     DoParams,
@@ -74,11 +73,6 @@ class TestCoupling:
     )
     def test_values(self, N, kappa, expected):
         assert coupling_w(N, kappa) == pytest.approx(expected, abs=1e-13)
-
-    def test_integer_identity(self):
-        # (2l+1)(2l+3) at kappa = 1, N = l + 1, exactly
-        for l in range(11):
-            assert coupling_w(l + 1, 1.0) == (2 * l + 1) * (2 * l + 3)
 
     def test_nodeless_coupling_consistency(self):
         for kappa in (0.5, 1.0):
@@ -254,10 +248,3 @@ class TestPartnerPotentials:
         assert direct == pytest.approx(1.25, abs=1e-14)
         gap = 2 * (0 + 1) / 1.0**2 - 2 * (2 * 0 + 1) / (1.0 + 1.0**2)
         assert direct - 0.25 == pytest.approx(gap, abs=1e-13)
-
-
-class TestZeroMode:
-    @pytest.mark.parametrize("kappa", [0.5, 1.0])
-    @pytest.mark.parametrize("l", [0, 1, 2, 3])
-    def test_numerov_reproduces_radial_factor(self, kappa, l):
-        assert zero_mode_residual(l, kappa) < 1e-6

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from conftest import zero_mode_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -22,7 +21,6 @@ from susy_fisheye.isospectral import (
     i0_quadrature,
 )
 from susy_fisheye.numerics import derivative
-from susy_fisheye.verify import _riccati_scan, check_lambda_recovery, riccati_residual
 
 # frozen reference values at rho = 1, l = 0, kappa = 1 (I0 = 1 - pi/4)
 I0_ONE = 1.0 - math.pi / 4.0
@@ -136,13 +134,21 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("l", range(6))
     def test_oracle_equivalence_grid(self, l):
-        rhos = np.logspace(math.log10(0.01), math.log10(50.0), 50)
-        assert i0_closed_one(rhos, l) == pytest.approx(
-            i0_quadrature(rhos, l, 1.0), abs=1e-9
-        )
         # relative: on this grid I0 at kappa = 1/2 spans 7.5e-41 to 43
         rhos = np.logspace(-3.0, math.log10(50.0), 50)
         assert np.max(np.abs(i0(rhos, l, 0.5) / i0_quadrature(rhos, l, 0.5) - 1.0)) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the FOUND line on i0_closed_one in CHANGES.md: the kappa = 1 closed "
+        "form cancels at small rho (relative error 3.6e-4 at l = 1 up to 6.9e17 at "
+        "l = 5 on this grid), where _i0_series stays within 1.9e-14",
+    )
+    def test_kappa_one_relative_to_the_quadrature(self):
+        rhos = np.logspace(-3.0, math.log10(50.0), 50)
+        for l in range(1, 6):
+            ref = i0_quadrature(rhos, l, 1.0)
+            assert np.max(np.abs(i0(rhos, l, 1.0) / ref - 1.0)) < 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = -0.1$"):
@@ -383,17 +389,6 @@ class TestGeneralRiccatiSolution:
         res = -dv + 2.0 * superpotential_w(r, 1, 1.0) * v_gen(r, params) + 1.0
         assert abs(res) < 1e-6
 
-    @pytest.mark.parametrize("kappa", [0.5, 1.0])
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
-    def test_riccati_relative_residual(self, kappa, l, lam):
-        # scale-aware form of the defining equation -V' + 2 W V = -1: the
-        # absolute residual is dominated by float64 representation noise
-        # where V' reaches 1e9, so it is normalized by max(1, |V'|) here
-        params = DoParams.nodeless(kappa, l, lam)
-        r = np.linspace(0.1, 10.0, 15)
-        assert riccati_residual(v_gen, [params], r)[1] < 1e-9
-
 
 class TestGeneralSuperpotential:
     def test_large_lambda_collapse(self):
@@ -416,14 +411,6 @@ class TestGeneralSuperpotential:
             lhs = w_gen(r, params)
             rhs = 1.0 / v_gen(r, params) + superpotential_w(r, 2, kappa)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("kappa", [0.5, 1.0])
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
-    def test_shared_fermionic_partner(self, kappa, l, lam):
-        params = DoParams.nodeless(kappa, l, lam)
-        r = np.linspace(0.1, 10.0, 15)
-        assert _riccati_scan(radii=r, families=[params])[2] < 1e-6
 
 
 @st.composite
@@ -505,11 +492,6 @@ class TestBosonicFamily:
         r = 1e-3
         assert family_columns(r, params)[1] == pytest.approx(6.0 / r**2, rel=1e-5)
 
-    def test_lambda_monotone_recovery(self):
-        # max |U_bos - U-| on (0.1, 5) falls with lam = 1, 10, 100, 1000
-        result = check_lambda_recovery()
-        assert result.residual == 0.0, result.detail
-
 
 class TestDampedRadialFactor:
     def test_pure_damping_limit(self):
@@ -529,8 +511,3 @@ class TestDampedRadialFactor:
         params = DoParams.nodeless(0.5, 1, 0.3)
         g = np.linspace(0.05, 20.0, 80)
         assert np.all(np.asarray(family_columns(g, params)[3]) > 0)
-
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    @pytest.mark.parametrize("lam", [1.0, 10.0])
-    def test_numerov_zero_mode(self, l, lam):
-        assert zero_mode_residual(l, 1.0, lam) < 1e-5

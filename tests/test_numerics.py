@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from conftest import frobenius_seed, rho_grid_residual, zero_mode_residual
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -390,11 +389,11 @@ def _zero_mode_march_inputs():
         else:
             u = family_columns(rho, DoParams.nodeless(kappa, l, lam))[1]
         langer = 0.25 + rho**2 * u
-        seeds = (frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
+        seeds = (verify._frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
         yield lambda _, langer=langer: langer, x, *seeds
     for h in (8e-3, 4e-3):
         grid = np.arange(h, 5.0 + h / 2, h)
-        seeds = (frobenius_seed(r, 0, 1.0) for r in grid[:2])
+        seeds = (verify._frobenius_seed(r, 0, 1.0) for r in grid[:2])
         yield lambda r: u_minus(r, 0, 1.0), grid, *seeds
 
 
@@ -467,19 +466,6 @@ class TestNumerov:
         g[5] = grid[5] + 1e-7 * h
         with pytest.raises(ValueError, match="^grid must be uniform and increasing$"):
             numerov_zero_energy(free, g, 0.0, h)
-
-    def test_zero_mode_of_half_line_potential(self):
-        assert zero_mode_residual(0, 1.0) < 1e-6
-
-    def test_zero_mode_of_family_potential(self):
-        assert zero_mode_residual(0, 1.0, lam=1.0) < 1e-5
-
-    def test_convergence_order(self):
-        # doubling the density of the rho-grid must reduce the zero-mode
-        # residual by >= 16
-        coarse = rho_grid_residual(8e-3)
-        fine = rho_grid_residual(4e-3)
-        assert coarse / fine >= 16.0
 
     @pytest.mark.parametrize(
         "kappa,l",

@@ -3,8 +3,9 @@
 Tools that walk `__all__` (the span tracer of the benchmark harness calls
 getattr on every listed name) need each listed name to exist, and the
 package namespace re-exports only names its modules export.  Every
-exported function has a caller in the library, the scripts or the
-benchmark harness.  The oracle module must not import the closed forms it
+exported function, and every module-level function without a leading
+underscore, has a caller in the library, the scripts or the benchmark
+harness.  The oracle module must not import the closed forms it
 checks.
 """
 
@@ -73,7 +74,8 @@ def names_read(paths):
 
 def test_every_exported_function_has_a_caller_outside_the_tests():
     # the library (its re-exports aside), the scripts and the benchmark
-    # harness; a public function that only the tests call should go
+    # harness; a function that is exported, or defined without a leading
+    # underscore, and that only the tests call should go
     root = PACKAGE_DIR.parents[1]
     sources = [p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py"]
     sources += root.glob("scripts/*.py")
@@ -84,7 +86,10 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
         module = importlib.import_module(f"susy_fisheye.{short}")
         uncalled += [
             f"{short}.{name}"
-            for name in module.__all__
-            if inspect.isfunction(getattr(module, name)) and name not in called
+            for name, obj in vars(module).items()
+            if inspect.isfunction(obj)
+            and (name in module.__all__
+                 or (obj.__module__ == module.__name__ and not name.startswith("_")))
+            and name not in called
         ]
     assert uncalled == []
