@@ -3,7 +3,8 @@
 
 Writes one CSV and one SVG per combination through the `figure` command
 plus a short console summary (peak ratio on the full grid and inside the
-lens, inflection point).
+lens, inflection point on the default grid, whatever --samples and
+--rho-max are).
 
 Usage:
     python scripts/make_figures.py --outdir figures/
@@ -17,13 +18,17 @@ import numpy as np
 from susy_fisheye import cli
 from susy_fisheye.fisheye import figure_table, find_inflection
 
+# find_inflection needs 100 points inside (0, 1]; this is the grid of
+# verify's inflection check, and of the figures at their default size
+INFLECTION_GRID = np.linspace(0.01, 3.0, 300)
 
-def main():
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="figures", help="output directory")
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--rho-max", type=float, default=3.0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -43,7 +48,7 @@ def main():
             ratio = figure_table(l, lam, grid)[3]
             peak = float(np.max(np.abs(ratio)))
             lens_peak = float(np.max(np.abs(ratio[: lens.size])))
-            star = find_inflection(l, lam, grid)
+            star = find_inflection(l, lam, INFLECTION_GRID)
             print(
                 f"l={l} lam={lam:4g}: peak |ratio| {peak:.4f} "
                 f"(lens only {lens_peak:.4f}), inflection at rho = {star:.4f}, "

@@ -19,7 +19,7 @@ from susy_fisheye.fullline import rescale_radius, rm_family_shift, rm_family_sin
 from susy_fisheye.numerics import dvr_bound_states
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--lambda0",
@@ -27,7 +27,7 @@ def main():
         nargs="+",
         default=[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0],
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"{'lambda0':>10} {'well center':>12} {'bound state':>14} {'R_lam/R':>10}")
     for lam0 in args.lambda0:

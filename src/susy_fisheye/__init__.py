@@ -36,6 +36,6 @@ from .numerics import (
     integrate_adaptive,
     numerov_zero_energy,
 )
-from .specfun import GegenbauerArgs, gegenbauer
+from .specfun import gegenbauer
 
 __version__ = "0.1.0"

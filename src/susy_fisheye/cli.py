@@ -10,8 +10,8 @@ Subcommands:
 
 All outputs are deterministic: identical configurations produce
 byte-identical files.  Errors are written to stderr with an `error:`
-prefix; configuration problems exit with status 2, failed verification
-with status 1.
+prefix and warnings with a `warning:` prefix; configuration problems
+exit with status 2, failed verification with status 1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
@@ -31,59 +31,36 @@ from .fisheye import figure_table, index_columns
 from .isospectral import family_columns
 from .svgplot import svg_panels
 
-__all__ = ["RunConfig", "main", "run"]
-
-_FORMATS = ("csv", "json", "svg")
+__all__ = ["main"]
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of CLI options for one invocation."""
+def _check_samples(samples):
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got samples = {samples}")
 
-    command: str
-    kappa: float = 1.0
-    l: int = 1
-    N: int = 0  # 0 means: derive the nodeless value
-    lam: float = 1.0
-    lambda0: float = 1.0
-    nb: int = 0
-    aufbau: int = 0
-    rho_min: float = 0.01
-    rho_max: float = 3.0
-    samples: int = 300
-    fmt: str = "csv"
-    output: str = ""
-    exact_index: bool = False
-    suite: str = "all"
 
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got samples = {self.samples}")
-        if not 0.0 < self.rho_min < self.rho_max:
-            raise ValueError(
-                f"need 0 < rho-min < rho-max, got rho-min = {self.rho_min:g}, "
-                f"rho-max = {self.rho_max:g}"
-            )
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
-        if self.fmt == "svg" and self.command != "figure":
-            raise ValueError("svg output is only available for the figure command")
-        _check_kappa(self.kappa)
-        if self.l < 0:
-            raise ValueError(f"l must be non-negative, got l = {self.l}")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got lambda = {self.lam:g}")
-        if self.lam == math.inf:
-            raise ValueError(f"lambda must be finite, got lambda = {self.lam:g}")
-        if not -1.0 < self.lambda0 < math.inf or self.lambda0 == 0.0:
-            raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {self.lambda0:g}")
-        if self.nb and self.aufbau:
-            raise ValueError(
-                f"choose one of --nb and --aufbau, got nb = {self.nb}, aufbau = {self.aufbau}"
-            )
+def _grid(args):
+    """The radial grid of a grid command, once its options pass their checks.
 
-    def grid(self):
-        return np.linspace(self.rho_min, self.rho_max, self.samples)
+    The checks run in a fixed order, which picks the message when several
+    options are bad: samples, rho range, kappa, l, lambda.
+    """
+    _check_samples(args.samples)
+    if not 0.0 < args.rho_min < args.rho_max:
+        raise ValueError(
+            f"need 0 < rho-min < rho-max, got rho-min = {args.rho_min:g}, "
+            f"rho-max = {args.rho_max:g}"
+        )
+    if "kappa" in args:
+        _check_kappa(args.kappa)
+    if args.l < 0:
+        raise ValueError(f"l must be non-negative, got l = {args.l}")
+    if "lam" in args:
+        if not args.lam > 0:
+            raise ValueError(f"lambda must be positive, got lambda = {args.lam:g}")
+        if args.lam == math.inf:
+            raise ValueError(f"lambda must be finite, got lambda = {args.lam:g}")
+    return np.linspace(args.rho_min, args.rho_max, args.samples)
 
 
 def _emit(text: str, output: str):
@@ -126,105 +103,106 @@ def _check_finite(names, columns):
             raise ValueError(f"{name} is not finite at {names[0]} = {at:.3g}")
 
 
-def _grid_output(cfg: RunConfig, params, names, columns):
+def _grid_output(args, params, names, columns):
     _check_finite(names, columns)
-    if cfg.fmt == "csv":
-        _emit(_columns_csv(names, columns), cfg.output)
+    if args.fmt == "csv":
+        _emit(_columns_csv(names, columns), args.output)
     else:
-        _emit(_columns_json(cfg.command, params, names, columns), cfg.output)
+        _emit(_columns_json(args.command, params, names, columns), args.output)
 
 
-def _cmd_potential(cfg: RunConfig) -> int:
-    if cfg.N:
-        params = DoParams(cfg.kappa, cfg.l, cfg.N)
+def _cmd_potential(args) -> int:
+    g = _grid(args)
+    if args.N:
+        params = DoParams(args.kappa, args.l, args.N)
     else:
-        params = DoParams.nodeless(cfg.kappa, cfg.l)
-    g = cfg.grid()
-    cols = [
-        g,
-        potential_v(g, cfg.kappa, params.w),
-        u_minus(g, cfg.l, cfg.kappa),
-        u_plus(g, cfg.l, cfg.kappa),
-    ]
+        params = DoParams.nodeless(args.kappa, args.l)
     _grid_output(
-        cfg,
-        {"kappa": cfg.kappa, "l": cfg.l, "N": params.N, "w": params.w},
+        args,
+        {"kappa": args.kappa, "l": args.l, "N": params.N, "w": params.w},
         ["rho", "v", "u_minus", "u_plus"],
-        cols,
+        [g, potential_v(g, args.kappa, params.w), u_minus(g, args.l, args.kappa),
+         u_plus(g, args.l, args.kappa)],
     )
     return 0
 
 
-def _cmd_index(cfg: RunConfig) -> int:
-    g = cfg.grid()
-    n_m, n_i, ratio = index_columns(g, cfg.l, cfg.lam, exact=cfg.exact_index)[:3]
+def _cmd_index(args) -> int:
+    g = _grid(args)
+    n_m, n_i, ratio = index_columns(g, args.l, args.lam, exact=args.exact_index)[:3]
     _grid_output(
-        cfg,
-        {"l": cfg.l, "lambda": cfg.lam, "exact": cfg.exact_index},
+        args,
+        {"l": args.l, "lambda": args.lam, "exact": args.exact_index},
         ["rho", "n_maxwell", "n_iso", "ratio_minus_1"],
         [g, n_m, n_i, ratio],
     )
     return 0
 
 
-def _cmd_family(cfg: RunConfig) -> int:
-    params = DoParams.nodeless(cfg.kappa, cfg.l, cfg.lam)
-    g = cfg.grid()
+def _cmd_family(args) -> int:
+    g = _grid(args)
+    params = DoParams.nodeless(args.kappa, args.l, args.lam)
     _grid_output(
-        cfg,
-        {"kappa": cfg.kappa, "l": cfg.l, "lambda": cfg.lam},
+        args,
+        {"kappa": args.kappa, "l": args.l, "lambda": args.lam},
         ["rho", "u_minus", "u_bos", "f", "f_bos"],
         [g, *family_columns(g, params)],
     )
     return 0
 
 
-def _cmd_langer(cfg: RunConfig) -> int:
-    if cfg.aufbau:
-        spectrum = fullline.aufbau_spectrum(cfg.aufbau)
-        meta = {"variant": "aufbau", "N": cfg.aufbau}
+def _cmd_langer(args) -> int:
+    _check_samples(args.samples)
+    if not -1.0 < args.lambda0 < math.inf or args.lambda0 == 0.0:
+        raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {args.lambda0:g}")
+    if args.nb and args.aufbau:
+        raise ValueError(
+            f"choose one of --nb and --aufbau, got nb = {args.nb}, aufbau = {args.aufbau}"
+        )
+    if args.aufbau:
+        spectrum = fullline.aufbau_spectrum(args.aufbau)
+        meta = {"variant": "aufbau", "N": args.aufbau}
     else:
-        nb = cfg.nb if cfg.nb else 1
+        nb = args.nb if args.nb else 1
         spectrum = fullline.rm_spectrum(nb)
         meta = {"variant": "fisheye", "nb": nb}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "eigenvalues": [int(e) if float(e).is_integer() else float(e) for e in spectrum],
         }
         payload.update(meta)
-        if not cfg.aufbau:
+        if not args.aufbau:
             payload["family"] = {
-                "lambda0": cfg.lambda0,
-                "well_center": -fullline.rm_family_shift(cfg.lambda0),
-                "rescaled_radius": fullline.rescale_radius(1.0, cfg.lambda0)
-                if cfg.lambda0 > 0
+                "lambda0": args.lambda0,
+                "well_center": -fullline.rm_family_shift(args.lambda0),
+                "rescaled_radius": fullline.rescale_radius(1.0, args.lambda0)
+                if args.lambda0 > 0
                 else None,
             }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        _emit(json.dumps(payload, indent=2) + "\n", args.output)
         return 0
     # csv: scan of the well, its superpartner and the single-state family
-    xs = np.linspace(-6.0, 6.0, cfg.samples)
-    if cfg.aufbau:
+    xs = np.linspace(-6.0, 6.0, args.samples)
+    if args.aufbau:
         names = ["x", "v_minus"]
-        cols = [xs, fullline.aufbau_rm_potential(xs, cfg.aufbau)]
+        cols = [xs, fullline.aufbau_rm_potential(xs, args.aufbau)]
     else:
         v_min = fullline.rm_potential(xs, nb)
         v_plus = fullline.rm_partner_potential(xs, nb)
-        v_fam = fullline.rm_family_single(xs, cfg.lambda0)
+        v_fam = fullline.rm_family_single(xs, args.lambda0)
         names = ["x", "v_minus", "v_plus", "v_family"]
         cols = [xs, v_min, v_plus, v_fam]
-    _grid_output(cfg, meta, names, cols)
+    _grid_output(args, meta, names, cols)
     return 0
 
 
-def _cmd_figure(cfg: RunConfig) -> int:
-    columns = figure_table(cfg.l, cfg.lam, cfg.grid())
+def _cmd_figure(args) -> int:
+    columns = figure_table(args.l, args.lam, _grid(args))
     names = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
-    if cfg.fmt != "svg":
-        _grid_output(cfg, {"l": cfg.l, "lambda": cfg.lam}, names, columns)
+    if args.fmt != "svg":
+        _grid_output(args, {"l": args.l, "lambda": args.lam}, names, columns)
         return 0
     _check_finite(names, columns)
-    caption = f"index family: l={cfg.l}, lambda={cfg.lam:g}"
     grid, n_maxwell, n_iso, ratio, f_bos_sq = columns
     svg = svg_panels(
         [
@@ -233,14 +211,14 @@ def _cmd_figure(cfg: RunConfig) -> int:
             (grid, ratio, "n_iso/n_M - 1"),
             (grid, f_bos_sq, "damped radial factor squared"),
         ],
-        caption=caption,
+        caption=f"index family: l={args.l}, lambda={args.lam:g}",
     )
-    _emit(svg, cfg.output)
+    _emit(svg, args.output)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    results = verify.run_suite(cfg.suite)
+def _cmd_verify(args) -> int:
+    results = verify.run_suite(args.suite)
     lines = []
     n_fail = 0
     for r in results:
@@ -251,7 +229,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             f"{status} {r.name:<28} residual={r.residual:.3e} tol={r.tolerance:.3e}{extra}"
         )
     lines.append(f"verify: {len(results) - n_fail} passed, {n_fail} failed")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    _emit("\n".join(lines) + "\n", args.output)
     return 1 if n_fail else 0
 
 
@@ -263,16 +241,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "verify": _cmd_verify,
 }
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one validated configuration; returns the process exit code.
-
-    numpy's floating-point warnings are silenced: a non-finite value is
-    refused by _check_finite with one `error:` line instead.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _COMMANDS[cfg.command](cfg)
 
 
 @functools.cache
@@ -341,24 +309,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command line; returns the process exit code.
+
+    numpy's floating-point warnings are silenced (_check_finite refuses a
+    non-finite value), and a library warning is one `warning:` line.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fields = {
-        k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__
-    }
-    try:
-        cfg = RunConfig(**fields)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(cfg)
-    except (ValueError, OverflowError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, OverflowError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import GegenbauerArgs, gegenbauer
+from .specfun import gegenbauer
 
 __all__ = [
     "RHO_MIN",
@@ -169,7 +169,7 @@ def radial_wavefunction(rho, params: DoParams):
     expo = (2 * l + 1) / (2.0 * kappa)
     envelope = r**l * (1.0 + t) ** (-expo)
     xi = (1.0 - t) / (1.0 + t)
-    poly = gegenbauer(GegenbauerArgs(params.degree, expo + 0.5, xi))
+    poly = gegenbauer(params.degree, expo + 0.5, xi)
     return envelope * poly
 
 

@@ -166,7 +166,11 @@ def _gk15(f, lo, hi, row, rows):
     return k15, np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
 
 
-def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> QuadratureResult:
+# panels one interval of integrate_adaptive may reach before it gives up
+MAX_SUBDIVISIONS = 2000
+
+
+def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0) -> QuadratureResult:
     """Integrate f over [a, b] for every broadcast pair of limits a <= b.
 
     Each interval is refined on its own until its summed error estimate is
@@ -191,7 +195,7 @@ def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> Q
 
     value and error_estimate have the broadcast shape of a and b (numpy
     floats for scalar limits); subdivisions is the total panel count.  An
-    interval still above its target with max_subdivisions panels, or with
+    interval still above its target with MAX_SUBDIVISIONS panels, or with
     no panel above its share, raises ConvergenceError with its running
     estimate; a non-finite integrand value raises ValueError, as does a
     negative or NaN tol or rtol.
@@ -229,7 +233,7 @@ def integrate_adaptive(f, a, b, tol=1e-10, rtol=0.0, max_subdivisions=2000) -> Q
         subdivisions += int(count[done].sum())
         split = ~done[owner] & (err > target[owner] * (hi - lo) / width[owner])
         stuck = (count > 0) & ~done
-        stuck &= (count >= max_subdivisions) | (np.bincount(owner, split, n) == 0)
+        stuck &= (count >= MAX_SUBDIVISIONS) | (np.bincount(owner, split, n) == 0)
         if stuck.any():
             i = np.argmax(stuck)
             raise ConvergenceError(

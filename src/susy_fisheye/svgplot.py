@@ -8,6 +8,7 @@ repeated renders of the same data are byte-identical.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -26,8 +27,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / (n - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -53,7 +52,8 @@ def _panel(x, y, title, ox, oy):
     x and y are float64 arrays; sx and sy map a tick or a whole array with
     the same operations in the same order, so each point rounds alike.
     A non-finite value, a constant x, or a range of x or of the padded y
-    whose drawing overflows is refused with a ValueError naming the panel.
+    whose drawing overflows or whose quarter is below the smallest normal
+    float is refused with a ValueError naming the panel.
     """
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"panel {title!r}: x and y must be finite")
@@ -76,6 +76,13 @@ def _panel(x, y, title, ox, oy):
         raise ValueError(
             f"panel {title!r}: the range of padded y overflows, got {y_lo:g} to {y_hi:g}"
         )
+    # _ticks needs a quarter of each range, its raw step, to be a normal float
+    for axis, lo, hi in (("x", x_lo, x_hi), ("padded y", y_lo, y_hi)):
+        if (hi - lo) / 4 < sys.float_info.min:
+            raise ValueError(
+                f"panel {title!r}: the range of {axis} is too narrow to tick, "
+                f"got {lo:g} to {hi:g}"
+            )
 
     def sx(v):
         return ox + _MARGIN_L + inner_w * (v - x_lo) / (x_hi - x_lo)

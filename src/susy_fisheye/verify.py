@@ -132,7 +132,7 @@ def check_gegenbauer_recurrence():
     # one call per degree: the orders on rows, the points on columns
     xi = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     q = np.array([[0.5], [1.5], [2.5]])
-    vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
+    vals = [specfun.gegenbauer(p, q, xi) for p in range(12)]
     worst = 0.0
     for p in range(1, 11):
         lhs = (p + 1) * vals[p + 1]
@@ -149,7 +149,7 @@ def check_gegenbauer_parity():
     both = np.stack([xi, -xi])[:, None, :]
     worst = 0.0
     for p in range(9):
-        a, b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, both))
+        a, b = specfun.gegenbauer(p, q, both)
         worst = max(worst, float(np.max(abs(b - (-1.0) ** p * a))))
     return _result("gegenbauer-parity", worst, 1e-10)
 

@@ -144,8 +144,14 @@ class TestFigureCommand:
              "panel 'p': the range of x overflows, got -1e+308 to 1e+308"),
             ([0.0, 1.0], [0.0, 1.7e308],
              "panel 'p': the range of padded y overflows, got -8.5e+306 to 1.785e+308"),
+            # a quarter of the range is the raw tick step
+            ([0.0, 5e-324], [0.0, 1.0],
+             "panel 'p': the range of x is too narrow to tick, got 0 to 4.94066e-324"),
+            ([0.0, 1.0], [1e300, 1e300],
+             "panel 'p': the range of padded y is too narrow to tick, got 1e+300 to 1e+300"),
         ],
-        ids=["constant-x", "nan-x", "inf-y", "x-range-overflows", "y-range-overflows"],
+        ids=["constant-x", "nan-x", "inf-y", "x-range-overflows", "y-range-overflows",
+             "x-range-underflows", "padded-y-range-underflows"],
     )
     def test_svg_panels_refuses_a_degenerate_panel(self, x, y, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -569,6 +575,54 @@ class TestErrors:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: u_plus is not finite at rho = 3.33e+199\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("family --kappa -1 --lambda nan", "kappa must be positive, got kappa = -1"),
+            ("figure --samples 1 --lambda nan", "samples must be >= 2, got samples = 1"),
+            ("figure --l -1 --lambda nan", "l must be non-negative, got l = -1"),
+            ("family --rho-min 1e-13 --lambda nan", "lambda must be positive, got lambda = nan"),
+            ("potential --kappa 0.7 --l -1", "l must be non-negative, got l = -1"),
+            (
+                "index --rho-min 2 --rho-max 1 --l -1",
+                "need 0 < rho-min < rho-max, got rho-min = 2, rho-max = 1",
+            ),
+            (
+                "langer --nb 3 --aufbau 3 --lambda0 0",
+                "lambda0 must lie in (-1, 0) or (0, inf), got 0",
+            ),
+            ("langer --nb -1 --lambda0 0", "lambda0 must lie in (-1, 0) or (0, inf), got 0"),
+            ("langer --samples 1 --lambda0 0", "samples must be >= 2, got samples = 1"),
+            ("family --samples 1 --rho-min 2 --rho-max 1", "samples must be >= 2, got samples = 1"),
+            (
+                "family --rho-min 0 --kappa -1",
+                "need 0 < rho-min < rho-max, got rho-min = 0, rho-max = 3",
+            ),
+            ("family --kappa 0.7 --l 1 --lambda inf", "lambda must be finite, got lambda = inf"),
+            ("potential --kappa -1 --N -1", "kappa must be positive, got kappa = -1"),
+            # the spectrum is refused before the negative lambda0 warns
+            (
+                "langer --lambda0 -0.5 --nb -1",
+                "n_b_int must be a positive integer, got n_b_int = -1",
+            ),
+        ],
+    )
+    def test_first_bad_option_in_a_fixed_order_is_refused(self, argv, message):
+        # recorded when the options were checked in one configuration object:
+        # samples, rho range, kappa, l, lambda, lambda0, nb/aufbau, then the library
+        assert run_alone(*argv.split()) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_lambda0_warns_in_one_line(self, capsys, fmt):
+        argv = ("langer", "--lambda0", "-0.5", "--format", fmt, "--samples", "3")
+        code, out, err = run_alone(*argv)
+        assert (code, out) == run_cli(capsys, *argv)[:2]
+        assert code == 0
+        assert err == (
+            "warning: lambda0 in (-1, 0) is outside the strictly isospectral branch; "
+            "using |1 + 1/lambda0| for limit studies\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,expected",

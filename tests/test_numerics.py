@@ -57,11 +57,10 @@ class TestQuadrature:
             ]
             assert all(e2 <= e1 + 1e-15 for e1, e2 in zip(errs, errs[1:]))
 
-    def test_budget_exhaustion_reported(self):
+    def test_budget_exhaustion_reported(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 4)
         with pytest.raises(ConvergenceError):
-            integrate_adaptive(
-                lambda x: np.sin(1000.0 * x), 0.0, 50.0, tol=1e-14, max_subdivisions=4
-            )
+            integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 50.0, tol=1e-14)
 
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ def gegenbauer_recurrence_loop():
     worst = 0.0
     for q in (0.5, 1.5, 2.5):
         for xi in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            vals = [specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi)) for p in range(12)]
+            vals = [specfun.gegenbauer(p, q, xi) for p in range(12)]
             for p in range(1, 11):
                 lhs = (p + 1) * vals[p + 1]
                 rhs = 2 * (p + q) * xi * vals[p] - (p + 2 * q - 1) * vals[p - 1]
@@ -100,8 +100,8 @@ def gegenbauer_parity_loop():
     for p in range(9):
         for q in (0.5, 1.5, 2.5):
             for xi in (0.1, 0.35, 0.8):
-                a = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, xi))
-                b = specfun.gegenbauer(specfun.GegenbauerArgs(p, q, -xi))
+                a = specfun.gegenbauer(p, q, xi)
+                b = specfun.gegenbauer(p, q, -xi)
                 worst = max(worst, abs(b - (-1.0) ** p * a))
     return worst
 
