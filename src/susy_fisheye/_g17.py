@@ -1,0 +1,223 @@
+"""Exact `'%.17g' % v` text of a float64 array, a chunk of values at a time.
+
+Each value x is written from E = floor(log10|x|) and the 17-digit integer
+N = round(|x| * 10**(16 - E)), N in [10**16, 10**17), as CPython's `%g`
+writes it:
+
+* digits: the product |x| * 10**(16 - E) is a double-double, the exact
+  product of the frexp mantissa of |x| with a 106-bit power of ten (Dekker's
+  two-product).  Its error is about 1e-14 of a unit, so it rounds as the
+  exact value does unless its fraction lies within `_TIE` of 1/2; those
+  values are redone from CPython's own `%.16e`, which rounds exactly (ties
+  to even).  Where log10 misplaced E by one, the product falls outside
+  [10**16, 10**17) and the value is scaled again with E -/+ 1.
+* layout: every value owns `_SLOTS` = 48 byte slots, six 8-byte words:
+  sign 0.000 d0 . | d1 . d2 . d3 . d4 . | ... | d13 . d14 . d15 . d16 . |
+  e +/- d d d separator NUL NUL.
+  Tables indexed by E give the "0.000" prefix and the exponent; a table of
+  4-digit groups gives the digits, each followed by a dot.  A mask indexed
+  by (last digit shown, place of the point) then clears the digits and dots
+  that `%g` does not write: fixed notation for -4 <= E < 17 without
+  trailing zeros or a bare dot, otherwise d.ddde+XX with at least two
+  exponent digits.  Cleared slots hold NUL, which bytes.translate deletes.
+
+Chunks of `CHUNK` values keep the temporaries in cache.  Below about 1000
+values numpy's per-call overhead costs more than `%` saves
+(scripts/csv_writer_scan.py); cli._columns_csv switches to this writer at
+one chunk.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+__all__ = ["CHUNK", "write"]
+
+CHUNK = 4096
+
+# 10**k is tabulated for k in [_K_MIN, _K_MAX]: 16 - E for every finite
+# nonzero double (E in [-324, 308]), widened by one for the E -/+ 1 pass.
+_K_MIN, _K_MAX = -293, 341
+_E_MIN, _E_MAX = 16 - _K_MAX, 16 - _K_MIN
+_TIE = 1e-6
+_SLOTS = 48
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
+_LOW, _HIGH = 10**16, 10**17
+
+
+def _words(rows):
+    """Rows of 8 bytes packed into uint64 words."""
+    return np.frombuffer(b"".join(bytes(r) for r in rows), np.uint64)
+
+
+@functools.cache
+def _tables():
+    """The lookup tables, built on first use.
+
+    A process that never writes a large table pays nothing for them.
+
+    * hi, lo, s: 10**k = (hi + lo) * 2**s with hi in [1, 2), to 106 bits,
+      by exact integer arithmetic;
+    * prefix[E]: word 0 with "0.000" as fixed notation writes it for E < 0,
+      and a dot after d0;
+    * exponent[E]: word 5, "e+XX" or "e-XXX", empty where E is fixed;
+    * quad[g]: the four digits of g < 10**4, each followed by a dot;
+    * zeros[g]: the trailing zeros of g < 10**4, 4 for g = 0;
+    * mask[17 L + P + 1]: the slots shown when d0 .. d_L are written and
+      the point follows d_P (P = -1: no point among the digits).
+    """
+    hi, lo, s = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        exp = num.bit_length() - den.bit_length()
+        while True:
+            shift = 105 - exp
+            t = (num << shift) // den if shift >= 0 else num // (den << -shift)
+            if t >> 106:
+                exp += 1
+            elif not t >> 105:
+                exp -= 1
+            else:
+                break
+        hi.append((t >> 53) * 2.0**-52)
+        lo.append((t & (2**53 - 1)) * 2.0**-105)
+        s.append(exp)
+    prefix, exponent = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        lead = b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
+        prefix.append(b"\0" + lead.ljust(5, b"\0") + b"\0.")
+        tail = b"" if -4 <= e < 17 else b"e%+03d" % e
+        exponent.append(tail.ljust(8, b"\0"))
+    g = np.arange(10**4)
+    quad = np.full((10**4, 8), ord("."), np.uint8)
+    quad[:, ::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    zeros = sum(g % 10**j == 0 for j in range(1, 5))
+    mask = []
+    for last in range(17):
+        for point in range(-1, 16):
+            shown = []
+            for i in range(17):
+                shown += [0xFF if i <= last else 0, 0xFF if i == point else 0]
+            mask.append([0xFF] * 6 + shown + [0xFF] * 8)
+    table = {
+        "hi": np.array(hi),
+        "lo": np.array(lo),
+        "s": np.array(s, np.int32),
+        "prefix": _words(prefix),
+        "exponent": _words(exponent),
+        "quad": quad.view(np.uint64).ravel(),
+        "zeros": zeros,
+        "mask": _words(mask).reshape(-1, _SLOTS // 8),
+    }
+    for column in table.values():
+        column.flags.writeable = False
+    return table
+
+
+def _scaled(mant, expo, e10):
+    """The scaled value v = mant * 2**expo * 10**(16 - e10), rounded.
+
+    Returns round(v), floor(v) and where v lies within `_TIE` of a tie.
+    """
+    t = _tables()
+    k = 16 - e10 - _K_MIN
+    h = t["hi"].take(k)
+    scale = expo + t["s"].take(k)
+    # Dekker's two-product: mant * h == p + err exactly
+    p = mant * h
+    c = _SPLIT * mant
+    mh = c - (c - mant)
+    ml = mant - mh
+    c = _SPLIT * h
+    hh = c - (c - h)
+    hl = h - hh
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl
+    v_hi = np.ldexp(p, scale)
+    v_lo = np.ldexp(err + mant * t["lo"].take(k), scale)
+    whole = np.floor(v_hi)
+    frac = (v_hi - whole) + v_lo
+    below = np.floor(frac)
+    frac -= below
+    floor = whole.astype(np.int64) + below.astype(np.int64)
+    return floor + (frac > 0.5), floor, np.abs(frac - 0.5) < _TIE
+
+
+def _digits(a):
+    """(N, E) of each value of `a`, finite and >= 0; 0 gives (0, 0)."""
+    zero = a == 0.0
+    a = np.where(zero, 1.0, a)
+    mant, expo = np.frexp(a)
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    n, floor, tie = _scaled(mant, expo, e10)
+    off = (floor < _LOW) | (floor >= _HIGH)
+    if off.any():
+        idx = np.flatnonzero(off)
+        e10[idx] += np.where(floor[idx] >= _HIGH, 1, -1)
+        n[idx], floor, again = _scaled(mant[idx], expo[idx], e10[idx])
+        tie[idx] |= again | (floor < _LOW) | (floor >= _HIGH)
+    # a value just below 10**(E + 1) rounds up to N = 10**17
+    top = n == _HIGH
+    n[top] = _LOW
+    e10 += top
+    for i in np.flatnonzero(tie):
+        digits, _, exponent = ("%.16e" % a[i]).partition("e")
+        n[i] = int(digits.replace(".", ""))
+        e10[i] = int(exponent)
+    n[zero] = 0
+    e10[zero] = 0
+    return n, e10
+
+
+def _chunk(x, seps):
+    """The `%.17g` bytes of `x`, each followed by its separator byte."""
+    t = _tables()
+    n, e10 = _digits(np.abs(x))
+    d0 = n // 10**16
+    rest = n - d0 * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    groups = np.empty((len(x), 4), np.int64)
+    groups[:, 0] = upper // 10**4
+    groups[:, 1] = upper - groups[:, 0] * 10**4
+    groups[:, 2] = lower // 10**4
+    groups[:, 3] = lower - groups[:, 2] * 10**4
+    # trailing zeros of N from those of its groups, right to left
+    zeros = t["zeros"].take(groups)
+    empty = groups == 0
+    tz = zeros[:, 3] + empty[:, 3] * (
+        zeros[:, 2] + empty[:, 2] * (zeros[:, 1] + empty[:, 1] * zeros[:, 0])
+    )
+    last = np.where(n == 0, 0, 16 - tz)
+    # fixed notation writes every digit up to the units and a point after
+    # the units only when digits follow (below 1 the prefix holds it);
+    # exponent notation writes a point after d0 when digits follow
+    units = np.where((e10 >= 0) & (e10 < 17), e10, 0)
+    below_one = (e10 >= -4) & (e10 < 0)
+    point = np.where((last > units) & ~below_one, units, -1)
+    last = np.maximum(last, units)
+
+    out = np.empty((len(x), _SLOTS // 8), np.uint64)
+    row = e10 - _E_MIN
+    out[:, 0] = t["prefix"].take(row)
+    out[:, 1:5] = t["quad"].take(groups)
+    out[:, 5] = t["exponent"].take(row)
+    out &= t["mask"].take(17 * last + point + 1, axis=0)
+    text = out.view(np.uint8)
+    text[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    text[:, 6] = d0 + ord("0")
+    text[:, 45] = seps
+    return text.tobytes().translate(None, b"\0")
+
+
+def write(buf: bytearray, values, seps) -> None:
+    """Append `'%.17g' % v` of each value, then its separator byte, to `buf`.
+
+    `values` is a 1-D float64 array of finite values and `seps` a uint8
+    array of the same length, with no zero byte (it would be deleted with
+    the padding).
+    """
+    for start in range(0, len(values), CHUNK):
+        stop = start + CHUNK
+        buf += _chunk(values[start:stop], seps[start:stop])

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from . import fullline, verify
+from . import _g17, fullline, verify
 from .do_core import DoParams, _check_kappa, potential_v, u_minus, u_plus
 from .fisheye import figure_table, index_columns
 from .isospectral import family_columns
@@ -64,18 +64,43 @@ def _grid(args):
 
 
 def _emit(text: str, output: str):
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
+
+
+def _percent_csv(head: str, table) -> str:
+    """`head`, then the rows of `table` written by one `%` over the whole table."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (head + row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _kernel_csv(head: str, table) -> str:
+    """`head`, then the rows of the finite `table` written by the _g17 kernel."""
+    seps = np.full(table.shape, ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    out = bytearray(head.encode())
+    _g17.write(out, table.ravel(), seps.ravel())
+    return out.decode()
 
 
 def _columns_csv(names, columns) -> str:
-    """One header line, then one row per sample, every value as %.17g."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    values = tuple(np.column_stack(columns).ravel().tolist())
-    return (",".join(names) + "\n" + row * len(columns[0])) % values
+    """One header line, then one row per sample, every value as %.17g.
+
+    Both writers give the same bytes.  The kernel takes a finite table of at
+    least one chunk; it pays from about 1000 values, so every table it takes
+    is faster (scripts/csv_writer_scan.py).
+    """
+    head = ",".join(names) + "\n"
+    table = np.column_stack(columns)
+    if table.size >= _g17.CHUNK and np.isfinite(table).all():
+        return _kernel_csv(head, table)
+    return _percent_csv(head, table)
 
 
 def _columns_json(command, params, names, columns) -> str:

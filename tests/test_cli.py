@@ -45,6 +45,17 @@ def reference_csv(names, columns):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_lines(got, want):
+    """got == want, reporting the first differing lines.
+
+    pytest's own diff of two long strings that differ on many lines takes
+    minutes; this fails at once.
+    """
+    got, want = got.split("\n"), want.split("\n")
+    assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:5] == []
+    assert len(got) == len(want)
+
+
 def reference_json(command, params, names, columns):
     """The per-value JSON writer the column-at-a-time one replaced."""
     payload = {
@@ -203,10 +214,19 @@ class TestWriters:
     NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
     PARAMS = {"l": 2, "lambda": 10.0, "exact": False, "N": 0, "w": 0.5}
 
-    @pytest.mark.parametrize("rows,seed", [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)])
-    def test_csv_bytes(self, rows, seed):
-        columns = adversarial_columns(rows, seed)
-        assert _columns_csv(self.NAMES, columns) == reference_csv(self.NAMES, columns)
+    @pytest.mark.parametrize(
+        "rows,seed,width",
+        [pytest.param(rows, seed, 5, id=f"{rows}-{seed}")
+         for rows, seed in [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)]]
+        # around the kernel's switch at CHUNK = 4096 values: the largest
+        # table below it, exactly one chunk, and a second chunk holding a
+        # partial row (4 columns as langer writes, 5 as figure)
+        + [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
+           for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]],
+    )
+    def test_csv_bytes(self, rows, seed, width):
+        names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
+        assert_same_lines(_columns_csv(names, columns), reference_csv(names, columns))
 
     @pytest.mark.parametrize("rows,seed", [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)])
     def test_json_bytes(self, rows, seed):
@@ -232,20 +252,35 @@ class TestWriters:
             reference_polyline(px, py, ox, oy) for (px, py, _), (ox, oy) in zip(panels, offsets)
         ]
 
+    SPECIAL = [np.array([-0.0, 5e-324]), np.array([2.2250738585072014e-308, 1e16]),
+               np.array([1.7976931348623157e308, 1.0])]
+    SPECIAL_ROWS = ("-0,2.2250738585072014e-308,1.7976931348623157e+308\n"
+                    "4.9406564584124654e-324,10000000000000000,1\n")
+
     def test_special_values_are_written(self):
-        columns = [np.array([-0.0, 5e-324]), np.array([2.2250738585072014e-308, 1e16]),
-                   np.array([1.7976931348623157e308, 1.0])]
-        names = ["a", "b", "c"]
-        assert _columns_csv(names, columns) == (
-            "a,b,c\n-0,2.2250738585072014e-308,1.7976931348623157e+308\n"
-            "4.9406564584124654e-324,10000000000000000,1\n"
-        )
+        columns, names = self.SPECIAL, ["a", "b", "c"]
+        assert _columns_csv(names, columns) == "a,b,c\n" + self.SPECIAL_ROWS
         assert _columns_json("x", {}, names, columns) == (
             '{\n  "command": "x",\n  "params": {},\n  "data": {\n'
             '    "a": [\n      -0.0,\n      5e-324\n    ],\n'
             '    "b": [\n      2.2250738585072014e-308,\n      1e+16\n    ],\n'
             '    "c": [\n      1.7976931348623157e+308,\n      1.0\n    ]\n  }\n}\n'
         )
+
+    def test_special_values_are_written_past_the_switch(self):
+        # 2048 copies of the two rows are 12 288 values, three kernel chunks
+        columns = [np.tile(c, 2048) for c in self.SPECIAL]
+        assert_same_lines(_columns_csv(["a", "b", "c"], columns),
+                          "a,b,c\n" + self.SPECIAL_ROWS * 2048)
+
+    def test_a_large_table_with_nan_is_written_by_percent(self):
+        # the kernel takes finite values only; _grid_output refuses the rest
+        # before writing, but _columns_csv itself still writes nan and inf
+        columns = adversarial_columns(1000, 6)
+        columns[1][[3, 500]] = np.nan, -np.inf
+        csv = _columns_csv(self.NAMES, columns)
+        assert_same_lines(csv, reference_csv(self.NAMES, columns))
+        assert ",nan," in csv and ",-inf," in csv
 
     @pytest.mark.parametrize(
         "argv",
@@ -658,6 +693,22 @@ class TestErrors:
         code, out, err = run_cli(capsys, "potential", "--lambda", "2")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --lambda 2" in err
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["verify", "--suite", "specfun"], "missing/x"),
+            (["figure", "--samples", "5"], "missing/x.csv"),
+            (["figure", "--samples", "5"], "."),
+        ],
+        ids=["verify-missing-dir", "figure-missing-dir", "figure-directory"],
+    )
+    def test_unwritable_output_is_refused(self, capsys, tmp_path, argv, target):
+        path = tmp_path / target
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        reason = "Is a directory" if target == "." else "No such file or directory"
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --output {path}: {reason}\n"
 
     def test_config_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "figure", "--samples", "1")

@@ -1,0 +1,21 @@
+"""Smoke test of scripts/csv_writer_scan.py, the timing of the two CSV writers."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scan_times_both_writers(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "csv_writer_scan", ROOT / "scripts" / "csv_writer_scan.py"
+    )
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    assert scan.table(250).shape == (50, 5) and scan.table(4096).shape == (1024, 4)
+    scan.main(["--sizes", "4096", "250", "--rounds", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 2 + 1
+    assert [line.split()[0] for line in lines[1:3]] == ["250", "4096"]
+    assert all(float(x) > 0 for line in lines[1:3] for x in line.split()[1:4])
+    assert lines[-1].startswith("kernel ")
