@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time the two CSV writers of cli._columns_csv against the table size.
+"""Time the two CSV writers and the two JSON writers of cli against the table size.
 
 For each size (in values) the script builds a figure table (5 columns, or
 4 where 5 does not divide the size) on linspace(0.01, 3), checks that the
-one-`%` writer (cli._percent_csv) and the _g17 kernel (cli._kernel_csv)
-give the same text, and times them in interleaved rounds.  A row gives the
-median milliseconds of each writer, their ratio (% over kernel, above 1
-where the kernel is faster) and nanoseconds per value.  The last line names
+two writers of a format give the same bytes, and times them in interleaved
+rounds.  CSV pairs the one-`%` writer (cli._percent_csv) with the _g17
+kernel (cli._kernel_csv); JSON pairs the float.__repr__ join
+(cli._repr_column) with the kernel's shortest digits (cli._kernel_column),
+both through cli._json_table.  A row gives the median milliseconds of each
+writer, their ratio (CPython writer over kernel, above 1 where the kernel
+is faster) and nanoseconds per value.  The last line of each format names
 the smallest size scanned from which the kernel is faster at every larger
-size: the crossover behind _g17.CHUNK, which _columns_csv uses as its
-switch.
+size: the crossover behind _g17.CHUNK, which _columns_csv and _columns_json
+use as their switch.
 
 Usage:
     python scripts/csv_writer_scan.py
@@ -34,18 +37,30 @@ def table(values):
     return np.column_stack(figure_table(1, 1.0, np.linspace(0.01, 3.0, values // width))[:width])
 
 
-def scan(values, rounds):
-    """(median ms of the % writer, median ms of the kernel) on one table."""
+def writers(fmt, values):
+    """The CPython writer and the kernel of `fmt` ("csv" or "json"), on one table."""
     t = table(values)
-    head = ",".join(NAMES[: t.shape[1]]) + "\n"
-    if cli._percent_csv(head, t) != cli._kernel_csv(head, t):
-        raise SystemExit(f"the writers differ at {values} values")
+    names = NAMES[: t.shape[1]]
+    if fmt == "csv":
+        head = ",".join(names) + "\n"
+        return (lambda: cli._percent_csv(head, t)), (lambda: cli._kernel_csv(head, t))
+    columns = [np.ascontiguousarray(c) for c in t.T]
+    return tuple(
+        (lambda w=write_column: cli._json_table(b"", names, columns, w))
+        for write_column in (cli._repr_column, cli._kernel_column)
+    )
+
+
+def scan(fmt, values, rounds):
+    """(median ms of the CPython writer, median ms of the kernel) on one table."""
+    pair = writers(fmt, values)
+    if pair[0]() != pair[1]():
+        raise SystemExit(f"the {fmt} writers differ at {values} values")
     times = ([], [])
     for r in range(rounds):
         for side in (r % 2, 1 - r % 2):
-            writer = (cli._percent_csv, cli._kernel_csv)[side]
             t0 = perf_counter()
-            writer(head, t)
+            pair[side]()
             times[side].append(perf_counter() - t0)
     return tuple(statistics.median(x) * 1e3 for x in times)
 
@@ -56,16 +71,19 @@ def main(argv=None):
     p.add_argument("--rounds", type=int, default=21, help="interleaved rounds per size")
     args = p.parse_args(argv)
     _g17._tables()
-    print(f"{'values':>8} {'% ms':>10} {'kernel ms':>10} {'ratio':>6} {'ns/value':>15}")
-    faster = []
-    for values in sorted(args.sizes):
-        percent, kernel = scan(values, args.rounds)
-        faster.append((values, percent > kernel))
-        ns = f"{percent / values * 1e6:.0f} / {kernel / values * 1e6:.0f}"
-        print(f"{values:>8} {percent:>10.3f} {kernel:>10.3f} {percent / kernel:>6.2f} {ns:>15}")
-    wins = [v for i, (v, _) in enumerate(faster) if all(f for _, f in faster[i:])]
-    print(f"kernel faster at every size from {wins[0]} values" if wins
-          else "kernel not faster at the largest size")
+    for fmt, writer in (("csv", "%"), ("json", "repr")):
+        print(f"{fmt:<4} {'values':>8} {writer + ' ms':>10} {'kernel ms':>10} {'ratio':>6} "
+              f"{'ns/value':>15}")
+        faster = []
+        for values in sorted(args.sizes):
+            slow, kernel = scan(fmt, values, args.rounds)
+            faster.append((values, slow > kernel))
+            ns = f"{slow / values * 1e6:.0f} / {kernel / values * 1e6:.0f}"
+            print(f"{fmt:<4} {values:>8} {slow:>10.3f} {kernel:>10.3f} {slow / kernel:>6.2f} "
+                  f"{ns:>15}")
+        wins = [v for i, (v, _) in enumerate(faster) if all(f for _, f in faster[i:])]
+        print(f"{fmt:<4} kernel faster at every size from {wins[0]} values" if wins
+              else f"{fmt:<4} kernel not faster at the largest size")
 
 
 if __name__ == "__main__":

@@ -1,30 +1,46 @@
-"""Exact `'%.17g' % v` text of a float64 array, a chunk of values at a time.
+"""Exact text of a float64 array in two styles, a chunk of values at a time.
 
-Each value x is written from E = floor(log10|x|) and the 17-digit integer
-N = round(|x| * 10**(16 - E)), N in [10**16, 10**17), as CPython's `%g`
-writes it:
+The styles are CPython's `'%.17g' % v` and `float.__repr__(v)`, the
+shortest digits that read back to v.  Each value x is written from
+E = floor(log10|x|) and a 17-digit integer N in [10**16, 10**17):
 
-* digits: the product |x| * 10**(16 - E) is a double-double, the exact
-  product of the frexp mantissa of |x| with a 106-bit power of ten (Dekker's
-  two-product).  Its error is about 1e-14 of a unit, so it rounds as the
-  exact value does unless its fraction lies within `_TIE` of 1/2; those
-  values are redone from CPython's own `%.16e`, which rounds exactly (ties
-  to even).  Where log10 misplaced E by one, the product falls outside
-  [10**16, 10**17) and the value is scaled again with E -/+ 1.
+* product: |x| * 10**(16 - E) is a double-double, the exact product of the
+  frexp mantissa of |x| with a 106-bit power of ten (Dekker's two-product).
+  Its error is about 1e-14 of a unit.  Where log10 misplaced E by one, the
+  product falls outside [10**16, 10**17) and the value is scaled again with
+  E -/+ 1.
+* `%.17g` digits: N = round(product).  It rounds as the exact value does
+  unless its fraction lies within `_TIE` of 1/2.
+* repr digits: half an ulp of x = m * 2**e (frexp), scaled the same way, is
+  H = 2**(max(e - 53, -1074) - 1) * 10**(16 - E).  The nearest p-digit
+  value reads back to x exactly when its distance to the product is below
+  H, and that is monotone in p, so p = 16, 15, ..., 1 is tried on the
+  values that passed p + 1.  N is the nearest value of the smallest p that
+  passes, or the rounded product when none does.  A value leaves the loop
+  early once H is below half a step: a shorter value that reads back is
+  then a multiple of the step within H of the product, the one already
+  found, and the layout drops its trailing zeros.  For a normal x, H is
+  below 11.1 units, so at most p = 16 and 15 are tried.
+* exact fallback: a value is redone from CPython's own text (`%.16e`, which
+  rounds ties to even, or repr) where a test above is unsure: a fraction
+  within `_TIE` of 1/2, a distance within `_TIE` of H (of H times `_TIE`
+  where H > 1, as for subnormals) or of a tie between two p-digit values,
+  and a power of two, whose lower neighbour is half as far as its upper.
 * layout: every value owns `_SLOTS` = 48 byte slots, six 8-byte words:
   sign 0.000 d0 . | d1 . d2 . d3 . d4 . | ... | d13 . d14 . d15 . d16 . |
   e +/- d d d separator NUL NUL.
   Tables indexed by E give the "0.000" prefix and the exponent; a table of
   4-digit groups gives the digits, each followed by a dot.  A mask indexed
   by (last digit shown, place of the point) then clears the digits and dots
-  that `%g` does not write: fixed notation for -4 <= E < 17 without
-  trailing zeros or a bare dot, otherwise d.ddde+XX with at least two
+  that are not written: fixed notation for -4 <= E < 17 (`%g`) or
+  E < 16 (repr) without trailing zeros, a bare dot under `%g` and `.0`
+  after an integer under repr, otherwise d.ddde+XX with at least two
   exponent digits.  Cleared slots hold NUL, which bytes.translate deletes.
 
 Chunks of `CHUNK` values keep the temporaries in cache.  Below about 1000
-values numpy's per-call overhead costs more than `%` saves
-(scripts/csv_writer_scan.py); cli._columns_csv switches to this writer at
-one chunk.
+values numpy's per-call overhead costs more than the CPython writers spend
+(scripts/csv_writer_scan.py); cli._columns_csv and cli._columns_json switch
+to this writer at one chunk.
 """
 
 from __future__ import annotations
@@ -62,7 +78,7 @@ def _tables():
       by exact integer arithmetic;
     * prefix[E]: word 0 with "0.000" as fixed notation writes it for E < 0,
       and a dot after d0;
-    * exponent[E]: word 5, "e+XX" or "e-XXX", empty where E is fixed;
+    * exponent[E]: word 5, "e+XX" or "e-XXX";
     * quad[g]: the four digits of g < 10**4, each followed by a dot;
     * zeros[g]: the trailing zeros of g < 10**4, 4 for g = 0;
     * mask[17 L + P + 1]: the slots shown when d0 .. d_L are written and
@@ -88,8 +104,7 @@ def _tables():
     for e in range(_E_MIN, _E_MAX + 1):
         lead = b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b""
         prefix.append(b"\0" + lead.ljust(5, b"\0") + b"\0.")
-        tail = b"" if -4 <= e < 17 else b"e%+03d" % e
-        exponent.append(tail.ljust(8, b"\0"))
+        exponent.append((b"e%+03d" % e).ljust(8, b"\0"))
     g = np.arange(10**4)
     quad = np.full((10**4, 8), ord("."), np.uint8)
     quad[:, ::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
@@ -117,10 +132,7 @@ def _tables():
 
 
 def _scaled(mant, expo, e10):
-    """The scaled value v = mant * 2**expo * 10**(16 - e10), rounded.
-
-    Returns round(v), floor(v) and where v lies within `_TIE` of a tie.
-    """
+    """floor(v) as int64 and v - floor(v), for v = mant * 2**expo * 10**(16 - e10)."""
     t = _tables()
     k = 16 - e10 - _K_MIN
     h = t["hi"].take(k)
@@ -140,40 +152,88 @@ def _scaled(mant, expo, e10):
     frac = (v_hi - whole) + v_lo
     below = np.floor(frac)
     frac -= below
-    floor = whole.astype(np.int64) + below.astype(np.int64)
-    return floor + (frac > 0.5), floor, np.abs(frac - 0.5) < _TIE
+    return whole.astype(np.int64) + below.astype(np.int64), frac
 
 
-def _digits(a):
+def _exact(value, shortest):
+    """(N, E) of one value > 0 from CPython's own text: repr, or `%.16e`."""
+    if not shortest:
+        digits, _, exponent = ("%.16e" % value).partition("e")
+        return int(digits.replace(".", "")), int(exponent)
+    mantissa, _, exponent = float.__repr__(value).partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = whole + fraction
+    lead = len(digits) - len(digits.lstrip("0"))
+    digits = digits.strip("0")
+    return int(digits) * 10 ** (17 - len(digits)), len(whole) - 1 - lead + int(exponent or 0)
+
+
+def _shorten(n, floor, frac, mant, expo, unsure):
+    """Set n to the shortest digits that read back, where the tests are sure.
+
+    n is left with trailing zeros, which the layout drops.  Marks in
+    `unsure` every value whose test came within `_TIE` of its bound.
+    """
+    half = np.ldexp(floor / mant, np.maximum(expo - 53, -1074) - 1 - expo)
+    slack = _TIE * np.maximum(half, 1.0)
+    # a distance below `sure` reads back, one below `near` may
+    sure, near = half - slack, half + slack
+    active = ~unsure
+    for p in range(16, 0, -1):
+        step = 10 ** (17 - p)
+        q = floor // step
+        # v less the p-digit value below it and half a step, int64 first so
+        # that it is exact where it is small; the nearest p-digit value is
+        # step/2 - |c| away
+        c = ((floor - q * step) - step // 2) + frac
+        gap = np.abs(c)
+        dist = step / 2 - gap
+        ok = active & (dist < sure)
+        doubt = active & ((gap < _TIE) | (~ok & (dist < near)))
+        if doubt.any():
+            unsure |= doubt
+            ok &= ~doubt
+        np.copyto(n, (q + (c > 0)) * step, where=ok)
+        # once H is below half a step, n is final up to its trailing zeros
+        active = ok & (near >= step / 2)
+        if not active.any():
+            break
+
+
+def _digits(a, shortest):
     """(N, E) of each value of `a`, finite and >= 0; 0 gives (0, 0)."""
     zero = a == 0.0
     a = np.where(zero, 1.0, a)
     mant, expo = np.frexp(a)
     e10 = np.floor(np.log10(a)).astype(np.int64)
-    n, floor, tie = _scaled(mant, expo, e10)
-    off = (floor < _LOW) | (floor >= _HIGH)
-    if off.any():
-        idx = np.flatnonzero(off)
+    floor, frac = _scaled(mant, expo, e10)
+    unsure = (floor < _LOW) | (floor >= _HIGH)
+    if unsure.any():
+        idx = np.flatnonzero(unsure)
         e10[idx] += np.where(floor[idx] >= _HIGH, 1, -1)
-        n[idx], floor, again = _scaled(mant[idx], expo[idx], e10[idx])
-        tie[idx] |= again | (floor < _LOW) | (floor >= _HIGH)
+        floor[idx], frac[idx] = _scaled(mant[idx], expo[idx], e10[idx])
+        unsure[idx] = (floor[idx] < _LOW) | (floor[idx] >= _HIGH)
+    n = floor + (frac > 0.5)
+    unsure |= np.abs(frac - 0.5) < _TIE
+    if shortest:
+        # a power of two: the interval that reads back is asymmetric
+        unsure |= mant == 0.5
+        _shorten(n, floor, frac, mant, expo, unsure)
     # a value just below 10**(E + 1) rounds up to N = 10**17
     top = n == _HIGH
     n[top] = _LOW
     e10 += top
-    for i in np.flatnonzero(tie):
-        digits, _, exponent = ("%.16e" % a[i]).partition("e")
-        n[i] = int(digits.replace(".", ""))
-        e10[i] = int(exponent)
+    for i in np.flatnonzero(unsure & ~zero):
+        n[i], e10[i] = _exact(a[i], shortest)
     n[zero] = 0
     e10[zero] = 0
     return n, e10
 
 
-def _chunk(x, seps):
-    """The `%.17g` bytes of `x`, each followed by its separator byte."""
+def _chunk(x, seps, shortest):
+    """The text of `x`, each value followed by its separator byte."""
     t = _tables()
-    n, e10 = _digits(np.abs(x))
+    n, e10 = _digits(np.abs(x), shortest)
     d0 = n // 10**16
     rest = n - d0 * 10**16
     upper = rest // 10**8
@@ -193,16 +253,22 @@ def _chunk(x, seps):
     # fixed notation writes every digit up to the units and a point after
     # the units only when digits follow (below 1 the prefix holds it);
     # exponent notation writes a point after d0 when digits follow
-    units = np.where((e10 >= 0) & (e10 < 17), e10, 0)
-    below_one = (e10 >= -4) & (e10 < 0)
+    fixed = (e10 >= -4) & (e10 < (16 if shortest else 17))
+    units = np.where(fixed & (e10 >= 0), e10, 0)
+    below_one = fixed & (e10 < 0)
     point = np.where((last > units) & ~below_one, units, -1)
+    if shortest:
+        # repr writes an integer in fixed notation as d.0: d_{units+1} is 0
+        whole = fixed & ~below_one & (point < 0)
+        point = np.where(whole, units, point)
+        last = np.where(whole, units + 1, last)
     last = np.maximum(last, units)
 
     out = np.empty((len(x), _SLOTS // 8), np.uint64)
     row = e10 - _E_MIN
     out[:, 0] = t["prefix"].take(row)
     out[:, 1:5] = t["quad"].take(groups)
-    out[:, 5] = t["exponent"].take(row)
+    out[:, 5] = np.where(fixed, 0, t["exponent"].take(row))
     out &= t["mask"].take(17 * last + point + 1, axis=0)
     text = out.view(np.uint8)
     text[:, 0] = np.where(np.signbit(x), ord("-"), 0)
@@ -211,13 +277,16 @@ def _chunk(x, seps):
     return text.tobytes().translate(None, b"\0")
 
 
-def write(buf: bytearray, values, seps) -> None:
-    """Append `'%.17g' % v` of each value, then its separator byte, to `buf`.
+def write(buf: bytearray, values, seps, shortest=False, comma=b",") -> None:
+    """Append the text of each value, then its separator byte, to `buf`.
 
+    The text is `'%.17g' % v`, or `float.__repr__(v)` when `shortest`.
     `values` is a 1-D float64 array of finite values and `seps` a uint8
     array of the same length, with no zero byte (it would be deleted with
-    the padding).
+    the padding).  Each "," separator is written as `comma`, a chunk at a
+    time (json's indenting encoder puts ",\\n" and the indent after a value).
     """
     for start in range(0, len(values), CHUNK):
         stop = start + CHUNK
-        buf += _chunk(values[start:stop], seps[start:stop])
+        text = _chunk(values[start:stop], seps[start:stop], shortest)
+        buf += text if comma == b"," else text.replace(b",", comma)

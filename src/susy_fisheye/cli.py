@@ -63,33 +63,40 @@ def _grid(args):
     return np.linspace(args.rho_min, args.rho_max, args.samples)
 
 
-def _emit(text: str, output: str):
+def _emit(data, output: str):
+    """Write `data`, bytes or text (as UTF-8), to the file `output`, or to stdout."""
+    if isinstance(data, str):
+        data = data.encode()
     if not output:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(data)
+        else:  # a text-only stdout, such as io.StringIO
+            sys.stdout.write(data.decode())
         return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
-def _percent_csv(head: str, table) -> str:
+def _percent_csv(head: str, table) -> bytes:
     """`head`, then the rows of `table` written by one `%` over the whole table."""
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (head + row * len(table)) % tuple(table.ravel().tolist())
+    return ((head + row * len(table)) % tuple(table.ravel().tolist())).encode()
 
 
-def _kernel_csv(head: str, table) -> str:
+def _kernel_csv(head: str, table) -> bytearray:
     """`head`, then the rows of the finite `table` written by the _g17 kernel."""
     seps = np.full(table.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     out = bytearray(head.encode())
     _g17.write(out, table.ravel(), seps.ravel())
-    return out.decode()
+    return out
 
 
-def _columns_csv(names, columns) -> str:
+def _columns_csv(names, columns) -> bytes | bytearray:
     """One header line, then one row per sample, every value as %.17g.
 
     Both writers give the same bytes.  The kernel takes a finite table of at
@@ -103,20 +110,43 @@ def _columns_csv(names, columns) -> str:
     return _percent_csv(head, table)
 
 
-def _columns_json(command, params, names, columns) -> str:
+_JSON_COMMA = ",\n      "
+
+
+def _repr_column(out: bytearray, col) -> None:
+    """Append the values of `col` as json's indenting encoder lists them."""
+    out += (_JSON_COMMA.join(map(float.__repr__, col.tolist())) + "\n").encode()
+
+
+def _kernel_column(out: bytearray, col) -> None:
+    """Append the values of the finite `col` as _repr_column does, by the _g17 kernel."""
+    seps = np.full(len(col), ord(","), np.uint8)
+    seps[-1] = ord("\n")
+    _g17.write(out, col, seps, shortest=True, comma=_JSON_COMMA.encode())
+
+
+def _json_table(head: bytes, names, columns, write_column) -> bytearray:
+    """`head`, then the members of "data", one list per column, and the closing braces."""
+    out = bytearray(head)
+    for i, (name, col) in enumerate(zip(names, columns)):
+        out += b",\n" * (i > 0) + f"    {json.dumps(name)}: [\n      ".encode()
+        write_column(out, col)
+        out += b"    ]"
+    out += b"\n  }\n}\n"
+    return out
+
+
+def _columns_json(command, params, names, columns) -> bytearray:
     """json.dumps(indent=2) of {command, params, data}, data spliced in a column at a time.
 
     Each value is written as float.__repr__, which is what json's indenting
-    encoder writes for a finite float.
+    encoder writes for a finite float.  As for CSV, a finite table of at
+    least one chunk is written by the kernel, with the same bytes.
     """
     head = json.dumps({"command": command, "params": params}, indent=2)
-    data = ",\n".join(
-        f"    {json.dumps(name)}: [\n      "
-        + ",\n      ".join(map(float.__repr__, col.tolist()))
-        + "\n    ]"
-        for name, col in zip(names, columns)
-    )
-    return f'{head[:-2]},\n  "data": {{\n{data}\n  }}\n}}\n'
+    head = f'{head[:-2]},\n  "data": {{\n'.encode()
+    large = sum(map(len, columns)) >= _g17.CHUNK and all(np.isfinite(c).all() for c in columns)
+    return _json_table(head, names, columns, _kernel_column if large else _repr_column)
 
 
 def _check_finite(names, columns):
@@ -204,7 +234,7 @@ def _cmd_langer(args) -> int:
                 if args.lambda0 > 0
                 else None,
             }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
         return 0
     # csv: scan of the well, its superpartner and the single-state family
     xs = np.linspace(-6.0, 6.0, args.samples)

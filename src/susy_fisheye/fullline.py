@@ -66,8 +66,10 @@ def rm_spectrum(n_b_int):
 def rm_family_shift(lambda0) -> float:
     """Well translation (1/2) ln|1 + 1/lambda0| of the single-state family.
 
-    Diverges to +inf as lambda0 -> 0+ and to -inf as lambda0 -> -1+, which
-    pushes the well itself to -inf and +inf respectively.
+    Grows as lambda0 -> 0 and diverges to -inf as lambda0 -> -1+, which
+    pushes the well itself to -inf and +inf respectively.  Where 1/lambda0
+    overflows (|lambda0| below about 5.6e-309) it is computed as
+    (1/2)(ln(1 + lambda0) - ln|lambda0|), 372.2 at the smallest float.
     """
     if not lambda0 > -1.0 or lambda0 == 0.0:
         raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got lambda0 = {lambda0:g}")
@@ -77,7 +79,10 @@ def rm_family_shift(lambda0) -> float:
             "using |1 + 1/lambda0| for limit studies",
             stacklevel=2,
         )
-    return 0.5 * math.log(abs(1.0 + 1.0 / lambda0))
+    inverse = 1.0 / lambda0
+    if math.isinf(inverse):
+        return 0.5 * (math.log1p(lambda0) - math.log(abs(lambda0)))
+    return 0.5 * math.log(abs(1.0 + inverse))
 
 
 def rm_family_single(x, lambda0):

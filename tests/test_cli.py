@@ -1,6 +1,9 @@
 import collections
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import susy_fisheye
-from susy_fisheye import do_core, isospectral, svgplot
+from susy_fisheye import do_core, fullline, isospectral, svgplot
 from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
@@ -46,12 +49,12 @@ def reference_csv(names, columns):
 
 
 def assert_same_lines(got, want):
-    """got == want, reporting the first differing lines.
+    """The bytes `got` equal the text `want`, reporting the first differing lines.
 
     pytest's own diff of two long strings that differ on many lines takes
     minutes; this fails at once.
     """
-    got, want = got.split("\n"), want.split("\n")
+    got, want = bytes(got).split(b"\n"), want.encode().split(b"\n")
     assert [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w][:5] == []
     assert len(got) == len(want)
 
@@ -214,25 +217,26 @@ class TestWriters:
     NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
     PARAMS = {"l": 2, "lambda": 10.0, "exact": False, "N": 0, "w": 0.5}
 
-    @pytest.mark.parametrize(
-        "rows,seed,width",
-        [pytest.param(rows, seed, 5, id=f"{rows}-{seed}")
-         for rows, seed in [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)]]
-        # around the kernel's switch at CHUNK = 4096 values: the largest
-        # table below it, exactly one chunk, and a second chunk holding a
-        # partial row (4 columns as langer writes, 5 as figure)
-        + [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
-           for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]],
-    )
+    SMALL = [pytest.param(rows, seed, 5, id=f"{rows}-{seed}")
+             for rows, seed in [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)]]
+    # around the kernel's switch at CHUNK = 4096 values: the largest table
+    # below it, exactly one chunk, and a second chunk holding a partial row
+    # (4 columns as langer writes, 5 as figure)
+    SWITCH = [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
+              for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]]
+
+    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH)
     def test_csv_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
         assert_same_lines(_columns_csv(names, columns), reference_csv(names, columns))
 
-    @pytest.mark.parametrize("rows,seed", [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)])
-    def test_json_bytes(self, rows, seed):
-        columns = adversarial_columns(rows, seed)
-        expected = reference_json("figure", self.PARAMS, self.NAMES, columns)
-        assert _columns_json("figure", self.PARAMS, self.NAMES, columns) == expected
+    # as figure writes them: 4095 values take the repr writer, 4100 and 8195
+    # the kernel
+    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH[3:])
+    def test_json_bytes(self, rows, seed, width):
+        names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
+        expected = reference_json("figure", self.PARAMS, names, columns)
+        assert_same_lines(_columns_json("figure", self.PARAMS, names, columns), expected)
 
     @pytest.mark.parametrize("rows,seed", [(2, 0), (300, 1), (3000, 2)])
     def test_svg_polyline_points(self, rows, seed):
@@ -259,19 +263,21 @@ class TestWriters:
 
     def test_special_values_are_written(self):
         columns, names = self.SPECIAL, ["a", "b", "c"]
-        assert _columns_csv(names, columns) == "a,b,c\n" + self.SPECIAL_ROWS
+        assert _columns_csv(names, columns) == ("a,b,c\n" + self.SPECIAL_ROWS).encode()
         assert _columns_json("x", {}, names, columns) == (
-            '{\n  "command": "x",\n  "params": {},\n  "data": {\n'
-            '    "a": [\n      -0.0,\n      5e-324\n    ],\n'
-            '    "b": [\n      2.2250738585072014e-308,\n      1e+16\n    ],\n'
-            '    "c": [\n      1.7976931348623157e+308,\n      1.0\n    ]\n  }\n}\n'
+            b'{\n  "command": "x",\n  "params": {},\n  "data": {\n'
+            b'    "a": [\n      -0.0,\n      5e-324\n    ],\n'
+            b'    "b": [\n      2.2250738585072014e-308,\n      1e+16\n    ],\n'
+            b'    "c": [\n      1.7976931348623157e+308,\n      1.0\n    ]\n  }\n}\n'
         )
 
     def test_special_values_are_written_past_the_switch(self):
         # 2048 copies of the two rows are 12 288 values, three kernel chunks
-        columns = [np.tile(c, 2048) for c in self.SPECIAL]
-        assert_same_lines(_columns_csv(["a", "b", "c"], columns),
-                          "a,b,c\n" + self.SPECIAL_ROWS * 2048)
+        # as CSV, one column of 4096 values, one chunk, each as JSON
+        columns, names = [np.tile(c, 2048) for c in self.SPECIAL], ["a", "b", "c"]
+        assert_same_lines(_columns_csv(names, columns), "a,b,c\n" + self.SPECIAL_ROWS * 2048)
+        assert_same_lines(_columns_json("x", {}, names, columns),
+                          reference_json("x", {}, names, columns))
 
     def test_a_large_table_with_nan_is_written_by_percent(self):
         # the kernel takes finite values only; _grid_output refuses the rest
@@ -280,7 +286,7 @@ class TestWriters:
         columns[1][[3, 500]] = np.nan, -np.inf
         csv = _columns_csv(self.NAMES, columns)
         assert_same_lines(csv, reference_csv(self.NAMES, columns))
-        assert ",nan," in csv and ",-inf," in csv
+        assert b",nan," in csv and b",-inf," in csv
 
     @pytest.mark.parametrize(
         "argv",
@@ -304,6 +310,16 @@ class TestWriters:
             header, *rows = out.splitlines()
             columns = list(np.array([[float(v) for v in r.split(",")] for r in rows]).T)
             assert out == reference_csv(header.split(","), columns)
+
+    @pytest.mark.parametrize("samples", ["4", "1000"])
+    def test_text_only_stdout_gets_the_same_text(self, capsys, samples):
+        # main writes bytes to sys.stdout.buffer, which a StringIO lacks
+        argv = ["figure", "--format", "json", "--samples", samples]
+        expected = run_cli(capsys, *argv)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = main(argv)
+        assert (code, text.getvalue(), "") == expected
 
 
 class TestGridCommands:
@@ -466,6 +482,22 @@ class TestLangerCommand:
         payload = json.loads(out)
         assert payload["family"]["rescaled_radius"] == pytest.approx(2**-0.5)
         assert payload["family"]["well_center"] == pytest.approx(-0.3465735902799726)
+
+    def test_family_json_is_valid_at_the_smallest_lambda0(self, capsys):
+        # 1/lambda0 overflowed, and well_center was written as -Infinity
+        code, out, err = run_cli(
+            capsys, "langer", "--nb", "2", "--lambda0", "5e-324", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert payload["family"]["well_center"] == -372.2200359606906
+
+    def test_non_finite_json_field_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(fullline, "rm_family_shift", lambda lambda0: math.inf)
+        code, out, err = run_cli(capsys, "langer", "--nb", "2", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1
 
     def test_aufbau_spectrum(self, capsys):
         code, out, _ = run_cli(capsys, "langer", "--aufbau", "3", "--format", "json")

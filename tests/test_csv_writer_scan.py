@@ -1,4 +1,4 @@
-"""Smoke test of scripts/csv_writer_scan.py, the timing of the two CSV writers."""
+"""Smoke test of scripts/csv_writer_scan.py, the timing of the CSV and JSON writer pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -15,7 +15,9 @@ def test_scan_times_both_writers(capsys):
     assert scan.table(250).shape == (50, 5) and scan.table(4096).shape == (1024, 4)
     scan.main(["--sizes", "4096", "250", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 + 2 + 1
-    assert [line.split()[0] for line in lines[1:3]] == ["250", "4096"]
-    assert all(float(x) > 0 for line in lines[1:3] for x in line.split()[1:4])
-    assert lines[-1].startswith("kernel ")
+    assert len(lines) == 2 * (1 + 2 + 1)
+    for fmt, block in zip(("csv", "json"), (lines[:4], lines[4:])):
+        assert all(line.split()[0] == fmt for line in block)
+        assert [line.split()[1] for line in block[1:3]] == ["250", "4096"]
+        assert all(float(x) > 0 for line in block[1:3] for x in line.split()[2:5])
+        assert block[-1].startswith(f"{fmt:<4} kernel ")

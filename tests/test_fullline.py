@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ class TestFamilyWell:
             centers_am = [-rm_family_shift(lam0) for lam0 in (-0.9, -0.99, -0.999)]
         assert all(b > a for a, b in zip(centers_am, centers_am[1:]))
         assert centers_am[-1] > 3.0
+
+    @pytest.mark.parametrize("lam0", [5e-324, -5e-324, 1e-320, -1e-310, 5.5e-309])
+    def test_shift_is_finite_where_the_inverse_overflows(self, lam0):
+        # 1/lambda0 overflows below about 5.6e-309, where the shift is
+        # (1/2)(ln(1 + lambda0) - ln|lambda0|)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            shift = rm_family_shift(lam0)
+        assert math.isfinite(shift)
+        assert shift == pytest.approx(0.5 * (math.log1p(lam0) - math.log(abs(lam0))), rel=1e-15)
+
+    def test_shift_at_the_smallest_float(self):
+        assert rm_family_shift(5e-324) == 372.2200359606906
+
+    def test_shift_is_unchanged_where_the_inverse_is_finite(self):
+        lam0 = np.concatenate([np.geomspace(5.57e-309, 1e300, 400),
+                               -np.geomspace(5.57e-309, 0.999, 400)]).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            shifts = [rm_family_shift(x) for x in lam0]
+        assert shifts == [0.5 * math.log(abs(1.0 + 1.0 / x)) for x in lam0]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The vectorised %.17g kernel gives the bytes of CPython's `'%.17g' % v`."""
+"""The vectorised kernel gives the bytes of CPython's `'%.17g' % v` and `float.__repr__`."""
 
 import os
 import subprocess
@@ -12,19 +12,22 @@ import susy_fisheye
 from susy_fisheye import _g17
 
 
-def kernel_text(values, sep=b"\n"):
+def kernel_text(values, sep=b"\n", shortest=False, comma=b","):
     buf = bytearray()
-    _g17.write(buf, values, np.full(len(values), sep[0], np.uint8))
+    _g17.write(buf, values, np.full(len(values), sep[0], np.uint8), shortest, comma)
     return buf.decode()
 
 
-def reference_text(values, sep="\n"):
+def reference_text(values, sep="\n", shortest=False):
+    if shortest:
+        return "".join(f"{float.__repr__(v)}{sep}" for v in values.tolist())
     return "".join(f"{v:.17g}{sep}" for v in values.tolist())
 
 
-def mismatches(values):
-    """(value, kernel, %.17g) of every value the kernel writes differently."""
-    got, want = kernel_text(values).split("\n"), reference_text(values).split("\n")
+def mismatches(values, shortest=False):
+    """(value, kernel, CPython) of every value the kernel writes differently."""
+    got = kernel_text(values, shortest=shortest).split("\n")
+    want = reference_text(values, shortest=shortest).split("\n")
     assert len(got) == len(want)
     return [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
 
@@ -65,10 +68,45 @@ def adversarial_values(seed=0):
     return values, ties
 
 
+def short_values(seed=0):
+    """Values whose repr is shorter than 17 digits, and their neighbours."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1000.0, 1000.0, 2000)
+    rounded = np.concatenate([np.round(u, d) for d in range(8)])
+    # repr writes 1e+16 from E = 16, one decade before %.17g does
+    integers = np.concatenate([np.arange(10**e - 300, 10**e + 300, 10**(e - 15), dtype=float)
+                               for e in (15, 16, 17)])
+    decimals = np.array([float(f"{m}e{k}") for m, k in zip(rng.integers(1, 10**6, 3000),
+                                                           rng.integers(-330, 300, 3000))])
+    return np.concatenate([with_neighbours(rounded), integers, decimals[np.isfinite(decimals)]])
+
+
 def test_kernel_equals_percent_g17():
     values, _ = adversarial_values()
     assert len(values) > 35_000
     assert mismatches(values)[:10] == []
+
+
+def test_shortest_equals_repr():
+    # adversarial_values holds the powers of two with both neighbours, the
+    # 17th-digit ties, E = -5 and -4, +-0.0, 5e-324 and the largest float
+    values, _ = adversarial_values()
+    values = np.concatenate([values, short_values()])
+    assert len(values) > 60_000
+    assert mismatches(values, shortest=True)[:10] == []
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"), (-2.5, "-2.5"), (0.1, "0.1"),
+     (1e-4, "0.0001"), (1.5e-5, "1.5e-05"), (1e15, "1000000000000000.0"), (1e16, "1e+16"),
+     (2.0**53, "9007199254740992.0"), (1.2345e16, "1.2345e+16"), (1e22, "1e+22"),
+     (1e23, "1e+23"), (2.0**-44, "5.684341886080802e-14"), (5e-324, "5e-324"),
+     (1.7976931348623157e308, "1.7976931348623157e+308"), (2.0**50 + 0.25, "1125899906842624.2")],
+)
+def test_shortest_text(value, text):
+    assert float.__repr__(value) == text
+    assert kernel_text(np.array([value]), shortest=True) == text + "\n"
 
 
 def test_ties_round_to_even():
@@ -89,6 +127,12 @@ def test_values_past_one_chunk():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(2 * _g17.CHUNK + 3) * 10.0 ** rng.uniform(-6, 20)
     assert mismatches(values)[:10] == []
+    assert mismatches(values, shortest=True)[:10] == []
+
+
+def test_comma_is_expanded_in_every_chunk():
+    values = np.arange(2 * _g17.CHUNK + 3) / 8.0
+    assert kernel_text(values, b",", True, b", ") == reference_text(values, ", ", True)
 
 
 def test_a_small_table_builds_no_tables():
@@ -98,6 +142,7 @@ def test_a_small_table_builds_no_tables():
     code = (
         "from susy_fisheye import _g17, cli\n"
         "cli.main(['figure', '--samples', '300'])\n"
+        "cli.main(['figure', '--samples', '300', '--format', 'json'])\n"
         "print(_g17._tables.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
