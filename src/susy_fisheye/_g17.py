@@ -49,7 +49,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["CHUNK", "write"]
+__all__ = ["CHUNK", "chunks"]
 
 CHUNK = 4096
 
@@ -277,16 +277,14 @@ def _chunk(x, seps, shortest):
     return text.tobytes().translate(None, b"\0")
 
 
-def write(buf: bytearray, values, seps, shortest=False, comma=b",") -> None:
-    """Append the text of each value, then its separator byte, to `buf`.
+def chunks(values, seps, shortest=False):
+    """Yield the text of each chunk of values, each value followed by its separator byte.
 
     The text is `'%.17g' % v`, or `float.__repr__(v)` when `shortest`.
     `values` is a 1-D float64 array of finite values and `seps` a uint8
     array of the same length, with no zero byte (it would be deleted with
-    the padding).  Each "," separator is written as `comma`, a chunk at a
-    time (json's indenting encoder puts ",\\n" and the indent after a value).
+    the padding).
     """
     for start in range(0, len(values), CHUNK):
         stop = start + CHUNK
-        text = _chunk(values[start:stop], seps[start:stop], shortest)
-        buf += text if comma == b"," else text.replace(b",", comma)
+        yield _chunk(values[start:stop], seps[start:stop], shortest)

@@ -64,16 +64,14 @@ def _grid(args):
 
 
 def _emit(data, output: str):
-    """Write `data`, bytes or text (as UTF-8), to the file `output`, or to stdout."""
+    """Write `data`, bytes or text, to the file `output` (as UTF-8), or to stdout."""
+    if not output:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode()  # rebinding frees the bytes before stdout encodes the text
+        sys.stdout.write(data)
+        return
     if isinstance(data, str):
         data = data.encode()
-    if not output:
-        sys.stdout.flush()
-        if hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(data)
-        else:  # a text-only stdout, such as io.StringIO
-            sys.stdout.write(data.decode())
-        return
     try:
         with open(output, "wb") as fh:
             fh.write(data)
@@ -92,7 +90,8 @@ def _kernel_csv(head: str, table) -> bytearray:
     seps = np.full(table.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     out = bytearray(head.encode())
-    _g17.write(out, table.ravel(), seps.ravel())
+    for text in _g17.chunks(table.ravel(), seps.ravel()):
+        out += text
     return out
 
 
@@ -122,7 +121,9 @@ def _kernel_column(out: bytearray, col) -> None:
     """Append the values of the finite `col` as _repr_column does, by the _g17 kernel."""
     seps = np.full(len(col), ord(","), np.uint8)
     seps[-1] = ord("\n")
-    _g17.write(out, col, seps, shortest=True, comma=_JSON_COMMA.encode())
+    comma = _JSON_COMMA.encode()
+    for text in _g17.chunks(col, seps, shortest=True):
+        out += text.replace(b",", comma)
 
 
 def _json_table(head: bytes, names, columns, write_column) -> bytearray:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import susy_fisheye
-from susy_fisheye import do_core, fullline, isospectral, svgplot
+from susy_fisheye import _g17, do_core, fullline, isospectral, svgplot
 from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
@@ -279,6 +279,12 @@ class TestWriters:
         assert_same_lines(_columns_json("x", {}, names, columns),
                           reference_json("x", {}, names, columns))
 
+    def test_comma_is_expanded_in_every_chunk(self):
+        # one column of three kernel chunks, the last one partial
+        columns = [np.arange(2 * _g17.CHUNK + 3) / 8.0]
+        assert_same_lines(_columns_json("x", {}, ["a"], columns),
+                          reference_json("x", {}, ["a"], columns))
+
     def test_a_large_table_with_nan_is_written_by_percent(self):
         # the kernel takes finite values only; _grid_output refuses the rest
         # before writing, but _columns_csv itself still writes nan and inf
@@ -313,7 +319,7 @@ class TestWriters:
 
     @pytest.mark.parametrize("samples", ["4", "1000"])
     def test_text_only_stdout_gets_the_same_text(self, capsys, samples):
-        # main writes bytes to sys.stdout.buffer, which a StringIO lacks
+        # the kernel's bytes reach stdout as text, so a StringIO stdout works
         argv = ["figure", "--format", "json", "--samples", samples]
         expected = run_cli(capsys, *argv)
         text = io.StringIO()

@@ -12,10 +12,9 @@ import susy_fisheye
 from susy_fisheye import _g17
 
 
-def kernel_text(values, sep=b"\n", shortest=False, comma=b","):
-    buf = bytearray()
-    _g17.write(buf, values, np.full(len(values), sep[0], np.uint8), shortest, comma)
-    return buf.decode()
+def kernel_text(values, sep=b"\n", shortest=False):
+    seps = np.full(len(values), sep[0], np.uint8)
+    return b"".join(_g17.chunks(values, seps, shortest)).decode()
 
 
 def reference_text(values, sep="\n", shortest=False):
@@ -128,11 +127,6 @@ def test_values_past_one_chunk():
     values = rng.standard_normal(2 * _g17.CHUNK + 3) * 10.0 ** rng.uniform(-6, 20)
     assert mismatches(values)[:10] == []
     assert mismatches(values, shortest=True)[:10] == []
-
-
-def test_comma_is_expanded_in_every_chunk():
-    values = np.arange(2 * _g17.CHUNK + 3) / 8.0
-    assert kernel_text(values, b",", True, b", ") == reference_text(values, ", ", True)
 
 
 def test_a_small_table_builds_no_tables():
