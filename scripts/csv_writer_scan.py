@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the two CSV writers and the two JSON writers of cli against the table size.
+"""Time the CSV, JSON and SVG polyline writer pairs against the output size.
 
 For each size (in values) the script builds a figure table (5 columns, or
 4 where 5 does not divide the size) on linspace(0.01, 3), checks that the
@@ -7,12 +7,15 @@ two writers of a format give the same bytes, and times them in interleaved
 rounds.  CSV pairs the one-`%` writer (cli._percent_csv) with the _g17
 kernel (cli._kernel_csv); JSON pairs the float.__repr__ join
 (cli._repr_column) with the kernel's shortest digits (cli._kernel_column),
-both through cli._json_table.  A row gives the median milliseconds of each
-writer, their ratio (CPython writer over kernel, above 1 where the kernel
-is faster) and nanoseconds per value.  The last line of each format names
-the smallest size scanned from which the kernel is faster at every larger
-size: the crossover behind _g17.CHUNK, which _columns_csv and _columns_json
-use as their switch.
+both through cli._json_table.  SVG pairs the one-`%` polyline join that
+svgplot used to write with the kernel's `%.2f` (svgplot._points), on one
+panel's canvas coordinates: size // 2 points of n_M, x and y interleaved.
+A row gives the median milliseconds of each writer, their ratio (CPython
+writer over kernel, above 1 where the kernel is faster) and nanoseconds
+per value.  The last line of each format names the smallest size scanned
+from which the kernel is faster at every larger size: for CSV and JSON the
+crossover behind _g17.CHUNK, which _columns_csv and _columns_json use as
+their switch; the polyline has one writer at every size.
 
 Usage:
     python scripts/csv_writer_scan.py
@@ -25,10 +28,10 @@ from time import perf_counter
 
 import numpy as np
 
-from susy_fisheye import _g17, cli
+from susy_fisheye import _g17, cli, svgplot
 from susy_fisheye.fisheye import figure_table
 
-SIZES = (250, 1000, 2000, 4096, 15000, 500000)
+SIZES = (100, 250, 1000, 2000, 4096, 15000, 500000)
 NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
 
 
@@ -37,8 +40,27 @@ def table(values):
     return np.column_stack(figure_table(1, 1.0, np.linspace(0.01, 3.0, values // width))[:width])
 
 
+def canvas(values):
+    """One panel's canvas coordinates, x and y interleaved: values // 2 points of n_M."""
+    grid = np.linspace(0.01, 3.0, values // 2)
+    n_m = figure_table(1, 1.0, grid)[1]
+    inner_w = svgplot._PANEL_W - svgplot._MARGIN_L - svgplot._MARGIN_R
+    inner_h = svgplot._PANEL_H - svgplot._MARGIN_T - svgplot._MARGIN_B
+    sx = svgplot._MARGIN_L + inner_w * (grid - grid[0]) / (grid[-1] - grid[0])
+    sy = svgplot._MARGIN_T + inner_h * (1.0 - (n_m - n_m.min()) / (n_m.max() - n_m.min()))
+    return np.column_stack((sx, sy)).ravel()
+
+
+def percent_points(xy):
+    """The polyline points of `xy` by one `%` over the whole list."""
+    return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy.tolist())
+
+
 def writers(fmt, values):
-    """The CPython writer and the kernel of `fmt` ("csv" or "json"), on one table."""
+    """The CPython writer and the kernel of `fmt` ("csv", "json" or "svg"), on one table."""
+    if fmt == "svg":
+        xy = canvas(values)
+        return (lambda: percent_points(xy)), (lambda: svgplot._points(xy))
     t = table(values)
     names = NAMES[: t.shape[1]]
     if fmt == "csv":
@@ -71,7 +93,8 @@ def main(argv=None):
     p.add_argument("--rounds", type=int, default=21, help="interleaved rounds per size")
     args = p.parse_args(argv)
     _g17._tables()
-    for fmt, writer in (("csv", "%"), ("json", "repr")):
+    _g17._tables_2f()
+    for fmt, writer in (("csv", "%"), ("json", "repr"), ("svg", "%")):
         print(f"{fmt:<4} {'values':>8} {writer + ' ms':>10} {'kernel ms':>10} {'ratio':>6} "
               f"{'ns/value':>15}")
         faster = []

@@ -1,7 +1,9 @@
-"""Exact text of a float64 array in two styles, a chunk of values at a time.
+"""Exact text of a float64 array in three styles, a chunk of values at a time.
 
-The styles are CPython's `'%.17g' % v` and `float.__repr__(v)`, the
-shortest digits that read back to v.  Each value x is written from
+The styles are CPython's `'%.17g' % v`, `float.__repr__(v)`, the shortest
+digits that read back to v, and `'%.2f' % v` of a canvas coordinate
+(`chunks_2f`, at the end of this docstring).  Each value x of the first
+two is written from
 E = floor(log10|x|) and a 17-digit integer N in [10**16, 10**17):
 
 * product: |x| * 10**(16 - E) is a double-double, the exact product of the
@@ -41,6 +43,24 @@ Chunks of `CHUNK` values keep the temporaries in cache.  Below about 1000
 values numpy's per-call overhead costs more than the CPython writers spend
 (scripts/csv_writer_scan.py); cli._columns_csv and cli._columns_json switch
 to this writer at one chunk.
+
+`%.2f` takes finite v >= 0 whose text has at most four integer digits, so
+its two decimals are the integer round(100 v), below 10**6, rounded half to
+even on the exact binary value as CPython rounds (`'%.2f' % 0.125` is
+'0.12', `'%.2f' % 0.375` is '0.38'):
+
+* p + err = 100 v exactly (Dekker's two-product; 100 splits exactly), and
+  k = floor(p), d = (p - k) - 1/2 are exact because p < 2**20.
+* Where d != 0, |d| >= ulp(p) > |err|, so the sign of d decides; where
+  d = 0, the sign of err does, and where err = 0 too, v is a tie and k
+  rounds up when it is odd.  No value needs a fallback.
+* layout: one 8-byte word per value, four integer slots (leading zeros
+  NUL, the units always shown), the point, two digits and the separator,
+  from a table of 10**4 integer parts and one of 100 fractions.  These
+  tables are built apart from the ones above, so a polyline does not pay
+  for the 106-bit powers of ten.
+
+A value outside the domain raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,7 +69,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["CHUNK", "chunks"]
+__all__ = ["CHUNK", "chunks", "chunks_2f"]
 
 CHUNK = 4096
 
@@ -288,3 +308,67 @@ def chunks(values, seps, shortest=False):
     for start in range(0, len(values), CHUNK):
         stop = start + CHUNK
         yield _chunk(values[start:stop], seps[start:stop], shortest)
+
+
+@functools.cache
+def _tables_2f():
+    """The `%.2f` words of the integer part g < 10**4 and of the two decimals f < 100."""
+    g = np.arange(10**4)
+    whole = np.zeros((10**4, 8), np.uint8)
+    place = np.array([1000, 100, 10, 1])
+    # a digit is shown from the first nonzero one, and the units always
+    shown = (g[:, None] >= place) | (place == 1)
+    whole[:, :4] = np.where(shown, g[:, None] // place % 10 + ord("0"), 0)
+    whole[:, 4] = ord(".")
+    f = np.arange(100)
+    frac = np.zeros((100, 8), np.uint8)
+    frac[:, 5] = f // 10 + ord("0")
+    frac[:, 6] = f % 10 + ord("0")
+    table = {"whole": whole.view(np.uint64).ravel(), "frac": frac.view(np.uint64).ravel()}
+    for column in table.values():
+        column.flags.writeable = False
+    return table
+
+
+def _cents(v):
+    """round(100 v) as int64, half to even on the exact value of each v in [0, 10**4)."""
+    p = 100.0 * v
+    # Dekker's two-product with 100 = 100 + 0: 100 v == p + err exactly
+    c = _SPLIT * v
+    vh = c - (c - v)
+    err = (vh * 100.0 - p) + (v - vh) * 100.0
+    k = np.floor(p)
+    d = (p - k) - 0.5
+    n = k.astype(np.int64)
+    up = (d > 0.0) | ((d == 0.0) & ((err > 0.0) | ((err == 0.0) & (n & 1 == 1))))
+    return n + up
+
+
+def _chunk_2f(x, seps):
+    """The `%.2f` text of `x`, each value followed by its separator byte."""
+    inside = (x >= 0.0) & (x < 1e4) & ~np.signbit(x)
+    if inside.all():
+        n = _cents(x)
+        inside = n < 10**6
+    if not inside.all():
+        v = x[inside.argmin()]
+        raise ValueError(
+            f"'%.2f' takes finite v >= 0 with at most four integer digits, got v = {float(v)!r}"
+        )
+    t = _tables_2f()
+    hundreds = n // 100
+    out = t["whole"].take(hundreds) | t["frac"].take(n - hundreds * 100)
+    out |= seps.astype(np.uint64) << np.uint64(56)
+    return out.tobytes().translate(None, b"\0")
+
+
+def chunks_2f(values, seps):
+    """Yield the `'%.2f' % v` text of each chunk of values, each followed by its separator byte.
+
+    `values` is a 1-D float64 array of finite values v >= 0 written with at
+    most four integer digits (below 9999.995), and `seps` a uint8 array of
+    the same length with no zero byte.  A value outside raises ValueError.
+    """
+    for start in range(0, len(values), CHUNK):
+        stop = start + CHUNK
+        yield _chunk_2f(values[start:stop], seps[start:stop])

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -235,6 +236,9 @@ def _cmd_langer(args) -> int:
                 if args.lambda0 > 0
                 else None,
             }
+            for name, value in payload["family"].items():
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} is not finite, got {name} = {value:g}")
         _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
         return 0
     # csv: scan of the well, its superpartner and the single-state family
@@ -299,10 +303,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent notation as a value.
+
+    Python 3.11's pattern for a negative number (`^-\\d+$|^-\\d*\\.\\d+$`)
+    has no exponent, so `--lambda0 -1e-3` took -1e-3 for an option.  The
+    subcommand parsers are of this class too, since add_subparsers makes
+    them of the parent's class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="susy-fisheye",
         description=(
             "Isospectral families of the zero-energy focusing problem: "

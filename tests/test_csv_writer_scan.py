@@ -1,4 +1,4 @@
-"""Smoke test of scripts/csv_writer_scan.py, the timing of the CSV and JSON writer pairs."""
+"""Smoke test of scripts/csv_writer_scan.py, the timing of the CSV, JSON and SVG writer pairs."""
 
 import importlib.util
 from pathlib import Path
@@ -13,10 +13,11 @@ def test_scan_times_both_writers(capsys):
     scan = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scan)
     assert scan.table(250).shape == (50, 5) and scan.table(4096).shape == (1024, 4)
+    assert scan.canvas(250).shape == (250,) and scan.canvas(99).shape == (98,)
     scan.main(["--sizes", "4096", "250", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * (1 + 2 + 1)
-    for fmt, block in zip(("csv", "json"), (lines[:4], lines[4:])):
+    assert len(lines) == 3 * (1 + 2 + 1)
+    for fmt, block in zip(("csv", "json", "svg"), (lines[:4], lines[4:8], lines[8:])):
         assert all(line.split()[0] == fmt for line in block)
         assert [line.split()[1] for line in block[1:3]] == ["250", "4096"]
         assert all(float(x) > 0 for line in block[1:3] for x in line.split()[2:5])

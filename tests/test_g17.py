@@ -1,4 +1,4 @@
-"""The vectorised kernel gives the bytes of CPython's `'%.17g' % v` and `float.__repr__`."""
+"""The vectorised kernel gives the bytes of CPython's `'%.17g' % v`, `float.__repr__` and `'%.2f' % v`."""
 
 import os
 import subprocess
@@ -137,8 +137,59 @@ def test_a_small_table_builds_no_tables():
         "from susy_fisheye import _g17, cli\n"
         "cli.main(['figure', '--samples', '300'])\n"
         "cli.main(['figure', '--samples', '300', '--format', 'json'])\n"
+        "cli.main(['figure', '--samples', '300', '--format', 'svg'])\n"
         "print(_g17._tables.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True, timeout=60)
     assert proc.stdout.splitlines()[-1] == "0"
+
+
+def text_2f(values, sep=b"\n"):
+    seps = np.full(len(values), sep[0], np.uint8)
+    return b"".join(_g17.chunks_2f(values, seps)).decode()
+
+
+def mismatches_2f(values):
+    """(value, kernel, CPython) of every value whose `%.2f` the kernel writes differently."""
+    got = text_2f(values).split("\n")
+    want = "".join(f"{v:.2f}\n" for v in values.tolist()).split("\n")
+    assert len(got) == len(want)
+    return [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+
+
+def test_2f_exact_ties_round_to_even():
+    # every multiple of 1/8 is exact in binary, and those ending in .x25 or
+    # .x75 are ties at the second decimal
+    eighths = np.arange(0.0, 9999.99, 0.125)
+    assert text_2f(np.array([0.125, 0.375, 0.625, 2.5])) == "0.12\n0.38\n0.62\n2.50\n"
+    assert mismatches_2f(with_neighbours(eighths))[:10] == []
+
+
+def test_2f_near_ties():
+    # three decimals ending in 5 lie within an ulp of a decimal tie, on
+    # either side of it
+    u = np.round(np.random.default_rng(2).uniform(0.0, 9999.99, 200_000), 3)
+    assert mismatches_2f(with_neighbours(u))[:10] == []
+
+
+def test_2f_edges_of_the_domain():
+    # 9999.994999999999 is the largest float written 9999.99; the float
+    # above it, 9999.995, lies past the decimal tie and is written 10000.00
+    values = np.array([0.0, 5e-324, 0.004999999999999999, 0.005, 1.0, 9999.994999999999])
+    assert text_2f(values) == "0.00\n0.00\n0.00\n0.01\n1.00\n9999.99\n"
+    assert mismatches_2f(values) == []
+
+
+def test_2f_values_past_one_chunk():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 10.0 ** rng.uniform(0, 4, 2 * _g17.CHUNK + 3))
+    assert mismatches_2f(values)[:10] == []
+    assert text_2f(values, b" ").split(" ")[:-1] == [f"{v:.2f}" for v in values.tolist()]
+
+
+@pytest.mark.parametrize("bad", [-1e-300, -0.0, 9999.995, np.inf, np.nan])
+def test_2f_refuses_a_value_outside_its_domain(bad):
+    values = np.concatenate([np.full(_g17.CHUNK + 1, 1.0), [bad]])
+    with pytest.raises(ValueError, match=f"at most four integer digits, got v = {bad!r}"):
+        text_2f(values)
