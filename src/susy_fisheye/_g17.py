@@ -42,7 +42,8 @@ E = floor(log10|x|) and a 17-digit integer N in [10**16, 10**17):
 Chunks of `CHUNK` values keep the temporaries in cache.  Below about 1000
 values numpy's per-call overhead costs more than the CPython writers spend
 (scripts/csv_writer_scan.py); cli._columns_csv and cli._columns_json switch
-to this writer at one chunk.
+to this writer at one chunk, by size alone.  They take finite tables only:
+cli._grid_output refuses a non-finite value before it writes.
 
 `%.2f` takes finite v >= 0 whose text has at most four integer digits, so
 its two decimals are the integer round(100 v), below 10**6, rounded half to

@@ -99,13 +99,15 @@ def _kernel_csv(head: str, table) -> bytearray:
 def _columns_csv(names, columns) -> bytes | bytearray:
     """One header line, then one row per sample, every value as %.17g.
 
-    Both writers give the same bytes.  The kernel takes a finite table of at
-    least one chunk; it pays from about 1000 values, so every table it takes
-    is faster (scripts/csv_writer_scan.py).
+    The table must be finite; _grid_output refuses any other before it
+    writes.  Both writers give the same bytes, and the size alone picks
+    one: the kernel takes a table of at least one chunk.  It pays from
+    about 1000 values, so every table it takes is faster
+    (scripts/csv_writer_scan.py).
     """
     head = ",".join(names) + "\n"
     table = np.column_stack(columns)
-    if table.size >= _g17.CHUNK and np.isfinite(table).all():
+    if table.size >= _g17.CHUNK:
         return _kernel_csv(head, table)
     return _percent_csv(head, table)
 
@@ -142,12 +144,13 @@ def _columns_json(command, params, names, columns) -> bytearray:
     """json.dumps(indent=2) of {command, params, data}, data spliced in a column at a time.
 
     Each value is written as float.__repr__, which is what json's indenting
-    encoder writes for a finite float.  As for CSV, a finite table of at
-    least one chunk is written by the kernel, with the same bytes.
+    encoder writes for a finite float.  As for CSV, the table must be
+    finite, and one of at least one chunk is written by the kernel, with
+    the same bytes.
     """
     head = json.dumps({"command": command, "params": params}, indent=2)
     head = f'{head[:-2]},\n  "data": {{\n'.encode()
-    large = sum(map(len, columns)) >= _g17.CHUNK and all(np.isfinite(c).all() for c in columns)
+    large = sum(map(len, columns)) >= _g17.CHUNK
     return _json_table(head, names, columns, _kernel_column if large else _repr_column)
 
 
@@ -170,7 +173,7 @@ def _grid_output(args, params, names, columns):
 
 def _cmd_potential(args) -> int:
     g = _grid(args)
-    if args.N:
+    if args.N is not None:
         params = DoParams(args.kappa, args.l, args.N)
     else:
         params = DoParams.nodeless(args.kappa, args.l)
@@ -212,15 +215,15 @@ def _cmd_langer(args) -> int:
     _check_samples(args.samples)
     if not -1.0 < args.lambda0 < math.inf or args.lambda0 == 0.0:
         raise ValueError(f"lambda0 must lie in (-1, 0) or (0, inf), got {args.lambda0:g}")
-    if args.nb and args.aufbau:
+    if args.nb is not None and args.aufbau is not None:
         raise ValueError(
             f"choose one of --nb and --aufbau, got nb = {args.nb}, aufbau = {args.aufbau}"
         )
-    if args.aufbau:
+    if args.aufbau is not None:
         spectrum = fullline.aufbau_spectrum(args.aufbau)
         meta = {"variant": "aufbau", "N": args.aufbau}
     else:
-        nb = args.nb if args.nb else 1
+        nb = 1 if args.nb is None else args.nb
         spectrum = fullline.rm_spectrum(nb)
         meta = {"variant": "fisheye", "nb": nb}
     if args.fmt == "json":
@@ -228,7 +231,7 @@ def _cmd_langer(args) -> int:
             "eigenvalues": [int(e) if float(e).is_integer() else float(e) for e in spectrum],
         }
         payload.update(meta)
-        if not args.aufbau:
+        if args.aufbau is None:
             payload["family"] = {
                 "lambda0": args.lambda0,
                 "well_center": -fullline.rm_family_shift(args.lambda0),
@@ -243,7 +246,7 @@ def _cmd_langer(args) -> int:
         return 0
     # csv: scan of the well, its superpartner and the single-state family
     xs = np.linspace(-6.0, 6.0, args.samples)
-    if args.aufbau:
+    if args.aufbau is not None:
         names = ["x", "v_minus"]
         cols = [xs, fullline.aufbau_rm_potential(xs, args.aufbau)]
     else:
@@ -343,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="sample V, U- and U+ on a radial grid")
     p.add_argument("--kappa", type=float, default=1.0, help="shape parameter (default 1)")
     p.add_argument("--l", type=int, default=1, help="orbital quantum number (default 1)")
-    p.add_argument("--N", type=int, default=0, help="total quantum number (default: nodeless value)")
+    p.add_argument("--N", type=int, help="total quantum number (default: nodeless value)")
     add_grid_options(p)
     add_output_options(p)
 
@@ -363,8 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output_options(p)
 
     p = sub.add_parser("langer", help="full-line spectra, family wells and rescaling")
-    p.add_argument("--nb", type=int, default=0, help="well index of -nb(nb+1)/cosh^2 x")
-    p.add_argument("--aufbau", type=int, default=0, help="odd N for the half-width well variant")
+    p.add_argument("--nb", type=int, help="well index of -nb(nb+1)/cosh^2 x (default 1)")
+    p.add_argument("--aufbau", type=int, help="odd N for the half-width well variant")
     p.add_argument("--lambda0", type=float, default=1.0, help="full-line family parameter (default 1)")
     p.add_argument("--samples", type=int, default=300, help="scan size for csv output (default 300)")
     add_output_options(p, formats=("json", "csv"))
@@ -386,7 +389,9 @@ def main(argv=None) -> int:
     """Run one command line; returns the process exit code.
 
     numpy's floating-point warnings are silenced (_check_finite refuses a
-    non-finite value), and a library warning is one `warning:` line.
+    non-finite value), and a library warning is one `warning:` line.  A
+    warning that the interpreter's filters turn into an error (`-W error`)
+    is refused like a configuration error, with its text on one `error:` line.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -396,7 +401,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return _COMMANDS[args.command](args)
-        except (ValueError, OverflowError, RuntimeError) as exc:
+        except (ValueError, OverflowError, RuntimeError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 
