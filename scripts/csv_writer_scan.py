@@ -13,9 +13,10 @@ panel's canvas coordinates: size // 2 points of n_M, x and y interleaved.
 A row gives the median milliseconds of each writer, their ratio (CPython
 writer over kernel, above 1 where the kernel is faster) and nanoseconds
 per value.  The last line of each format names the smallest size scanned
-from which the kernel is faster at every larger size: for CSV and JSON the
-crossover behind _g17.CHUNK, which _columns_csv and _columns_json use as
-their switch; the polyline has one writer at every size.
+from which the kernel is faster at every larger size, and for CSV and JSON
+the switch set from that crossover: cli._CSV_SWITCH, where _columns_csv
+turns to the kernel, and _g17.CHUNK, JSON's switch in _columns_json (and
+the kernel's chunk size).  The polyline has one writer at every size.
 
 Usage:
     python scripts/csv_writer_scan.py
@@ -31,8 +32,9 @@ import numpy as np
 from susy_fisheye import _g17, cli, svgplot
 from susy_fisheye.fisheye import figure_table
 
-SIZES = (100, 250, 1000, 2000, 4096, 15000, 500000)
+SIZES = (100, 250, 300, 600, 1000, 2000, 4096, 15000, 500000)
 NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
+SWITCHES = {"csv": f"cli._CSV_SWITCH = {cli._CSV_SWITCH}", "json": f"_g17.CHUNK = {_g17.CHUNK}"}
 
 
 def table(values):
@@ -105,8 +107,9 @@ def main(argv=None):
             print(f"{fmt:<4} {values:>8} {slow:>10.3f} {kernel:>10.3f} {slow / kernel:>6.2f} "
                   f"{ns:>15}")
         wins = [v for i, (v, _) in enumerate(faster) if all(f for _, f in faster[i:])]
-        print(f"{fmt:<4} kernel faster at every size from {wins[0]} values" if wins
-              else f"{fmt:<4} kernel not faster at the largest size")
+        line = (f"{fmt:<4} kernel faster at every size from {wins[0]} values" if wins
+                else f"{fmt:<4} kernel not faster at the largest size")
+        print(f"{line}; switch at {SWITCHES[fmt]} values" if fmt in SWITCHES else line)
 
 
 if __name__ == "__main__":

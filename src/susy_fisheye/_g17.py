@@ -39,11 +39,13 @@ E = floor(log10|x|) and a 17-digit integer N in [10**16, 10**17):
   after an integer under repr, otherwise d.ddde+XX with at least two
   exponent digits.  Cleared slots hold NUL, which bytes.translate deletes.
 
-Chunks of `CHUNK` values keep the temporaries in cache.  Below about 1000
-values numpy's per-call overhead costs more than the CPython writers spend
-(scripts/csv_writer_scan.py); cli._columns_csv and cli._columns_json switch
-to this writer at one chunk, by size alone.  They take finite tables only:
-cli._grid_output refuses a non-finite value before it writes.
+Chunks of `CHUNK` values keep the temporaries in cache.  On a small table
+numpy's per-call overhead costs more than the CPython writers spend, so
+the CLI switches to this writer by size alone, at each style's crossover
+(scripts/csv_writer_scan.py): cli._columns_csv at cli._CSV_SWITCH
+values, cli._columns_json at one chunk.  They take finite tables only:
+cli._grid_output refuses a non-finite value before it writes, and `chunks`
+raises ValueError on one.
 
 `%.2f` takes finite v >= 0 whose text has at most four integer digits, so
 its two decimals are the integer round(100 v), below 10**6, rounded half to
@@ -130,13 +132,12 @@ def _tables():
     quad = np.full((10**4, 8), ord("."), np.uint8)
     quad[:, ::2] = g[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     zeros = sum(g % 10**j == 0 for j in range(1, 5))
-    mask = []
-    for last in range(17):
-        for point in range(-1, 16):
-            shown = []
-            for i in range(17):
-                shown += [0xFF if i <= last else 0, 0xFF if i == point else 0]
-            mask.append([0xFF] * 6 + shown + [0xFF] * 8)
+    # mask[last, point]: digit i sits in slot 6 + 2 i and its dot in 7 + 2 i
+    i = np.arange(17)
+    last, point = np.arange(17)[:, None, None], np.arange(-1, 16)[:, None]
+    mask = np.full((17, 17, _SLOTS), 0xFF, np.uint8)
+    mask[..., 6:40:2] = (i <= last) * 0xFF
+    mask[..., 7:40:2] = (i == point) * 0xFF
     table = {
         "hi": np.array(hi),
         "lo": np.array(lo),
@@ -145,7 +146,7 @@ def _tables():
         "exponent": _words(exponent),
         "quad": quad.view(np.uint64).ravel(),
         "zeros": zeros,
-        "mask": _words(mask).reshape(-1, _SLOTS // 8),
+        "mask": mask.view(np.uint64).reshape(-1, _SLOTS // 8),
     }
     for column in table.values():
         column.flags.writeable = False
@@ -253,6 +254,11 @@ def _digits(a, shortest):
 
 def _chunk(x, seps, shortest):
     """The text of `x`, each value followed by its separator byte."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        v = x[finite.argmin()]
+        style = "repr" if shortest else "'%.17g'"
+        raise ValueError(f"{style} takes finite values, got v = {float(v)!r}")
     t = _tables()
     n, e10 = _digits(np.abs(x), shortest)
     d0 = n // 10**16
@@ -304,7 +310,7 @@ def chunks(values, seps, shortest=False):
     The text is `'%.17g' % v`, or `float.__repr__(v)` when `shortest`.
     `values` is a 1-D float64 array of finite values and `seps` a uint8
     array of the same length, with no zero byte (it would be deleted with
-    the padding).
+    the padding).  A non-finite value raises ValueError.
     """
     for start in range(0, len(values), CHUNK):
         stop = start + CHUNK

@@ -80,6 +80,12 @@ def _emit(data, output: str):
         raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
+# CSV tables of at least this many values are written by the _g17 kernel.
+# It is as fast as `%` from about 300 values, and twice as fast from 1000;
+# JSON's writer keeps its own switch at _g17.CHUNK.
+_CSV_SWITCH = 300
+
+
 def _percent_csv(head: str, table) -> bytes:
     """`head`, then the rows of `table` written by one `%` over the whole table."""
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -101,13 +107,12 @@ def _columns_csv(names, columns) -> bytes | bytearray:
 
     The table must be finite; _grid_output refuses any other before it
     writes.  Both writers give the same bytes, and the size alone picks
-    one: the kernel takes a table of at least one chunk.  It pays from
-    about 1000 values, so every table it takes is faster
-    (scripts/csv_writer_scan.py).
+    one: the kernel takes a table of at least _CSV_SWITCH values, where
+    scripts/csv_writer_scan.py puts its crossover with `%`.
     """
     head = ",".join(names) + "\n"
     table = np.column_stack(columns)
-    if table.size >= _g17.CHUNK:
+    if table.size >= _CSV_SWITCH:
         return _kernel_csv(head, table)
     return _percent_csv(head, table)
 
@@ -145,8 +150,9 @@ def _columns_json(command, params, names, columns) -> bytearray:
 
     Each value is written as float.__repr__, which is what json's indenting
     encoder writes for a finite float.  As for CSV, the table must be
-    finite, and one of at least one chunk is written by the kernel, with
-    the same bytes.
+    finite.  One of at least one chunk, _g17.CHUNK values, is written by
+    the kernel with the same bytes: JSON's kernel only overtakes repr near
+    that size (scripts/csv_writer_scan.py).
     """
     head = json.dumps({"command": command, "params": params}, indent=2)
     head = f'{head[:-2]},\n  "data": {{\n'.encode()

@@ -16,7 +16,7 @@ import pytest
 
 import susy_fisheye
 from susy_fisheye import _g17, do_core, fullline, isospectral, svgplot
-from susy_fisheye.cli import _columns_csv, _columns_json, main
+from susy_fisheye.cli import _CSV_SWITCH, _columns_csv, _columns_json, main
 
 
 def run_cli(capsys, *argv):
@@ -220,13 +220,19 @@ class TestWriters:
 
     SMALL = [pytest.param(rows, seed, 5, id=f"{rows}-{seed}")
              for rows, seed in [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)]]
-    # around the kernel's switch at CHUNK = 4096 values: the largest table
-    # below it, exactly one chunk, and a second chunk holding a partial row
-    # (4 columns as langer writes, 5 as figure)
+    # around CHUNK = 4096 values, JSON's switch to the kernel and the
+    # kernel's chunk size: the largest table below it, exactly one chunk,
+    # and a second chunk holding a partial row (4 columns as langer writes,
+    # 5 as figure)
     SWITCH = [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
               for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]]
+    # around CSV's switch to the kernel: whole rows make the largest table
+    # below it, the smallest one at or past it, and one row more
+    CSV_SWITCH = [pytest.param(rows, 6, width, id=f"{rows * width}-values-{width}-columns")
+                  for width in (4, 5)
+                  for rows in (math.ceil(_CSV_SWITCH / width) + k for k in (-1, 0, 1))]
 
-    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH)
+    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH + CSV_SWITCH)
     def test_csv_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
         assert_same_lines(_columns_csv(names, columns), reference_csv(names, columns))

@@ -1,6 +1,7 @@
 """The vectorised kernel gives the bytes of CPython's `'%.17g' % v`, `float.__repr__` and `'%.2f' % v`."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,19 +131,37 @@ def test_values_past_one_chunk():
 
 
 def test_a_small_table_builds_no_tables():
-    # the tables are built on first use, so small outputs pay no set-up
+    # the tables are built on first use, so small outputs pay no set-up: a
+    # 250-value CSV is below cli._CSV_SWITCH, 1500-value JSON below one
+    # chunk, and SVG has tables of its own; a 300-value CSV, at the switch,
+    # builds them
     src = str(Path(susy_fisheye.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
+        "import os\n"
         "from susy_fisheye import _g17, cli\n"
-        "cli.main(['figure', '--samples', '300'])\n"
-        "cli.main(['figure', '--samples', '300', '--format', 'json'])\n"
-        "cli.main(['figure', '--samples', '300', '--format', 'svg'])\n"
+        "out = ['--output', os.devnull]\n"
+        "cli.main(['figure', '--samples', '50', *out])\n"
+        "cli.main(['figure', '--samples', '300', '--format', 'json', *out])\n"
+        "cli.main(['figure', '--samples', '300', '--format', 'svg', *out])\n"
+        "print(_g17._tables.cache_info().currsize)\n"
+        "cli.main(['figure', '--samples', '60', *out])\n"
         "print(_g17._tables.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True, timeout=60)
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shortest", [False, True], ids=["g17", "repr"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_value_is_refused(bad, shortest):
+    # past one chunk, so the bad value is in a later chunk than the first
+    values = np.concatenate([np.full(_g17.CHUNK + 1, 1.0), [bad]])
+    style = "repr" if shortest else "'%.17g'"
+    with pytest.raises(ValueError, match=f"^{re.escape(style)} takes finite values, got v = {bad!r}$"):
+        kernel_text(values, shortest=shortest)
 
 
 def text_2f(values, sep=b"\n"):
