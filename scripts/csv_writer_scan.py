@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""Time the CSV, JSON and SVG polyline writer pairs against the output size.
+"""Time the CSV, JSON and SVG polyline writers against CPython's own text.
 
 For each size (in values) the script builds a figure table (5 columns, or
 4 where 5 does not divide the size) on linspace(0.01, 3), checks that the
-two writers of a format give the same bytes, and times them in interleaved
-rounds.  CSV pairs the one-`%` writer (cli._percent_csv) with the _g17
-kernel (cli._kernel_csv); JSON pairs the float.__repr__ join
-(cli._repr_column) with the kernel's shortest digits (cli._kernel_column),
-both through cli._json_table.  SVG pairs the one-`%` polyline join that
-svgplot used to write with the kernel's `%.2f` (svgplot._points), on one
+kernel writer of a format gives the bytes of CPython's per-value text, and
+times the two in interleaved rounds.  CSV pairs one `%` over the whole
+table (percent_csv) with cli._columns_csv; JSON pairs a float.__repr__
+join (repr_json) with cli._columns_json.  SVG pairs one `%` polyline join
+(percent_points) with the kernel's `%.2f` (svgplot._points), on one
 panel's canvas coordinates: size // 2 points of n_M, x and y interleaved.
-A row gives the median milliseconds of each writer, their ratio (CPython
-writer over kernel, above 1 where the kernel is faster) and nanoseconds
-per value.  The last line of each format names the smallest size scanned
-from which the kernel is faster at every larger size, and for CSV and JSON
-the switch set from that crossover: cli._CSV_SWITCH, where _columns_csv
-turns to the kernel, and _g17.CHUNK, JSON's switch in _columns_json (and
-the kernel's chunk size).  The polyline has one writer at every size.
+The CPython writers live in this script only; the program writes every
+table by the _g17 kernel.  A row gives the median milliseconds of each
+writer, their ratio (CPython writer over kernel, above 1 where the kernel
+is faster) and nanoseconds per value.  The last line of each format names
+the smallest size scanned from which the kernel is faster at every larger
+size.
 
 Usage:
     python scripts/csv_writer_scan.py
@@ -24,6 +22,7 @@ Usage:
 """
 
 import argparse
+import json
 import statistics
 from time import perf_counter
 
@@ -34,7 +33,6 @@ from susy_fisheye.fisheye import figure_table
 
 SIZES = (100, 250, 300, 600, 1000, 2000, 4096, 15000, 500000)
 NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
-SWITCHES = {"csv": f"cli._CSV_SWITCH = {cli._CSV_SWITCH}", "json": f"_g17.CHUNK = {_g17.CHUNK}"}
 
 
 def table(values):
@@ -53,6 +51,25 @@ def canvas(values):
     return np.column_stack((sx, sy)).ravel()
 
 
+def percent_csv(names, columns):
+    """The CSV table of `columns` by one `%` over the whole table."""
+    head = ",".join(names) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    values = tuple(np.column_stack(columns).ravel().tolist())
+    return ((head + row * len(columns[0])) % values).encode()
+
+
+def repr_json(names, columns):
+    """The JSON document of cli._columns_json("figure", {}, ...) by a float.__repr__ join."""
+    head = json.dumps({"command": "figure", "params": {}}, indent=2)
+    data = ",\n".join(
+        f"    {json.dumps(name)}: [\n      " + ",\n      ".join(map(float.__repr__, col.tolist()))
+        + "\n    ]"
+        for name, col in zip(names, columns)
+    )
+    return f'{head[:-2]},\n  "data": {{\n{data}\n  }}\n}}\n'.encode()
+
+
 def percent_points(xy):
     """The polyline points of `xy` by one `%` over the whole list."""
     return " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy.tolist())
@@ -65,13 +82,11 @@ def writers(fmt, values):
         return (lambda: percent_points(xy)), (lambda: svgplot._points(xy))
     t = table(values)
     names = NAMES[: t.shape[1]]
-    if fmt == "csv":
-        head = ",".join(names) + "\n"
-        return (lambda: cli._percent_csv(head, t)), (lambda: cli._kernel_csv(head, t))
     columns = [np.ascontiguousarray(c) for c in t.T]
-    return tuple(
-        (lambda w=write_column: cli._json_table(b"", names, columns, w))
-        for write_column in (cli._repr_column, cli._kernel_column)
+    if fmt == "csv":
+        return (lambda: percent_csv(names, columns)), (lambda: cli._columns_csv(names, columns))
+    return (lambda: repr_json(names, columns)), (
+        lambda: cli._columns_json("figure", {}, names, columns)
     )
 
 
@@ -109,7 +124,7 @@ def main(argv=None):
         wins = [v for i, (v, _) in enumerate(faster) if all(f for _, f in faster[i:])]
         line = (f"{fmt:<4} kernel faster at every size from {wins[0]} values" if wins
                 else f"{fmt:<4} kernel not faster at the largest size")
-        print(f"{line}; switch at {SWITCHES[fmt]} values" if fmt in SWITCHES else line)
+        print(line)
 
 
 if __name__ == "__main__":

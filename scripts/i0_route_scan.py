@@ -11,8 +11,17 @@ Where b is a positive integer both routes apply, and the row also times
 the route not taken.
 The last line names the largest b up to which the terminating sum is
 faster than the series at every size and every integer b scanned: the
-crossover behind isospectral._MAX_FINITE_TERMS.  Run it with BLAS threads
-pinned to 1, or the times follow the thread count.
+crossover behind isospectral._MAX_FINITE_TERMS.
+
+The lines before it justify the complement's cancellation bounds of the
+series at l >= 1: for each candidate bound, the sectors kappa = l/k < 1/4
+(k from 4l+1 to 20l, b not an integer, l among --ls) whose series error
+exceeds 1e-12 with that bound below kappa = 1/4, and the scanned series
+sectors at l >= 1 from kappa = 1/4 up whose switch (and so term count) that
+bound would move there.  isospectral._MAX_CANCELLATION_SMALL_KAPPA is the
+largest bound scanned that leaves no sector below 1/4 past 1e-12; from 1/4
+up it would move switches that isospectral._MAX_CANCELLATION keeps.  Run
+it with BLAS threads pinned to 1, or the times follow the thread count.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/i0_route_scan.py
@@ -29,6 +38,7 @@ import numpy as np
 from susy_fisheye import isospectral
 from susy_fisheye.do_core import _as_rho
 
+BOUNDS = (1e3, 1e2, 10.0)
 KAPPAS = ("1/2", "1/4", "1/6", "1/10", "1/16", "1/32", "1/64", "1/128", "0.7", "1", "1.5", "2")
 CALLS = 10
 
@@ -64,6 +74,54 @@ def series_terms(evaluate):
     with horner_length(lengths):
         evaluate(_as_rho(1.0))
     return lengths[0]
+
+
+@contextmanager
+def cancellation_bounds(above, below):
+    """Run the block with the complement's bounds from kappa = 1/4 up and below it set."""
+    saved = isospectral._MAX_CANCELLATION, isospectral._MAX_CANCELLATION_SMALL_KAPPA
+    isospectral._MAX_CANCELLATION, isospectral._MAX_CANCELLATION_SMALL_KAPPA = above, below
+    try:
+        yield
+    finally:
+        isospectral._MAX_CANCELLATION, isospectral._MAX_CANCELLATION_SMALL_KAPPA = saved
+
+
+def relative_error(got, ref):
+    """The largest |got/ref - 1|; 0 where both are 0, not 0/0."""
+    return float(np.max(np.divide(np.abs(got - ref), ref, out=np.zeros_like(ref),
+                                  where=got != ref)))
+
+
+def bound_rows(bounds, ls, kappas, r):
+    """(bound, sectors below 1/4, those past 1e-12, worst error, moved switches) per bound.
+
+    A moved switch is "kappa K l L: terms -> terms" for a series sector at
+    l >= 1 from kappa = 1/4 up whose term count the bound changes there.
+    """
+    below = [(l, l / k) for l in ls if l >= 1 for k in range(4 * l + 1, 20 * l + 1)
+             if not ((2 * l - 1) * k / (2.0 * l)).is_integer()]
+    refs = [isospectral.i0_quadrature(r, l, kappa) for l, kappa in below]
+    above = [(text, l, float(Fraction(text))) for text in kappas for l in ls if l >= 1]
+    above = [(text, l, kappa) for text, l, kappa in above
+             if kappa >= 0.25 and not isospectral._finite_terms(l, kappa)]
+
+    def terms():
+        return [series_terms(lambda x, l=l, kappa=kappa: isospectral._i0_series(x, l, kappa))
+                for _, l, kappa in above]
+
+    kept = terms()
+    rows = []
+    for bound in bounds:
+        with cancellation_bounds(isospectral._MAX_CANCELLATION, bound):
+            errors = [relative_error(isospectral._i0_series(r, l, kappa), ref)
+                      for (l, kappa), ref in zip(below, refs)]
+        with cancellation_bounds(bound, isospectral._MAX_CANCELLATION_SMALL_KAPPA):
+            moved = [f"kappa {text} l {l}: {old} -> {new}"
+                     for (text, l, _), old, new in zip(above, kept, terms()) if new != old]
+        rows.append((bound, len(below), sum(e > 1e-12 for e in errors), max(errors, default=0.0),
+                     moved))
+    return rows
 
 
 def microseconds(evaluate, r, rounds):
@@ -104,9 +162,7 @@ def main(argv=None):
             cost = {name: [microseconds(f, r, args.rounds) for r in grids] for name, f in ways.items()}
             got = isospectral._i0_beta(grids[-1], l, kappa)
             ref = isospectral.i0_quadrature(grids[-1], l, kappa)
-            # where I0 underflows to 0 in both, the error is 0, not 0/0
-            error = float(np.max(np.divide(np.abs(got - ref), ref, out=np.zeros_like(ref),
-                                           where=got != ref)))
+            error = relative_error(got, ref)
             line = (f"{text:>8} {l:>2} {b:>9.4g} {taken:>6} "
                     f"{n or series_terms(ways['series']):>5} "
                     + " ".join(f"{us:>8.1f}" for us in cost[taken])
@@ -116,6 +172,10 @@ def main(argv=None):
                 line += f"  {other}: " + " ".join(f"{us:.1f}" for us in cost[other])
                 crossings.append((b, all(s < t for s, t in zip(cost["sum"], cost["series"]))))
             print(line)
+    for bound, n, past, worst, moved in bound_rows(BOUNDS, args.ls, args.kappas, grids[-1]):
+        print(f"cancellation bound {bound:g}: below kappa = 1/4, {past} of {n} sectors past "
+              f"1e-12 (worst {worst:.2e}); from 1/4 up, {len(moved)} switches move"
+              + "".join(f"; {m}" for m in moved))
     faster = None
     for b, sum_faster in sorted(crossings):
         if not sum_faster:

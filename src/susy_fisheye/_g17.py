@@ -39,11 +39,9 @@ E = floor(log10|x|) and a 17-digit integer N in [10**16, 10**17):
   after an integer under repr, otherwise d.ddde+XX with at least two
   exponent digits.  Cleared slots hold NUL, which bytes.translate deletes.
 
-Chunks of `CHUNK` values keep the temporaries in cache.  On a small table
-numpy's per-call overhead costs more than the CPython writers spend, so
-the CLI switches to this writer by size alone, at each style's crossover
-(scripts/csv_writer_scan.py): cli._columns_csv at cli._CSV_SWITCH
-values, cli._columns_json at one chunk.  They take finite tables only:
+Chunks of `CHUNK` values keep the temporaries in cache.  The CLI writes
+every CSV and JSON table through `chunks`, at every size
+(cli._columns_csv, cli._columns_json).  They take finite tables only:
 cli._grid_output refuses a non-finite value before it writes, and `chunks`
 raises ValueError on one.
 
@@ -95,7 +93,7 @@ def _words(rows):
 def _tables():
     """The lookup tables, built on first use.
 
-    A process that never writes a large table pays nothing for them.
+    A process that writes no CSV or JSON table pays nothing for them.
 
     * hi, lo, s: 10**k = (hi + lo) * 2**s with hi in [1, 2), to 106 bits,
       by exact integer arithmetic;

@@ -52,6 +52,8 @@ def _grid(args):
             f"need 0 < rho-min < rho-max, got rho-min = {args.rho_min:g}, "
             f"rho-max = {args.rho_max:g}"
         )
+    if args.rho_max == math.inf:
+        raise ValueError(f"rho-max must be finite, got rho-max = {args.rho_max:g}")
     if "kappa" in args:
         _check_kappa(args.kappa)
     if args.l < 0:
@@ -80,84 +82,47 @@ def _emit(data, output: str):
         raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
-# CSV tables of at least this many values are written by the _g17 kernel.
-# It is as fast as `%` from about 300 values, and twice as fast from 1000;
-# JSON's writer keeps its own switch at _g17.CHUNK.
-_CSV_SWITCH = 300
+def _columns_csv(names, columns) -> bytearray:
+    """One header line, then one row per sample, every value as %.17g by the _g17 kernel.
 
-
-def _percent_csv(head: str, table) -> bytes:
-    """`head`, then the rows of `table` written by one `%` over the whole table."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return ((head + row * len(table)) % tuple(table.ravel().tolist())).encode()
-
-
-def _kernel_csv(head: str, table) -> bytearray:
-    """`head`, then the rows of the finite `table` written by the _g17 kernel."""
+    The table must be finite; _grid_output refuses any other before it
+    writes.
+    """
+    table = np.column_stack(columns)
     seps = np.full(table.shape, ord(","), np.uint8)
     seps[:, -1] = ord("\n")
-    out = bytearray(head.encode())
+    out = bytearray((",".join(names) + "\n").encode())
     for text in _g17.chunks(table.ravel(), seps.ravel()):
         out += text
     return out
 
 
-def _columns_csv(names, columns) -> bytes | bytearray:
-    """One header line, then one row per sample, every value as %.17g.
-
-    The table must be finite; _grid_output refuses any other before it
-    writes.  Both writers give the same bytes, and the size alone picks
-    one: the kernel takes a table of at least _CSV_SWITCH values, where
-    scripts/csv_writer_scan.py puts its crossover with `%`.
-    """
-    head = ",".join(names) + "\n"
-    table = np.column_stack(columns)
-    if table.size >= _CSV_SWITCH:
-        return _kernel_csv(head, table)
-    return _percent_csv(head, table)
-
-
-_JSON_COMMA = ",\n      "
-
-
-def _repr_column(out: bytearray, col) -> None:
-    """Append the values of `col` as json's indenting encoder lists them."""
-    out += (_JSON_COMMA.join(map(float.__repr__, col.tolist())) + "\n").encode()
-
-
-def _kernel_column(out: bytearray, col) -> None:
-    """Append the values of the finite `col` as _repr_column does, by the _g17 kernel."""
-    seps = np.full(len(col), ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    comma = _JSON_COMMA.encode()
-    for text in _g17.chunks(col, seps, shortest=True):
-        out += text.replace(b",", comma)
-
-
-def _json_table(head: bytes, names, columns, write_column) -> bytearray:
-    """`head`, then the members of "data", one list per column, and the closing braces."""
-    out = bytearray(head)
-    for i, (name, col) in enumerate(zip(names, columns)):
-        out += b",\n" * (i > 0) + f"    {json.dumps(name)}: [\n      ".encode()
-        write_column(out, col)
-        out += b"    ]"
-    out += b"\n  }\n}\n"
-    return out
-
-
 def _columns_json(command, params, names, columns) -> bytearray:
-    """json.dumps(indent=2) of {command, params, data}, data spliced in a column at a time.
+    """json.dumps(indent=2) of {command, params, data}, data written by one kernel pass.
 
     Each value is written as float.__repr__, which is what json's indenting
     encoder writes for a finite float.  As for CSV, the table must be
-    finite.  One of at least one chunk, _g17.CHUNK values, is written by
-    the kernel with the same bytes: JSON's kernel only overtakes repr near
-    that size (scripts/csv_writer_scan.py).
+    finite.  The kernel writes all the columns in one pass, a value's
+    separator being "\n" at the end of its column and "," elsewhere; in
+    each chunk every "\n" becomes the text that closes its column and opens
+    the next (or closes the document), and every "," json's list separator.
     """
     head = json.dumps({"command": command, "params": params}, indent=2)
-    head = f'{head[:-2]},\n  "data": {{\n'.encode()
-    large = sum(map(len, columns)) >= _g17.CHUNK
-    return _json_table(head, names, columns, _kernel_column if large else _repr_column)
+    out = bytearray(f'{head[:-2]},\n  "data": {{\n'.encode())
+    opens = [f"    {json.dumps(name)}: [\n      ".encode() for name in names]
+    closes = iter([b"\n    ],\n" + text for text in opens[1:]] + [b"\n    ]\n  }\n}\n"])
+    values = np.concatenate(columns)
+    seps = np.full(len(values), ord(","), np.uint8)
+    seps[np.cumsum(list(map(len, columns))) - 1] = ord("\n")
+    comma = b",\n      "
+    out += opens[0]
+    for text in _g17.chunks(values, seps, shortest=True):
+        *whole, last = text.split(b"\n")
+        for piece in whole:
+            out += piece.replace(b",", comma)
+            out += next(closes)
+        out += last.replace(b",", comma)
+    return out
 
 
 def _check_finite(names, columns):

@@ -245,8 +245,11 @@ def _horner(coeffs, column, w):
     return total
 
 
-# Largest factor by which the part of I0 above the switch may cancel.
+# Largest factor by which the part of I0 above the switch may cancel, and
+# the smaller one the complement (l >= 1) may cancel by below kappa = 1/4
+# (scripts/i0_route_scan.py).
 _MAX_CANCELLATION = 1e3
+_MAX_CANCELLATION_SMALL_KAPPA = 10.0
 
 
 def _i0_series(r, l, kappa):
@@ -273,7 +276,8 @@ def _i0_series(r, l, kappa):
 
     x_s = 1/2 unless the part above it would cancel by more than
     _MAX_CANCELLATION, which happens only below kappa = 1/4.  At l >= 1 the
-    complement cancels by B(a, b) / B_xs(a, b); past the bound, x_s moves to
+    complement cancels by B(a, b) / B_xs(a, b), and below kappa = 1/4 its
+    bound is _MAX_CANCELLATION_SMALL_KAPPA; past the bound, x_s moves to
     the mode (a+1)/(a+b+2), where both series fall from their first term
     and the factor is at most 6 (I_xs(a, b) >= 1/6 for every l >= 1).  At
     l = 0 the alternating c_k cancel by ((1+ys)/(1-ys))^(a-1), and y_s
@@ -304,7 +308,8 @@ def _i0_series(r, l, kappa):
         if b < 0 or not split or y_s < 0.5:
             break
         log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        if log_beta - log_low <= math.log(_MAX_CANCELLATION):
+        bound = _MAX_CANCELLATION if kappa >= 0.25 else _MAX_CANCELLATION_SMALL_KAPPA
+        if log_beta - log_low <= math.log(bound):
             break
         # the mode of the beta density; 1 - (1 - y) makes x_s + y_s = 1 exactly
         y_s = 1.0 - (1.0 - (b + 1.0) / (a + b + 2.0))

@@ -16,7 +16,7 @@ import pytest
 
 import susy_fisheye
 from susy_fisheye import _g17, do_core, fullline, isospectral, svgplot
-from susy_fisheye.cli import _CSV_SWITCH, _columns_csv, _columns_json, main
+from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
 def run_cli(capsys, *argv):
@@ -213,32 +213,30 @@ class TestFigureCommand:
 
 
 class TestWriters:
-    """The table writers give the bytes of the per-value writers they replaced."""
+    """The table writers give the bytes of CPython's per-value text."""
 
     NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
     PARAMS = {"l": 2, "lambda": 10.0, "exact": False, "N": 0, "w": 0.5}
 
     SMALL = [pytest.param(rows, seed, 5, id=f"{rows}-{seed}")
              for rows, seed in [(2, 0), (2, 1), (7, 2), (300, 3), (3000, 4)]]
-    # around CHUNK = 4096 values, JSON's switch to the kernel and the
-    # kernel's chunk size: the largest table below it, exactly one chunk,
-    # and a second chunk holding a partial row (4 columns as langer writes,
-    # 5 as figure)
+    # around CHUNK = 4096 values, the kernel's chunk size: the largest
+    # table below it, exactly one chunk, and a second chunk holding a
+    # partial row (4 columns as langer writes, 5 as figure)
     SWITCH = [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
               for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]]
-    # around CSV's switch to the kernel: whole rows make the largest table
-    # below it, the smallest one at or past it, and one row more
+    # whole rows of 4 and 5 columns around 300 values, near the size where
+    # the kernel's cost meets that of one `%` over the table
     CSV_SWITCH = [pytest.param(rows, 6, width, id=f"{rows * width}-values-{width}-columns")
-                  for width in (4, 5)
-                  for rows in (math.ceil(_CSV_SWITCH / width) + k for k in (-1, 0, 1))]
+                  for width, rows in [(4, 74), (4, 75), (4, 76), (5, 59), (5, 60), (5, 61)]]
 
     @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH + CSV_SWITCH)
     def test_csv_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
         assert_same_lines(_columns_csv(names, columns), reference_csv(names, columns))
 
-    # as figure writes them: 4095 values take the repr writer, 4100 and 8195
-    # the kernel
+    # as figure writes them: a chunk ends inside a column at 4100 and 8195
+    # values
     @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH[3:])
     def test_json_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
@@ -280,8 +278,8 @@ class TestWriters:
         )
 
     def test_special_values_are_written_past_the_switch(self):
-        # 2048 copies of the two rows are 12 288 values, three kernel chunks
-        # as CSV, one column of 4096 values, one chunk, each as JSON
+        # 2048 copies of the two rows are 12 288 values, three kernel chunks;
+        # as JSON each column of 4096 values ends a chunk
         columns, names = [np.tile(c, 2048) for c in self.SPECIAL], ["a", "b", "c"]
         assert_same_lines(_columns_csv(names, columns), "a,b,c\n" + self.SPECIAL_ROWS * 2048)
         assert_same_lines(_columns_json("x", {}, names, columns),
@@ -593,6 +591,7 @@ class TestErrors:
         "argv,message",
         [
             (["potential", "--rho-min", "1e-13"], "rho must be >= 1e-12, got rho = 1e-13"),
+            (["figure", "--rho-max", "inf"], "rho-max must be finite, got rho-max = inf"),
             (["family", "--kappa", "-1"], "kappa must be positive, got kappa = -1"),
             (["potential", "--kappa", "nan"], "kappa must be positive, got kappa = nan"),
             (["family", "--lambda", "nan"], "lambda must be positive, got lambda = nan"),
@@ -632,7 +631,7 @@ class TestErrors:
                 "kappa is beyond the range of the I0 series, got kappa = inf",
             ),
         ],
-        ids=["rho-below-floor", "kappa-negative", "kappa-nan", "lambda-nan",
+        ids=["rho-below-floor", "rho-max-inf", "kappa-negative", "kappa-nan", "lambda-nan",
              "family-lambda-inf", "index-lambda-inf", "figure-lambda-inf", "l-negative",
              "N-negative", "N-zero", "nb-negative", "nb-zero", "aufbau-even", "aufbau-zero",
              "beta-rounds-to-pi-half",

@@ -131,21 +131,17 @@ def test_values_past_one_chunk():
 
 
 def test_a_small_table_builds_no_tables():
-    # the tables are built on first use, so small outputs pay no set-up: a
-    # 250-value CSV is below cli._CSV_SWITCH, 1500-value JSON below one
-    # chunk, and SVG has tables of its own; a 300-value CSV, at the switch,
-    # builds them
+    # the tables are built on first use, and SVG has tables of its own, so
+    # an SVG figure builds none; the first CSV table builds them
     src = str(Path(susy_fisheye.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import os\n"
         "from susy_fisheye import _g17, cli\n"
         "out = ['--output', os.devnull]\n"
-        "cli.main(['figure', '--samples', '50', *out])\n"
-        "cli.main(['figure', '--samples', '300', '--format', 'json', *out])\n"
         "cli.main(['figure', '--samples', '300', '--format', 'svg', *out])\n"
         "print(_g17._tables.cache_info().currsize)\n"
-        "cli.main(['figure', '--samples', '60', *out])\n"
+        "cli.main(['figure', '--samples', '2', *out])\n"
         "print(_g17._tables.cache_info().currsize)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,

@@ -17,8 +17,8 @@ def test_scan_reports_route_terms_and_error(capsys):
     saved = isospectral._horner
     scan.main(["--kappas", "1/2", "0.7", "--ls", "0", "1", "5", "--sizes", "20", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 + 6 + 1
-    rows = [line.split() for line in lines[2:-1]]
+    assert len(lines) == 2 + 6 + 3 + 1
+    rows = [line.split() for line in lines[2:8]]
     # kappa, l, b, route, terms, us, error
     assert [(row[0], row[1], row[3], row[4]) for row in rows] == [
         ("1/2", "0", "series", "49"),
@@ -31,5 +31,11 @@ def test_scan_reports_route_terms_and_error(capsys):
     assert all(float(row[6]) < 1e-13 for row in rows)
     # the kappa = 1/2 rows time the series too
     assert all("series:" in line for line in lines[3:5])
+    # the complement's bound below kappa = 1/4: 1e3 leaves sectors past
+    # 1e-12 there, 10 none, and 10 would move the kappa = 0.7 switch
+    assert lines[8].startswith("cancellation bound 1000: below kappa = 1/4, ")
+    assert " 0 of " not in lines[8] and lines[8].endswith("0 switches move")
+    assert lines[10].startswith("cancellation bound 10: below kappa = 1/4, 0 of ")
+    assert lines[10].endswith("1 switches move; kappa 0.7 l 1: 68 -> 118")
     assert lines[-1].startswith("terminating sum faster than the series at every size up to b = ")
     assert isospectral._horner is saved

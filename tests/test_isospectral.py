@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,6 +260,13 @@ def nodeless_pairs(draw):
     return l, l / draw(st.integers(min_value=math.ceil(l / 4), max_value=4 * l))
 
 
+@st.composite
+def small_kappa_pairs(draw):
+    """(l, kappa) with l >= 1 and kappa = l/k below 1/4 (k from 4l+1 to 20l)."""
+    l = draw(st.integers(min_value=1, max_value=5))
+    return l, l / draw(st.integers(min_value=4 * l + 1, max_value=20 * l))
+
+
 def _independent_i0(rho, l, kappa):
     """scipy betainc * beta at l >= 1; the quadrature oracle at l = 0, where b < 0."""
     return i0_quadrature(rho, 0, kappa) if l == 0 else _i0_beta_reference(rho, l, kappa)
@@ -289,6 +297,19 @@ class TestBetaSeries:
         ref = _independent_i0(rho, l, kappa)
         assert np.max(np.abs(_i0_beta(rho, l, kappa) - ref) / ref) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=small_kappa_pairs(),
+        log_rho=st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=1, max_size=8),
+    )
+    def test_relative_accuracy_below_a_quarter(self, pair, log_rho):
+        # scipy's betainc is itself off by up to 3.8e-13 at these a and b
+        # (measured against the quadrature), so the quadrature is the reference
+        l, kappa = pair
+        rho = np.exp(log_rho)
+        ref = i0_quadrature(rho, l, kappa)
+        assert np.max(np.abs(_i0_beta(rho, l, kappa) / ref - 1.0)) < 1e-12
+
     @pytest.mark.parametrize("l,kappa", [(0, 0.7), (0, 0.3), (0, 3.0), (2, 2.0), (3, 1.5)])
     def test_finite_to_the_top_of_the_float_range(self, l, kappa):
         # I0 grows like rho at l = 0 and tends to B(a, b) / 2 kappa at l >= 1
@@ -306,14 +327,9 @@ class TestBetaSeries:
         for got in (_i0_beta(BETA_RHO, l, kappa), _i0_series(BETA_RHO, l, kappa)):
             assert np.max(np.abs(got - ref) / got) < 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the FOUND line on _i0_series in CHANGES.md: below kappa = 1/4 the "
-        "complement series loses up to 1.55e-11 relative just past its switch at "
-        "rho = 1 (9.7e-12 on this grid, near rho = 1.17)",
-    )
     def test_series_below_a_quarter(self):
-        # b = 245/6 is not an integer, so i0 takes the series here
+        # b = 245/6 is not an integer, so i0 takes the series here; with the
+        # complement's cancellation bound of 1e3 it lost 9.7e-12 near rho = 1.17
         rho = np.logspace(-3.0, math.log10(50.0), 200)
         ref = i0_quadrature(rho, 3, 3 / 49)
         assert np.max(np.abs(i0(rho, 3, 3 / 49) / ref - 1.0)) < 1e-12
@@ -364,6 +380,37 @@ class TestTerminatingSum:
         got = _i0_beta(np.array([1e100, 1e200, 1e307]), l, kappa)
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(special.beta(a, b) / (2 * kappa), rel=1e-14)
+
+
+def _exact_i0_half(rho, l):
+    """I0 at kappa = 1/2 and l >= 1, exact at the float rho, as a Fraction.
+
+    f^2 = s^(2l+2) (1+s)^-(4l+2).  With u = 1 + s and (u-1)^(2l+2) expanded,
+    I0 = sum_j C(2l+2, j) (-1)^j (u^q - 1) / q, q = j - 4l - 1, at u = 1 + rho.
+    q runs from -4l-1 to 1-2l and is never 0 at l >= 1 (the integrand has
+    no u^-1 term), so I0 is a rational function of rho.
+    """
+    u = 1 + Fraction(rho)
+    n = 2 * l + 2
+    return sum(
+        math.comb(n, j) * (-1) ** j * (u ** (j - 4 * l - 1) - 1) / (j - 4 * l - 1)
+        for j in range(n + 1)
+    )
+
+
+class TestExactHalf:
+    """i0 and its oracle against I0 at kappa = 1/2 in exact rational arithmetic."""
+
+    RHO = np.logspace(-3.0, 3.0, 40)
+    # measured here: at most 3.6e-15 (i0, the terminating sum) and 4.6e-15
+    # (i0_quadrature, which asks for 1e-12)
+    BUDGET = 1e-14
+
+    @pytest.mark.parametrize("l", range(1, 6))
+    @pytest.mark.parametrize("evaluate", [i0, i0_quadrature], ids=["i0", "i0_quadrature"])
+    def test_relative_error_within_budget(self, evaluate, l):
+        ref = np.array([float(_exact_i0_half(r, l)) for r in self.RHO.tolist()])
+        assert np.max(np.abs(evaluate(self.RHO, l, 0.5) / ref - 1.0)) < self.BUDGET
 
 
 class TestGeneralRiccatiSolution:
