@@ -12,9 +12,7 @@ panel's canvas coordinates: size // 2 points of n_M, x and y interleaved.
 The CPython writers live in this script only; the program writes every
 table by the _g17 kernel.  A row gives the median milliseconds of each
 writer, their ratio (CPython writer over kernel, above 1 where the kernel
-is faster) and nanoseconds per value.  The last line of each format names
-the smallest size scanned from which the kernel is faster at every larger
-size.
+is faster) and nanoseconds per value.
 
 Usage:
     python scripts/csv_writer_scan.py
@@ -114,17 +112,11 @@ def main(argv=None):
     for fmt, writer in (("csv", "%"), ("json", "repr"), ("svg", "%")):
         print(f"{fmt:<4} {'values':>8} {writer + ' ms':>10} {'kernel ms':>10} {'ratio':>6} "
               f"{'ns/value':>15}")
-        faster = []
         for values in sorted(args.sizes):
             slow, kernel = scan(fmt, values, args.rounds)
-            faster.append((values, slow > kernel))
             ns = f"{slow / values * 1e6:.0f} / {kernel / values * 1e6:.0f}"
             print(f"{fmt:<4} {values:>8} {slow:>10.3f} {kernel:>10.3f} {slow / kernel:>6.2f} "
                   f"{ns:>15}")
-        wins = [v for i, (v, _) in enumerate(faster) if all(f for _, f in faster[i:])]
-        line = (f"{fmt:<4} kernel faster at every size from {wins[0]} values" if wins
-                else f"{fmt:<4} kernel not faster at the largest size")
-        print(line)
 
 
 if __name__ == "__main__":

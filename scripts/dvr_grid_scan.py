@@ -7,13 +7,11 @@ rm-ladder, family-spectrum-invariance and aufbau-ground-state, the pass
 state of the two count checks (rm-partner-deficit, shooting-completeness),
 the discretisation change (the largest change of any bound state of the
 suite's 12 wells against the same well on a 401-point grid over the same
-domain) and the median in-process time of the five checks.  The
-wells are the ladders nb = 1..4, the partners nb = 2..4, the family
-members lambda0 = 0.1, 1, 10 on (-12, 12) and the aufbau wells N = 1, 3 on
-(-24, 24).  The last line names the smallest N whose residuals are all at
-most their 201-point values and whose discretisation change is at most
-1e-9.  Run it with BLAS threads pinned to 1, or the times
-follow the thread count.
+domain) and the median in-process time of the five checks.  The wells,
+with their domains, are verify.DVR_WELLS.  The last line names the smallest
+N whose residuals are all at most their 201-point values and whose
+discretisation change is at most 1e-9.  Run it with BLAS threads pinned to
+1, or the times follow the thread count.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/dvr_grid_scan.py
@@ -26,7 +24,7 @@ from time import perf_counter
 
 import numpy as np
 
-from susy_fisheye import fullline, numerics, verify
+from susy_fisheye import numerics, verify
 
 REFERENCE = 401
 BASELINE = 201
@@ -40,21 +38,7 @@ CHECKS = (
     verify.check_aufbau,
     verify.check_shooting_completeness,
 )
-WELLS = (
-    [(lambda x, nb=nb: fullline.rm_potential(x, nb), (-12.0, 12.0)) for nb in (1, 2, 3, 4)]
-    + [
-        (lambda x, nb=nb: fullline.rm_partner_potential(x, nb), (-12.0, 12.0))
-        for nb in (2, 3, 4)
-    ]
-    + [
-        (lambda x, lam0=lam0: fullline.rm_family_single(x, lam0), (-12.0, 12.0))
-        for lam0 in (0.1, 1.0, 10.0)
-    ]
-    + [
-        (lambda x, n=n: fullline.aufbau_rm_potential(x, n), (-24.0, 24.0))
-        for n in (1, 3)
-    ]
-)
+WELLS = [well for group in verify.DVR_WELLS.values() for well in group]
 
 
 @contextmanager
@@ -69,9 +53,9 @@ def grid_size(points):
 
 
 def bound_states(points):
-    """The bound states of every well of WELLS on a grid of `points` points."""
+    """The bound states of every well of verify.DVR_WELLS on a grid of `points` points."""
     with grid_size(points):
-        return [numerics.dvr_bound_states(v, domain=d) for v, d in WELLS]
+        return [numerics.dvr_bound_states(w.potential, domain=w.domain) for w in WELLS]
 
 
 def discretisation_change(states, reference):

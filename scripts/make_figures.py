@@ -15,12 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from susy_fisheye import cli
+from susy_fisheye import cli, verify
 from susy_fisheye.fisheye import figure_table, find_inflection
-
-# find_inflection needs 100 points inside (0, 1]; this is the grid of
-# verify's inflection check, and of the figures at their default size
-INFLECTION_GRID = np.linspace(0.01, 3.0, 300)
 
 
 def main(argv=None):
@@ -48,7 +44,9 @@ def main(argv=None):
             ratio = figure_table(l, lam, grid)[3]
             peak = float(np.max(np.abs(ratio)))
             lens_peak = float(np.max(np.abs(ratio[: lens.size])))
-            star = find_inflection(l, lam, INFLECTION_GRID)
+            # on verify's lens grid, which holds the 100 points inside (0, 1]
+            # that find_inflection needs, and is the figures' default grid
+            star = find_inflection(l, lam, verify.LENS_GRID)
             print(
                 f"l={l} lam={lam:4g}: peak |ratio| {peak:.4f} "
                 f"(lens only {lens_peak:.4f}), inflection at rho = {star:.4f}, "

@@ -107,17 +107,14 @@ def _tables():
     """
     hi, lo, s = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        exp = num.bit_length() - den.bit_length()
-        while True:
-            shift = 105 - exp
-            t = (num << shift) // den if shift >= 0 else num // (den << -shift)
-            if t >> 106:
-                exp += 1
-            elif not t >> 105:
-                exp -= 1
-            else:
-                break
+        # exp = floor(log2 10**k) from a bit length (10**-k is no power of
+        # two), and t = floor(10**k * 2**(105 - exp)), in [2**105, 2**106)
+        if k >= 0:
+            exp = (10**k).bit_length() - 1
+            t = 10**k << (105 - exp) if exp <= 105 else 10**k >> (exp - 105)
+        else:
+            exp = -(10**-k).bit_length()
+            t = (1 << (105 - exp)) // 10**-k
         hi.append((t >> 53) * 2.0**-52)
         lo.append((t & (2**53 - 1)) * 2.0**-105)
         s.append(exp)

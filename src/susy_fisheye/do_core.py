@@ -173,27 +173,58 @@ def radial_wavefunction(rho, params: DoParams):
     return envelope * poly
 
 
+def _reflect_where(over, direct, r, reflected):
+    """direct, with reflected(r[over]) in place of it at the radii where `over` holds."""
+    if not over.any():
+        return direct
+    out = np.array(direct)
+    out[over] = reflected(r[over])
+    return out[()]
+
+
 def radial_factor_f(rho, l, kappa):
     """Nodeless radial factor f = rho^(l+1) (1 + rho^(2 kappa))^(-(2l+1)/(2 kappa)).
 
     Equals rho times the nodeless radial wavefunction; it is the zero mode
-    of the bosonic effective potential u_minus.
+    of the bosonic effective potential u_minus.  At radii where t =
+    rho^(2 kappa) or rho^(l+1) overflows, f is taken from the reflected
+    form rho^(-l) (1 + rho^(-2 kappa))^(-(2l+1)/(2 kappa)).
     """
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
-    return r ** (l + 1) * (1.0 + t) ** (-(2 * l + 1) / (2.0 * kappa))
+    head = r ** (l + 1)
+    p = (2 * l + 1) / (2.0 * kappa)
+    return _reflect_where(
+        ~(np.isfinite(t) & np.isfinite(head)),
+        head * (1.0 + t) ** -p,
+        r,
+        lambda rb: rb**-l * (1.0 + rb ** (-2.0 * kappa)) ** -p,
+    )
 
 
 def radial_factor_df(rho, l, kappa):
     """Analytic derivative f'(rho) of the nodeless radial factor.
 
     f' = rho^l (1+t)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1) t/(1+t)], t = rho^(2 kappa);
-    the factored form avoids 0/0 at small rho.
+    the factored form avoids 0/0 at small rho.  At radii where t or
+    rho^(l+1) overflows it is taken from the reflected form
+    rho^(-l-1) (1+s)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1)/(1+s)], s = rho^(-2 kappa).
     """
     r = _as_rho(rho)
     t = r ** (2.0 * kappa)
-    env = r**l * (1.0 + t) ** (-(2 * l + 1) / (2.0 * kappa))
-    return env * ((l + 1) - (2 * l + 1) * t / (1.0 + t))
+    p = (2 * l + 1) / (2.0 * kappa)
+    env = r**l * (1.0 + t) ** -p
+
+    def reflected(rb):
+        s = rb ** (-2.0 * kappa)
+        return rb ** (-l - 1) * (1.0 + s) ** -p * ((l + 1) - (2 * l + 1) / (1.0 + s))
+
+    return _reflect_where(
+        ~(np.isfinite(t) & np.isfinite(r ** (l + 1))),
+        env * ((l + 1) - (2 * l + 1) * t / (1.0 + t)),
+        r,
+        reflected,
+    )
 
 
 def superpotential_w(rho, l, kappa):

@@ -396,12 +396,13 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
 
 # 117 points (dx = 0.207 on [-12, 12], 0.414 on [-24, 24]) is the smallest
 # odd count that meets the oracle's error budget: every bound state of
-# verify's 12 wells (sech^2 ladders, partners, translated family, aufbau)
-# lies within 1e-9 of a 401-point grid on the same domain (4.1e-10 here), and
-# no verify residual exceeds its 201-point value.  At this size the error
-# against the exact ladders, about 2.3e-9, is set by the domain cut on the
-# weakly bound k = 1 states, not by the spacing; below 113 points the
-# discretisation error passes 1e-9 (1.6e-9 at 111, 4.1e-8 at 101).
+# the 12 wells of verify.DVR_WELLS (sech^2 ladders, partners, translated
+# family, aufbau) lies within 1e-9 of a 401-point grid on the same domain
+# (4.1e-10 here), and no verify residual exceeds its 201-point value.  At
+# this size the error against the exact spectra, at most 2.3e-9, is set by
+# the domain cut on the weakly bound k = 1 states, not by the spacing; below
+# 113 points the discretisation error passes 1e-9 (1.6e-9 at 111, 4.1e-8 at
+# 101).
 # scripts/dvr_grid_scan.py prints the scan.  The count must be odd: the grid
 # then has a centre point and mirrors onto itself, which the parity split of
 # an even well needs.

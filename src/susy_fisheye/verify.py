@@ -10,6 +10,7 @@ are known to fail at documented parameter corners; see README.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,10 +307,15 @@ def check_centrifugal_subtraction():
     return _result("centrifugal-subtraction", worst, 1e-10)
 
 
+# the radii of the lens checks, read-only because it is shared: rho <= 1
+# holds the 100 points find_inflection needs, and the grid runs on to rho = 3
+LENS_GRID = np.linspace(0.01, 3.0, 300)
+LENS_GRID.flags.writeable = False
+
+
 def _ratio_peaks(l, lams):
-    """max |ratio| on the lens grid at kappa = 1 for each lam, one evaluation for all."""
-    grid = np.linspace(0.01, 3.0, 300)
-    ratio = fisheye._deformation(grid, l, np.reshape(lams, (-1, 1)), exact=False)[0]
+    """max |ratio| on LENS_GRID at kappa = 1 for each lam, one evaluation for all."""
+    ratio = fisheye._deformation(LENS_GRID, l, np.reshape(lams, (-1, 1)), exact=False)[0]
     return [float(np.max(np.abs(row))) for row in ratio]
 
 
@@ -336,13 +342,12 @@ def check_ratio_damping():
 
 
 def check_inflection():
-    grid = np.linspace(0.01, 3.0, 300)
-    baseline = fisheye.find_inflection(0, 1e9, grid)
+    baseline = fisheye.find_inflection(0, 1e9, LENS_GRID)
     residual = abs(baseline - 1.0 / math.sqrt(3.0))
-    ok = residual <= 2 * (grid[1] - grid[0])
+    ok = residual <= 2 * (LENS_GRID[1] - LENS_GRID[0])
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
-            star = fisheye.find_inflection(l, lam, grid)
+            star = fisheye.find_inflection(l, lam, LENS_GRID)
             ok = ok and (star is not None and 0.0 < star <= 1.0)
     return _result("inflection-points", 0.0 if ok else 1.0, 0.0, f"baseline {baseline:.6f}")
 
@@ -365,40 +370,57 @@ def check_langer_residual():
     return _result("langer-residual", np.max(np.abs(res)), 1e-6)
 
 
-def _ladder_gaps():
-    """(nb, states, worst |E + k^2|, or inf if states != nb) of rm_potential(x, nb), nb = 1..4."""
-    wells = []
-    for nb in (1, 2, 3, 4):
-        found = numerics.dvr_bound_states(lambda x: fullline.rm_potential(x, nb))
-        gaps = [abs(e + k * k) for e, k in zip(found, range(nb, 0, -1))]
-        wells.append((nb, len(found), max(gaps) if len(found) == nb else math.inf))
-    return wells
+# one eigen-oracle well: its parameter, potential, exact spectrum and domain
+Well = namedtuple("Well", "param potential spectrum domain")
+
+
+def _wells(params, potential, spectrum, domain=(-12.0, 12.0)):
+    """The well potential(x, p) with the spectrum spectrum(p) for each p, on one domain."""
+    return tuple(Well(p, lambda x, p=p: potential(x, p), spectrum(p), domain) for p in params)
+
+
+# the wells of the eigen-oracle checks, by group: the reflectionless ladders
+# nb, their partners (the ladder of nb - 1), the single-state family lam0,
+# and the half-width aufbau wells N on a domain wide enough for their width
+DVR_WELLS = {
+    "ladder": _wells((1, 2, 3, 4), fullline.rm_potential, fullline.rm_spectrum),
+    "partner": _wells(
+        (2, 3, 4), fullline.rm_partner_potential, lambda nb: fullline.rm_spectrum(nb - 1)
+    ),
+    "family": _wells((0.1, 1.0, 10.0), fullline.rm_family_single, lambda lam0: [-1.0]),
+    "aufbau": _wells(
+        (1, 3), fullline.aufbau_rm_potential, fullline.aufbau_spectrum, (-24.0, 24.0)
+    ),
+}
+
+
+def _solve_wells(group):
+    """(well, states, worst |E - exact|, or inf where the count differs) of each well of a group."""
+    solved = []
+    for well in DVR_WELLS[group]:
+        found = numerics.dvr_bound_states(well.potential, domain=well.domain)
+        gaps = [abs(e - exact) for e, exact in zip(found, well.spectrum)]
+        solved.append((well, found, max(gaps) if len(found) == len(well.spectrum) else math.inf))
+    return solved
 
 
 def check_rm_ladder():
-    wells = _ladder_gaps()
-    detail = next((f"nb={nb}: {n} states" for nb, n, _ in wells if n != nb), "")
+    wells = _solve_wells("ladder")
+    detail = next((f"nb={w.param}: {len(f)} states" for w, f, _ in wells
+                   if len(f) != len(w.spectrum)), "")
     return _result("rm-ladder", max(gap for *_, gap in wells), 1e-6, detail)
 
 
 def check_rm_partner_deficit():
-    for nb in (2, 3, 4):
-        found = numerics.dvr_bound_states(lambda x: fullline.rm_partner_potential(x, nb))
-        if len(found) != nb - 1:
-            return _result(
-                "rm-partner-deficit", 1.0, 0.0, f"nb={nb}: {len(found)} states"
-            )
-    return _result("rm-partner-deficit", 0.0, 0.0)
+    bad = [f"nb={w.param}: {len(f)} states" for w, f, _ in _solve_wells("partner")
+           if len(f) != len(w.spectrum)]
+    return _result("rm-partner-deficit", 1.0 if bad else 0.0, 0.0, bad[0] if bad else "")
 
 
 def check_family_spectrum():
-    worst = 0.0
-    for lam0 in (0.1, 1.0, 10.0):
-        found = numerics.dvr_bound_states(lambda x: fullline.rm_family_single(x, lam0))
-        if len(found) != 1:
-            return _result("family-spectrum-invariance", float("inf"), 1e-6, f"lam0={lam0}")
-        worst = max(worst, abs(found[0] + 1.0))
-    return _result("family-spectrum-invariance", worst, 1e-6)
+    wells = _solve_wells("family")
+    detail = next((f"lam0={w.param}" for w, f, _ in wells if len(f) != len(w.spectrum)), "")
+    return _result("family-spectrum-invariance", max(gap for *_, gap in wells), 1e-6, detail)
 
 
 def check_translation_law():
@@ -412,12 +434,7 @@ def check_translation_law():
 
 
 def check_aufbau():
-    worst = 0.0
-    for n_aufbau in (1, 3):
-        found = numerics.dvr_bound_states(
-            lambda x: fullline.aufbau_rm_potential(x, n_aufbau), domain=(-24.0, 24.0)
-        )
-        worst = max(worst, abs(found[0] + n_aufbau * n_aufbau / 4.0))
+    worst = max(abs(f[0] - w.spectrum[0]) for w, f, _ in _solve_wells("aufbau"))
     return _result("aufbau-ground-state", worst, 1e-5)
 
 
@@ -460,7 +477,7 @@ def check_numerov_order():
 def check_shooting_completeness():
     # The eigen-oracle is the sinc DVR now; the check keeps its old name
     # because verify reports and the benchmark's per-check metrics key on it.
-    bad = [f"nb={nb}" for nb, _, gap in _ladder_gaps() if gap > 1e-6]
+    bad = [f"nb={w.param}" for w, _, gap in _solve_wells("ladder") if gap > 1e-6]
     return _result("shooting-completeness", 1.0 if bad else 0.0, 0.0, bad[0] if bad else "")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import susy_fisheye
-from susy_fisheye import _g17, do_core, fullline, isospectral, svgplot
+from susy_fisheye import _g17, cli, do_core, fullline, isospectral, svgplot
 from susy_fisheye.cli import _columns_csv, _columns_json, main
 
 
@@ -223,21 +223,18 @@ class TestWriters:
     # around CHUNK = 4096 values, the kernel's chunk size: the largest
     # table below it, exactly one chunk, and a second chunk holding a
     # partial row (4 columns as langer writes, 5 as figure)
-    SWITCH = [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
-              for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5), (1639, 5)]]
-    # whole rows of 4 and 5 columns around 300 values, near the size where
-    # the kernel's cost meets that of one `%` over the table
-    CSV_SWITCH = [pytest.param(rows, 6, width, id=f"{rows * width}-values-{width}-columns")
-                  for width, rows in [(4, 74), (4, 75), (4, 76), (5, 59), (5, 60), (5, 61)]]
+    CHUNK_EDGES = [pytest.param(rows, 5, width, id=f"{rows * width}-values-{width}-columns")
+                   for rows, width in [(1023, 4), (1024, 4), (1025, 4), (819, 5), (820, 5),
+                                       (1639, 5)]]
 
-    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH + CSV_SWITCH)
+    @pytest.mark.parametrize("rows,seed,width", SMALL + CHUNK_EDGES)
     def test_csv_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
         assert_same_lines(_columns_csv(names, columns), reference_csv(names, columns))
 
     # as figure writes them: a chunk ends inside a column at 4100 and 8195
     # values
-    @pytest.mark.parametrize("rows,seed,width", SMALL + SWITCH[3:])
+    @pytest.mark.parametrize("rows,seed,width", SMALL + CHUNK_EDGES[3:])
     def test_json_bytes(self, rows, seed, width):
         names, columns = self.NAMES[:width], adversarial_columns(rows, seed)[:width]
         expected = reference_json("figure", self.PARAMS, names, columns)
@@ -277,7 +274,7 @@ class TestWriters:
             b'    "c": [\n      1.7976931348623157e+308,\n      1.0\n    ]\n  }\n}\n'
         )
 
-    def test_special_values_are_written_past_the_switch(self):
+    def test_special_values_are_written_across_chunks(self):
         # 2048 copies of the two rows are 12 288 values, three kernel chunks;
         # as JSON each column of 4096 values ends a chunk
         columns, names = [np.tile(c, 2048) for c in self.SPECIAL], ["a", "b", "c"]
@@ -567,25 +564,53 @@ class TestErrors:
                 ["figure", "--lambda", "nan", "--format", "svg"],
                 "lambda must be positive, got lambda = nan",
             ),
-            # rho^(l+1) overflows in the radial factor
-            (["figure", "--l", "40", "--rho-max", "1e9"], "n_iso is not finite at rho = 3.33e+08"),
-            (
-                ["figure", "--l", "40", "--rho-max", "1e9", "--format", "svg"],
-                "n_iso is not finite at rho = 3.33e+08",
-            ),
-            # rho^(2 kappa) overflows in f', while I0 stays finite
-            (
-                ["family", "--kappa", "0.7", "--l", "0", "--rho-max", "1e300"],
-                "u_bos is not finite at rho = 3.33e+299",
-            ),
         ],
-        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan", "figure-csv-overflow",
-             "figure-svg-overflow", "family-general-kappa-overflow"],
+        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan"],
     )
     def test_non_finite_output_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "4")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    def test_non_finite_svg_column_is_refused(self, capsys, monkeypatch):
+        # no figure input overflows now, so a NaN is put into n_iso
+        table = cli.figure_table
+
+        def with_nan(*args):
+            columns = table(*args)
+            columns[2][1] = math.nan
+            return columns
+
+        monkeypatch.setattr(cli, "figure_table", with_nan)
+        code, out, err = run_cli(capsys, "figure", "--format", "svg", "--samples", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: n_iso is not finite at rho = 1.01\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # rho^(l+1) overflows in the radial factor
+            ["figure", "--l", "40", "--rho-max", "1e9"],
+            ["figure", "--l", "40", "--rho-max", "1e9", "--format", "svg"],
+            ["family", "--kappa", "0.5", "--l", "3", "--rho-max", "1e80"],
+            # rho^(2 kappa) overflows in f and f', while I0 stays finite
+            ["family", "--kappa", "0.7", "--l", "0", "--rho-max", "1e300"],
+        ],
+        ids=["figure-csv-overflow", "figure-svg-overflow", "family-half-kappa-overflow",
+             "family-general-kappa-overflow"],
+    )
+    def test_overflowing_powers_give_finite_output(self, capsys, argv):
+        # the radial factor takes its reflected form where a power overflows
+        code, out, err = run_cli(capsys, *argv, "--samples", "4")
+        assert (code, err) == (0, "")
+        if "svg" in argv:
+            values = re.findall(r'<polyline points="([^"]*)"', out)
+            values = [float(v) for points in values for v in re.split("[ ,]", points)]
+            assert len(values) == 4 * 2 * 4
+        else:
+            values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+            assert values.shape == (4, 5)
+        assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize(
         "argv,message",

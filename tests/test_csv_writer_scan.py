@@ -1,7 +1,6 @@
 """Smoke test of scripts/csv_writer_scan.py, the timing of the CSV, JSON and SVG writers."""
 
 import importlib.util
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,10 +16,8 @@ def test_scan_times_both_writers(capsys):
     assert scan.canvas(250).shape == (250,) and scan.canvas(99).shape == (98,)
     scan.main(["--sizes", "4096", "250", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 3 * (1 + 2 + 1)
-    for fmt, block in zip(("csv", "json", "svg"), (lines[:4], lines[4:8], lines[8:])):
+    assert len(lines) == 3 * (1 + 2)
+    for fmt, block in zip(("csv", "json", "svg"), (lines[:3], lines[3:6], lines[6:])):
         assert all(line.split()[0] == fmt for line in block)
-        assert [line.split()[1] for line in block[1:3]] == ["250", "4096"]
-        assert all(float(x) > 0 for line in block[1:3] for x in line.split()[2:5])
-        assert re.fullmatch(f"{fmt:<4} kernel (faster at every size from (250|4096) values"
-                            f"|not faster at the largest size)", block[-1])
+        assert [line.split()[1] for line in block[1:]] == ["250", "4096"]
+        assert all(float(x) > 0 for line in block[1:] for x in line.split()[2:5])

@@ -189,6 +189,29 @@ class TestRadialFactor:
                     rho * radial_wavefunction(rho, p), rel=1e-13
                 )
 
+    @pytest.mark.parametrize(
+        "rho,l,kappa",
+        [(1e250, 0, 0.7), (1e250, 1, 0.7), (1e80, 3, 0.5), (1e40, 1, 5.0)],
+    )
+    def test_finite_where_the_powers_overflow(self, rho, l, kappa):
+        # rho^(2 kappa) or rho^(l+1) overflows; f and f' still take the
+        # exact value, down to the subnormals (f' at 1e250 is -1e-500, -0.0)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
+            t, p = r ** (2 * k), (2 * l + 1) / (2 * k)
+            f = r ** (l + 1) * (1 + t) ** -p
+            df = f / r * ((l + 1) - (2 * l + 1) * t / (1 + t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
+        for value, exact in zip(got, (f, df)):
+            assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-322)
+        # an array keeps its values at the radii where nothing overflows
+        grid = np.array([0.5, 2.0, rho])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in (radial_factor_f, radial_factor_df):
+                assert np.array_equal(fn(grid, l, kappa)[:2], fn(grid[:2], l, kappa))
+
     def test_analytic_derivative(self):
         rho = np.array([0.2, 1.0, 3.0])
         for kappa, l in ((1.0, 0), (1.0, 2), (0.5, 1)):

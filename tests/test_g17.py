@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,17 @@ def test_values_past_one_chunk():
     values = rng.standard_normal(2 * _g17.CHUNK + 3) * 10.0 ** rng.uniform(-6, 20)
     assert mismatches(values)[:10] == []
     assert mismatches(values, shortest=True)[:10] == []
+
+
+def test_powers_of_ten_to_106_bits():
+    # each row is 10**k = (hi + lo) * 2**s with hi in [1, 2) and lo below
+    # one ulp of hi, truncated, so within 2**-105 of 10**k relative
+    t = _g17._tables()
+    for k, hi, lo, s in zip(range(_g17._K_MIN, _g17._K_MAX + 1), t["hi"], t["lo"], t["s"]):
+        assert 1.0 <= hi < 2.0 and 0.0 <= lo < 2.0**-52
+        exact = Fraction(10) ** k
+        approx = (Fraction(float(hi)) + Fraction(float(lo))) * Fraction(2) ** int(s)
+        assert 0 <= exact - approx < exact * Fraction(1, 2**105), k
 
 
 def test_a_small_table_builds_no_tables():

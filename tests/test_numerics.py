@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from susy_fisheye import numerics, verify
 from susy_fisheye.do_core import DoParams, u_minus
-from susy_fisheye.fullline import (
-    aufbau_rm_potential,
-    rm_family_single,
-    rm_partner_potential,
-    rm_potential,
-    rm_spectrum,
-)
+from susy_fisheye.fullline import rm_potential
 from susy_fisheye.isospectral import family_columns
 from susy_fisheye.numerics import (
     DVR_POINTS,
@@ -484,44 +478,24 @@ class TestNumerov:
         assert np.max(np.abs(langer - (nu_sq - dip)) / (nu_sq + dip)) < 1e-13
 
 
-# the wells of verify's eigen-oracle checks, each with its domain and, for a
-# ladder, its analytic spectrum
-VERIFY_WELLS = {
-    **{
-        f"ladder-{nb}": (lambda x, nb=nb: rm_potential(x, nb), (-12.0, 12.0), rm_spectrum(nb))
-        for nb in (1, 2, 3, 4)
-    },
-    **{
-        f"partner-{nb}": (lambda x, nb=nb: rm_partner_potential(x, nb), (-12.0, 12.0), None)
-        for nb in (2, 3, 4)
-    },
-    **{
-        f"family-{lam0:g}": (lambda x, lam0=lam0: rm_family_single(x, lam0), (-12.0, 12.0), None)
-        for lam0 in (0.1, 1.0, 10.0)
-    },
-    **{
-        f"aufbau-{n}": (lambda x, n=n: aufbau_rm_potential(x, n), (-24.0, 24.0), None)
-        for n in (1, 3)
-    },
-}
-
-
 class TestShooting:
     """Bound states from the eigen-oracle, numerics.dvr_bound_states."""
 
-    @pytest.mark.parametrize("name", list(VERIFY_WELLS))
-    def test_error_budget(self, monkeypatch, name):
-        # DVR_POINTS is sized so that every bound state lies within 1e-9 of
-        # the same state on 401 points over the same domain; a ladder state
-        # is off -k^2 mostly by the domain cut, within 5e-9
-        well, domain, spectrum = VERIFY_WELLS[name]
-        found = dvr_bound_states(well, domain=domain)
+    @pytest.mark.parametrize(
+        "well",
+        [pytest.param(w, id=f"{group}-{w.param:g}")
+         for group, wells in verify.DVR_WELLS.items() for w in wells],
+    )
+    def test_error_budget(self, monkeypatch, well):
+        # DVR_POINTS is sized so that every bound state of verify's wells lies
+        # within 1e-9 of the same state on 401 points over the same domain;
+        # a state is off its exact value mostly by the domain cut, within 5e-9
+        found = dvr_bound_states(well.potential, domain=well.domain)
         monkeypatch.setattr(numerics, "DVR_POINTS", 401)
-        reference = dvr_bound_states(well, domain=domain)
+        reference = dvr_bound_states(well.potential, domain=well.domain)
         assert len(found) == len(reference)
         assert found == pytest.approx(reference, rel=0, abs=1e-9)
-        if spectrum is not None:
-            assert found == pytest.approx(spectrum, rel=0, abs=5e-9)
+        assert found == pytest.approx(well.spectrum, rel=0, abs=5e-9)
 
     @pytest.mark.parametrize("nb", [1, 2, 3, 4])
     def test_reflectionless_ladders(self, nb):
