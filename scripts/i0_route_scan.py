@@ -13,7 +13,14 @@ The last line names the largest b up to which the terminating sum is
 faster than the series at every size and every integer b scanned: the
 crossover behind isospectral._MAX_FINITE_TERMS.
 
-The lines before it justify the complement's cancellation bounds of the
+Before it, one line per l gives the kappa = 1 closed form's largest
+relative error against _i0_series on FAR_RADII log-spaced radii from 1 to
+1e300, and the radius where it falls: the closed form needs no radius
+limit where arctan(rho) rounds to pi/2 (from about 9e15).  At l = 0 the
+closed form is rho - arctan(rho), exact to rounding, and the error is the
+series' own.
+
+The lines before those justify the complement's cancellation bounds of the
 series at l >= 1: for each candidate bound, the sectors kappa = l/k < 1/4
 (k from 4l+1 to 20l, b not an integer, l among --ls) whose series error
 exceeds 1e-12 with that bound below kappa = 1/4, and the scanned series
@@ -41,6 +48,7 @@ from susy_fisheye.do_core import _as_rho
 BOUNDS = (1e3, 1e2, 10.0)
 KAPPAS = ("1/2", "1/4", "1/6", "1/10", "1/16", "1/32", "1/64", "1/128", "0.7", "1", "1.5", "2")
 CALLS = 10
+FAR_RADII = 4000
 
 
 @contextmanager
@@ -176,6 +184,13 @@ def main(argv=None):
         print(f"cancellation bound {bound:g}: below kappa = 1/4, {past} of {n} sectors past "
               f"1e-12 (worst {worst:.2e}); from 1/4 up, {len(moved)} switches move"
               + "".join(f"; {m}" for m in moved))
+    far = np.logspace(0.0, 300.0, FAR_RADII)
+    for l in args.ls:
+        ratio = np.abs(isospectral.i0_closed_one(far, l) / isospectral._i0_series(far, l, 1.0)
+                       - 1.0)
+        worst = int(np.argmax(ratio))
+        print(f"kappa 1 closed form, l {l}: largest error {ratio[worst]:.2e} against the series "
+              f"at rho = {far[worst]:.3g} of logspace(1, 1e300, {FAR_RADII})")
     faster = None
     for b, sum_faster in sorted(crossings):
         if not sum_faster:

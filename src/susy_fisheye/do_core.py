@@ -173,10 +173,17 @@ def radial_wavefunction(rho, params: DoParams):
     return envelope * poly
 
 
-def _reflect_where(over, direct, r, reflected):
-    """direct, with reflected(r[over]) in place of it at the radii where `over` holds."""
-    if not over.any():
+def _reflect_where(direct, decay, r, reflected):
+    """direct, with reflected(r) in its place at rho > 1 where direct is not
+    finite or its decay (1 + t)^(-p) is not a normal float (0 at t = inf).
+
+    There the reflected form's powers are at most 1; at rho <= 1 the direct
+    form's are, and it is as exact as the float range allows.
+    """
+    trusted = np.isfinite(direct) & (decay >= np.finfo(float).tiny)
+    if trusted.all():
         return direct
+    over = ~trusted & (r > 1.0)
     out = np.array(direct)
     out[over] = reflected(r[over])
     return out[()]
@@ -186,19 +193,18 @@ def radial_factor_f(rho, l, kappa):
     """Nodeless radial factor f = rho^(l+1) (1 + rho^(2 kappa))^(-(2l+1)/(2 kappa)).
 
     Equals rho times the nodeless radial wavefunction; it is the zero mode
-    of the bosonic effective potential u_minus.  At radii where t =
-    rho^(2 kappa) or rho^(l+1) overflows, f is taken from the reflected
-    form rho^(-l) (1 + rho^(-2 kappa))^(-(2l+1)/(2 kappa)).
+    of the bosonic effective potential u_minus.  At radii rho > 1 where
+    rho^(l+1) overflows or the decay (1 + rho^(2 kappa))^(-(2l+1)/(2 kappa))
+    is not a normal float, f is taken from the reflected form
+    rho^(-l) (1 + rho^(-2 kappa))^(-(2l+1)/(2 kappa)).
     """
     r = _as_rho(rho)
-    t = r ** (2.0 * kappa)
-    head = r ** (l + 1)
     p = (2 * l + 1) / (2.0 * kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = (1.0 + r ** (2.0 * kappa)) ** -p
+        direct = r ** (l + 1) * decay
     return _reflect_where(
-        ~(np.isfinite(t) & np.isfinite(head)),
-        head * (1.0 + t) ** -p,
-        r,
-        lambda rb: rb**-l * (1.0 + rb ** (-2.0 * kappa)) ** -p,
+        direct, decay, r, lambda rb: rb**-l * (1.0 + rb ** (-2.0 * kappa)) ** -p
     )
 
 
@@ -206,25 +212,23 @@ def radial_factor_df(rho, l, kappa):
     """Analytic derivative f'(rho) of the nodeless radial factor.
 
     f' = rho^l (1+t)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1) t/(1+t)], t = rho^(2 kappa);
-    the factored form avoids 0/0 at small rho.  At radii where t or
-    rho^(l+1) overflows it is taken from the reflected form
+    the factored form avoids 0/0 at small rho.  At radii rho > 1 where this
+    is not finite or the decay (1+t)^(-(2l+1)/(2 kappa)) is not a normal
+    float, it is taken from the reflected form
     rho^(-l-1) (1+s)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1)/(1+s)], s = rho^(-2 kappa).
     """
     r = _as_rho(rho)
-    t = r ** (2.0 * kappa)
     p = (2 * l + 1) / (2.0 * kappa)
-    env = r**l * (1.0 + t) ** -p
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = r ** (2.0 * kappa)
+        decay = (1.0 + t) ** -p
+        direct = r**l * decay * ((l + 1) - (2 * l + 1) * t / (1.0 + t))
 
     def reflected(rb):
         s = rb ** (-2.0 * kappa)
         return rb ** (-l - 1) * (1.0 + s) ** -p * ((l + 1) - (2 * l + 1) / (1.0 + s))
 
-    return _reflect_where(
-        ~(np.isfinite(t) & np.isfinite(r ** (l + 1))),
-        env * ((l + 1) - (2 * l + 1) * t / (1.0 + t)),
-        r,
-        reflected,
-    )
+    return _reflect_where(direct, decay, r, reflected)
 
 
 def superpotential_w(rho, l, kappa):

@@ -97,19 +97,6 @@ def i0_quadrature(rho, l, kappa):
     return (ladder[:, k.ravel() - _LADDER_BOTTOM] + tails).reshape(ls.shape + r.shape)[()]
 
 
-def _beta(rho):
-    """beta = arctan(rho), refusing the radii where it rounds to pi/2."""
-    r = _as_rho(rho)
-    beta = np.arctan(r)
-    top = beta >= 0.5 * math.pi
-    if top.any():
-        raise ValueError(
-            f"beta must lie in [0, pi/2), but arctan(rho) rounds to pi/2 at "
-            f"rho = {float(r[top][0])}: beyond the range of the closed form of I0"
-        )
-    return beta
-
-
 def _sin_power_integral(m, x, sines):
     """int_0^x sin^(2m) u du as the standard finite multiple-angle sum.
 
@@ -125,14 +112,15 @@ def i0_closed_one(rho, l):
     """Closed form of I0 for kappa = 1: the integral of sin^(2l+2) cos^(2l-2).
 
     The integral runs over [0, beta], beta = arctan(rho).  l = 0 reduces to
-    tan(beta) - beta.  For l >= 1 the integrand is written as
+    rho - beta.  For l >= 1 the integrand is written as
     (sin 2b / 2)^(2l-2) sin^4 b and expanded into even sine powers of 2b
     plus one odd cos(2b) term, each with an elementary antiderivative; every
     term vanishes at beta = 0 so no constant is needed.
     """
-    b = _beta(rho)
+    r = _as_rho(rho)
+    b = np.arctan(r)
     if l == 0:
-        return np.tan(b) - b
+        return r - b
     x = 2.0 * b
     # sin(2j x) for j = 1..l, shared by both multiple-angle sums
     sines = [np.sin((2 * j) * x) for j in range(1, l + 1)]
@@ -368,10 +356,9 @@ def i0(rho, l, kappa):
     1.6e-11 (l = 3, kappa = 3/49).  I0 takes kappa from about 1e-308 to
     1e305 (the series refuses the kappa where (2l+3)/2 kappa or rho^2k at
     the largest float overflows) and is finite for every rho from RHO_MIN
-    to 1e307: it grows like rho at l = 0 and tends to B(a, b) / 2 kappa at
-    l >= 1.  The closed form refuses the radii where arctan(rho) rounds to
-    pi/2, from about 9e15.  l must be a non-negative integer on every
-    route.
+    to 1e307, and to the largest float at kappa = 1: it grows like rho at
+    l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  l must be a
+    non-negative integer on every route.
     """
     _check_l(l)
     if kappa == 1.0:

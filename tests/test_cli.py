@@ -371,6 +371,39 @@ class TestGridCommands:
         rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
         assert rows.shape == (300, 5) and np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize(
+        "kappa,l,rho_max", [("0.5", "3", "1e60"), ("1", "1", "1e105"), ("1", "2", "1e100")]
+    )
+    def test_family_where_the_decay_underflows(self, capsys, kappa, l, rho_max):
+        # (1 + rho^2k)^(-(2l+1)/2k) underflows at the last radius, where f
+        # printed 0 (kappa = 1/2) or arctan(rho) rounded to pi/2 and the
+        # closed form of I0 refused it (kappa = 1, exit 2).  There
+        # f = rho^-l to rounding and I0 is B(a, b) / 2 kappa,
+        # a = (2l+3)/2 kappa, b = (2l-1)/2 kappa.
+        code, out, err = run_cli(
+            capsys, "family", "--kappa", kappa, "--l", l, "--rho-max", rho_max, "--samples", "3"
+        )
+        assert (code, err) == (0, "")
+        last = np.array(out.splitlines()[-1].split(","), dtype=float)
+        k, n = float(kappa), int(l)
+        a, b = (2 * n + 3) / (2 * k), (2 * n - 1) / (2 * k)
+        i0_top = math.gamma(a) * math.gamma(b) / math.gamma(a + b) / (2 * k)
+        assert last[3] == pytest.approx(last[0] ** -n, rel=1e-15, abs=0.0)
+        assert last[4] == pytest.approx(last[3] / (i0_top + 1.0), rel=1e-14, abs=0.0)
+
+    def test_family_kappa_one_l_zero_to_1e300(self, capsys):
+        # I0 = rho - arctan(rho): f = 1 and f_bos = 1 / (I0 + 1), at 1e10,
+        # where tan(beta) - beta was 7e-7 off, and at 1e300, where the
+        # closed form refused the radius (exit 2)
+        for rho_max in ("1e10", "1e300"):
+            code, out, err = run_cli(
+                capsys, "family", "--l", "0", "--rho-max", rho_max, "--samples", "2"
+            )
+            assert (code, err) == (0, "")
+            rho, _, _, f, f_bos = np.array(out.splitlines()[-1].split(","), dtype=float)
+            assert f == 1.0
+            assert f_bos == pytest.approx(1.0 / (rho - math.pi / 2 + 1.0), rel=1e-15, abs=0.0)
+
     def test_family_small_lambda_against_the_quadrature(self, capsys):
         # I0 is about 1e-15 on this grid, so with lam = 1e-12 the columns
         # carry I0's relative error
@@ -636,11 +669,8 @@ class TestErrors:
                 ["langer", "--aufbau", "0"],
                 "N_aufbau must be a positive odd integer, got N_aufbau = 0",
             ),
-            (
-                ["figure", "--rho-max", "1e200"],
-                "beta must lie in [0, pi/2), but arctan(rho) rounds to pi/2 at "
-                "rho = 1e+200: beyond the range of the closed form of I0",
-            ),
+            # I0 is finite at every radius; the figure's index is not
+            (["figure", "--rho-max", "1e200"], "n_iso is not finite at rho = 1e+200"),
             (
                 ["family", "--kappa", "0.7", "--l", "1"],
                 "nodeless sector needs integral 1 + l/kappa, got l = 1, kappa = 0.7 "
@@ -659,7 +689,7 @@ class TestErrors:
         ids=["rho-below-floor", "rho-max-inf", "kappa-negative", "kappa-nan", "lambda-nan",
              "family-lambda-inf", "index-lambda-inf", "figure-lambda-inf", "l-negative",
              "N-negative", "N-zero", "nb-negative", "nb-zero", "aufbau-even", "aufbau-zero",
-             "beta-rounds-to-pi-half",
+             "figure-n-iso-not-finite",
              "nodeless-non-integral", "kappa-below-series-range", "kappa-inf"],
     )
     def test_message_names_the_parameter_and_value(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,23 @@ class TestRadialWavefunction:
         assert radial_wavefunction(rho, p) == pytest.approx(expected, rel=1e-13)
 
 
+# (rho, l, kappa) where rho^(2 kappa) or rho^(l+1) overflows
+POWER_OVERFLOWS = [(1e250, 0, 0.7), (1e250, 1, 0.7), (1e80, 3, 0.5), (1e40, 1, 5.0)]
+# (rho, l, kappa) where both powers are finite but the decay underflows
+DECAY_UNDERFLOWS = [(1e60, 3, 0.5), (3e45, 3, 0.5), (1.5e107, 1, 1.0), (1e100, 2, 1.0),
+                    (6.4e30, 1, 5.0)]
+
+
+def exact_factor(rho, l, kappa):
+    """(f, f') at rho to 40 digits, rounded to floats."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
+        t, p = r ** (2 * k), (2 * l + 1) / (2 * k)
+        f = r ** (l + 1) * (1 + t) ** -p
+        return float(f), float(f / r * ((l + 1) - (2 * l + 1) * t / (1 + t)))
+
+
 class TestRadialFactor:
     def test_values(self):
         assert radial_factor_f(1.0, 0, 1.0) == pytest.approx(2**-0.5, abs=1e-15)
@@ -189,28 +207,64 @@ class TestRadialFactor:
                     rho * radial_wavefunction(rho, p), rel=1e-13
                 )
 
-    @pytest.mark.parametrize(
-        "rho,l,kappa",
-        [(1e250, 0, 0.7), (1e250, 1, 0.7), (1e80, 3, 0.5), (1e40, 1, 5.0)],
-    )
+    @pytest.mark.parametrize("rho,l,kappa", POWER_OVERFLOWS)
     def test_finite_where_the_powers_overflow(self, rho, l, kappa):
         # rho^(2 kappa) or rho^(l+1) overflows; f and f' still take the
         # exact value, down to the subnormals (f' at 1e250 is -1e-500, -0.0)
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
-            t, p = r ** (2 * k), (2 * l + 1) / (2 * k)
-            f = r ** (l + 1) * (1 + t) ** -p
-            df = f / r * ((l + 1) - (2 * l + 1) * t / (1 + t))
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
-        for value, exact in zip(got, (f, df)):
-            assert value == pytest.approx(float(exact), rel=1e-14, abs=1e-322)
+        got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
+        for value, exact in zip(got, exact_factor(rho, l, kappa)):
+            assert value == pytest.approx(exact, rel=1e-14, abs=1e-322)
         # an array keeps its values at the radii where nothing overflows
         grid = np.array([0.5, 2.0, rho])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for fn in (radial_factor_f, radial_factor_df):
-                assert np.array_equal(fn(grid, l, kappa)[:2], fn(grid[:2], l, kappa))
+        for fn in (radial_factor_f, radial_factor_df):
+            assert np.array_equal(fn(grid, l, kappa)[:2], fn(grid[:2], l, kappa))
+
+    @pytest.mark.parametrize("rho,l,kappa", DECAY_UNDERFLOWS)
+    def test_exact_where_the_decay_underflows(self, rho, l, kappa):
+        # the powers are finite, but the decay (1 + t)^(-p) is 0 (at 1e60 and
+        # 1e100) or a subnormal short of digits; at 6.4e30 f' also has
+        # (2l+1) t overflow in its bracket.  Every value here is normal.
+        got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
+        for value, exact in zip(got, exact_factor(rho, l, kappa)):
+            assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("rho,l,kappa", POWER_OVERFLOWS + DECAY_UNDERFLOWS)
+    def test_no_warning_for_a_right_value(self, rho, l, kappa):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radial_factor_f(rho, l, kappa)
+            radial_factor_df(rho, l, kappa)
+
+    def test_direct_below_one_where_the_decay_underflows(self):
+        # p = 3050 at l = 30, kappa = 0.01, so the decay underflows below
+        # rho = 1 too, where the reflected rho^-30 would overflow (inf * 0);
+        # f and f' are 1e-372 and less there, 0 as floats
+        rho = np.array([1e-12, 1e-3, 0.5, 1.0])
+        for fn in (radial_factor_f, radial_factor_df):
+            assert np.array_equal(fn(rho, 30, 0.01), np.zeros(4))
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 0.7, 1.0, 2.0, 5.0])
+    def test_finite_from_the_floor_to_the_top(self, l, kappa):
+        # one radius domain for every (kappa, l): RHO_MIN to the largest float
+        rho = np.append(np.logspace(-12.0, 308.0, 161), np.finfo(float).max)
+        for fn in (radial_factor_f, radial_factor_df):
+            assert np.all(np.isfinite(fn(rho, l, kappa)))
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 1.0, 2.0])
+    def test_exact_from_the_floor_to_the_top(self, l, kappa):
+        # every normal value within 1e-14 of 40 digits.  These kappa keep
+        # p = (2l+1)/(2 kappa) a float: at 0.7 or 5 the direct form's
+        # (1 + t)^(-p) carries the rounding of p, p ln(1 + t) eps, up to
+        # 6.6e-14.  f' is left out at l = 0, where its bracket
+        # 1 - t/(1 + t) cancels to 0 once t passes 2^53.
+        rho = np.append(np.logspace(-12.0, 308.0, 33), np.finfo(float).max)
+        got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
+        exact = np.array([exact_factor(r, l, kappa) for r in rho]).T
+        for value, want in list(zip(got, exact))[: 2 if l else 1]:
+            normal = np.abs(want) >= np.finfo(float).tiny
+            assert np.all(np.abs(value[normal] / want[normal] - 1.0) < 1e-14)
 
     def test_analytic_derivative(self):
         rho = np.array([0.2, 1.0, 3.0])

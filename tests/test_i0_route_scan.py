@@ -17,7 +17,7 @@ def test_scan_reports_route_terms_and_error(capsys):
     saved = isospectral._horner
     scan.main(["--kappas", "1/2", "0.7", "--ls", "0", "1", "5", "--sizes", "20", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 + 6 + 3 + 1
+    assert len(lines) == 2 + 6 + 3 + 3 + 1
     rows = [line.split() for line in lines[2:8]]
     # kappa, l, b, route, terms, us, error
     assert [(row[0], row[1], row[3], row[4]) for row in rows] == [
@@ -37,5 +37,10 @@ def test_scan_reports_route_terms_and_error(capsys):
     assert " 0 of " not in lines[8] and lines[8].endswith("0 switches move")
     assert lines[10].startswith("cancellation bound 10: below kappa = 1/4, 0 of ")
     assert lines[10].endswith("1 switches move; kappa 0.7 l 1: 68 -> 118")
+    # the kappa = 1 closed form against the series out to 1e300, one line per l
+    far = [line.split() for line in lines[11:14]]
+    assert [row[5] for row in far] == ["0:", "1:", "5:"]
+    assert all(line.endswith("of logspace(1, 1e300, 4000)") for line in lines[11:14])
+    assert all(float(row[8]) < 1e-13 for row in far)
     assert lines[-1].startswith("terminating sum faster than the series at every size up to b = ")
     assert isospectral._horner is saved

@@ -151,6 +151,28 @@ class TestClosedForms:
             ref = i0_quadrature(rhos, l, 1.0)
             assert np.max(np.abs(i0(rhos, l, 1.0) / ref - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("l", range(6))
+    def test_kappa_one_where_beta_rounds_to_pi_half(self, l):
+        # arctan(rho) rounds to pi/2 from about 9e15; the closed form takes
+        # every radius to the largest float.  The reference is 40 digits of
+        # rho - arctan(rho) at l = 0 and (B(a, b) - B_y(b, a)) / 2,
+        # y = 1 / (1 + rho^2), at l >= 1.  The beta series agrees at l >= 1;
+        # at l = 0 it drifts by 1.03e-14 itself at 1e100.
+        mpmath = pytest.importorskip("mpmath")
+        rhos = np.array([1e3, 1e6, 1e10, 1e14, 5e15, 1e17, 1e100, 1e300])
+        got = i0(rhos, l, 1.0)
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(2 * l + 3) / 2, mpmath.mpf(2 * l - 1) / 2
+            exact = [
+                float(r - mpmath.atan(r)) if l == 0
+                else float((mpmath.beta(a, b) - mpmath.betainc(b, a, 0, 1 / (1 + r**2))) / 2)
+                for r in map(mpmath.mpf, rhos)
+            ]
+        assert np.max(np.abs(got / exact - 1.0)) < 1e-14
+        if l:
+            assert np.max(np.abs(got / _i0_series(rhos, l, 1.0) - 1.0)) < 1e-14
+        assert np.isfinite(i0(np.finfo(float).max, l, 1.0))
+
     def test_domain_errors(self):
         with pytest.raises(ValueError, match=r"rho must be >= 1e-12, got rho = -0.1$"):
             i0_closed_one(-0.1, 0)
@@ -160,9 +182,6 @@ class TestClosedForms:
             i0(math.nan, 1, 0.7)
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = -0.5$"):
             i0_quadrature(1.0, 0, -0.5)
-        # arctan(1e17) rounds to pi/2: the closed form names the radius
-        with pytest.raises(ValueError, match=r"rounds to pi/2 at rho = 1e\+17"):
-            i0_closed_one(1e17, 2)
 
 
     # the closed form at kappa = 1, the terminating sum at kappa = 1/2 and
