@@ -2,10 +2,10 @@
 """Time verify in two checkouts against each other, interleaved in one process.
 
 Both checkouts' src/susy_fisheye are imported into one process, under the
-package names susy_fisheye_parent and susy_fisheye_change.  After one
-untimed warm-up round, every round runs verify.run_suite("all") once per
-side and then each check of verify.SUITES once per side; the side that goes
-first alternates from round to round.  The (name, passed, detail) of every
+package names susy_fisheye_parent and susy_fisheye_change (two_trees.py).
+After one untimed warm-up round, every round runs verify.run_suite("all")
+once per side and then each check of verify.SUITES once per side; the side
+that goes first alternates from round to round.  The (name, passed, detail) of every
 result must be the same on both sides, and no residual may be larger on the
 change's side, or the script stops with status 1 before it prints a time.
 It then prints each residual that changed, and, for the suite and for each
@@ -26,8 +26,6 @@ if __name__ == "__main__":
         os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
-import importlib  # noqa: E402
-import importlib.util  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -35,24 +33,12 @@ from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-SIDES = ("parent", "change")
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from two_trees import SIDES, load  # noqa: E402
 
 
 class ResultsDiffer(Exception):
     """A verify result of the change differs from the parent's other than by a smaller residual."""
-
-
-def load_verify(root, side):
-    """verify of the checkout at root, imported as susy_fisheye_<side>.verify."""
-    name = f"susy_fisheye_{side}"
-    pkg = Path(root).resolve() / "src" / "susy_fisheye"
-    spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.verify")
 
 
 def _results(out):
@@ -147,7 +133,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    verifies = {side: load_verify(getattr(args, side), side) for side in SIDES}
+    verifies = {side: load(getattr(args, side), side, "verify") for side in SIDES}
     try:
         table = compare(verifies, args.rounds)
     except ResultsDiffer as exc:

@@ -7,7 +7,7 @@ energy scale set to one.  The central objects are the focusing potential
 
 its quantized coupling w, the nodeless radial factor f, the particular
 superpotential W = -f'/f and the two partner effective potentials
-U- = W^2 - W' and U+ = W^2 + W'.
+U- = W^2 - W' and U+ = W^2 + W', all finite at every float radius.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "radial_factor_f",
     "radial_factor_df",
     "superpotential_w",
-    "superpotential_dw",
     "u_minus",
     "u_plus",
 ]
@@ -144,33 +143,40 @@ def nodeless_coupling(l, kappa) -> float:
     return float((2 * l + 1) * (2 * l + 1 + 2 * kappa))
 
 
+def _fractions(r, kappa):
+    """(x, y) = (t/(1+t), 1/(1+t)), t = rho^(2 kappa), as t/(t+s) and s/(t+s).
+
+    t = min(rho, 1)^(2 kappa) and s = max(rho, 1)^(-2 kappa), so no power
+    overflows; ufuncs with a scalar exponent keep scalar = array element.
+    """
+    _check_kappa(kappa)
+    t = np.power(np.minimum(r, 1.0), 2.0 * kappa)
+    s = np.power(np.maximum(r, 1.0), -2.0 * kappa)
+    return t / (t + s), s / (t + s)
+
+
 def potential_v(rho, kappa, w):
     """Focusing potential -w / (rho^2 (rho^-kappa + rho^kappa)^2).
 
-    Evaluated as -w rho^(2 kappa - 2) / (1 + rho^(2 kappa))^2, which is
-    overflow-safe at both ends of the half line.
+    Evaluated as -w x y / rho / rho; dividing by rho twice keeps rho^2
+    from overflowing.
     """
     r = _as_rho(rho)
-    _check_kappa(kappa)
-    t = r ** (2.0 * kappa)
-    return -w * r ** (2.0 * kappa - 2.0) / (1.0 + t) ** 2
+    x, y = _fractions(r, kappa)
+    return -w * x * y / r / r
 
 
 def radial_wavefunction(rho, params: DoParams):
-    """Unnormalized zero-energy radial wavefunction R(rho).
+    """Unnormalized zero-energy radial wavefunction R(rho) = f(rho) C_p^q(y - x) / rho.
 
-    R = rho^l (1 + rho^(2 kappa))^(-(2l+1)/(2 kappa)) C_p^q(xi) with
-    polynomial degree p = N - 1 - l/kappa and order q = (2l+1)/(2 kappa) + 1/2.
-    The overall normalization constant is dropped.
+    f is the nodeless radial factor, p = N - 1 - l/kappa the degree and
+    q = (2l+1)/(2 kappa) + 1/2 the order; rho divides last, so f/rho never
+    rounds in the subnormals.  The normalization constant is dropped.
     """
     r = _as_rho(rho)
-    kappa, l = params.kappa, params.l
-    t = r ** (2.0 * kappa)
-    expo = (2 * l + 1) / (2.0 * kappa)
-    envelope = r**l * (1.0 + t) ** (-expo)
-    xi = (1.0 - t) / (1.0 + t)
-    poly = gegenbauer(params.degree, expo + 0.5, xi)
-    return envelope * poly
+    x, y = _fractions(r, params.kappa)
+    poly = gegenbauer(params.degree, (2 * params.l + 1) / (2.0 * params.kappa) + 0.5, y - x)
+    return radial_factor_f(r, params.l, params.kappa) * poly / r
 
 
 def _reflect_where(direct, decay, r, reflected):
@@ -216,17 +222,20 @@ def radial_factor_df(rho, l, kappa):
     is not finite or the decay (1+t)^(-(2l+1)/(2 kappa)) is not a normal
     float, it is taken from the reflected form
     rho^(-l-1) (1+s)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1)/(1+s)], s = rho^(-2 kappa).
+    At l = 0 the bracket is 1/(1+t) and s/(1+s), which do not cancel.
     """
     r = _as_rho(rho)
     p = (2 * l + 1) / (2.0 * kappa)
     with np.errstate(over="ignore", invalid="ignore"):
         t = r ** (2.0 * kappa)
         decay = (1.0 + t) ** -p
-        direct = r**l * decay * ((l + 1) - (2 * l + 1) * t / (1.0 + t))
+        bracket = 1.0 / (1.0 + t) if l == 0 else (l + 1) - (2 * l + 1) * t / (1.0 + t)
+        direct = r**l * decay * bracket
 
     def reflected(rb):
         s = rb ** (-2.0 * kappa)
-        return rb ** (-l - 1) * (1.0 + s) ** -p * ((l + 1) - (2 * l + 1) / (1.0 + s))
+        bracket = s / (1.0 + s) if l == 0 else (l + 1) - (2 * l + 1) / (1.0 + s)
+        return rb ** (-l - 1) * (1.0 + s) ** -p * bracket
 
     return _reflect_where(direct, decay, r, reflected)
 
@@ -234,32 +243,28 @@ def radial_factor_df(rho, l, kappa):
 def superpotential_w(rho, l, kappa):
     """Particular superpotential W = l/rho - (2l+1)/(rho (1 + rho^(2 kappa))).
 
-    Identical to -f'/f for the nodeless radial factor f.
+    Evaluated as (l - (2l+1) y) / rho; identical to -f'/f for the nodeless f.
     """
     r = _as_rho(rho)
-    t = r ** (2.0 * kappa)
-    return l / r - (2 * l + 1) / (r * (1.0 + t))
-
-
-def superpotential_dw(rho, l, kappa):
-    """Analytic derivative W'(rho) of the particular superpotential."""
-    r = _as_rho(rho)
-    t = r ** (2.0 * kappa)
-    return (l + 1) / r**2 + (2 * l + 1) * t * ((2.0 * kappa - 1.0) - t) / (r * (1.0 + t)) ** 2
+    y = _fractions(r, kappa)[1]
+    return (l - (2 * l + 1) * y) / r
 
 
 def u_minus(rho, l, kappa):
     """Bosonic effective potential U- = l(l+1)/rho^2 + V(rho; w) = W^2 - W'.
 
-    Computed from the closed form with the nodeless coupling
+    Evaluated as l(l+1) / rho / rho + V with the nodeless coupling
     w = (2l+1)(2l+1+2 kappa); the W^2 - W' route is kept as a test oracle.
     """
     r = _as_rho(rho)
-    w = nodeless_coupling(l, kappa)
-    return l * (l + 1) / r**2 + potential_v(r, kappa, w)
+    return l * (l + 1) / r / r + potential_v(r, kappa, nodeless_coupling(l, kappa))
 
 
 def u_plus(rho, l, kappa):
-    """Fermionic effective superpartner U+ = W^2 + W' = U- + 2 W'."""
+    """Fermionic effective superpartner U+ = W^2 + W', with its terms collected:
+    (l(l-1) + (2l+1) y (2y - (2l-1-2 kappa) x)) / rho^2 does not cancel where
+    W^2 and W' do (at l <= 1 and large rho).
+    """
     r = _as_rho(rho)
-    return u_minus(r, l, kappa) + 2.0 * superpotential_dw(r, l, kappa)
+    x, y = _fractions(r, kappa)
+    return (l * (l - 1) + (2 * l + 1) * y * (2.0 * y - (2 * l - 1 - 2.0 * kappa) * x)) / r / r

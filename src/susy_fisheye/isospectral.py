@@ -36,6 +36,7 @@ from .do_core import (
     _as_rho,
     _check_kappa,
     _check_l,
+    _fractions,
     radial_factor_df,
     radial_factor_f,
     superpotential_w,
@@ -166,21 +167,13 @@ def _i0_finite(r, a, n, kappa):
     B(a, n) = (n-1)! / (a)_n, so d_j = (a)_j / j! B(a, n) / 2 kappa.  The
     d_j are formed downwards from d_(n-1) = 1 / (2 kappa (a+n-1)) by
     d_(j-1) = d_j j / (a+j-1), so none overflows, and all n terms are
-    positive.  x = t / (t+s) and y = s / (t+s), with t = rho^2k and s = 1
-    up to rho = 1 and t = 1, s = rho^-2k past it, so no power overflows
-    and I0 tends to B(a, n) / 2 kappa.  Every step on the radii is a numpy
-    ufunc with a scalar exponent (a power with an array of exponents may
-    round a 0-d call differently), so a scalar call equals the matching
-    element of an array call.
+    positive.  x and y come from do_core._fractions, so I0 tends to
+    B(a, n) / 2 kappa, and a scalar call equals its array element.
     """
     d = [0.5 / (kappa * (a + n - 1.0))]
     for j in range(n - 1, 0, -1):
         d.append(d[-1] * j / (a + j - 1.0))
-    t = np.power(np.minimum(r, 1.0), 2.0 * kappa)
-    s = np.power(np.maximum(r, 1.0), -2.0 * kappa)
-    u = t + s
-    x = t / u
-    y = s / u
+    x, y = _fractions(r, kappa)
     total = d[0]
     for term in d[1:]:
         total = total * y + term
@@ -352,13 +345,14 @@ def i0(rho, l, kappa):
     1.9e-14 at kappa = 1/4 and 1/6, at 6 to 30 us per kappa = 1/2 call on
     50 to 600 radii, where the series takes 160 to 350 us
     (scripts/i0_route_scan.py).  The series' relative error is below 1e-12
-    for kappa >= 1/4 (tested); below that, just past rho = 1, it reaches
-    1.6e-11 (l = 3, kappa = 3/49).  I0 takes kappa from about 1e-308 to
-    1e305 (the series refuses the kappa where (2l+3)/2 kappa or rho^2k at
-    the largest float overflows) and is finite for every rho from RHO_MIN
-    to 1e307, and to the largest float at kappa = 1: it grows like rho at
-    l = 0 and tends to B(a, b) / 2 kappa at l >= 1.  l must be a
-    non-negative integer on every route.
+    for kappa >= 1/4 (tested), and at most 6.8e-14 at the nodeless
+    kappa = l/k < 1/4, k <= 20 l (at l = 5, kappa = 5/22; 3.0e-14 at l = 3,
+    kappa = 3/49).
+    I0 takes kappa from about 1e-308 to 1e305 (the series refuses the kappa
+    where (2l+3)/2 kappa or rho^2k at the largest float overflows) and is
+    finite for every rho from RHO_MIN to 1e307, and to the largest float at
+    kappa = 1: it grows like rho at l = 0 and tends to B(a, b) / 2 kappa at
+    l >= 1.  l must be a non-negative integer on every route.
     """
     _check_l(l)
     if kappa == 1.0:

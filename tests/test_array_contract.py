@@ -34,7 +34,6 @@ CASES = [
     ("do_core.radial_factor_f", lambda r: do_core.radial_factor_f(r, 2, 1.0), RHO),
     ("do_core.radial_factor_df", lambda r: do_core.radial_factor_df(r, 2, 1.0), RHO),
     ("do_core.superpotential_w", lambda r: do_core.superpotential_w(r, 1, 0.5), RHO),
-    ("do_core.superpotential_dw", lambda r: do_core.superpotential_dw(r, 1, 0.5), RHO),
     ("do_core.u_minus", lambda r: do_core.u_minus(r, 1, 1.0), RHO),
     ("do_core.u_plus", lambda r: do_core.u_plus(r, 1, 1.0), RHO),
     ("isospectral.i0_closed_one", lambda r: isospectral.i0_closed_one(r, 2), RHO),

@@ -475,24 +475,37 @@ class TestFamilyTerms:
     # kappa = 0.7 ones again when I0 moved from the quadrature to the beta
     # series (464 of 1500 values moved, by at most 6.2e-13 relative), and
     # the two kappa = 1/2 ones when I0 moved from its closed form to the
-    # beta series (298 f_bos values moved, by at most 2.0e-15 relative)
+    # beta series (298 f_bos values moved, by at most 2.0e-15 relative).
+    # All but plain index again when V and U+- moved to the fractions
+    # x = t/(1+t), y = 1/(1+t), each digest's moves against its previous
+    # bytes given in its comment; the l = 0 ones also carry f' with its
+    # bracket 1/(1+t).  U- moves at rounding level of its two terms, most
+    # near its root, and u_bos and n_iso with it.
     @pytest.mark.parametrize(
         "argv,digest",
         [
+            # 196 u_minus values moved (at most 6.5e-16), 151 u_bos (7.5e-14,
+            # worst against mpmath 1.2e-13 on both sides)
             (("family", "--kappa", "0.7", "--l", "0"),
-             "a9394c945b0d9ea94c30b34d75e7a16aaee08f9e4f499df366f5b044cc60e74a"),
+             "7b240598d297fa33469115b974e8ffb298d4e3d9efd0a2f9d0614d206aee7d4a"),
             (("family", "--kappa", "0.7", "--l", "0", "--format", "json"),
-             "e92f1c5dd7e68e6d0af62f3ee03003c0b5a5df20d936bf71cf074b0712e94e65"),
+             "04caab57ed4b543a2075e2e5fbb79d1a1f04977b1ec7ab4d11a2c90cc0efbbe5"),
+            # 183 u_minus and 183 u_bos values moved (at most 1.0e-13; worst
+            # against mpmath unchanged at 2.5e-13 and 2.4e-13)
             (("family", "--kappa", "0.5", "--l", "3"),
-             "2f74d83b2d9ab3e5137e14241973c4d614dbc29bd5d3a9bdf58b0d80046e8411"),
+             "81de198fb2a75819d865b8f0e3892b87a5c9eedb1f2bd0224149062479061064"),
             (("family", "--kappa", "0.5", "--l", "3", "--format", "json"),
-             "28e917f9add656a7b6359ff23ea6e06b4cfbfdde50d087979f9a1af2ccef6530"),
-            (("family",), "1e59c3f7a5c91989aba5720d07c7377e7ba50885c9152b05d2836cfd9c0326c9"),
+             "7f89bc1008fa21f8f47a85c6cfa5c39b49537f8c3e1ce7bfa0c50ec533207d8d"),
+            # 202 u_minus values moved (at most 5.2e-14), 197 u_bos (2.7e-13;
+            # worst against mpmath 4.5e-13 -> 1.8e-13)
+            (("family",), "49f0fd396bef646d8d92f0de44eb3a6a898f072bb8e22749bb0e2418341cdc01"),
             (("family", "--format", "json"),
-             "378c6778dde8eeecb0cc962e7a95776c7731af14a994487cf7eedf0b77a79e75"),
+             "0c758fd64d7b4ad207c917b7c406c30e12c61c3a7ac8cf35d2e24731c9747f47"),
             (("index",), "88bcc9dfca7deac175a9f904cbf286a534ccfe669c997f386b1dee4cfe38de0f"),
+            # 112 n_iso values moved (at most 1.5e-14; worst against mpmath
+            # unchanged at 3.7e-14)
             (("index", "--exact-index"),
-             "30c300d5f479165765dfbe514290965f32e4d7708b4190b447e4d82d009f8874"),
+             "911d6e2c672efb71cca176e16699ff269ea874f12a8748bcfd9c95c5d64bcaed"),
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):
@@ -589,8 +602,6 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            # u_plus turns into inf/inf at rho >~ 1e154
-            (["potential", "--rho-max", "1e200"], "u_plus is not finite at rho = 3.33e+199"),
             # NaN fails the configuration check before any output is computed
             (["figure", "--lambda", "nan"], "lambda must be positive, got lambda = nan"),
             (
@@ -598,12 +609,31 @@ class TestErrors:
                 "lambda must be positive, got lambda = nan",
             ),
         ],
-        ids=["potential-overflow", "figure-csv-nan", "figure-svg-nan"],
+        ids=["figure-csv-nan", "figure-svg-nan"],
     )
     def test_non_finite_output_is_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv, "--samples", "4")
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["potential", "--rho-max", "1e80"],
+            ["potential", "--rho-max", "1e200"],
+            ["potential", "--rho-max", "1.7e308"],
+            ["family", "--kappa", "2", "--l", "2", "--rho-max", "1e307"],
+        ],
+        ids=["potential-1e80", "potential-1e200", "potential-1.7e308", "family-kappa-2-1e307"],
+    )
+    def test_far_radii_give_finite_potentials(self, capsys, argv):
+        # V, W and U+- divide by rho twice and take no power of rho above 1,
+        # so nothing overflows on the way to values below the float range
+        code, out, err = run_cli(capsys, *argv, "--samples", "4")
+        assert (code, err) == (0, "")
+        values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert values.shape == (4, len(out.splitlines()[0].split(",")))
+        assert np.all(np.isfinite(values))
 
     def test_non_finite_svg_column_is_refused(self, capsys, monkeypatch):
         # no figure input overflows now, so a NaN is put into n_iso
@@ -699,9 +729,9 @@ class TestErrors:
 
     def test_refusal_is_the_only_stderr_line(self):
         # pytest captures numpy's warnings in process; a child process shows
-        # the stderr a user sees
-        assert run_alone("potential", "--rho-max", "1e200", "--samples", "4") == (
-            2, "", "error: u_plus is not finite at rho = 3.33e+199\n"
+        # the stderr a user sees.  (1 + rho^2)^2 overflows in fisheye's V_M.
+        assert run_alone("figure", "--l", "2", "--rho-max", "1e80", "--samples", "4") == (
+            2, "", "error: n_iso is not finite at rho = 3.33e+79\n"
         )
 
     @pytest.mark.parametrize(
@@ -786,13 +816,17 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv,expected",
         [
+            # V and U+- in the fractions x, y: 2 v, 2 u_minus and 2 u_plus
+            # values moved (at most 4.2e-16); on the 300-row table 192 v
+            # (5.5e-16), 202 u_minus (5.2e-14, near its root) and 255 u_plus
+            # moved, u_plus's worst error against mpmath 6.8e-15 -> 5.0e-16
             (
                 ["potential", "--samples", "3"],
                 "rho,v,u_minus,u_plus\n"
                 "0.01,-14.997000449940009,19985.002999550059,59991.001199850019\n"
-                "1.5050000000000001,-1.4070782083495479,-0.52408574689768772,"
-                "0.52990353179907757\n"
-                "3,-0.14999999999999999,0.072222222222222215,0.036666666666666653\n",
+                "1.5050000000000001,-1.4070782083495481,-0.52408574689768794,"
+                "0.52990353179907779\n"
+                "3,-0.14999999999999997,0.072222222222222243,0.03666666666666666\n",
             ),
             (
                 ["langer", "--format", "csv", "--nb", "2", "--samples", "3"],

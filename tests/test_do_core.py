@@ -164,6 +164,11 @@ class TestRadialWavefunction:
         assert radial_wavefunction(2.0, p) == pytest.approx(expected, rel=1e-14)
         assert radial_factor_f(2.0, 1, 1.0) == pytest.approx(2.0 * expected, rel=1e-14)
 
+    def test_finite_where_rho_squared_overflows(self):
+        # t = rho^2 is inf past 1.3e154, where (1 - t)/(1 + t) is NaN
+        value = radial_wavefunction(1e200, DoParams(1.0, 1, 3))
+        assert math.isfinite(value)
+
     def test_excited_sector_uses_polynomial(self):
         # degree 1, order (2l+1)/(2k) + 1/2 = 2 at kappa = 1, l = 1, N = 3
         p = DoParams(kappa=1.0, l=1, N=3)
@@ -187,7 +192,7 @@ def exact_factor(rho, l, kappa):
         r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
         t, p = r ** (2 * k), (2 * l + 1) / (2 * k)
         f = r ** (l + 1) * (1 + t) ** -p
-        return float(f), float(f / r * ((l + 1) - (2 * l + 1) * t / (1 + t)))
+        return float(f), float(f / r * ((l + 1) - l * t) / (1 + t))
 
 
 class TestRadialFactor:
@@ -257,12 +262,12 @@ class TestRadialFactor:
         # every normal value within 1e-14 of 40 digits.  These kappa keep
         # p = (2l+1)/(2 kappa) a float: at 0.7 or 5 the direct form's
         # (1 + t)^(-p) carries the rounding of p, p ln(1 + t) eps, up to
-        # 6.6e-14.  f' is left out at l = 0, where its bracket
-        # 1 - t/(1 + t) cancels to 0 once t passes 2^53.
+        # 6.6e-14.  At l = 0 f' takes its bracket as 1/(1 + t), which
+        # 1 - t/(1 + t) would cancel to 0 once t passes 2^53.
         rho = np.append(np.logspace(-12.0, 308.0, 33), np.finfo(float).max)
         got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
         exact = np.array([exact_factor(r, l, kappa) for r in rho]).T
-        for value, want in list(zip(got, exact))[: 2 if l else 1]:
+        for value, want in zip(got, exact):
             normal = np.abs(want) >= np.finfo(float).tiny
             assert np.all(np.abs(value[normal] / want[normal] - 1.0) < 1e-14)
 
@@ -282,6 +287,84 @@ class TestSuperpotential:
     )
     def test_values(self, rho, l, kappa, expected):
         assert superpotential_w(rho, l, kappa) == pytest.approx(expected, abs=1e-14)
+
+
+# (l, kappa) of the sweep: U+ cancelled as U- + 2 W' at l = 0 and 1
+SWEEP_SECTORS = [(0, 1.0), (1, 1.0), (2, 1.0), (1, 0.5), (3, 0.5), (0, 0.7), (2, 2.0), (1, 0.25)]
+# rho^2 overflows past 1.3e154, and rho^(2 kappa) earlier at kappa = 2;
+# 15 and 17 flank the root of U+ at (1, 1/4)
+SWEEP_NAMED = [15.0, 17.0, 1e8, 1e52, 2e154, 1e307, 1.7e308]
+
+
+def sweep_radii():
+    """150 seeded log-uniform radii on [1e-12, 1.7e308], a linear grid, the named radii."""
+    logs = np.random.default_rng(36).uniform(math.log(1e-12), math.log(1.7e308), 150)
+    return np.concatenate([np.exp(logs), np.linspace(0.05, 4.0, 40), SWEEP_NAMED])
+
+
+def exact_partners(rho, l, kappa):
+    """{name: (exact, terms)} of V, U-, U+ and W at rho by mpmath.
+
+    terms is the sum of the magnitudes of the terms each is the sum of
+    (l(l+1)/rho^2 and V for U-, l/rho and (2l+1)/(rho (1+t)) for W).  U+ is
+    W^2 + W' with W' from the quotient rule, worked at enough digits that
+    the sum, which cancels by up to y^2 = (1+t)^-2, keeps 40.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(4 * kappa * max(0.0, math.log10(rho)))):
+        r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
+        t = r ** (2 * k)
+        v = -(2 * l + 1) * (2 * l + 1 + 2 * k) * t / (r**2 * (1 + t) ** 2)
+        w = l / r - (2 * l + 1) / (r * (1 + t))
+        dw = -l / r**2 + (2 * l + 1) * (1 + t + 2 * k * t) / (r**2 * (1 + t) ** 2)
+        centrifugal = l * (l + 1) / r**2
+        return {
+            "v": (v, abs(v)),
+            "u_minus": (centrifugal + v, centrifugal + abs(v)),
+            "u_plus": (w**2 + dw, abs(w**2 + dw)),
+            "w": (w, (l + (2 * l + 1) / (1 + t)) / r),
+        }
+
+
+class TestFiniteOnEveryRadius:
+    """V, U+-, W and the wavefunction from the fractions x, y on one seeded sweep."""
+
+    @pytest.mark.parametrize("l,kappa", SWEEP_SECTORS)
+    def test_finite_with_no_warning(self, l, kappa):
+        # rho^2 and rho^(2 kappa) overflow at the largest radii, so no
+        # evaluator may form them
+        rho = sweep_radii()
+        nodeless = DoParams.nodeless(kappa, l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [
+                potential_v(rho, kappa, nodeless.w),
+                u_minus(rho, l, kappa),
+                u_plus(rho, l, kappa),
+                superpotential_w(rho, l, kappa),
+                radial_wavefunction(rho, nodeless),
+                radial_wavefunction(rho, DoParams(kappa, l, nodeless.N + 2)),
+            ]
+        for value in values:
+            assert np.all(np.isfinite(value))
+
+    @pytest.mark.parametrize("l,kappa", SWEEP_SECTORS)
+    def test_against_mpmath(self, l, kappa):
+        # U+ to 1e-14 relative; V, U- and W to 1e-15 of their terms, since U-
+        # and W have roots.  U+ changes sign at rho = 16 for (1, 1/4), where
+        # no float evaluation keeps relative digits (4.3e-14 at 15.9 and
+        # 16.1); 15 and 17 read 1.8e-15.  1e-322 absorbs subnormal results.
+        rho = sweep_radii()
+        got = {
+            "v": potential_v(rho, kappa, nodeless_coupling(l, kappa)),
+            "u_minus": u_minus(rho, l, kappa),
+            "u_plus": u_plus(rho, l, kappa),
+            "w": superpotential_w(rho, l, kappa),
+        }
+        for i, r in enumerate(rho):
+            for name, (exact, terms) in exact_partners(float(r), l, kappa).items():
+                bound = (1e-14 if name == "u_plus" else 1e-15) * float(terms) + 1e-322
+                assert abs(float(got[name][i] - exact)) <= bound, (name, r)
 
 
 class TestPartnerPotentials:
@@ -314,7 +397,9 @@ class TestPartnerPotentials:
                 assert u_plus(rho, l, kappa) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
     def test_u_plus_decay(self):
-        assert abs(u_plus(1e6, 0, 1.0)) < 1e-11
+        # U+ = 3 y (2y + x) / rho^2 at l = 1, kappa = 1; the sum U- + 2 W'
+        # cancels to -1.479e-31 here
+        assert u_plus(1e8, 1, 1.0) == pytest.approx(3.0e-32, rel=1e-15)
 
     def test_two_superpartner_routes_differ(self):
         # the direct half-line partner shifts the centrifugal index, the
