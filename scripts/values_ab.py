@@ -4,32 +4,38 @@
 Both checkouts' src/susy_fisheye are imported side by side (two_trees.py).
 Each evaluator of EVALUATORS (V, U-, U+, W, f, f', the radial
 wavefunction at degree 2 and I0) runs on both trees, at every nodeless
-(l, kappa) of SECTORS, over one seeded sweep: --n log-uniform radii on
-[1e-12, 1.7e308] plus the edge radii of NAMED.  An array call that raises
-is redone one radius at a time, so an exception is counted per value; the
-RuntimeWarnings of the calls are counted too.  For each evaluator the
-script prints:
+(l, kappa) of SECTORS, over one fixed sweep: N log-uniform radii on
+[1e-12, 1.7e308], drawn with the seed SEED, plus the edge radii of NAMED.
+An array call that raises is redone one radius at a time, so an exception
+is counted per value; the RuntimeWarnings of the calls are counted too.
+For each evaluator the script prints:
 
 - the values that changed (any bit, the sign of zero included);
 - the non-finite values, the exceptions and the warnings on each side;
-- where mpmath is importable, each side's worst error against it on a
-  seeded sample of at most --sample of the changed values.  The error is |value - exact| over a
-  scale: |exact| for V, U+, f and I0, and the sum of the magnitudes of the
-  defining terms for U-, W, f' and the wavefunction, which have roots; the
-  scale is floored at the smallest normal float, so an underflowed value
-  counts by its absolute error.  A value that is not finite or raised has
-  an infinite error.  U+ is referenced as W^2 + W' with enough digits
-  that the sum does not cancel, and I0 as the incomplete beta function
-  B_x(a, b) / 2 kappa, through its complement B(a, b) - B_y(b, a) past
-  x = 1/2.
+- where mpmath is importable, each side's worst error against it over
+  every changed value, and the count of changed values whose error rose
+  by more than VALUE_MARGIN.  The error is |value - exact| over a scale:
+  |exact| for V, U+, f and I0, and the sum of the magnitudes of the
+  defining terms for U-, W, f' and the wavefunction, which have roots;
+  the scale is floored at the smallest normal float, so an underflowed
+  value counts by its absolute error.  A value that is not finite or
+  raised has an infinite error.  U+ is referenced as W^2 + W' with enough
+  digits that the sum does not cancel, and I0 as the incomplete beta
+  function B_x(a, b) / 2 kappa, through its complement B(a, b) - B_y(b, a)
+  past x = 1/2.
 
 It exits 1 if, for any evaluator, the change has more non-finite values or
-more exceptions than the parent, or its worst sampled error exceeds the
-parent's by more than MARGIN; otherwise 0.
+more exceptions than the parent, its worst error exceeds the parent's by
+more than MARGIN, or one value's error rose by more than VALUE_MARGIN;
+otherwise 0.  The last is taken value by value, so an infinite error of
+the parent at one radius hides no lost digit at another.
 
 Usage:
     python scripts/values_ab.py --parent DIR --change DIR
-    python scripts/values_ab.py --parent DIR --change DIR --n 20000 --json values.json
+    python scripts/values_ab.py --parent DIR --change DIR --json values.json
+
+The sweep is fixed, not an option, and every changed value is checked, so
+that a comparison cannot be run on radii chosen to miss a regression.
 """
 
 import argparse
@@ -46,13 +52,22 @@ from two_trees import SIDES, load  # noqa: E402
 
 # nodeless (l, kappa): kappa = 1 and 1/2 (closed form and finite-sum I0),
 # general kappa (series I0), l = 0 and 1 (U+ cancelled at the parent of the
-# collected form), and one kappa below 1/4
+# collected form), one kappa below 1/4, and a large kappa and a large l,
+# where rho^(2 kappa) and rho^(l+1) are subnormal near 1e-12 while V and
+# the wavefunction are not
 SECTORS = ((0, 1.0), (1, 1.0), (2, 1.0), (1, 0.5), (3, 0.5), (0, 0.7), (2, 2.0), (1, 0.25),
-           (3, 3 / 49))
+           (3, 3 / 49), (0, 13.6), (25, 1.0))
 NAMED = (1e-12, 1.0, 1e8, 1e52, 2e154, 1e307, 1.7e308, float(np.finfo(float).max))
-# Largest rise of an evaluator's worst sampled error that is not refused:
-# about 4.5 ulp of the scale.
+# Largest rise of the worst error that is not refused: about 4.5 ulp of
+# the scale.
 MARGIN = 1e-15
+# Largest rise of one value's error that is not refused: about 45 ulp.  A
+# new evaluation order moves single values by a few ulp in both directions
+# (U+ collected, 4e-17 -> 1.6e-15 at l = 3, kappa = 1/2, rho = 2.42); a
+# lost digit is 1e-15 times more.
+VALUE_MARGIN = 1e-14
+SEED = 36
+N = 2000  # log-uniform radii of the sweep
 TINY = float(np.finfo(float).tiny)
 
 
@@ -62,8 +77,10 @@ def _exact(mp, name, rho, l, kappa):
     decades = 2 * kappa * max(0.0, math.log10(rho))  # of 1/y = 1 + rho^(2 kappa)
     b = (2 * l - 1) / (2 * kappa)
     pole = b <= 0 and b == int(b)  # B(a, b) is infinite: I0 by B_x(a, b), near x = 1
-    # W^2 + W' cancels by up to y^2; B_x(a, b) must resolve 1 - x = y
-    extra = 2 * decades if name == "u_plus" else decades if name == "i0" and pole else 0
+    # W^2 + W' cancels by up to y^2; B_x(a, b) must resolve 1 - x = y.  Past
+    # 700 lost digits U+ is far below the float range, and 740 keep its
+    # absolute error far below the smallest subnormal
+    extra = min(700, 2 * decades) if name == "u_plus" else decades if name == "i0" and pole else 0
     with mp.workdps(40 + int(extra)):
         r, k = mpf(rho), mpf(kappa)
         t = r ** (2 * k)
@@ -115,9 +132,9 @@ EVALUATORS = {
 }
 
 
-def sweep(seed, n):
+def sweep(n):
     """The seeded radii: n log-uniform on [1e-12, 1.7e308], then NAMED."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     logs = rng.uniform(math.log(1e-12), math.log(1.7e308), n)
     return np.concatenate([np.exp(logs), NAMED])
 
@@ -153,18 +170,18 @@ def _errors(mp, name, got, rho, l, kappa):
             for side, v in got.items()}
 
 
-def compare(trees, seed=36, n=2000, sample=500, sectors=SECTORS):
+def compare(trees, n, sectors=SECTORS):
     """{evaluator: row} for the two trees {side: {"do_core": ..., "isospectral": ...}}.
 
-    Without mpmath no value is sampled, and the worst errors are None.
+    Without mpmath no value is checked, and the worst errors are None.
     """
     try:
         import mpmath
     except ImportError:
-        mpmath, sample = None, 0
-    r = sweep(seed, n)
+        mpmath = None
+    r = sweep(n)
     table = {}
-    for index, (name, fn) in enumerate(EVALUATORS.items()):
+    for name, fn in EVALUATORS.items():
         row = {"values": 0, "changed": 0}
         for side in SIDES:
             row.update({f"nonfinite_{side}": 0, f"raised_{side}": 0, f"warned_{side}": 0,
@@ -184,15 +201,15 @@ def compare(trees, seed=36, n=2000, sample=500, sectors=SECTORS):
             row["changed"] += int(np.count_nonzero(moved))
             changed += [(i, l, kappa, got["parent"][i], got["change"][i])
                         for i in np.flatnonzero(moved)]
-        # one stream per evaluator, so its sample does not hang on the others'
-        picks = np.random.default_rng([seed, index]).permutation(len(changed))[:sample]
+        checked = changed if mpmath else []
         worst = {side: 0.0 for side in SIDES}
-        for j in picks:
-            i, l, kappa, parent, change = changed[j]
+        row["worse"] = 0
+        for i, l, kappa, parent, change in checked:
             errs = _errors(mpmath, name, {"parent": parent, "change": change}, r[i], l, kappa)
             worst = {side: max(worst[side], errs[side]) for side in SIDES}
-        row["sampled"] = len(picks)
-        row.update({f"worst_{side}": worst[side] if len(picks) else None for side in SIDES})
+            row["worse"] += errs["change"] > errs["parent"] + VALUE_MARGIN
+        row["checked"] = len(checked)
+        row.update({f"worst_{side}": worst[side] if checked else None for side in SIDES})
         table[name] = row
     return table
 
@@ -205,22 +222,25 @@ def verdict(table):
             if row[f"{what}_change"] > row[f"{what}_parent"]:
                 reasons.append(f"{name}: {row[f'{what}_change']} {what} values, "
                                f"{row[f'{what}_parent']} at the parent")
-        if row["sampled"] and row["worst_change"] > row["worst_parent"] + MARGIN:
+        if row["checked"] and row["worst_change"] > row["worst_parent"] + MARGIN:
             reasons.append(f"{name}: worst error {row['worst_change']:.3g}, "
                            f"{row['worst_parent']:.3g} at the parent")
+        if row["worse"]:
+            reasons.append(f"{name}: {row['worse']} values with an error more than "
+                           f"{VALUE_MARGIN:g} above the parent's")
     return reasons
 
 
 def _report(table):
     head = ("evaluator", "values", "changed", "nonfinite p/c", "raised p/c", "warned p/c",
-            "sampled", "worst parent", "worst change")
+            "checked", "worse", "worst parent", "worst change")
     print(f"{head[0]:13s}" + "".join(f"{h:>15s}" for h in head[1:]))
     for name, row in table.items():
         pairs = [f"{row[f'{w}_parent']}/{row[f'{w}_change']}"
                  for w in ("nonfinite", "raised", "warned")]
         worst = ["-" if row[f"worst_{s}"] is None else f"{row[f'worst_{s}']:.3g}"
                  for s in SIDES]
-        cells = [row["values"], row["changed"], *pairs, row["sampled"], *worst]
+        cells = [row["values"], row["changed"], *pairs, row["checked"], row["worse"], *worst]
         print(f"{name:13s}" + "".join(f"{c!s:>15s}" for c in cells))
     for name, row in table.items():
         for side in SIDES:
@@ -232,28 +252,22 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout holding src/susy_fisheye")
     parser.add_argument("--change", required=True, help="checkout holding src/susy_fisheye")
-    parser.add_argument("--seed", type=int, default=36, help="sweep seed (default 36)")
-    parser.add_argument("--n", type=int, default=2000,
-                        help="log-uniform radii per sector (default 2000)")
-    parser.add_argument("--sample", type=int, default=500,
-                        help="changed values per evaluator checked against mpmath (default 500)")
     parser.add_argument("--json", help="also write the table to this file")
     args = parser.parse_args(argv)
-    if args.n < 0 or args.sample < 0:
-        parser.error("--n and --sample must be non-negative")
     trees = {side: {module: load(getattr(args, side), side, module)
                     for module in ("do_core", "isospectral")} for side in SIDES}
-    table = compare(trees, args.seed, args.n, args.sample)
+    table = compare(trees, N)
     _report(table)
     reasons = verdict(table)
     for reason in reasons:
         print(f"worse: {reason}")
     if not reasons:
-        print(f"no evaluator has more non-finite values or exceptions, or a worst error "
-              f"more than {MARGIN:g} above the parent's")
+        print(f"no evaluator has more non-finite values or exceptions, a worst error more "
+              f"than {MARGIN:g} above the parent's, or one value's error more than "
+              f"{VALUE_MARGIN:g} above it")
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"seed": args.seed, "n": args.n, "sample": args.sample, "margin": MARGIN,
+            {"seed": SEED, "n": N, "margin": MARGIN, "value_margin": VALUE_MARGIN,
              "evaluators": table}, indent=1) + "\n")
     return 1 if reasons else 0
 

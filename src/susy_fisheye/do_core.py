@@ -36,6 +36,8 @@ __all__ = [
 # Half-line evaluators refuse radii below this instead of trying to
 # regularize the centrifugal singularity.
 RHO_MIN = 1e-12
+# The smallest normal float: a value below it has lost relative digits.
+_TINY = np.finfo(float).tiny
 
 
 def _as_rho(rho):
@@ -152,18 +154,20 @@ def _fractions(r, kappa):
     _check_kappa(kappa)
     t = np.power(np.minimum(r, 1.0), 2.0 * kappa)
     s = np.power(np.maximum(r, 1.0), -2.0 * kappa)
-    return t / (t + s), s / (t + s)
+    total = t + s
+    return t / total, s / total
 
 
 def potential_v(rho, kappa, w):
     """Focusing potential -w / (rho^2 (rho^-kappa + rho^kappa)^2).
 
     Evaluated as -w x y / rho / rho; dividing by rho twice keeps rho^2
-    from overflowing.
+    from overflowing.  Where x is subnormal (rho < 1, so 1 + t rounds to 1)
+    V is -w rho^(2 kappa - 2), which x / rho^2 would round in the subnormals.
     """
     r = _as_rho(rho)
     x, y = _fractions(r, kappa)
-    return -w * x * y / r / r
+    return _substitute(-w * x * y / r / r, x < _TINY, r, lambda rs: -w * rs ** (2.0 * kappa - 2.0))
 
 
 def radial_wavefunction(rho, params: DoParams):
@@ -171,12 +175,27 @@ def radial_wavefunction(rho, params: DoParams):
 
     f is the nodeless radial factor, p = N - 1 - l/kappa the degree and
     q = (2l+1)/(2 kappa) + 1/2 the order; rho divides last, so f/rho never
-    rounds in the subnormals.  The normalization constant is dropped.
+    rounds in the subnormals at rho > 1.  Below 1, where f is subnormal,
+    rho^l (1 + t)^(-(2l+1)/(2 kappa)) is taken directly.  The normalization
+    constant is dropped.
     """
     r = _as_rho(rho)
-    x, y = _fractions(r, params.kappa)
-    poly = gegenbauer(params.degree, (2 * params.l + 1) / (2.0 * params.kappa) + 0.5, y - x)
-    return radial_factor_f(r, params.l, params.kappa) * poly / r
+    kappa, l = params.kappa, params.l
+    x, y = _fractions(r, kappa)
+    poly = gegenbauer(params.degree, (2 * l + 1) / (2.0 * kappa) + 0.5, y - x)
+    f = radial_factor_f(r, l, kappa)
+    small = (f < _TINY) & (r < 1.0)
+    return _substitute(f * poly / r, small, r, lambda rs: (
+        rs**l * (1.0 + rs ** (2.0 * kappa)) ** (-(2 * l + 1) / (2.0 * kappa)) * poly[small]))
+
+
+def _substitute(value, where, r, form):
+    """value, with form(r[where]) in its place where the mask holds."""
+    if not where.any():
+        return value
+    out = np.array(value)
+    out[where] = form(r[where])
+    return out[()]
 
 
 def _reflect_where(direct, decay, r, reflected):
@@ -186,13 +205,10 @@ def _reflect_where(direct, decay, r, reflected):
     There the reflected form's powers are at most 1; at rho <= 1 the direct
     form's are, and it is as exact as the float range allows.
     """
-    trusted = np.isfinite(direct) & (decay >= np.finfo(float).tiny)
+    trusted = np.isfinite(direct) & (decay >= _TINY)
     if trusted.all():
         return direct
-    over = ~trusted & (r > 1.0)
-    out = np.array(direct)
-    out[over] = reflected(r[over])
-    return out[()]
+    return _substitute(direct, ~trusted & (r > 1.0), r, reflected)
 
 
 def radial_factor_f(rho, l, kappa):

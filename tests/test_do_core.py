@@ -289,11 +289,14 @@ class TestSuperpotential:
         assert superpotential_w(rho, l, kappa) == pytest.approx(expected, abs=1e-14)
 
 
-# (l, kappa) of the sweep: U+ cancelled as U- + 2 W' at l = 0 and 1
-SWEEP_SECTORS = [(0, 1.0), (1, 1.0), (2, 1.0), (1, 0.5), (3, 0.5), (0, 0.7), (2, 2.0), (1, 0.25)]
+# (l, kappa) of the sweep: U+ cancelled as U- + 2 W' at l = 0 and 1; at
+# kappa = 13.6 rho^(2 kappa) is subnormal near 1e-12 where V is not, and
+# at l = 25 so is rho^(l+1) where the wavefunction is not
+SWEEP_SECTORS = [(0, 1.0), (1, 1.0), (2, 1.0), (1, 0.5), (3, 0.5), (0, 0.7), (2, 2.0), (1, 0.25),
+                 (0, 13.6), (25, 1.0)]
 # rho^2 overflows past 1.3e154, and rho^(2 kappa) earlier at kappa = 2;
 # 15 and 17 flank the root of U+ at (1, 1/4)
-SWEEP_NAMED = [15.0, 17.0, 1e8, 1e52, 2e154, 1e307, 1.7e308]
+SWEEP_NAMED = [1e-12, 15.0, 17.0, 1e8, 1e52, 2e154, 1e307, 1.7e308]
 
 
 def sweep_radii():
@@ -308,10 +311,12 @@ def exact_partners(rho, l, kappa):
     terms is the sum of the magnitudes of the terms each is the sum of
     (l(l+1)/rho^2 and V for U-, l/rho and (2l+1)/(rho (1+t)) for W).  U+ is
     W^2 + W' with W' from the quotient rule, worked at enough digits that
-    the sum, which cancels by up to y^2 = (1+t)^-2, keeps 40.
+    the sum, which cancels by up to y^2 = (1+t)^-2, keeps 40.  Past 700
+    lost digits U+ is far below the float range, and 740 keep its absolute
+    error far below 1e-322.
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40 + int(4 * kappa * max(0.0, math.log10(rho)))):
+    with mpmath.workdps(40 + min(700, int(4 * kappa * max(0.0, math.log10(rho))))):
         r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
         t = r ** (2 * k)
         v = -(2 * l + 1) * (2 * l + 1 + 2 * k) * t / (r**2 * (1 + t) ** 2)
@@ -365,6 +370,20 @@ class TestFiniteOnEveryRadius:
             for name, (exact, terms) in exact_partners(float(r), l, kappa).items():
                 bound = (1e-14 if name == "u_plus" else 1e-15) * float(terms) + 1e-322
                 assert abs(float(got[name][i] - exact)) <= bound, (name, r)
+
+    def test_relative_digits_where_a_power_is_subnormal(self):
+        # at 1e-12, rho^(2 kappa) is subnormal at kappa = 13.6 and rho^(l+1)
+        # at l = 25, while V = -w rho^(2 kappa - 2) / (1+t)^2 and R = rho^l
+        # (1+t)^(-(2l+1)/2) C_p^26(y - x) are normal floats
+        assert potential_v(1e-12, 13.6, 28.2) == pytest.approx(
+            -1.1226622209608837e-301, rel=1e-15, abs=0)
+        assert u_minus(1e-12, 0, 13.6) == pytest.approx(
+            -1.1226622209608837e-301, rel=1e-15, abs=0)
+        assert radial_wavefunction(1e-12, DoParams.nodeless(1.0, 25)) == pytest.approx(
+            1e-300, rel=1e-15, abs=0)
+        # C_2^26(1) = 52 * 53 / 2
+        assert radial_wavefunction([1e-12], DoParams(1.0, 25, 28))[0] == pytest.approx(
+            1378e-300, rel=1e-15, abs=0)
 
 
 class TestPartnerPotentials:
