@@ -219,6 +219,9 @@ def radial_factor_f(rho, l, kappa):
     rho^(l+1) overflows or the decay (1 + rho^(2 kappa))^(-(2l+1)/(2 kappa))
     is not a normal float, f is taken from the reflected form
     rho^(-l) (1 + rho^(-2 kappa))^(-(2l+1)/(2 kappa)).
+
+    Where p = (2l+1)/(2 kappa) is not a float (kappa = 0.7, say), the direct
+    form carries its rounding, p ln(1+t) eps: within 1e-13, not 1e-14.
     """
     r = _as_rho(rho)
     p = (2 * l + 1) / (2.0 * kappa)

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .do_core import DoParams, _as_rho, _check_l, u_minus
-from .isospectral import _family_terms, _u_bos
+from .do_core import DoParams, _as_rho, _check_l
+from .isospectral import _family_terms
 
 __all__ = ["index_maxwell", "index_columns", "find_inflection", "figure_table"]
 
@@ -33,7 +33,7 @@ _CURVATURE_EPS = 1e-12
 
 
 def _deformation(r, l, lam, exact):
-    """(ratio, f_bos, V_fam) at kappa = 1, V_fam None unless exact; frees the terms.
+    """(ratio, f_bos, V_fam) at kappa = 1, V_fam = -(V_M + V_lam) or None unless exact.
 
     lam is a float or an array that broadcasts against r (a column gives
     one row per lam), each lam validated as DoParams validates it; every
@@ -43,10 +43,8 @@ def _deformation(r, l, lam, exact):
         DoParams.nodeless(kappa=1.0, l=l, lam=one_lam)
     terms = _family_terms(r, l, 1.0, lam)
     v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
-    ratio = 0.5 * (terms[2] - terms[3]) / v_m
-    if not exact:
-        return ratio, terms[1], None
-    return ratio, terms[1], _u_bos(u_minus(r, l, 1.0), terms) - l * (l + 1) / r**2
+    v_lam = terms[2] - terms[3]
+    return 0.5 * v_lam / v_m, terms[1], -(v_m + v_lam) if exact else None
 
 
 def index_maxwell(rho, l):
@@ -72,8 +70,8 @@ def index_columns(rho, l, lam, exact=False):
     lam-dependent part of the family potential and V_M the negative of its
     baseline term, so the ratio changes sign where f peaks.  n_iso is the
     first-order n_M (1 + ratio) the figure tables use, or in exact mode
-    sqrt(-V_fam) / (l + 1/2), which raises where V_fam >= 0.  f, f' and I0
-    are evaluated once for all four columns, and U- only in exact mode.
+    sqrt(-V_fam) / (l + 1/2), V_fam = -(V_M + V_lam), which raises where
+    V_fam >= 0.  f, f' and I0 are evaluated once for all four columns.
     """
     r = _as_rho(rho)
     ratio, f_bos, v_fam = _deformation(r, l, lam, exact)

@@ -294,15 +294,14 @@ def check_lambda_recovery():
 
 
 def check_centrifugal_subtraction():
-    # one lam column per l, each row computed as for its scalar lam
+    # fisheye's V_fam = -(V_M + V_lam) against U_bos - l(l+1)/rho^2, per lam column
     grid = np.linspace(0.05, 3.0, 120)
     lams = np.array([[1.0], [10.0]])
     worst = 0.0
     for l in (0, 1, 2):
         lhs = fisheye._deformation(grid, l, lams, exact=True)[2] + l * (l + 1) / grid**2
-        rhs = isospectral._u_bos(
-            u_minus(grid, l, 1.0), isospectral._family_terms(grid, l, 1.0, lams)
-        )
+        terms = isospectral._family_terms(grid, l, 1.0, lams)
+        rhs = isospectral._u_bos(u_minus(grid, l, 1.0), terms)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return _result("centrifugal-subtraction", worst, 1e-10)
 

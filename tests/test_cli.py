@@ -460,7 +460,7 @@ class TestFamilyTerms:
             (("family", "--kappa", "1"), 1),
             (("figure",), 0),
             (("index",), 0),
-            (("index", "--l", "2", "--exact-index"), 1),
+            (("index", "--l", "2", "--exact-index"), 0),
         ],
     )
     def test_one_evaluation_per_request(self, capsys, calls, argv, u_minus):
@@ -502,10 +502,11 @@ class TestFamilyTerms:
             (("family", "--format", "json"),
              "0c758fd64d7b4ad207c917b7c406c30e12c61c3a7ac8cf35d2e24731c9747f47"),
             (("index",), "88bcc9dfca7deac175a9f904cbf286a534ccfe669c997f386b1dee4cfe38de0f"),
-            # 112 n_iso values moved (at most 1.5e-14; worst against mpmath
-            # unchanged at 3.7e-14)
+            # again when V_fam became -(V_M + V_lam) in place of U_bos -
+            # l(l+1)/rho^2: 128 n_iso values moved, worst against 40-digit
+            # mpmath 3.7e-14 -> 2.2e-16 (test_fisheye.py, TestIndexIso)
             (("index", "--exact-index"),
-             "911d6e2c672efb71cca176e16699ff269ea874f12a8748bcfd9c95c5d64bcaed"),
+             "3b24992fc28ae51190b04f15163561613b8dc71aa7f2d19e2c79153494d8c240"),
         ],
     )
     def test_output_bytes_are_pinned(self, capsys, argv, digest):

@@ -1,17 +1,10 @@
 """Smoke test of scripts/csv_writer_scan.py, the timing of the CSV, JSON and SVG writers."""
 
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import load_script
 
 
 def test_scan_times_both_writers(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "csv_writer_scan", ROOT / "scripts" / "csv_writer_scan.py"
-    )
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
+    scan = load_script("csv_writer_scan")
     assert scan.table(250).shape == (50, 5) and scan.table(4096).shape == (1024, 4)
     assert scan.canvas(250).shape == (250,) and scan.canvas(99).shape == (98,)
     scan.main(["--sizes", "4096", "250", "--rounds", "1"])

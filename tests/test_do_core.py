@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import load_script
 
 from susy_fisheye.do_core import (
     DoParams,
@@ -17,6 +18,8 @@ from susy_fisheye.do_core import (
     u_plus,
 )
 from susy_fisheye.numerics import derivative
+
+exact = load_script("exact")
 
 
 class TestDoParams:
@@ -185,16 +188,6 @@ DECAY_UNDERFLOWS = [(1e60, 3, 0.5), (3e45, 3, 0.5), (1.5e107, 1, 1.0), (1e100, 2
                     (6.4e30, 1, 5.0)]
 
 
-def exact_factor(rho, l, kappa):
-    """(f, f') at rho to 40 digits, rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
-        t, p = r ** (2 * k), (2 * l + 1) / (2 * k)
-        f = r ** (l + 1) * (1 + t) ** -p
-        return float(f), float(f / r * ((l + 1) - l * t) / (1 + t))
-
-
 class TestRadialFactor:
     def test_values(self):
         assert radial_factor_f(1.0, 0, 1.0) == pytest.approx(2**-0.5, abs=1e-15)
@@ -217,8 +210,8 @@ class TestRadialFactor:
         # rho^(2 kappa) or rho^(l+1) overflows; f and f' still take the
         # exact value, down to the subnormals (f' at 1e250 is -1e-500, -0.0)
         got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
-        for value, exact in zip(got, exact_factor(rho, l, kappa)):
-            assert value == pytest.approx(exact, rel=1e-14, abs=1e-322)
+        for value, (want, _) in zip(got, exact.exact(rho, l, kappa, ("f", "df")).values()):
+            assert value == pytest.approx(float(want), rel=1e-14, abs=1e-322)
         # an array keeps its values at the radii where nothing overflows
         grid = np.array([0.5, 2.0, rho])
         for fn in (radial_factor_f, radial_factor_df):
@@ -230,8 +223,8 @@ class TestRadialFactor:
         # 1e100) or a subnormal short of digits; at 6.4e30 f' also has
         # (2l+1) t overflow in its bracket.  Every value here is normal.
         got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
-        for value, exact in zip(got, exact_factor(rho, l, kappa)):
-            assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
+        for value, (want, _) in zip(got, exact.exact(rho, l, kappa, ("f", "df")).values()):
+            assert value == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("rho,l,kappa", POWER_OVERFLOWS + DECAY_UNDERFLOWS)
     def test_no_warning_for_a_right_value(self, rho, l, kappa):
@@ -266,8 +259,9 @@ class TestRadialFactor:
         # 1 - t/(1 + t) would cancel to 0 once t passes 2^53.
         rho = np.append(np.logspace(-12.0, 308.0, 33), np.finfo(float).max)
         got = radial_factor_f(rho, l, kappa), radial_factor_df(rho, l, kappa)
-        exact = np.array([exact_factor(r, l, kappa) for r in rho]).T
-        for value, want in zip(got, exact):
+        values = [exact.exact(r, l, kappa, ("f", "df")) for r in rho]
+        for value, name in zip(got, ("f", "df")):
+            want = np.array([float(one[name][0]) for one in values])
             normal = np.abs(want) >= np.finfo(float).tiny
             assert np.all(np.abs(value[normal] / want[normal] - 1.0) < 1e-14)
 
@@ -289,87 +283,56 @@ class TestSuperpotential:
         assert superpotential_w(rho, l, kappa) == pytest.approx(expected, abs=1e-14)
 
 
-# (l, kappa) of the sweep: U+ cancelled as U- + 2 W' at l = 0 and 1; at
-# kappa = 13.6 rho^(2 kappa) is subnormal near 1e-12 where V is not, and
-# at l = 25 so is rho^(l+1) where the wavefunction is not
-SWEEP_SECTORS = [(0, 1.0), (1, 1.0), (2, 1.0), (1, 0.5), (3, 0.5), (0, 0.7), (2, 2.0), (1, 0.25),
-                 (0, 13.6), (25, 1.0)]
-# rho^2 overflows past 1.3e154, and rho^(2 kappa) earlier at kappa = 2;
-# 15 and 17 flank the root of U+ at (1, 1/4)
-SWEEP_NAMED = [1e-12, 15.0, 17.0, 1e8, 1e52, 2e154, 1e307, 1.7e308]
-
-
-def sweep_radii():
-    """150 seeded log-uniform radii on [1e-12, 1.7e308], a linear grid, the named radii."""
-    logs = np.random.default_rng(36).uniform(math.log(1e-12), math.log(1.7e308), 150)
-    return np.concatenate([np.exp(logs), np.linspace(0.05, 4.0, 40), SWEEP_NAMED])
-
-
-def exact_partners(rho, l, kappa):
-    """{name: (exact, terms)} of V, U-, U+ and W at rho by mpmath.
-
-    terms is the sum of the magnitudes of the terms each is the sum of
-    (l(l+1)/rho^2 and V for U-, l/rho and (2l+1)/(rho (1+t)) for W).  U+ is
-    W^2 + W' with W' from the quotient rule, worked at enough digits that
-    the sum, which cancels by up to y^2 = (1+t)^-2, keeps 40.  Past 700
-    lost digits U+ is far below the float range, and 740 keep its absolute
-    error far below 1e-322.
-    """
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40 + min(700, int(4 * kappa * max(0.0, math.log10(rho))))):
-        r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
-        t = r ** (2 * k)
-        v = -(2 * l + 1) * (2 * l + 1 + 2 * k) * t / (r**2 * (1 + t) ** 2)
-        w = l / r - (2 * l + 1) / (r * (1 + t))
-        dw = -l / r**2 + (2 * l + 1) * (1 + t + 2 * k * t) / (r**2 * (1 + t) ** 2)
-        centrifugal = l * (l + 1) / r**2
-        return {
-            "v": (v, abs(v)),
-            "u_minus": (centrifugal + v, centrifugal + abs(v)),
-            "u_plus": (w**2 + dw, abs(w**2 + dw)),
-            "w": (w, (l + (2 * l + 1) / (1 + t)) / r),
-        }
+def sweep_values(rho, l, kappa):
+    """{name: values} of the evaluators exact.exact references, R at degree 2."""
+    nodeless = DoParams.nodeless(kappa, l)
+    return {
+        "v": potential_v(rho, kappa, nodeless_coupling(l, kappa)),
+        "u_minus": u_minus(rho, l, kappa),
+        "u_plus": u_plus(rho, l, kappa),
+        "w": superpotential_w(rho, l, kappa),
+        "f": radial_factor_f(rho, l, kappa),
+        "df": radial_factor_df(rho, l, kappa),
+        "wavefunction": radial_wavefunction(rho, DoParams(kappa, l, nodeless.N + 2)),
+    }
 
 
 class TestFiniteOnEveryRadius:
-    """V, U+-, W and the wavefunction from the fractions x, y on one seeded sweep."""
+    """V, U+-, W, f, f' and the wavefunction on the one seeded sweep of exact.py."""
 
-    @pytest.mark.parametrize("l,kappa", SWEEP_SECTORS)
+    @pytest.mark.parametrize("l,kappa", exact.SECTORS)
     def test_finite_with_no_warning(self, l, kappa):
         # rho^2 and rho^(2 kappa) overflow at the largest radii, so no
         # evaluator may form them
-        rho = sweep_radii()
-        nodeless = DoParams.nodeless(kappa, l)
+        rho = exact.sweep(150)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = [
-                potential_v(rho, kappa, nodeless.w),
-                u_minus(rho, l, kappa),
-                u_plus(rho, l, kappa),
-                superpotential_w(rho, l, kappa),
-                radial_wavefunction(rho, nodeless),
-                radial_wavefunction(rho, DoParams(kappa, l, nodeless.N + 2)),
-            ]
+            values = [*sweep_values(rho, l, kappa).values(),
+                      radial_wavefunction(rho, DoParams.nodeless(kappa, l))]
         for value in values:
             assert np.all(np.isfinite(value))
 
-    @pytest.mark.parametrize("l,kappa", SWEEP_SECTORS)
+    @pytest.mark.parametrize("l,kappa", exact.SECTORS)
     def test_against_mpmath(self, l, kappa):
-        # U+ to 1e-14 relative; V, U- and W to 1e-15 of their terms, since U-
-        # and W have roots.  U+ changes sign at rho = 16 for (1, 1/4), where
-        # no float evaluation keeps relative digits (4.3e-14 at 15.9 and
-        # 16.1); 15 and 17 read 1.8e-15.  1e-322 absorbs subnormal results.
-        rho = sweep_radii()
-        got = {
-            "v": potential_v(rho, kappa, nodeless_coupling(l, kappa)),
-            "u_minus": u_minus(rho, l, kappa),
-            "u_plus": u_plus(rho, l, kappa),
-            "w": superpotential_w(rho, l, kappa),
-        }
+        # The error over the terms of each value (exact.py): V, U+- and W to
+        # 1e-15, since U-, W and U+ have roots.  U+ also to 1e-14 relative
+        # where |U+| >= 1e-2 of its terms: it changes sign at rho = 16 for
+        # (1, 1/4), where no float evaluation keeps relative digits (4.3e-14
+        # at 15.9 and 16.1), and 15 and 17 read 1.8e-15.  f, f' and R to
+        # 1e-14, or 1e-13 where p = (2l+1)/(2 kappa) is not a float and the
+        # direct form of f carries its rounding, p ln(1 + t) eps (4.1e-14 at
+        # (3, 3/49), 2.1e-14 at (0, 0.7)).  1e-322 absorbs subnormal results.
+        rho = exact.sweep(150)
+        got = sweep_values(rho, l, kappa)
+        factor = 1e-13 if exact.p_rounds(l, kappa) else 1e-14
+        bounds = {"v": 1e-15, "u_minus": 1e-15, "u_plus": 1e-15, "w": 1e-15,
+                  "f": factor, "df": factor, "wavefunction": factor}
         for i, r in enumerate(rho):
-            for name, (exact, terms) in exact_partners(float(r), l, kappa).items():
-                bound = (1e-14 if name == "u_plus" else 1e-15) * float(terms) + 1e-322
-                assert abs(float(got[name][i] - exact)) <= bound, (name, r)
+            for name, (value, terms) in exact.exact(float(r), l, kappa, tuple(got)).items():
+                error = abs(float(got[name][i] - value))
+                assert error <= bounds[name] * float(terms) + 1e-322, (name, r)
+                if name == "u_plus" and abs(value) >= 1e-2 * terms:
+                    assert error <= 1e-14 * float(abs(value)) + 1e-322, (name, r)
 
     def test_relative_digits_where_a_power_is_subnormal(self):
         # at 1e-12, rho^(2 kappa) is subnormal at kappa = 13.6 and rho^(l+1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import load_script
 
 from susy_fisheye.cli import main
 from susy_fisheye.do_core import DoParams, _as_rho
@@ -16,6 +17,7 @@ from susy_fisheye.isospectral import family_columns
 
 GRID = np.linspace(0.01, 3.0, 300)
 LENS = GRID[GRID <= 1.0]
+exact = load_script("exact")
 
 
 def family_potential(rho, l, lam):
@@ -121,6 +123,17 @@ class TestIndexIso:
         n_m = np.asarray(index_maxwell(LENS, 1))
         peak = np.max(np.abs(np.asarray(index_columns(LENS, 1, 1.0)[2])))
         assert np.all(np.abs(n_exact - n_first) < 0.5 * peak**2 * n_m)
+
+    @pytest.mark.parametrize("l,grid", [(1, GRID), (3, np.linspace(1e-3, 0.5, 300))],
+                             ids=["index-default", "l3-small-rho"])
+    def test_exact_mode_against_mpmath(self, l, grid):
+        # GRID, l = 1 and lam = 1 are the defaults of `index --exact-index`.
+        # V_fam taken as U_bos - l(l+1)/rho^2 from U- read 3.7e-14 here and
+        # 5.4e-12 at l = 3, where l(l+1)/rho^2 reaches 1.2e7 and cancels;
+        # -(V_M + V_lam) reads 2.2e-16 on both grids.
+        got = index_columns(grid, l, 1.0, exact=True)[1]
+        want = np.array([float(exact.index(float(r), l, 1.0)) for r in grid])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-15
 
     def test_exact_mode_rejects_non_negative_potential(self):
         # a huge negative-side ratio cannot happen on this grid, so force

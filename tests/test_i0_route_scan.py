@@ -1,19 +1,12 @@
 """Smoke test of scripts/i0_route_scan.py, the scan of the two I0 routes of _i0_beta."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_script
 
 from susy_fisheye import isospectral
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def test_scan_reports_route_terms_and_error(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "i0_route_scan", ROOT / "scripts" / "i0_route_scan.py"
-    )
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
+    scan = load_script("i0_route_scan")
     saved = isospectral._horner
     scan.main(["--kappas", "1/2", "0.7", "--ls", "0", "1", "5", "--sizes", "20", "--rounds", "1"])
     lines = capsys.readouterr().out.splitlines()

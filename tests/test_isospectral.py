@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import load_script
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
@@ -22,6 +23,8 @@ from susy_fisheye.isospectral import (
     i0_quadrature,
 )
 from susy_fisheye.numerics import derivative
+
+exact = load_script("exact")
 
 # frozen reference values at rho = 1, l = 0, kappa = 1 (I0 = 1 - pi/4)
 I0_ONE = 1.0 - math.pi / 4.0
@@ -154,21 +157,14 @@ class TestClosedForms:
     @pytest.mark.parametrize("l", range(6))
     def test_kappa_one_where_beta_rounds_to_pi_half(self, l):
         # arctan(rho) rounds to pi/2 from about 9e15; the closed form takes
-        # every radius to the largest float.  The reference is 40 digits of
-        # rho - arctan(rho) at l = 0 and (B(a, b) - B_y(b, a)) / 2,
-        # y = 1 / (1 + rho^2), at l >= 1.  The beta series agrees at l >= 1;
-        # at l = 0 it drifts by 1.03e-14 itself at 1e100.
-        mpmath = pytest.importorskip("mpmath")
+        # every radius to the largest float.  The reference is exact.py's 40
+        # digits of B_x(a, b) / 2 through its complement (rho - arctan(rho)
+        # at l = 0).  The beta series agrees at l >= 1; at l = 0 it drifts by
+        # 1.03e-14 itself at 1e100.
         rhos = np.array([1e3, 1e6, 1e10, 1e14, 5e15, 1e17, 1e100, 1e300])
         got = i0(rhos, l, 1.0)
-        with mpmath.workdps(40):
-            a, b = mpmath.mpf(2 * l + 3) / 2, mpmath.mpf(2 * l - 1) / 2
-            exact = [
-                float(r - mpmath.atan(r)) if l == 0
-                else float((mpmath.beta(a, b) - mpmath.betainc(b, a, 0, 1 / (1 + r**2))) / 2)
-                for r in map(mpmath.mpf, rhos)
-            ]
-        assert np.max(np.abs(got / exact - 1.0)) < 1e-14
+        want = [float(exact.exact(r, l, 1.0, ("i0",))["i0"][0]) for r in rhos]
+        assert np.max(np.abs(got / want - 1.0)) < 1e-14
         if l:
             assert np.max(np.abs(got / _i0_series(rhos, l, 1.0) - 1.0)) < 1e-14
         assert np.isfinite(i0(np.finfo(float).max, l, 1.0))

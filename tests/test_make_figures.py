@@ -1,9 +1,9 @@
 """Smoke test of scripts/make_figures.py, the four index-family figures."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
+from conftest import load_script
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,12 +23,7 @@ def tail(star, stem):
 
 @pytest.fixture(scope="module")
 def script():
-    spec = importlib.util.spec_from_file_location(
-        "make_figures", ROOT / "scripts" / "make_figures.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("make_figures")
 
 
 def test_default_figures_match_the_goldens(script, tmp_path, capsys):

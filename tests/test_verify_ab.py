@@ -1,12 +1,12 @@
 """Smoke test of scripts/verify_ab.py, the interleaved A/B timing of verify."""
 
-import importlib.util
 import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import load_script
 
 from susy_fisheye import verify
 
@@ -15,10 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture
 def verify_ab():
-    spec = importlib.util.spec_from_file_location("verify_ab", ROOT / "scripts" / "verify_ab.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    yield module
+    yield load_script("verify_ab")
     for name in [n for n in sys.modules if n.startswith(("susy_fisheye_parent", "susy_fisheye_change"))]:
         del sys.modules[name]
 

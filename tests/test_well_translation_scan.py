@@ -1,19 +1,12 @@
 """Smoke test of scripts/well_translation_scan.py, the single-state well family scan."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_script
 
 from susy_fisheye.fullline import rescale_radius, rm_family_shift
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def test_scan_keeps_the_single_bound_state(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "well_translation_scan", ROOT / "scripts" / "well_translation_scan.py"
-    )
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
+    scan = load_script("well_translation_scan")
     scan.main(["--lambda0", "0.01", "1", "1000"])
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["lambda0", "well", "center", "bound", "state", "R_lam/R"]

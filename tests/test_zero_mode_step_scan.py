@@ -1,19 +1,12 @@
 """Smoke test of scripts/zero_mode_step_scan.py, the zero-mode march's step scan."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_script
 
 from susy_fisheye import numerics, verify
 
-ROOT = Path(__file__).resolve().parents[1]
-
 
 def test_scan_names_the_committed_constants(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "zero_mode_step_scan", ROOT / "scripts" / "zero_mode_step_scan.py"
-    )
-    scan = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan)
+    scan = load_script("zero_mode_step_scan")
     committed = verify.ZERO_MODE_START, verify.ZERO_MODE_STEP
     march = numerics.numerov_zero_energy
     scan.main(["--rounds", "1"])
