@@ -5,8 +5,10 @@ f, f', the radial wavefunction at degree 2 and I0 at one float radius,
 each to 40 digits.  terms is the sum of the magnitudes of the terms the
 value is the sum of, so |value - exact| / terms counts lost digits where
 a value has roots; for V, f and I0, which have none, it is |value|.
-sweep(n) is the one seeded sweep that the tests and scripts/values_ab.py
-run the evaluators on, at the nodeless (l, kappa) of SECTORS.
+family(rho, l, kappa, lam) gives the family terms and, at kappa = 1, the
+fish-eye index columns from these.  sweep(n) is the one seeded sweep that
+the tests and scripts/values_ab.py run the evaluators on, at the nodeless
+(l, kappa) of SECTORS.
 """
 
 import math
@@ -40,22 +42,31 @@ def p_rounds(l, kappa):
     return Fraction(2 * l + 1, 2) / Fraction(kappa) != (2 * l + 1) / (2 * kappa)
 
 
-def _u_plus(rho, l, kappa, decades):
+def _u_plus(rho, l, kappa):
     """(U+, terms) as W^2 + W', with the terms of its collected form
     (l(l-1) + (2l+1) y (2y - (2l-1-2 kappa) x)) / rho^2.
 
-    W^2 + W' cancels by up to y^2 = (1+t)^-2, so it takes 2 decades extra
-    digits.  Past 700 U+ is far below the float range, and 740 digits keep
-    its absolute error far below the smallest subnormal.
+    W^2 + W' cancels by W^2 / terms: up to 1/y = 1 + t at l = 1 (1/y^2 at
+    kappa = 1/2), not at all at l = 0 or l >= 2.  So U+ takes the digits of
+    that ratio, found at 20 digits, on top of its 40.  Past 700 of them U+
+    is far below the float range, and 740 digits keep its absolute error
+    far below the smallest subnormal.
     """
-    with mpmath.workdps(40 + int(min(700, 2 * decades))):
+    def parts():
         r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
         t = r ** (2 * k)
         x, y = t / (1 + t), 1 / (1 + t)
         w = (l - (2 * l + 1) * y) / r
         dw = (-l + (2 * l + 1) * (1 + (1 + 2 * k) * t) * y**2) / r**2
         terms = (l * (l - 1) + (2 * l + 1) * y * (2 * y + abs(2 * l - 1 - 2 * k) * x)) / r**2
-        return w**2 + dw, terms
+        return w**2, dw, terms
+
+    with mpmath.workdps(20):
+        w2, _, terms = parts()
+        extra = min(700, int(mpmath.log10(1 + w2 / terms)) + 1)
+    with mpmath.workdps(40 + extra):
+        w2, dw, terms = parts()
+        return w2 + dw, terms
 
 
 def _i0(rho, l, kappa, decades):
@@ -84,11 +95,11 @@ def exact(rho, l, kappa, names=EVALUATORS):
     state f/rho C_2^q(y - x), q = p + 1/2, with C_2^q(z) = 2q(q+1) z^2 - q,
     and its terms are f/rho C_2^q(1).
     """
-    decades = 2 * kappa * max(0.0, math.log10(rho))  # of 1/y = 1 + rho^(2 kappa)
     out = {}
     if "u_plus" in names:
-        out["u_plus"] = _u_plus(rho, l, kappa, decades)
+        out["u_plus"] = _u_plus(rho, l, kappa)
     if "i0" in names:
+        decades = 2 * kappa * max(0.0, math.log10(rho))  # of 1/y = 1 + rho^(2 kappa)
         out["i0"] = _i0(rho, l, kappa, decades)
     with mpmath.workdps(40):
         r, k = mpmath.mpf(rho), mpmath.mpf(kappa)
@@ -113,13 +124,29 @@ def exact(rho, l, kappa, names=EVALUATORS):
     return {name: out[name] for name in names}
 
 
-def index(rho, l, lam):
-    """n_iso of the exact index mode, sqrt(-V_fam) / (l + 1/2), at kappa = 1.
+def family(rho, l, kappa, lam):
+    """{name: (value, terms)} of the family at lam and the float radius rho.
 
-    V_fam = V - 4 f f'/(I0+lam) + 2 f^4/(I0+lam)^2 from exact()'s V, f, f'
-    and I0: the family potential without its centrifugal term.
+    u_bos = U- - a + b and f_bos = f/(I0+lam), with a = 4 f f'/(I0+lam)
+    and b = 2 f^4/(I0+lam)^2, from exact()'s U-, f, f' and I0.  At
+    kappa = 1 also the fish-eye index: the first-order ratio
+    (a - b) / 2 V_M, with V_M = -V = (2l+1)(2l+3) / (1+rho^2)^2, its
+    n_iso = n_M (1 + ratio), and the exact index
+    sqrt(V_M + a - b) / (l + 1/2) as "index", whose terms are its value;
+    it reads 0 where V_M + a - b <= 0 and the index is undefined.
     """
-    (v, _), (f, _), (df, _), (i0, _) = exact(rho, l, 1.0, ("v", "f", "df", "i0")).values()
+    names = ("v", "u_minus", "f", "df", "i0")
+    (v, _), (u, u_terms), (f, _), (df, _), (i0, _) = exact(rho, l, kappa, names).values()
     with mpmath.workdps(40):
         d = i0 + lam
-        return mpmath.sqrt(-(v - 4 * f * df / d + 2 * f**4 / d**2)) / (l + mpmath.mpf(0.5))
+        a, b = 4 * f * df / d, 2 * f**4 / d**2
+        out = {"u_bos": (u - a + b, u_terms + abs(a) + b), "f_bos": (f / d, f / d)}
+        if kappa == 1.0:
+            ratio = (a - b) / (-2 * v)
+            half = l + mpmath.mpf(0.5)
+            n_m = mpmath.sqrt((2 * l + 1) * (2 * l + 3)) / half / (1 + mpmath.mpf(rho) ** 2)
+            index = mpmath.sqrt(max(-v + a - b, 0)) / half
+            out.update({"ratio": (ratio, (abs(a) + b) / (-2 * v)),
+                        "n_iso": (n_m * (1 + ratio), n_m * (1 + abs(ratio))),
+                        "index": (index, index)})
+        return out

@@ -1,8 +1,9 @@
 """Import two checkouts of susy_fisheye into one process, side by side.
 
 Each checkout's src/susy_fisheye is imported under its own package name,
-susy_fisheye_parent or susy_fisheye_change, so the A/B scripts
-(verify_ab.py, values_ab.py) can call both trees in alternation.
+susy_fisheye_parent or susy_fisheye_change, so the A/B scripts can call
+both trees in alternation: values_ab.py compares their values and
+time_ab.py their request times on the benchmark's streams.
 """
 
 import importlib

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .do_core import DoParams, _as_rho, _check_l
+from .do_core import DoParams, _as_rho, _check_l, _fractions, _substitute
 from .isospectral import _family_terms
 
 __all__ = ["index_maxwell", "index_columns", "find_inflection", "figure_table"]
@@ -42,7 +42,12 @@ def _deformation(r, l, lam, exact):
     for one_lam in np.ravel(lam):
         DoParams.nodeless(kappa=1.0, l=l, lam=one_lam)
     terms = _family_terms(r, l, 1.0, lam)
-    v_m = (2 * l + 1) * (2 * l + 3) / (1.0 + r**2) ** 2
+    c = (2 * l + 1) * (2 * l + 3)
+    with np.errstate(over="ignore"):
+        v_m = c / (1.0 + r**2) ** 2
+    # (1 + rho^2)^2 overflows past rho ~ 1.2e77, where c y^2 takes over; y^2
+    # is subnormal there and underflows past 8.0e80, where the ratio is NaN
+    v_m = _substitute(v_m, v_m == 0, r, lambda rs: c * _fractions(rs, 1.0)[1] ** 2)
     v_lam = terms[2] - terms[3]
     return 0.5 * v_lam / v_m, terms[1], -(v_m + v_lam) if exact else None
 

@@ -352,7 +352,11 @@ def i0(rho, l, kappa):
     where (2l+3)/2 kappa or rho^2k at the largest float overflows) and is
     finite for every rho from RHO_MIN to 1e307, and to the largest float at
     kappa = 1: it grows like rho at l = 0 and tends to B(a, b) / 2 kappa at
-    l >= 1.  l must be a non-negative integer on every route.
+    l >= 1.  At small rho, I0 ~ rho^(2l+3) / (2l+3) can fall below the
+    smallest subnormal and read 0: 4.8e-409 at rho = 0.01, l = 100.  With
+    lam = 1e-300, I0 + lam is then lam, and both (I0 + lam)^2 and f^4
+    underflow, so the family term 2 f^4 / (I0 + lam)^2 is 0/0 (NaN).
+    l must be a non-negative integer on every route.
     """
     _check_l(l)
     if kappa == 1.0:

@@ -730,9 +730,29 @@ class TestErrors:
 
     def test_refusal_is_the_only_stderr_line(self):
         # pytest captures numpy's warnings in process; a child process shows
-        # the stderr a user sees.  (1 + rho^2)^2 overflows in fisheye's V_M.
-        assert run_alone("figure", "--l", "2", "--rho-max", "1e80", "--samples", "4") == (
-            2, "", "error: n_iso is not finite at rho = 3.33e+79\n"
+        # the stderr a user sees.  fisheye's V_M underflows past 8.0e80.
+        assert run_alone("figure", "--l", "2", "--rho-max", "1e81", "--samples", "4") == (
+            2, "", "error: n_iso is not finite at rho = 1e+81\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["index", "--l", "2", "--rho-max", "1e80", "--samples", "3"],
+         ["figure", "--l", "2", "--rho-max", "1e80"]],
+        ids=["index", "figure"],
+    )
+    def test_index_past_the_overflow_of_v_m(self, capsys, argv):
+        # (1 + rho^2)^2 overflows past rho = 1.2e77; V_M is (2l+1)(2l+3) y^2 there
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        values = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(values)) and np.all(values[:, 1:3] > 0)
+
+    def test_i0_below_the_float_range_with_a_tiny_lambda(self, capsys):
+        # at l = 100, I0(0.01) ~ 5e-409 reads 0, so I0 + lam = lam, and both
+        # (I0 + lam)^2 and f^4 underflow: 2 f^4 / (I0 + lam)^2 is 0/0
+        assert run_cli(capsys, "figure", "--l", "100", "--lambda", "1e-300") == (
+            2, "", "error: n_iso is not finite at rho = 0.01\n"
         )
 
     @pytest.mark.parametrize(

@@ -132,7 +132,7 @@ class TestIndexIso:
         # 5.4e-12 at l = 3, where l(l+1)/rho^2 reaches 1.2e7 and cancels;
         # -(V_M + V_lam) reads 2.2e-16 on both grids.
         got = index_columns(grid, l, 1.0, exact=True)[1]
-        want = np.array([float(exact.index(float(r), l, 1.0)) for r in grid])
+        want = np.array([float(exact.family(float(r), l, 1.0, 1.0)["index"][0]) for r in grid])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-15
 
     def test_exact_mode_rejects_non_negative_potential(self):

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from conftest import load_script
 
@@ -26,22 +27,29 @@ def test_the_same_tree_on_both_sides(values_ab, capsys, tmp_path, monkeypatch):
     argv = ["--parent", str(ROOT), "--change", str(ROOT), "--json", str(out)]
     assert values_ab.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines[1:]] == [*values_ab.EVALUATORS, "no"]
+    # the exact index refuses V_fam >= 0 on both sides, and each side names its first refusal
+    assert [line.split()[0] for line in lines[1:]] == [*values_ab.EVALUATORS, "index", "index",
+                                                       "no"]
     table = json.loads(out.read_text())["evaluators"]
-    for row in table.values():
-        assert row["values"] == values_ab.sweep(40).size * len(values_ab.SECTORS)
+    for name, row in table.items():
+        cases = values_ab._cases(name, values_ab.SECTORS)
+        assert row["values"] == values_ab.sweep(40).size * len(cases)
         assert (row["changed"], row["worst_change"]) == (0, None)
         assert row["nonfinite_parent"] == row["nonfinite_change"]
-        assert row["raised_parent"] == row["raised_change"] == 0
-    # the one non-finite value: I0 at the largest float, l = 0, kappa = 13.6,
-    # past the 1e307 up to which I0 is stated finite away from kappa = 1
+        assert row["raised_parent"] == row["raised_change"]
+    assert {name for name, row in table.items() if row["raised_change"]} == {"index"}
+    # the non-finite values: I0 at the largest float, l = 0, kappa = 13.6,
+    # past the 1e307 up to which I0 is stated finite away from kappa = 1;
+    # and the first-order index past rho = 8.0e80, where V_M underflows, at
+    # each kappa = 1 sector and lam
+    past = np.count_nonzero(values_ab.sweep(40) > 8.0e80) * 4 * len(values_ab.LAMBDAS)
     assert {name: row["nonfinite_change"] for name, row in table.items()
-            if row["nonfinite_change"]} == {"i0": 1}
+            if row["nonfinite_change"]} == {"i0": 1, "n_iso": past, "ratio": past}
 
 
 def test_a_perturbed_evaluator_is_measured_and_refused(values_ab):
-    trees = {side: {module: values_ab.load(ROOT, side, module)
-                    for module in ("do_core", "isospectral")} for side in values_ab.SIDES}
+    trees = {side: {module: values_ab.load(ROOT, side, module) for module in values_ab.MODULES}
+             for side in values_ab.SIDES}
     core = trees["change"]["do_core"]
     perturbed = SimpleNamespace(**vars(core))
     perturbed.u_plus = lambda rho, l, kappa: core.u_plus(rho, l, kappa) * (1.0 + 1e-12)
