@@ -11,12 +11,12 @@ join (repr_json) with cli._columns_json.  SVG pairs one `%` polyline join
 panel's canvas coordinates: size // 2 points of n_M, x and y interleaved.
 The CPython writers live in this script only; the program writes every
 table by the _g17 kernel.  A row gives the median milliseconds of each
-writer, their ratio (CPython writer over kernel, above 1 where the kernel
-is faster) and nanoseconds per value.
+writer over ROUNDS interleaved rounds, their ratio (CPython writer over
+kernel, above 1 where the kernel is faster) and nanoseconds per value.
+The sizes are SIZES.  It takes no options.
 
 Usage:
     python scripts/csv_writer_scan.py
-    python scripts/csv_writer_scan.py --sizes 1000 4096 15000 --rounds 11
 """
 
 import argparse
@@ -30,6 +30,7 @@ from susy_fisheye import _g17, cli, svgplot
 from susy_fisheye.fisheye import figure_table
 
 SIZES = (100, 250, 300, 600, 1000, 2000, 4096, 15000, 500000)
+ROUNDS = 21
 NAMES = ["rho", "n_maxwell", "n_iso", "ratio_minus_1", "f_bos_sq"]
 
 
@@ -88,13 +89,13 @@ def writers(fmt, values):
     )
 
 
-def scan(fmt, values, rounds):
+def scan(fmt, values):
     """(median ms of the CPython writer, median ms of the kernel) on one table."""
     pair = writers(fmt, values)
     if pair[0]() != pair[1]():
         raise SystemExit(f"the {fmt} writers differ at {values} values")
     times = ([], [])
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for side in (r % 2, 1 - r % 2):
             t0 = perf_counter()
             pair[side]()
@@ -103,17 +104,14 @@ def scan(fmt, values, rounds):
 
 
 def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--sizes", type=int, nargs="+", default=SIZES, help="table sizes in values")
-    p.add_argument("--rounds", type=int, default=21, help="interleaved rounds per size")
-    args = p.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     _g17._tables()
     _g17._tables_2f()
     for fmt, writer in (("csv", "%"), ("json", "repr"), ("svg", "%")):
         print(f"{fmt:<4} {'values':>8} {writer + ' ms':>10} {'kernel ms':>10} {'ratio':>6} "
               f"{'ns/value':>15}")
-        for values in sorted(args.sizes):
-            slow, kernel = scan(fmt, values, args.rounds)
+        for values in SIZES:
+            slow, kernel = scan(fmt, values)
             ns = f"{slow / values * 1e6:.0f} / {kernel / values * 1e6:.0f}"
             print(f"{fmt:<4} {values:>8} {slow:>10.3f} {kernel:>10.3f} {slow / kernel:>6.2f} "
                   f"{ns:>15}")

@@ -3,28 +3,32 @@
 
 verify marches the zero mode in x = ln rho from ln rho0 to ln 5 with a
 step of at most h (verify.ZERO_MODE_START and verify.ZERO_MODE_STEP).  For
-each pair (rho0, h) the script sets the two constants and reports what the
-two zero-mode checks see: the residuals of zero-mode-particular and
-zero-mode-family, the Numerov steps of the two checks (counted by wrapping
-numerics.numerov_zero_energy) and their median in-process time.  The rule:
-neither residual may exceed its value on the rho-grid of step 1e-3 that
-the Langer march replaced.  The last line names the pair with the fewest
-steps that meets it.  Run it with BLAS threads pinned to 1, or the times
-follow the thread count.
+each pair (rho0, h) of STARTS and STEPS the script sets the two constants
+and reports what the two zero-mode checks see: the residuals of
+zero-mode-particular and zero-mode-family, the Numerov steps of the two
+checks (read from a spy on numerics.numerov_zero_energy) and their median
+in-process time over ROUNDS rounds.  The rule: neither residual may exceed
+its value on the rho-grid of step 1e-3 that the Langer march replaced.
+The last line names the pair with the fewest steps that meets it.  Run it
+with BLAS threads pinned to 1, or the times follow the thread count.  It
+takes no options.
 
 Usage:
     OPENBLAS_NUM_THREADS=1 python scripts/zero_mode_step_scan.py
-    OPENBLAS_NUM_THREADS=1 python scripts/zero_mode_step_scan.py --starts 1e-3 --rounds 21
 """
 
 import argparse
-from contextlib import contextmanager
-from time import perf_counter
+import statistics
+import timeit
+from unittest import mock
 
 import numpy as np
 
 from susy_fisheye import numerics, verify
 
+STARTS = (1e-4, 3e-4, 1e-3, 3e-3)
+STEPS = (0.003, 0.0035, 0.004, 0.0045, 0.005)
+ROUNDS = 7
 # the residuals of the rho-grid march (step 1e-3 from rho = 1e-3)
 BASELINE = {
     "zero-mode-particular": 1.1537562724650563e-07,
@@ -33,65 +37,33 @@ BASELINE = {
 CHECKS = (verify.check_zero_mode_particular, verify.check_zero_mode_family)
 
 
-@contextmanager
-def march(start, step):
-    """verify's march constants set to (start, step) inside the block."""
-    saved = verify.ZERO_MODE_START, verify.ZERO_MODE_STEP
-    verify.ZERO_MODE_START, verify.ZERO_MODE_STEP = start, step
-    try:
-        yield
-    finally:
-        verify.ZERO_MODE_START, verify.ZERO_MODE_STEP = saved
+def run_checks():
+    """The two checks' results by name."""
+    return {r.name: r for r in (check() for check in CHECKS)}
 
 
-@contextmanager
-def counted_steps():
-    """A list that collects the Numerov steps of every march inside the block."""
-    steps = []
-    original = numerics.numerov_zero_energy
-
-    def counted(potential, grid, u0, u1):
-        steps.append(np.size(grid) - 2)
-        return original(potential, grid, u0, u1)
-
-    numerics.numerov_zero_energy = counted
-    try:
-        yield steps
-    finally:
-        numerics.numerov_zero_energy = original
-
-
-def measure(start, step, rounds):
+def measure(start, step):
     """(results by name, Numerov steps, median ms of the two checks)."""
-    with march(start, step):
-        with counted_steps() as steps:
-            results = {r.name: r for r in (check() for check in CHECKS)}
-        times = []
-        for _ in range(rounds):
-            t0 = perf_counter()
-            for check in CHECKS:
-                check()
-            times.append((perf_counter() - t0) * 1e3)
-    return results, sum(steps), float(np.median(times))
+    with mock.patch.multiple(verify, ZERO_MODE_START=start, ZERO_MODE_STEP=step):
+        with mock.patch.object(numerics, "numerov_zero_energy",
+                               wraps=numerics.numerov_zero_energy) as march:
+            results = run_checks()
+        # numerov_zero_energy(potential, grid, u0, u1) takes grid.size - 2 steps
+        steps = sum(np.size(call.args[1]) - 2 for call in march.call_args_list)
+        times = timeit.repeat(run_checks, setup="gc.enable()", repeat=ROUNDS, number=1)
+    return results, steps, statistics.median(times) * 1e3
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--starts", type=float, nargs="+", default=[1e-4, 3e-4, 1e-3, 3e-3])
-    parser.add_argument(
-        "--steps", type=float, nargs="+", default=[0.003, 0.0035, 0.004, 0.0045, 0.005]
-    )
-    parser.add_argument("--rounds", type=int, default=7)
-    args = parser.parse_args(argv)
-
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args(argv)
     particular, family = BASELINE.values()
     print(f"residuals at most their rho-grid values: particular {particular:.4e}, "
           f"family {family:.4e}")
     print(f"{'rho0':>7} {'h':>7} {'particular':>11} {'family':>11} {'steps':>6} {'ms':>6}  ok")
     chosen = None
-    for start in args.starts:
-        for step in args.steps:
-            results, steps, ms = measure(start, step, args.rounds)
+    for start in STARTS:
+        for step in STEPS:
+            results, steps, ms = measure(start, step)
             ok = all(results[n].residual <= v for n, v in BASELINE.items())
             if ok and (chosen is None or steps < chosen[0]):
                 chosen = steps, start, step

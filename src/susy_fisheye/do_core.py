@@ -75,14 +75,8 @@ class DoParams:
     isospectral.i0.  The polynomial degree N - 1 - l/kappa must be a
     non-negative integer; the nodeless sector corresponds to degree zero.
     Any finite lam > 0 selects a member of the strictly isospectral
-    family; at kappa = 1 and small lam, the closed form of I0 limits the
-    relative accuracy at small rho, where it cancels.  Against
-    i0_quadrature on linspace(0.01, 3, 300) its relative error is 1.0e-8
-    at l = 1, 1.8e-5 at l = 2, 1.0e-2 at l = 3, 2.2e2 at l = 4 and 5.2e5 at
-    l = 5, and i0_closed_one(0.001, 3) is -2.2e-21 where I0 is 1.1e-28;
-    the error reaches the family only where lam is not far above I0.
-    Radii are in units of the lens radius R (rho = r / R), so R is not a
-    parameter here; fullline.rescale_radius takes its own R.
+    family.  Radii are in units of the lens radius R (rho = r / R), so R
+    is not a parameter here; fullline.rescale_radius takes its own R.
     """
 
     kappa: float

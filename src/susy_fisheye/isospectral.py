@@ -117,6 +117,12 @@ def i0_closed_one(rho, l):
     (sin 2b / 2)^(2l-2) sin^4 b and expanded into even sine powers of 2b
     plus one odd cos(2b) term, each with an elementary antiderivative; every
     term vanishes at beta = 0 so no constant is needed.
+
+    At l >= 1 the terms cancel at small rho.  Against i0_quadrature on
+    linspace(0.01, 3, 300) the relative error is 1.0e-8 at l = 1, 1.8e-5 at
+    l = 2, 1.0e-2 at l = 3, 2.2e2 at l = 4 and 5.2e5 at l = 5, and
+    i0_closed_one(0.001, 3) is -2.2e-21 where I0 is 1.1e-28.  In the family
+    the error reaches only the members whose lam is not far above I0.
     """
     r = _as_rho(rho)
     b = np.arctan(r)
@@ -132,10 +138,12 @@ def i0_closed_one(rho, l):
 
 
 # Largest b = (2l-1)/2 kappa that _i0_beta sums as the terminating sum.
-# Its cost grows with b and the series' barely: scripts/i0_route_scan.py
-# measures the sum faster than the series at 50, 300 and 600 radii for
-# every integer b up to 576; past that the two trade places with the
-# host's noise, and at b = 1152 the series is faster at every size.
+# Its cost grows with b and the series' barely.  The last line of
+# scripts/i0_route_scan.py (run with no arguments) names the largest
+# integer b up to which the sum is faster than the series at 50, 300 and
+# 600 radii; on one shared 2-core host it read 224, 448 and 576 in three
+# runs and 224 in two more, so from a few hundred terms the crossover is
+# the host's noise.  At b = 1152 the series is faster at every size.
 _MAX_FINITE_TERMS = 512
 
 
@@ -228,7 +236,8 @@ def _horner(coeffs, column, w):
 
 # Largest factor by which the part of I0 above the switch may cancel, and
 # the smaller one the complement (l >= 1) may cancel by below kappa = 1/4
-# (scripts/i0_route_scan.py).
+# (the cancellation-bound lines of scripts/i0_route_scan.py, run with no
+# arguments).
 _MAX_CANCELLATION = 1e3
 _MAX_CANCELLATION_SMALL_KAPPA = 10.0
 
@@ -336,18 +345,21 @@ def _i0_series(r, l, kappa):
 def i0(rho, l, kappa):
     """I0(rho) = int_0^rho f^2: the closed form at kappa = 1, else _i0_beta.
 
+    i0_closed_one states the closed form's loss at small rho.
+
     _i0_beta takes the terminating sum of b = (2l-1)/2 kappa positive terms
     where b is a positive integer up to _MAX_FINITE_TERMS (kappa = 1/2 at
     every l >= 1, 1 to 9 terms at l = 1..5), and power series everywhere
     else (l = 0 and every b that is not an integer; 49 to 81 terms for
-    kappa from 1/2 to 2).  On logspace(1e-3, 50), l = 1..5, the sum is
-    within 7.4e-15 relative of i0_quadrature at kappa = 1/2 and within
-    1.9e-14 at kappa = 1/4 and 1/6, at 6 to 30 us per kappa = 1/2 call on
-    50 to 600 radii, where the series takes 160 to 350 us
-    (scripts/i0_route_scan.py).  The series' relative error is below 1e-12
-    for kappa >= 1/4 (tested), and at most 6.8e-14 at the nodeless
-    kappa = l/k < 1/4, k <= 20 l (at l = 5, kappa = 5/22; 3.0e-14 at l = 3,
-    kappa = 3/49).
+    kappa from 1/2 to 2).  Against I0 in exact rational arithmetic at
+    kappa = 1/2m, on 400 radii rho = s^m from 1e-3 to 1e3, l = 1..5, the
+    sum is within 2.4e-15 relative at kappa = 1/2, 5.2e-15 at kappa = 1/4
+    and 1.1e-14 at kappa = 1/6 (tested at 40 such radii).  It takes 6 to
+    30 us per kappa = 1/2 call on 50 to 600 radii, where the series takes
+    160 to 350 us (scripts/i0_route_scan.py).  The series' relative error is
+    below 1e-12 for kappa >= 1/4 (tested), and at most 6.8e-14 at the
+    nodeless kappa = l/k < 1/4, k <= 20 l (at l = 5, kappa = 5/22; 3.0e-14
+    at l = 3, kappa = 3/49).
     I0 takes kappa from about 1e-308 to 1e305 (the series refuses the kappa
     where (2l+3)/2 kappa or rho^2k at the largest float overflows) and is
     finite for every rho from RHO_MIN to 1e307, and to the largest float at

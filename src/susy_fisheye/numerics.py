@@ -403,9 +403,9 @@ def numerov_zero_energy(potential, grid, u0, u1) -> np.ndarray:
 # the domain cut on the weakly bound k = 1 states, not by the spacing; below
 # 113 points the discretisation error passes 1e-9 (1.6e-9 at 111, 4.1e-8 at
 # 101).
-# scripts/dvr_grid_scan.py prints the scan.  The count must be odd: the grid
-# then has a centre point and mirrors onto itself, which the parity split of
-# an even well needs.
+# scripts/dvr_grid_scan.py, run with no arguments, prints the scan.  The
+# count must be odd: the grid then has a centre point and mirrors onto
+# itself, which the parity split of an even well needs.
 DVR_POINTS = 117
 
 

@@ -55,11 +55,11 @@ def _frobenius_seed(rho, l, kappa):
 # The zero mode is marched in the Langer variable x = ln rho on a uniform
 # x-grid from ln ZERO_MODE_START to ln 5 whose step is at most
 # ZERO_MODE_STEP.  The pair is the one with the fewest steps, among those
-# scripts/zero_mode_step_scan.py scans, whose two residuals are at most
-# those of a uniform rho-grid of step 1e-3 from rho = 1e-3:
-# zero-mode-particular 1.154e-7 and zero-mode-family 1.267e-9.  A larger
-# start is held back by the seed's truncation error (3e-3: particular
-# 9.4e-7), a larger step by the march's (4.5e-3: family 1.7e-9).
+# scripts/zero_mode_step_scan.py scans (run with no arguments), whose two
+# residuals are at most those of a uniform rho-grid of step 1e-3 from
+# rho = 1e-3: zero-mode-particular 1.154e-7 and zero-mode-family 1.267e-9.
+# A larger start is held back by the seed's truncation error (3e-3:
+# particular 9.4e-7), a larger step by the march's (4.5e-3: family 1.7e-9).
 ZERO_MODE_START = 1e-3
 ZERO_MODE_STEP = 4e-3
 

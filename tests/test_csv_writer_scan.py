@@ -3,11 +3,13 @@
 from conftest import load_script
 
 
-def test_scan_times_both_writers(capsys):
+def test_scan_times_both_writers(capsys, monkeypatch):
     scan = load_script("csv_writer_scan")
     assert scan.table(250).shape == (50, 5) and scan.table(4096).shape == (1024, 4)
     assert scan.canvas(250).shape == (250,) and scan.canvas(99).shape == (98,)
-    scan.main(["--sizes", "4096", "250", "--rounds", "1"])
+    monkeypatch.setattr(scan, "SIZES", (250, 4096))
+    monkeypatch.setattr(scan, "ROUNDS", 1)
+    scan.main([])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 * (1 + 2)
     for fmt, block in zip(("csv", "json", "svg"), (lines[:3], lines[3:6], lines[6:])):

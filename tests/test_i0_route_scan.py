@@ -5,10 +5,15 @@ from conftest import load_script
 from susy_fisheye import isospectral
 
 
-def test_scan_reports_route_terms_and_error(capsys):
+def test_scan_reports_route_terms_and_error(capsys, monkeypatch):
     scan = load_script("i0_route_scan")
-    saved = isospectral._horner
-    scan.main(["--kappas", "1/2", "0.7", "--ls", "0", "1", "5", "--sizes", "20", "--rounds", "1"])
+    saved = (isospectral._horner, isospectral._MAX_CANCELLATION,
+             isospectral._MAX_CANCELLATION_SMALL_KAPPA)
+    monkeypatch.setattr(scan, "KAPPAS", ("1/2", "0.7"))
+    monkeypatch.setattr(scan, "LS", (0, 1, 5))
+    monkeypatch.setattr(scan, "SIZES", (20,))
+    monkeypatch.setattr(scan, "ROUNDS", 1)
+    scan.main([])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 + 6 + 3 + 3 + 1
     rows = [line.split() for line in lines[2:8]]
@@ -36,4 +41,5 @@ def test_scan_reports_route_terms_and_error(capsys):
     assert all(line.endswith("of logspace(1, 1e300, 4000)") for line in lines[11:14])
     assert all(float(row[8]) < 1e-13 for row in far)
     assert lines[-1].startswith("terminating sum faster than the series at every size up to b = ")
-    assert isospectral._horner is saved
+    assert (isospectral._horner, isospectral._MAX_CANCELLATION,
+            isospectral._MAX_CANCELLATION_SMALL_KAPPA) == saved

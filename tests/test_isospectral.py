@@ -397,35 +397,49 @@ class TestTerminatingSum:
         assert got == pytest.approx(special.beta(a, b) / (2 * kappa), rel=1e-14)
 
 
-def _exact_i0_half(rho, l):
-    """I0 at kappa = 1/2 and l >= 1, exact at the float rho, as a Fraction.
+def _exact_i0(s, l, m):
+    """I0 at kappa = 1/2m and l >= 1, exact at rho = s^m for the float s, as a Fraction.
 
-    f^2 = s^(2l+2) (1+s)^-(4l+2).  With u = 1 + s and (u-1)^(2l+2) expanded,
-    I0 = sum_j C(2l+2, j) (-1)^j (u^q - 1) / q, q = j - 4l - 1, at u = 1 + rho.
-    q runs from -4l-1 to 1-2l and is never 0 at l >= 1 (the integrand has
-    no u^-1 term), so I0 is a rational function of rho.
+    With t = rho^(1/m), f^2 drho = m t^n (1+t)^-p dt, n = m(2l+3) - 1 and
+    p = 2m(2l+1).  With u = 1 + t and (u-1)^n expanded,
+    I0 = m sum_j C(n, j) (-1)^(n-j) (u^q - 1) / q, q = j + 1 - p, at u = 1 + s.
+    q runs from 1 - p to m(1-2l) and is never 0 at l >= 1 (the integrand has
+    no u^-1 term), so I0 is a rational function of s.
     """
-    u = 1 + Fraction(rho)
-    n = 2 * l + 2
-    return sum(
-        math.comb(n, j) * (-1) ** j * (u ** (j - 4 * l - 1) - 1) / (j - 4 * l - 1)
+    u = 1 + Fraction(s)
+    n, p = m * (2 * l + 3) - 1, 2 * m * (2 * l + 1)
+    return m * sum(
+        math.comb(n, j) * (-1) ** (n - j) * (u ** (j + 1 - p) - 1) / (j + 1 - p)
         for j in range(n + 1)
     )
 
 
 class TestExactHalf:
-    """i0 and its oracle against I0 at kappa = 1/2 in exact rational arithmetic."""
+    """i0 (the terminating sum) and its oracle against I0 at kappa = 1/2m in exact arithmetic.
 
-    RHO = np.logspace(-3.0, 3.0, 40)
-    # measured here: at most 3.6e-15 (i0, the terminating sum) and 4.6e-15
-    # (i0_quadrature, which asks for 1e-12)
-    BUDGET = 1e-14
+    The radii are rho = s^m near logspace(1e-3, 1e3, 40), with s rounded to
+    11 significant bits so that s^m is an exact float.
+    """
 
-    @pytest.mark.parametrize("l", range(1, 6))
-    @pytest.mark.parametrize("evaluate", [i0, i0_quadrature], ids=["i0", "i0_quadrature"])
-    def test_relative_error_within_budget(self, evaluate, l):
-        ref = np.array([float(_exact_i0_half(r, l)) for r in self.RHO.tolist()])
-        assert np.max(np.abs(evaluate(self.RHO, l, 0.5) / ref - 1.0)) < self.BUDGET
+    # measured here at l = 1..5 (i0, i0_quadrature): at most 2.0e-15 and
+    # 3.6e-15 at kappa = 1/2, 4.6e-15 and 4.4e-15 at kappa = 1/4, 9.1e-15
+    # and 6.0e-15 at kappa = 1/6
+    BUDGET = {1: 1e-14, 2: 1e-14, 3: 2e-14}
+    CASES = [(evaluate, l, m) for m in BUDGET for l in range(1, 6)
+             for evaluate in (i0, i0_quadrature)]
+
+    # kappa = 1/2 (m = 1) keeps the ids it had before kappa = 1/4 and 1/6 joined it
+    @pytest.mark.parametrize(
+        "evaluate,l,m",
+        CASES,
+        ids=[f"{e.__name__}-{l}" + (f"-m{m}" if m > 1 else "") for e, l, m in CASES],
+    )
+    def test_relative_error_within_budget(self, evaluate, l, m):
+        mantissa, exponent = np.frexp(np.logspace(-3.0, 3.0, 40) ** (1.0 / m))
+        s = np.ldexp(np.round(np.ldexp(mantissa, 11)), exponent - 11)
+        ref = np.array([float(_exact_i0(x, l, m)) for x in s.tolist()])
+        got = evaluate(s**m, l, 0.5 / m)
+        assert np.max(np.abs(got / ref - 1.0)) < self.BUDGET[m]
 
 
 class TestGeneralRiccatiSolution:

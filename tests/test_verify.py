@@ -8,6 +8,7 @@ residuals must agree bit for bit, so they are compared with ==.
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,18 +232,6 @@ def test_batched_check_and_detail_equal_the_loop(check, loop):
     assert (result.residual, result.detail) == loop()
 
 
-def _counting(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "check,calls",
     [
@@ -253,10 +242,10 @@ def _counting(monkeypatch, module, name):
     ],
     ids=["riccati", "log-derivative", "partner-sum-difference", "langer"],
 )
-def test_one_derivative_call_per_quantity(monkeypatch, check, calls):
-    made = _counting(monkeypatch, numerics, "derivative")
-    check()
-    assert len(made) == calls
+def test_one_derivative_call_per_quantity(check, calls):
+    with mock.patch.object(numerics, "derivative", wraps=numerics.derivative) as made:
+        check()
+    assert made.call_count == calls
 
 
 @pytest.mark.parametrize(
@@ -264,19 +253,20 @@ def test_one_derivative_call_per_quantity(monkeypatch, check, calls):
     [(verify.check_gegenbauer_recurrence, 12), (verify.check_gegenbauer_parity, 9)],
     ids=["recurrence", "parity"],
 )
-def test_one_gegenbauer_call_per_degree(monkeypatch, check, calls):
+def test_one_gegenbauer_call_per_degree(check, calls):
     # every order (and, for parity, both signs of xi) in one call per degree
-    made = _counting(monkeypatch, specfun, "gegenbauer")
-    check()
-    assert len(made) == calls
+    with mock.patch.object(specfun, "gegenbauer", wraps=specfun.gegenbauer) as made:
+        check()
+    assert made.call_count == calls
 
 
-def test_one_quadrature_call_for_every_i0_sector(monkeypatch):
-    made = _counting(monkeypatch, numerics, "integrate_adaptive")
-    # i0_quadrature holds its own reference to the function
-    monkeypatch.setattr(isospectral, "integrate_adaptive", numerics.integrate_adaptive)
-    verify.check_closed_vs_quadrature()
-    assert len(made) == 1
+def test_one_quadrature_call_for_every_i0_sector():
+    quadrature = numerics.integrate_adaptive
+    with mock.patch.object(numerics, "integrate_adaptive", wraps=quadrature) as made:
+        # i0_quadrature holds its own reference to the function
+        with mock.patch.object(isospectral, "integrate_adaptive", made):
+            verify.check_closed_vs_quadrature()
+    assert made.call_count == 1
 
 
 @pytest.mark.parametrize(
@@ -284,12 +274,12 @@ def test_one_quadrature_call_for_every_i0_sector(monkeypatch):
     [(verify._riccati_scan, 12), (verify.check_zero_mode_family, 3)],
     ids=["riccati-scan", "zero-mode-family"],
 )
-def test_one_i0_evaluation_per_sector_and_grid(monkeypatch, run, calls):
+def test_one_i0_evaluation_per_sector_and_grid(run, calls):
     # the scan: 6 (kappa, l) sectors, each on the stencil grid and at the
     # radii; the zero-mode check: l = 0, 1, 2 on the march grid, both lam at once
-    made = _counting(monkeypatch, isospectral, "i0")
-    run()
-    assert len(made) == calls
+    with mock.patch.object(isospectral, "i0", wraps=isospectral.i0) as made:
+        run()
+    assert made.call_count == calls
 
 
 def test_suite_runs_clean_with_warnings_as_errors():

@@ -5,9 +5,10 @@ from conftest import load_script
 from susy_fisheye.fullline import rescale_radius, rm_family_shift
 
 
-def test_scan_keeps_the_single_bound_state(capsys):
+def test_scan_keeps_the_single_bound_state(capsys, monkeypatch):
     scan = load_script("well_translation_scan")
-    scan.main(["--lambda0", "0.01", "1", "1000"])
+    monkeypatch.setattr(scan, "LAMBDA0", (0.01, 1.0, 1000.0))
+    scan.main([])
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["lambda0", "well", "center", "bound", "state", "R_lam/R"]
     assert [row.split()[0] for row in rows] == ["0.01", "1", "1000"]
