@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Scan the two routes of isospectral._i0_beta: route, terms, cost and error per sector.
+"""Scan the two beta routes of isospectral.i0: route, terms, cost and error per sector.
 
 For each (kappa, l) of KAPPAS and LS the script prints b = (2l-1)/2 kappa,
-the route that _i0_beta takes ("sum", the terminating sum of _i0_finite,
-or "series", the power series of _i0_series), the number of terms that
-route sums (n = b for the sum; the Horner length for the series), the
-median over ROUNDS of the microseconds per call at each grid size of SIZES
-on logspace(1e-3, 50), and the largest relative error against
-i0_quadrature on the largest grid (0 where both are 0).
+the route that i0 takes, read from a spy on _i0_finite ("sum", the
+terminating sum of _i0_finite, or "series", the power series of
+_i0_series; the kappa = 1 rows, where i0 takes the closed form, scan the
+series), the number of terms that route sums (n = b for the sum; the
+Horner length for the series), the median over ROUNDS of the microseconds
+per call at each grid size of SIZES on logspace(1e-3, 50), and the largest
+relative error against i0_quadrature on the largest grid (0 where both
+are 0).
 Where b is a positive integer both routes apply, and the row also times
 the route not taken.
 The last line names the largest b up to which the terminating sum is
@@ -66,6 +68,13 @@ def routes(l, kappa):
     return out
 
 
+def taken(l, kappa):
+    """"sum" where i0 calls _i0_finite at (l, kappa), else "series"."""
+    with mock.patch.object(isospectral, "_i0_finite", wraps=isospectral._i0_finite) as spy:
+        isospectral.i0(1.0, l, kappa)
+    return "sum" if spy.called else "series"
+
+
 def series_terms(evaluate):
     """The Horner length of the series that `evaluate` sums (it does not depend on the radii)."""
     with mock.patch.object(isospectral, "_horner", wraps=isospectral._horner) as horner:
@@ -90,7 +99,7 @@ def bound_rows(r):
     refs = [isospectral.i0_quadrature(r, l, kappa) for l, kappa in below]
     above = [(text, l, float(Fraction(text))) for text in KAPPAS for l in LS if l >= 1]
     above = [(text, l, kappa) for text, l, kappa in above
-             if kappa >= 0.25 and not isospectral._finite_terms(l, kappa)]
+             if kappa >= 0.25 and taken(l, kappa) == "series"]
 
     def terms():
         return [series_terms(lambda x, l=l, kappa=kappa: isospectral._i0_series(x, l, kappa))
@@ -132,18 +141,16 @@ def main(argv=None):
         for l in LS:
             ways = routes(l, kappa)
             b = (2 * l - 1) / (2.0 * kappa)
-            n = isospectral._finite_terms(l, kappa)
-            taken = "sum" if n else "series"
+            route = taken(l, kappa)
             cost = {name: [microseconds(f, r) for r in grids] for name, f in ways.items()}
-            got = isospectral._i0_beta(grids[-1], l, kappa)
             ref = isospectral.i0_quadrature(grids[-1], l, kappa)
-            error = relative_error(got, ref)
-            line = (f"{text:>8} {l:>2} {b:>9.4g} {taken:>6} "
-                    f"{n or series_terms(ways['series']):>5} "
-                    + " ".join(f"{us:>8.1f}" for us in cost[taken])
+            error = relative_error(ways[route](grids[-1]), ref)
+            line = (f"{text:>8} {l:>2} {b:>9.4g} {route:>6} "
+                    f"{int(b) if route == 'sum' else series_terms(ways['series']):>5} "
+                    + " ".join(f"{us:>8.1f}" for us in cost[route])
                     + f" {error:>9.2e}")
             if len(ways) == 2:
-                other = "series" if taken == "sum" else "sum"
+                other = "series" if route == "sum" else "sum"
                 line += f"  {other}: " + " ".join(f"{us:.1f}" for us in cost[other])
                 crossings.append((b, all(s < t for s, t in zip(cost["sum"], cost["series"]))))
             print(line)

@@ -136,6 +136,8 @@ def nodeless_coupling(l, kappa) -> float:
 
     Equals coupling_w(1 + l/kappa, kappa) whenever the latter is defined.
     """
+    _check_l(l)
+    _check_kappa(kappa)
     return float((2 * l + 1) * (2 * l + 1 + 2 * kappa))
 
 
@@ -217,6 +219,8 @@ def radial_factor_f(rho, l, kappa):
     Where p = (2l+1)/(2 kappa) is not a float (kappa = 0.7, say), the direct
     form carries its rounding, p ln(1+t) eps: within 1e-13, not 1e-14.
     """
+    _check_l(l)
+    _check_kappa(kappa)
     r = _as_rho(rho)
     p = (2 * l + 1) / (2.0 * kappa)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,6 +241,8 @@ def radial_factor_df(rho, l, kappa):
     rho^(-l-1) (1+s)^(-(2l+1)/(2 kappa)) [(l+1) - (2l+1)/(1+s)], s = rho^(-2 kappa).
     At l = 0 the bracket is 1/(1+t) and s/(1+s), which do not cancel.
     """
+    _check_l(l)
+    _check_kappa(kappa)
     r = _as_rho(rho)
     p = (2 * l + 1) / (2.0 * kappa)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -258,6 +264,7 @@ def superpotential_w(rho, l, kappa):
 
     Evaluated as (l - (2l+1) y) / rho; identical to -f'/f for the nodeless f.
     """
+    _check_l(l)
     r = _as_rho(rho)
     y = _fractions(r, kappa)[1]
     return (l - (2 * l + 1) * y) / r
@@ -278,6 +285,7 @@ def u_plus(rho, l, kappa):
     (l(l-1) + (2l+1) y (2y - (2l-1-2 kappa) x)) / rho^2 does not cancel where
     W^2 and W' do (at l <= 1 and large rho).
     """
+    _check_l(l)
     r = _as_rho(rho)
     x, y = _fractions(r, kappa)
     return (l * (l - 1) + (2 * l + 1) * y * (2.0 * y - (2 * l - 1 - 2.0 * kappa) * x)) / r / r

@@ -13,16 +13,15 @@ other kappa the incomplete beta function
 
     I0 = B_x(a, b) / 2 kappa,  x = rho^2k / (1 + rho^2k),  a = (2l+3)/2k,  b = (2l-1)/2k,
 
-which _i0_beta sums as a terminating sum of b positive terms where b is a
-positive integer (kappa = 1/2 at every l >= 1, and kappa = 1/4 or 1/6), and
-as power series everywhere else.  The closed form takes rho and forms the
-angle beta = arctan(rho) inside, through the substitution rho = tan(beta),
-which turns f^2 drho into sin(beta)^(2l+2) cos(beta)^(2l-2) dbeta, the
-integrand it integrates.  Both routes are cross-checked against
-i0_quadrature, the oracle, which integrates f^2 over a fixed dyadic ladder
-of radii plus one tail per point, for any number of (kappa, l) sectors,
-all in one batched Gauss-Kronrod call at relative tolerance 1e-12; only
-verify and the tests call it.
+summed as a terminating sum of b positive terms where b is a positive
+integer (kappa = 1/2 at every l >= 1, and kappa = 1/4 or 1/6), and as power
+series everywhere else.  The closed form integrates
+sin(beta)^(2l+2) cos(beta)^(2l-2) dbeta, which f^2 drho becomes under
+rho = tan(beta).  f, f' and I0 + lam are evaluated in one place too,
+_family_terms, and every family quantity above is built from its arrays.
+Every route is checked against i0_quadrature, the oracle that only verify
+and the tests call: one batched Gauss-Kronrod call integrates f^2 for every
+(kappa, l) sector over a fixed dyadic ladder of radii, at rtol 1e-12.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from .do_core import (
     _check_kappa,
     _check_l,
     _fractions,
+    _substitute,
     radial_factor_df,
     radial_factor_f,
-    superpotential_w,
     u_minus,
 )
 from .numerics import _stacked, integrate_adaptive
@@ -124,6 +123,7 @@ def i0_closed_one(rho, l):
     i0_closed_one(0.001, 3) is -2.2e-21 where I0 is 1.1e-28.  In the family
     the error reaches only the members whose lam is not far above I0.
     """
+    _check_l(l)
     r = _as_rho(rho)
     b = np.arctan(r)
     if l == 0:
@@ -137,34 +137,13 @@ def i0_closed_one(rho, l):
     return (2.0 * s_lm1 - s_l - edge) / 4.0**l
 
 
-# Largest b = (2l-1)/2 kappa that _i0_beta sums as the terminating sum.
-# Its cost grows with b and the series' barely.  The last line of
-# scripts/i0_route_scan.py (run with no arguments) names the largest
-# integer b up to which the sum is faster than the series at 50, 300 and
-# 600 radii; on one shared 2-core host it read 224, 448 and 576 in three
-# runs and 224 in two more, so from a few hundred terms the crossover is
-# the host's noise.  At b = 1152 the series is faster at every size.
+# Largest b = (2l-1)/2 kappa that i0 sums as the terminating sum, whose cost
+# grows with b and the series' barely.  The last line of
+# scripts/i0_route_scan.py names the largest integer b up to which the sum
+# is faster than the series at 50, 300 and 600 radii: 224, 448 or 576 over
+# seven runs on one shared 2-core host, so from a few hundred terms the
+# crossover is noise.  At b = 1152 the series is faster at every size.
 _MAX_FINITE_TERMS = 512
-
-
-def _i0_beta(rho, l, kappa):
-    """I0 = B_x(a, b) / 2 kappa, x = rho^2k / (1 + rho^2k), a = (2l+3)/2k, b = (2l-1)/2k.
-
-    The terminating sum (_i0_finite) where b is a positive integer of at
-    most _MAX_FINITE_TERMS, the power series (_i0_series) everywhere else.
-    """
-    r = _as_rho(rho)
-    _check_kappa(kappa)
-    n = _finite_terms(l, kappa)
-    if n:
-        return _i0_finite(r, (2 * l + 3) / (2.0 * kappa), n, kappa)
-    return _i0_series(r, l, kappa)
-
-
-def _finite_terms(l, kappa):
-    """b = (2l-1)/2 kappa where _i0_beta takes the terminating sum, else 0."""
-    b = (2 * l - 1) / (2.0 * kappa)
-    return int(b) if 1.0 <= b <= _MAX_FINITE_TERMS and b.is_integer() else 0
 
 
 def _i0_finite(r, a, n, kappa):
@@ -323,11 +302,9 @@ def _i0_series(r, l, kappa):
         scale = np.where(low, inv2k / a, -inv2k)
         s = b + k_pole
         log_w = log_y - math.log(y_s)
-        if s == 0:
-            pole = -c[k_pole] * y_s**b * inv2k * log_w
-        else:
-            pole = (-c[k_pole] * y_s**b * inv2k / s) * np.expm1(s * log_w)
-        pole = np.where(low, 0.0, pole)
+        with np.errstate(over="ignore"):  # summed under one exponent below
+            pole = np.where(low, 0.0, (-c[k_pole] * y_s**b * inv2k / (s or 1.0)) * (
+                log_w if s == 0 else np.expm1(s * log_w)))
     else:
         q = _series(a + b, b + 1.0, y_s)
         top = x_s**a * y_s**b * (math.fsum(p) / a + math.fsum(q) / b)
@@ -338,72 +315,70 @@ def _i0_series(r, l, kappa):
     coeffs[: q.size, 1] = q
     w = np.exp(np.where(low, log_x - math.log(x_s), log_y - math.log(y_s)))
     total = _horner(coeffs, np.where(low, 0, 1), w)
-    value = np.where(low, 0.0, top * inv2k) + np.exp(exponent) * (scale * total) + pole
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.where(low, 0.0, top * inv2k) + np.exp(exponent) * (scale * total) + pole
+    if split and b < 0:
+        # near the largest float y^b (about rho) or the pole term overflows on its
+        # own: there y^b = rho (1 + rho^-2k)^(1/2k) multiplies both under one exponent
+        bad = ~np.isfinite(value)
+
+        def one_exponent(rs):
+            lw = log_w[bad]  # share: the pole term over -c y^b / 2 kappa
+            share = lw * np.exp(-b * lw) if s == 0 else (np.exp(k_pole * lw) - np.exp(-b * lw)) / s
+            inner = -inv2k * (c[k_pole] * share + total[bad])
+            return top * inv2k + rs * np.exp(inv2k * np.log1p(rs ** (-2.0 * kappa)) + np.log(inner))
+
+        value = _substitute(value, bad, r, one_exponent)
     return value[()]
 
 
 def i0(rho, l, kappa):
-    """I0(rho) = int_0^rho f^2: the closed form at kappa = 1, else _i0_beta.
+    """I0(rho) = int_0^rho f^2, by the one route picked here for (l, kappa).
 
-    i0_closed_one states the closed form's loss at small rho.
+    kappa = 1 takes the closed form (i0_closed_one states its loss at small
+    rho).  Where b = (2l-1)/2 kappa is a positive integer up to
+    _MAX_FINITE_TERMS, _i0_finite sums b positive terms (kappa = 1/2 at every
+    l >= 1), within 2.4e-15 relative of exact rational I0 at kappa = 1/2,
+    5.2e-15 at 1/4 and 1.1e-14 at 1/6 (400 radii rho = s^m in [1e-3, 1e3],
+    l = 1..5), in 6 to 30 us per kappa = 1/2 call on 50 to 600 radii where
+    the series takes 160 to 350 us (scripts/i0_route_scan.py).  Everywhere
+    else _i0_series sums power series (49 to 81 terms for kappa from 1/2 to
+    2), within 1e-12 relative for kappa >= 1/4 (tested) and 6.8e-14 at the
+    nodeless kappa = l/k < 1/4, k <= 20 l (at l = 5, 5/22).
 
-    _i0_beta takes the terminating sum of b = (2l-1)/2 kappa positive terms
-    where b is a positive integer up to _MAX_FINITE_TERMS (kappa = 1/2 at
-    every l >= 1, 1 to 9 terms at l = 1..5), and power series everywhere
-    else (l = 0 and every b that is not an integer; 49 to 81 terms for
-    kappa from 1/2 to 2).  Against I0 in exact rational arithmetic at
-    kappa = 1/2m, on 400 radii rho = s^m from 1e-3 to 1e3, l = 1..5, the
-    sum is within 2.4e-15 relative at kappa = 1/2, 5.2e-15 at kappa = 1/4
-    and 1.1e-14 at kappa = 1/6 (tested at 40 such radii).  It takes 6 to
-    30 us per kappa = 1/2 call on 50 to 600 radii, where the series takes
-    160 to 350 us (scripts/i0_route_scan.py).  The series' relative error is
-    below 1e-12 for kappa >= 1/4 (tested), and at most 6.8e-14 at the
-    nodeless kappa = l/k < 1/4, k <= 20 l (at l = 5, kappa = 5/22; 3.0e-14
-    at l = 3, kappa = 3/49).
-    I0 takes kappa from about 1e-308 to 1e305 (the series refuses the kappa
-    where (2l+3)/2 kappa or rho^2k at the largest float overflows) and is
-    finite for every rho from RHO_MIN to 1e307, and to the largest float at
-    kappa = 1: it grows like rho at l = 0 and tends to B(a, b) / 2 kappa at
-    l >= 1.  At small rho, I0 ~ rho^(2l+3) / (2l+3) can fall below the
-    smallest subnormal and read 0: 4.8e-409 at rho = 0.01, l = 100.  With
-    lam = 1e-300, I0 + lam is then lam, and both (I0 + lam)^2 and f^4
-    underflow, so the family term 2 f^4 / (I0 + lam)^2 is 0/0 (NaN).
-    l must be a non-negative integer on every route.
+    kappa runs from about 1e-308 to 1e305 (the series refuses the kappa where
+    (2l+3)/2 kappa or rho^2k at the largest float overflows), and I0 is
+    finite from RHO_MIN to the largest float: it grows like rho at l = 0 and
+    tends to B(a, b) / 2 kappa at l >= 1.  At small rho it can fall below the
+    smallest subnormal and read 0 (4.8e-409 at rho = 0.01, l = 100); with
+    lam = 1e-300 the family term 2 f^4 / (I0 + lam)^2 is then 0/0 (NaN).
     """
     _check_l(l)
+    _check_kappa(kappa)
     if kappa == 1.0:
         return i0_closed_one(rho, l)
-    return _i0_beta(rho, l, kappa)
-
-
-def _general(r, l, kappa, lam):
-    """(V_gen, W_gen, W) from one evaluation of f, I0 and W on the grid r.
-
-    lam is a float or an array that broadcasts against r, so every lam of
-    a (kappa, l) sector shares the one f, I0 and W; each element is
-    computed by the same operations as for a scalar lam.
-    """
-    f2 = radial_factor_f(r, l, kappa) ** 2
-    denom = i0(r, l, kappa) + lam
-    w = superpotential_w(r, l, kappa)
-    return denom / f2, w + f2 / denom, w
+    r = _as_rho(rho)
+    b = (2 * l - 1) / (2.0 * kappa)
+    if 1.0 <= b <= _MAX_FINITE_TERMS and b.is_integer():
+        return _i0_finite(r, (2 * l + 3) / (2.0 * kappa), int(b), kappa)
+    return _i0_series(r, l, kappa)
 
 
 def _family_terms(r, l, kappa, lam):
-    """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2 on one grid.
+    """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam), 2 f^4/(I0+lam)^2 and I0+lam on one grid.
 
-    The one place a family evaluates f, f' and I0; every family column is
-    built from these four arrays.  lam is a float or an array that
-    broadcasts against r: a (kappa, l) sector is evaluated once per grid
-    for all of its lam, and each element is computed by the same
-    operations as for a scalar lam.
+    The one place a family evaluates f, f' and I0: U_bos, f_bos, V_gen and
+    W_gen are built from these arrays, and a caller that needs only the first
+    four takes [:4], so I0+lam dies on return.  lam is a float or an array
+    that broadcasts against r: a (kappa, l) sector is evaluated once per grid
+    for all of its lam, each element by the same operations as for a scalar.
     """
     # f' first: it dies on return, and with the kept f allocated after it a
     # large table leaves less of the heap fragmented (lower peak RSS).
     df = radial_factor_df(r, l, kappa)
     f = radial_factor_f(r, l, kappa)
     denom = i0(r, l, kappa) + lam
-    return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
+    return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2, denom
 
 
 def _u_bos(u_m, terms):
@@ -415,5 +390,5 @@ def family_columns(rho, params: DoParams):
     """The columns (U-, U_bos, f, f_bos) on one grid, from one f, f', I0 and U-."""
     r = _as_rho(rho)
     u_m = u_minus(r, params.l, params.kappa)
-    terms = _family_terms(r, params.l, params.kappa, params.lam)
+    terms = _family_terms(r, params.l, params.kappa, params.lam)[:4]
     return u_m, _u_bos(u_m, terms), terms[0], terms[1]

@@ -222,11 +222,12 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
     The residual is |-V_gen' + 2 W V_gen + 1|, taken as it is and over
     max(1, |V_gen'|); the partner gap is |W_gen' + W_gen^2 - (W' + W^2)|,
     the two fermionic partners.  The families are grouped by (kappa, l)
-    sector, and each sector's f, I0 and W are evaluated once per grid for
-    all of its lam (isospectral._general), so the scan evaluates I0 twice
-    per sector: on the stencil grid of its one derivative call, which
-    covers V_gen' and W_gen' of every family and W' of every sector, and at
-    the radii.
+    sector, and each sector's f, I0 + lam (isospectral._family_terms) and W
+    are evaluated once per grid for all of its lam, with
+    V_gen = (I0+lam)/f^2 and W_gen = W + f^2/(I0+lam), so the scan
+    evaluates I0 twice per sector: on the stencil grid of its one
+    derivative call, which covers V_gen' and W_gen' of every family and W'
+    of every sector, and at the radii.
     """
     n = len(families)
     sectors = {}
@@ -243,9 +244,11 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
         out = np.empty(s.shape)
         for k, ((l, kappa), idx) in enumerate(sectors.items()):
             row = [2 * n + k]
-            v, wg, w = isospectral._general(s[..., row, :], l, kappa, lams[idx])
-            out[..., idx, :] = v
-            out[..., [n + i for i in idx], :] = wg
+            f, *_, denom = isospectral._family_terms(s[..., row, :], l, kappa, lams[idx])
+            f2 = f**2
+            w = superpotential_w(s[..., row, :], l, kappa)
+            out[..., idx, :] = denom / f2
+            out[..., [n + i for i in idx], :] = w + f2 / denom
             out[..., row, :] = w
         return out
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,31 +423,27 @@ class TestGridCommands:
         assert np.max(np.abs(f_bos / (f / denom) - 1.0)) < 1e-9
 
 
-I0_PATHS = ("_i0_beta", "i0_closed_one")
 FAMILY_TERMS = ("radial_factor_f", "radial_factor_df", "u_minus")
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Counts of I0 calls (any route), of the quadrature oracle and of the do_core family terms.
+def calls():
+    """Counts of i0 calls (whatever its route), of the quadrature oracle and of the do_core family terms.
 
-    Each function is wrapped in every module of the package that binds
-    it by name, so a call through any import is counted.
+    Each function is spied on, by mock.patch.object(..., wraps=...), in
+    every module of the package that binds it by name, so a call through
+    any import is counted.
     """
-    counts = collections.Counter()
+    spies = collections.defaultdict(list)
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "susy_fisheye"]
-    for name in I0_PATHS + ("i0_quadrature",) + FAMILY_TERMS:
-        original = getattr(do_core if name in FAMILY_TERMS else isospectral, name)
-        key = "i0" if name in I0_PATHS else name
-
-        def wrapper(*args, _fn=original, _key=key, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
-
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
-    return counts
+    with contextlib.ExitStack() as stack:
+        for name in ("i0", "i0_quadrature") + FAMILY_TERMS:
+            original = getattr(do_core if name in FAMILY_TERMS else isospectral, name)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    spies[name].append(stack.enter_context(
+                        mock.patch.object(module, name, wraps=original)))
+        yield lambda name: sum(spy.call_count for spy in spies[name])
 
 
 class TestFamilyTerms:
@@ -469,7 +466,7 @@ class TestFamilyTerms:
         # the quadrature is the oracle of verify and the tests, never a request's route
         expected = {"i0": 1, "i0_quadrature": 0, "radial_factor_f": 1, "radial_factor_df": 1,
                     "u_minus": u_minus}
-        assert {key: calls[key] for key in expected} == expected
+        assert {key: calls(key) for key in expected} == expected
 
     # stdout digests recorded before the family terms were shared; the two
     # kappa = 0.7 ones again when I0 moved from the quadrature to the beta

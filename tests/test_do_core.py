@@ -17,6 +17,7 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
+from susy_fisheye.isospectral import i0_closed_one
 from susy_fisheye.numerics import derivative
 
 exact = load_script("exact")
@@ -91,6 +92,29 @@ class TestCoupling:
             coupling_w(1, -0.5)
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = nan$"):
             coupling_w(1, math.nan)
+
+
+# every evaluator that takes l or kappa refuses them out of their domain,
+# with the message of DoParams and i0; each of these read a number or raised
+# another error before
+@pytest.mark.parametrize(
+    "evaluate,args,message",
+    [
+        (radial_factor_f, (0.5, -1, 1.0), "l must be a non-negative integer, got l = -1"),
+        (radial_factor_f, (0.5, 1, -1.0), "kappa must be positive, got kappa = -1"),
+        (radial_factor_df, (0.5, 1, 0.0), "kappa must be positive, got kappa = 0"),
+        (u_minus, (0.5, -1, 1.0), "l must be a non-negative integer, got l = -1"),
+        (u_plus, (0.5, 2.5, 1.0), "l must be a non-negative integer, got l = 2.5"),
+        (superpotential_w, (0.5, -3, 1.0), "l must be a non-negative integer, got l = -3"),
+        (nodeless_coupling, (-1, 1.0), "l must be a non-negative integer, got l = -1"),
+        (i0_closed_one, (0.5, 1.5), "l must be a non-negative integer, got l = 1.5"),
+    ],
+    ids=["f-l", "f-kappa", "df-kappa", "u_minus-l", "u_plus-l", "w-l", "coupling-l",
+         "i0_closed_one-l"],
+)
+def test_out_of_domain_l_and_kappa_are_refused_by_name(evaluate, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate(*args)
 
 
 class TestPotential:

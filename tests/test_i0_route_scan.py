@@ -1,4 +1,4 @@
-"""Smoke test of scripts/i0_route_scan.py, the scan of the two I0 routes of _i0_beta."""
+"""Smoke test of scripts/i0_route_scan.py, the scan of the two beta routes of i0."""
 
 from conftest import load_script
 

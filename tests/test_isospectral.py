@@ -1,5 +1,9 @@
+import ast
+import collections
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,10 @@ from scipy import special
 from scipy.integrate import quad
 
 from susy_fisheye import isospectral
-from susy_fisheye.do_core import DoParams, superpotential_w, u_minus
+from susy_fisheye.do_core import DoParams, _as_rho, superpotential_w, u_minus
 from susy_fisheye.isospectral import (
     _family_terms,
-    _general,
-    _i0_beta,
+    _i0_finite,
     _i0_series,
     _series,
     i0,
@@ -35,12 +38,14 @@ I0_HALF = 1.5 - 2.0 * math.log(2.0)
 
 def v_gen(rho, params):
     """V_gen = f^-2 (lam + I0) of the family params."""
-    return _general(rho, params.l, params.kappa, params.lam)[0]
+    f, *_, denom = _family_terms(rho, params.l, params.kappa, params.lam)
+    return denom / f**2
 
 
 def w_gen(rho, params):
     """W_gen = W + f^2 / (I0 + lam) of the family params."""
-    return _general(rho, params.l, params.kappa, params.lam)[1]
+    f, *_, denom = _family_terms(rho, params.l, params.kappa, params.lam)
+    return superpotential_w(rho, params.l, params.kappa) + f**2 / denom
 
 
 def _i0_beta_reference(rho, l, kappa):
@@ -202,19 +207,22 @@ class TestClosedForms:
 class TestRoute:
     """i0 is the one place the route to I0 is chosen."""
 
+    # the closed form at kappa = 1; at kappa = 1/2 the series at l = 0 and the
+    # terminating sum of b = 2l - 1 terms from l = 1 on; the series at 0.7
     @pytest.mark.parametrize(
         "kappa,route",
         [
-            (1.0, lambda rho, l: i0_closed_one(rho, l)),
-            (0.5, lambda rho, l: _i0_beta(rho, l, 0.5)),
-            (0.7, lambda rho, l: _i0_beta(rho, l, 0.7)),
+            (1.0, lambda r, l: i0_closed_one(r, l)),
+            (0.5, lambda r, l: _i0_finite(r, 2 * l + 3.0, 2 * l - 1, 0.5) if l
+             else _i0_series(r, 0, 0.5)),
+            (0.7, lambda r, l: _i0_series(r, l, 0.7)),
         ],
         ids=["closed-one", "beta-half", "beta"],
     )
     @pytest.mark.parametrize("rho", [1.7, np.logspace(-2.0, 2.0, 9)], ids=["scalar", "array"])
     def test_route_is_bit_for_bit(self, kappa, route, rho):
         for l in (0, 1, 3):
-            got, want = i0(rho, l, kappa), route(rho, l)
+            got, want = i0(rho, l, kappa), route(_as_rho(rho), l)
             assert type(got) is type(want)
             np.testing.assert_array_equal(got, want)
 
@@ -250,6 +258,32 @@ class TestRoute:
     def test_nan_kappa_is_refused(self):
         with pytest.raises(ValueError, match=r"kappa must be positive, got kappa = nan$"):
             i0(1.0, 0, math.nan)
+
+
+class TestOnePlace:
+    """Read from the source: one function picks the I0 route, one evaluates the family.
+
+    A function owns a callee when no other code of isospectral.py names it;
+    the oracle i0_quadrature integrates _f_squared, so it names neither.
+    """
+
+    OWNERS = {
+        "_i0_finite": "i0", "_i0_series": "i0", "i0_closed_one": "i0",
+        "radial_factor_f": "_family_terms", "radial_factor_df": "_family_terms",
+        "i0": "_family_terms",
+    }
+
+    def test_each_callee_is_named_by_its_owner_alone(self):
+        tree = ast.parse(Path(isospectral.__file__).read_text())
+        namers = collections.defaultdict(set)
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    namers[node.id].add(owner)
+        assert {name: namers[name] for name in self.OWNERS} == {
+            name: {owner} for name, owner in self.OWNERS.items()
+        }
 
 
 # Every (l, kappa) pair of the quadrature-kappa benchmark workload (l = 0 at
@@ -292,14 +326,14 @@ class TestBetaSeries:
 
     @pytest.mark.parametrize("l,kappa", BETA_PAIRS)
     def test_against_independent_references(self, l, kappa):
-        got = _i0_beta(BETA_RHO, l, kappa)
+        got = i0(BETA_RHO, l, kappa)
         ref = _independent_i0(BETA_RHO, l, kappa)
         assert np.max(np.abs(got - ref) / ref) < 1e-12
 
     @pytest.mark.parametrize("l,kappa", BETA_PAIRS)
     def test_scalar_equals_array(self, l, kappa):
-        got = _i0_beta(BETA_RHO, l, kappa)
-        assert np.array_equal([_i0_beta(float(r), l, kappa) for r in BETA_RHO], got)
+        got = i0(BETA_RHO, l, kappa)
+        assert np.array_equal([i0(float(r), l, kappa) for r in BETA_RHO], got)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,7 +344,9 @@ class TestBetaSeries:
         l, kappa = pair
         rho = np.exp(log_rho)
         ref = _independent_i0(rho, l, kappa)
-        assert np.max(np.abs(_i0_beta(rho, l, kappa) - ref) / ref) < 1e-12
+        # kappa = 1 is drawn too: there i0 takes the closed form, and the series is held
+        got = _i0_series(_as_rho(rho), l, kappa) if kappa == 1.0 else i0(rho, l, kappa)
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -323,23 +359,34 @@ class TestBetaSeries:
         l, kappa = pair
         rho = np.exp(log_rho)
         ref = i0_quadrature(rho, l, kappa)
-        assert np.max(np.abs(_i0_beta(rho, l, kappa) / ref - 1.0)) < 1e-12
+        assert np.max(np.abs(i0(rho, l, kappa) / ref - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("l,kappa", [(0, 0.7), (0, 0.3), (0, 3.0), (2, 2.0), (3, 1.5)])
     def test_finite_to_the_top_of_the_float_range(self, l, kappa):
         # I0 grows like rho at l = 0 and tends to B(a, b) / 2 kappa at l >= 1
-        got = _i0_beta(np.array([1e-12, 1e100, 1e200, 1e307]), l, kappa)
+        got = i0(np.array([1e-12, 1e100, 1e200, 1e307]), l, kappa)
         assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0)
         if l == 0:
             assert got[-1] == pytest.approx(1e307, rel=1e-12)
 
+    def test_largest_float_past_one(self):
+        # at l = 0, y^b and the pole term are about rho each and overflowed
+        # here on their own (I0 read inf, with an overflow warning), before
+        # the series term brought the sum back below the largest float
+        rho = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = i0(rho, 0, 13.6)
+        want = float(exact.exact(rho, 0, 13.6, ("i0",))["i0"][0])
+        assert abs(got / want - 1.0) < 1e-13
+
     @pytest.mark.parametrize("l,kappa", [(1, 0.01), (3, 0.01)])
     def test_small_kappa_above_l_zero(self, l, kappa):
         # the switch of the series sits at the mode (a+1)/(a+b+2) of the
-        # beta density here; b = 50 and 250 are integers, so _i0_beta takes
+        # beta density here; b = 50 and 250 are integers, so i0 takes
         # the terminating sum, and the series is held to the same bound
         ref = i0_quadrature(BETA_RHO, l, kappa)
-        for got in (_i0_beta(BETA_RHO, l, kappa), _i0_series(BETA_RHO, l, kappa)):
+        for got in (i0(BETA_RHO, l, kappa), _i0_series(BETA_RHO, l, kappa)):
             assert np.max(np.abs(got - ref) / got) < 1e-12
 
     def test_series_below_a_quarter(self):
@@ -354,7 +401,7 @@ class TestBetaSeries:
         # f^2 < 1e-300 on every float radius, so I0 is 0 in floats; a switch
         # nearer x = 1 than the mode made the x series overflow and grow
         # without end here
-        assert np.all(_i0_beta(BETA_RHO, l, kappa) == 0.0)
+        assert np.all(i0(BETA_RHO, l, kappa) == 0.0)
 
     @pytest.mark.parametrize("u,v,bound", [(1.0, 1.0, 1.0), (math.nan, math.inf, 0.5)])
     def test_series_that_never_falls_is_refused(self, u, v, bound):
@@ -365,26 +412,26 @@ class TestBetaSeries:
         # no float radius reaches the switch below kappa ~ 0.003, and every
         # radius takes the x series
         rho = np.logspace(-3.0, 10.0, 7)
-        got = _i0_beta(rho, 0, 1e-3)
+        got = i0(rho, 0, 1e-3)
         assert np.max(np.abs(got - i0_quadrature(rho, 0, 1e-3)) / got) < 1e-12
-        assert np.isfinite(_i0_beta(1e300, 0, 1e-3))
+        assert np.isfinite(i0(1e300, 0, 1e-3))
 
 
 class TestTerminatingSum:
-    """_i0_beta where b = (2l-1)/2 kappa is a positive integer: b positive terms."""
+    """i0 where b = (2l-1)/2 kappa is a positive integer: b positive terms."""
 
     @pytest.mark.parametrize("kappa", [0.5, 0.25, 1 / 6])
     @pytest.mark.parametrize("l", range(1, 6))
     def test_against_the_quadrature(self, l, kappa):
         rho = np.logspace(-3.0, math.log10(50.0), 50)
-        got = _i0_beta(rho, l, kappa)
+        got = i0(rho, l, kappa)
         assert np.max(np.abs(got / i0_quadrature(rho, l, kappa) - 1.0)) < 1e-13
 
     # the series is within 3.3e-14 of the quadrature on logspace(1e-3, 50)
     # at these sectors (measured), so the two routes within 4e-14 of each other
     @pytest.mark.parametrize("l,kappa", [(1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5), (5, 0.5), (2, 1.5)])
     def test_against_the_series(self, l, kappa):
-        got = _i0_beta(BETA_RHO, l, kappa)
+        got = i0(BETA_RHO, l, kappa)
         assert np.max(np.abs(got / _i0_series(BETA_RHO, l, kappa) - 1.0)) < 4e-14
 
     @pytest.mark.parametrize("l,kappa", [(3, 0.5), (2, 1.5)])
@@ -392,7 +439,7 @@ class TestTerminatingSum:
         # at (2, 1.5), b = 1 and rho^3 overflows past 5.6e102: the radii
         # past 1 take rho^-2k
         a, b = (2 * l + 3) / (2 * kappa), (2 * l - 1) / (2 * kappa)
-        got = _i0_beta(np.array([1e100, 1e200, 1e307]), l, kappa)
+        got = i0(np.array([1e100, 1e200, 1e307]), l, kappa)
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(special.beta(a, b) / (2 * kappa), rel=1e-14)
 
@@ -541,11 +588,10 @@ class TestLambdaBroadcast:
         r = 10.0 ** np.array(log_rho)
         lams = 10.0 ** np.array(log_lam)
         shape = (lams.size, r.size)
-        for helper in (_family_terms, _general):
-            batched = helper(r, l, kappa, lams[:, None])
-            for j, lam in enumerate(lams):
-                for got, want in zip(batched, helper(r, l, kappa, float(lam))):
-                    assert np.array_equal(np.broadcast_to(got, shape)[j], want)
+        batched = _family_terms(r, l, kappa, lams[:, None])
+        for j, lam in enumerate(lams):
+            for got, want in zip(batched, _family_terms(r, l, kappa, float(lam))):
+                assert np.array_equal(np.broadcast_to(got, shape)[j], want)
 
 
 class TestBosonicFamily:

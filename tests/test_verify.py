@@ -22,7 +22,7 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
-from susy_fisheye.isospectral import _general, family_columns
+from susy_fisheye.isospectral import _family_terms, family_columns
 from susy_fisheye.numerics import derivative
 
 FAMILIES = [
@@ -30,16 +30,23 @@ FAMILIES = [
 ]
 
 
+def general(s, l, kappa, lam):
+    """(V_gen, W_gen) = ((I0+lam)/f^2, W + f^2/(I0+lam)) from one _family_terms call."""
+    f, *_, denom = _family_terms(s, l, kappa, lam)
+    f2 = f**2
+    return denom / f2, superpotential_w(s, l, kappa) + f2 / denom
+
+
 def riccati_loop(radii):
     worst_abs = worst_rel = worst_partner = 0.0
     for kappa, l, lam in FAMILIES:
         r = radii
-        v, wg, _ = _general(r, l, kappa, lam)
-        dv = derivative(lambda s: _general(s, l, kappa, lam)[0], r, h0=0.25 * r)
+        v, wg = general(r, l, kappa, lam)
+        dv = derivative(lambda s: general(s, l, kappa, lam)[0], r, h0=0.25 * r)
         res = np.abs(-dv + 2.0 * superpotential_w(r, l, kappa) * v + 1.0)
         worst_abs = max(worst_abs, float(np.max(res)))
         worst_rel = max(worst_rel, float(np.max(res / np.maximum(1.0, np.abs(dv)))))
-        dwg = derivative(lambda s: _general(s, l, kappa, lam)[1], r, h0=0.25 * r)
+        dwg = derivative(lambda s: general(s, l, kappa, lam)[1], r, h0=0.25 * r)
         dw = derivative(lambda s: superpotential_w(s, l, kappa), r, h0=0.25 * r)
         up_general = dwg + wg**2
         up_particular = dw + superpotential_w(r, l, kappa) ** 2
