@@ -41,7 +41,7 @@ def _deformation(r, l, lam, exact):
     """
     for one_lam in np.ravel(lam):
         DoParams.nodeless(kappa=1.0, l=l, lam=one_lam)
-    terms = _family_terms(r, l, 1.0, lam)[:4]
+    terms = _family_terms(r, l, 1.0, lam)
     c = (2 * l + 1) * (2 * l + 3)
     with np.errstate(over="ignore"):
         v_m = c / (1.0 + r**2) ** 2

@@ -17,8 +17,8 @@ summed as a terminating sum of b positive terms where b is a positive
 integer (kappa = 1/2 at every l >= 1, and kappa = 1/4 or 1/6), and as power
 series everywhere else.  The closed form integrates
 sin(beta)^(2l+2) cos(beta)^(2l-2) dbeta, which f^2 drho becomes under
-rho = tan(beta).  f, f' and I0 + lam are evaluated in one place too,
-_family_terms, and every family quantity above is built from its arrays.
+rho = tan(beta).  f and I0 + lam are evaluated in one place too,
+_family_values, f' in _family_terms, and the family is built from these.
 Every route is checked against i0_quadrature, the oracle that only verify
 and the tests call: one batched Gauss-Kronrod call integrates f^2 for every
 (kappa, l) sector over a fixed dyadic ladder of radii, at rtol 1e-12.
@@ -36,7 +36,6 @@ from .do_core import (
     _check_kappa,
     _check_l,
     _fractions,
-    _substitute,
     radial_factor_df,
     radial_factor_f,
     u_minus,
@@ -237,11 +236,13 @@ def _i0_series(r, l, kappa):
       series at the switch.
     - x > x_s, b < 0 (l = 0): B_x = B_xs(a, b) + int_y^ys v^(b-1) (1-v)^(a-1) dv,
       with (1-v)^(a-1) = sum c_k v^k, c_k = (1-a)_k / k!, integrated term
-      by term.  The term whose power s = b + k is nearest 0, where B(a, b)
-      and the complement series of the incomplete beta have their poles,
-      is kept whole as c_k ys^s (1 - (y/ys)^s) / s through expm1; at s = 0
-      (kappa = 1/2m) it is the log term c_k ln(ys/y).  So b needs no
-      raising, and kappa near 1/2m loses nothing.
+      by term: a constant plus y^b times a sum in w = y/ys <= 1.  The term
+      whose power s = b + k is nearest 0, where B(a, b) and the complement
+      series of the incomplete beta have their poles, is kept whole through
+      (w^k - w^-b) / s = w^min(k, -b) expm1(|s| ln w) / |s|, or w^k ln w at
+      s = 0 (kappa = 1/2m), which neither overflows nor cancels.  y^b is
+      rho (1 + rho^-2k)^(1/2k), which keeps the digits exp(b ln y) loses to
+      the rounding of 2 kappa ln rho (1.5e-13 at rho = 1.7e308).
 
     x_s = 1/2 unless the part above it would cancel by more than
     _MAX_CANCELLATION, which happens only below kappa = 1/4.  At l >= 1 the
@@ -287,48 +288,37 @@ def _i0_series(r, l, kappa):
     log_x = t + log_y
     low = log_x <= math.log(x_s) if split else np.full(r.shape, True)
     inv2k = 0.5 / kappa  # I0 = B_x / 2 kappa
-    pole = 0.0
-    if not split:
-        q, top = np.zeros(1), 0.0
-        exponent = a * log_x + b * log_y
-        scale = inv2k / a
-    elif b < 0:
+    q, top, scale = np.zeros(1), 0.0, inv2k / a
+    if split and b < 0:
         k_pole = round(-b)
         c = _series(1.0 - a, 1.0, y_s, least=k_pole + 1)
         k = np.arange(c.size)
         q = c / np.where(k == k_pole, np.inf, b + k)
         top = math.exp(log_low) + y_s**b * math.fsum(q)
-        exponent = np.where(low, a * log_x, 0.0) + b * log_y
-        scale = np.where(low, inv2k / a, -inv2k)
-        s = b + k_pole
-        log_w = log_y - math.log(y_s)
-        with np.errstate(over="ignore"):  # summed under one exponent below
-            pole = np.where(low, 0.0, (-c[k_pole] * y_s**b * inv2k / (s or 1.0)) * (
-                log_w if s == 0 else np.expm1(s * log_w)))
-    else:
+    elif split:
         q = _series(a + b, b + 1.0, y_s)
         top = x_s**a * y_s**b * (math.fsum(p) / a + math.fsum(q) / b)
-        exponent = a * log_x + b * log_y
         scale = np.where(low, inv2k / a, -inv2k / b)
     coeffs = np.zeros((max(p.size, q.size), 2))
     coeffs[: p.size, 0] = p
     coeffs[: q.size, 1] = q
     w = np.exp(np.where(low, log_x - math.log(x_s), log_y - math.log(y_s)))
     total = _horner(coeffs, np.where(low, 0, 1), w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = np.where(low, 0.0, top * inv2k) + np.exp(exponent) * (scale * total) + pole
-    if split and b < 0:
-        # near the largest float y^b (about rho) or the pole term overflows on its
-        # own: there y^b = rho (1 + rho^-2k)^(1/2k) multiplies both under one exponent
-        bad = ~np.isfinite(value)
-
-        def one_exponent(rs):
-            lw = log_w[bad]  # share: the pole term over -c y^b / 2 kappa
-            share = lw * np.exp(-b * lw) if s == 0 else (np.exp(k_pole * lw) - np.exp(-b * lw)) / s
-            inner = -inv2k * (c[k_pole] * share + total[bad])
-            return top * inv2k + rs * np.exp(inv2k * np.log1p(rs ** (-2.0 * kappa)) + np.log(inner))
-
-        value = _substitute(value, bad, r, one_exponent)
+    if not (split and b < 0):
+        return (np.where(low, 0.0, top * inv2k) + np.exp(a * log_x + b * log_y) * (scale * total))[()]
+    # l = 0: each side's form on its own radii, where neither overflows
+    high = ~low
+    value = np.empty(r.shape)
+    value[low] = np.exp(a * log_x[low] + b * log_y[low]) * (scale * total[low])
+    s = b + k_pole
+    log_w = log_y[high] - math.log(y_s)
+    if s == 0:
+        share = log_w * np.exp(-b * log_w)
+    else:
+        share = np.exp(min(k_pole, -b) * log_w) * (np.expm1(abs(s) * log_w) / abs(s))
+    inner = -inv2k * (c[k_pole] * share + total[high])
+    rh = r[high]
+    value[high] = top * inv2k + rh * (np.exp(inv2k * np.log1p(rh ** (-2.0 * kappa))) * inner)
     return value[()]
 
 
@@ -344,7 +334,8 @@ def i0(rho, l, kappa):
     the series takes 160 to 350 us (scripts/i0_route_scan.py).  Everywhere
     else _i0_series sums power series (49 to 81 terms for kappa from 1/2 to
     2), within 1e-12 relative for kappa >= 1/4 (tested) and 6.8e-14 at the
-    nodeless kappa = l/k < 1/4, k <= 20 l (at l = 5, 5/22).
+    nodeless kappa = l/k < 1/4, k <= 20 l (at l = 5, 5/22); on the sweep of
+    scripts/exact.py every sector but kappa = 1 is within 3.0e-14 (tested).
 
     kappa runs from about 1e-308 to 1e305 (the series refuses the kappa where
     (2l+3)/2 kappa or rho^2k at the largest float overflows), and I0 is
@@ -364,21 +355,23 @@ def i0(rho, l, kappa):
     return _i0_series(r, l, kappa)
 
 
-def _family_terms(r, l, kappa, lam):
-    """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam), 2 f^4/(I0+lam)^2 and I0+lam on one grid.
+def _family_values(r, l, kappa, lam):
+    """f and I0+lam on one grid: the one place a family evaluates f and I0.
 
-    The one place a family evaluates f, f' and I0: U_bos, f_bos, V_gen and
-    W_gen are built from these arrays, and a caller that needs only the first
-    four takes [:4], so I0+lam dies on return.  lam is a float or an array
-    that broadcasts against r: a (kappa, l) sector is evaluated once per grid
-    for all of its lam, each element by the same operations as for a scalar.
+    lam is a float or an array that broadcasts against r: a (kappa, l)
+    sector is evaluated once per grid for all of its lam, each element by
+    the same operations as for a scalar.
     """
+    return radial_factor_f(r, l, kappa), i0(r, l, kappa) + lam
+
+
+def _family_terms(r, l, kappa, lam):
+    """f, f_bos = f/(I0+lam), 4 f f'/(I0+lam) and 2 f^4/(I0+lam)^2: the one place f' is evaluated."""
     # f' first: it dies on return, and with the kept f allocated after it a
     # large table leaves less of the heap fragmented (lower peak RSS).
     df = radial_factor_df(r, l, kappa)
-    f = radial_factor_f(r, l, kappa)
-    denom = i0(r, l, kappa) + lam
-    return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2, denom
+    f, denom = _family_values(r, l, kappa, lam)
+    return f, f / denom, 4.0 * f * df / denom, 2.0 * f**4 / denom**2
 
 
 def _u_bos(u_m, terms):
@@ -390,5 +383,5 @@ def family_columns(rho, params: DoParams):
     """The columns (U-, U_bos, f, f_bos) on one grid, from one f, f', I0 and U-."""
     r = _as_rho(rho)
     u_m = u_minus(r, params.l, params.kappa)
-    terms = _family_terms(r, params.l, params.kappa, params.lam)[:4]
+    terms = _family_terms(r, params.l, params.kappa, params.lam)
     return u_m, _u_bos(u_m, terms), terms[0], terms[1]

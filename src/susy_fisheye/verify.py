@@ -64,6 +64,13 @@ ZERO_MODE_START = 1e-3
 ZERO_MODE_STEP = 4e-3
 
 
+def _langer_grid():
+    """(x, rho = e^x): the zero-mode x-grid, read from ZERO_MODE_START and ZERO_MODE_STEP now."""
+    n = math.ceil(math.log(5.0 / ZERO_MODE_START) / ZERO_MODE_STEP) + 1
+    x = np.linspace(math.log(ZERO_MODE_START), math.log(5.0), n)
+    return x, np.exp(x)
+
+
 def _rescaled_deviation(u, f):
     """Max relative deviation of u from f after a least-squares global rescale."""
     scale = np.dot(u, f) / np.dot(u, u)
@@ -77,9 +84,8 @@ def _zero_mode_residual(l, kappa, lam=None):
     -phi'' + (1/4 + rho^2 U) phi = 0, the Langer form of the paper's full
     line: for U = U_- its potential is (l + 1/2)^2 - (w/4) sech^2(kappa x),
     smooth for every kappa, where on the rho-grid the kappa = 1/2 well is
-    Coulomb-like at the origin.  phi is marched across a uniform x-grid
-    from ln ZERO_MODE_START to ln 5, step at most ZERO_MODE_STEP, from the
-    Frobenius seeds times rho^(-1/2).  rho^(1/2) phi is compared with the
+    Coulomb-like at the origin.  phi is marched across _langer_grid() from
+    the Frobenius seeds times rho^(-1/2).  rho^(1/2) phi is compared with the
     analytic radial factor (or its damped family counterpart when lam is
     given) on the window [0.1, 5] after a least-squares global rescale.
     lam may also be a tuple: the family terms are then evaluated once on
@@ -92,9 +98,7 @@ def _zero_mode_residual(l, kappa, lam=None):
     4.2: at that size the seed's truncation and rounding, not the step,
     set it, so the ratio cannot show the march's fourth order.
     """
-    n = math.ceil(math.log(5.0 / ZERO_MODE_START) / ZERO_MODE_STEP) + 1
-    x = np.linspace(math.log(ZERO_MODE_START), math.log(5.0), n)
-    rho = np.exp(x)
+    x, rho = _langer_grid()
     phi0, phi1 = (_frobenius_seed(r, l, kappa) / math.sqrt(r) for r in rho[:2])
     u_m = u_minus(rho, l, kappa)
     if lam is None:
@@ -222,7 +226,7 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
     The residual is |-V_gen' + 2 W V_gen + 1|, taken as it is and over
     max(1, |V_gen'|); the partner gap is |W_gen' + W_gen^2 - (W' + W^2)|,
     the two fermionic partners.  The families are grouped by (kappa, l)
-    sector, and each sector's f, I0 + lam (isospectral._family_terms) and W
+    sector, and each sector's f, I0 + lam (isospectral._family_values) and W
     are evaluated once per grid for all of its lam, with
     V_gen = (I0+lam)/f^2 and W_gen = W + f^2/(I0+lam), so the scan
     evaluates I0 twice per sector: on the stencil grid of its one
@@ -244,7 +248,7 @@ def _riccati_scan(radii=np.linspace(0.1, 10.0, 25), families=RICCATI_FAMILIES):
         out = np.empty(s.shape)
         for k, ((l, kappa), idx) in enumerate(sectors.items()):
             row = [2 * n + k]
-            f, *_, denom = isospectral._family_terms(s[..., row, :], l, kappa, lams[idx])
+            f, denom = isospectral._family_values(s[..., row, :], l, kappa, lams[idx])
             f2 = f**2
             w = superpotential_w(s[..., row, :], l, kappa)
             out[..., idx, :] = denom / f2

@@ -372,9 +372,7 @@ def _zero_mode_march_inputs():
     The Langer marches of verify._zero_mode_residual, on its x = ln rho
     grid, and the two rho-grid marches of check_numerov_order.
     """
-    start, end = math.log(verify.ZERO_MODE_START), math.log(5.0)
-    x = np.linspace(start, end, math.ceil((end - start) / verify.ZERO_MODE_STEP) + 1)
-    rho = np.exp(x)
+    x, rho = verify._langer_grid()
     cases = [(kappa, l, None) for kappa in (0.5, 1.0) for l in range(4)] + [(1.0, 1, 10.0)]
     for kappa, l, lam in cases:
         if lam is None:

@@ -22,7 +22,7 @@ from susy_fisheye.do_core import (
     u_minus,
     u_plus,
 )
-from susy_fisheye.isospectral import _family_terms, family_columns
+from susy_fisheye.isospectral import _family_values, family_columns
 from susy_fisheye.numerics import derivative
 
 FAMILIES = [
@@ -31,8 +31,8 @@ FAMILIES = [
 
 
 def general(s, l, kappa, lam):
-    """(V_gen, W_gen) = ((I0+lam)/f^2, W + f^2/(I0+lam)) from one _family_terms call."""
-    f, *_, denom = _family_terms(s, l, kappa, lam)
+    """(V_gen, W_gen) = ((I0+lam)/f^2, W + f^2/(I0+lam)) from one _family_values call."""
+    f, denom = _family_values(s, l, kappa, lam)
     f2 = f**2
     return denom / f2, superpotential_w(s, l, kappa) + f2 / denom
 
@@ -118,9 +118,7 @@ def zero_mode_family_loop():
     # one march per (l, lam), on the public family columns, of
     # phi = rho^(-1/2) u in the Langer variable x = ln rho
     worst = 0.0
-    start, end = math.log(verify.ZERO_MODE_START), math.log(5.0)
-    x = np.linspace(start, end, math.ceil((end - start) / verify.ZERO_MODE_STEP) + 1)
-    rho = np.exp(x)
+    x, rho = verify._langer_grid()
     sel = (rho >= 0.1) & (rho <= 5.0)
     for l in (0, 1, 2):
         for lam in (1.0, 10.0):
@@ -203,6 +201,15 @@ def test_riccati_scan_equals_the_loop():
     got = tuple(r.residual for r in verify.check_riccati())
     assert got == riccati_loop(np.linspace(0.1, 10.0, 25))
     assert verify._riccati_scan(radii=RICCATI_RADII) == riccati_loop(RICCATI_RADII)
+
+
+def test_riccati_scan_forms_no_family_term():
+    # the scan reads f and I0 + lam alone: no f', and I0 once per sector on
+    # the stencil grid and once at the radii
+    df, i0 = mock.Mock(wraps=isospectral.radial_factor_df), mock.Mock(wraps=isospectral.i0)
+    with mock.patch.multiple(isospectral, radial_factor_df=df, i0=i0):
+        verify._riccati_scan()
+    assert (df.call_count, i0.call_count) == (0, 12)
 
 
 @pytest.mark.parametrize(
